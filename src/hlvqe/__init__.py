@@ -13,13 +13,11 @@ from .driver import (
 )
 from .errors import ConfigError, HlvqeError, NumericalError, ProjectionError
 from .model import (
-    BasisLabel,
     ModelParams,
     build_effective_hamiltonian,
     build_effective_hamiltonian_dbeta,
     build_full_hamiltonian,
     exact_ground_state,
-    quasi_spin_element,
 )
 from .pauli import (
     PauliDecomposition,
@@ -43,7 +41,6 @@ from .qsim import (
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,
-    sample_counts,
 )
 from .rotations import (
     EffectiveState,
@@ -52,12 +49,10 @@ from .rotations import (
     project_parity,
     reconstruct_full,
     wigner_d_matrix,
-    wigner_small_d,
 )
 from .solver import (
     ConvergenceRow,
     EffectiveSolution,
-    SolverOptions,
     hf_beta,
     solve_effective,
     sweep_lambda,

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy.linalg
 
 from .driver import HlvqeOptions, excited_state_run, run, summarize
 from .errors import ConfigError, HlvqeError
 from .model import ModelParams, exact_ground_state
+from .pauli import reassemble
 from .qsim import AnalyticBackend, SampledBackend
 from .rotations import project_parity, reconstruct_full
 from .solver import solve_effective, sweep_lambda, sweep_vbar
@@ -40,7 +42,7 @@ _DEFAULTS = {
     "eta": 0.07,
     "iters": 80,
     "window": (70, 80),
-    "shots": None,
+    "shots": 100_000,
     "seed": 1,
     "backend": "analytic",
     "update": "normalized",
@@ -54,22 +56,23 @@ _DEFAULTS = {
 
 _KNOWN_KEYS = set(_DEFAULTS)
 
+# values checked after merging, whether they come from a flag or the file
+_NUMBERS = {"n": int, "eps": float, "vbar": float, "v": float, "lambda": int,
+            "eta": float, "iters": int, "shots": int, "seed": int,
+            "beta0": float, "theta0": float, "mu0": float}
+_CHOICES = {"backend": ("analytic", "sampled"), "update": ("normalized", "plain"),
+            "format": ("csv", "json")}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     task: str
     values: dict
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError as exc:
-            raise AttributeError(key) from exc
-
     def model_params(self) -> ModelParams:
         if self.values["n"] is None:
             raise ConfigError("particle number --n is required")
-        return ModelParams.create(int(self.values["n"]), float(self.values["eps"]),
+        return ModelParams.create(self.values["n"], self.values["eps"],
                                   coupling=self.values["v"], vbar=self.values["vbar"])
 
     def echo(self) -> dict:
@@ -82,13 +85,30 @@ class RunConfig:
         return out
 
 
+def _number(key: str, value, kind):
+    """``kind(value)``; a non-string value must convert without change (so an
+    int key rejects 80.5)."""
+    try:
+        out = kind(value)
+        if isinstance(value, str) or out == value:
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key}: cannot read {value!r} as {kind.__name__}")
+
+
+def _parse_list(key: str, value, kind) -> list:
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{key} must be a comma-separated list, got {value!r}")
+    return [_number(key, x, kind) for x in items if x != ""]
+
+
 def _parse_window(text) -> tuple:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return int(text[0]), int(text[1])
-    parts = str(text).split("..")
+    parts = text if isinstance(text, (list, tuple)) else str(text).split("..")
     if len(parts) != 2:
         raise ConfigError(f"window must look like 'A..B', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return _number("window", parts[0], int), _number("window", parts[1], int)
 
 
 def parse_config(argv) -> RunConfig:
@@ -111,13 +131,13 @@ def parse_config(argv) -> RunConfig:
         p.add_argument("--window", type=str, default=None)
         p.add_argument("--shots", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--backend", choices=("analytic", "sampled"), default=None)
-        p.add_argument("--update", choices=("normalized", "plain"), default=None)
+        p.add_argument("--backend", choices=_CHOICES["backend"], default=None)
+        p.add_argument("--update", choices=_CHOICES["update"], default=None)
         p.add_argument("--beta0", type=float, default=None)
         p.add_argument("--theta0", type=float, default=None)
         p.add_argument("--mu0", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=_CHOICES["format"], default=None)
         p.add_argument("--plot-data", dest="plot_data", action="store_true",
                        default=None)
     ns = parser.parse_args(argv)
@@ -140,11 +160,18 @@ def parse_config(argv) -> RunConfig:
         if val is not None:
             values[key] = val
 
-    if isinstance(values["lambdas"], str):
-        values["lambdas"] = [int(x) for x in values["lambdas"].split(",") if x]
-    if isinstance(values["vbar_grid"], str):
-        values["vbar_grid"] = [float(x) for x in values["vbar_grid"].split(",") if x]
+    for key, kind in _NUMBERS.items():
+        if values[key] is not None:
+            values[key] = _number(key, values[key], kind)
+    for key, kind in (("lambdas", int), ("vbar_grid", float)):
+        if values[key] is not None:
+            values[key] = _parse_list(key, values[key], kind)
     values["window"] = _parse_window(values["window"])
+    for key, allowed in _CHOICES.items():
+        if values[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {values[key]!r}")
+    if values["shots"] < 1:
+        raise ConfigError(f"shots must be >= 1, got {values['shots']}")
     if values["plot_data"] is None:
         values["plot_data"] = False
 
@@ -219,18 +246,17 @@ def _emit_plot_data(config: RunConfig, name: str, header: list, rows: list) -> N
 
 def _backend_from(config: RunConfig):
     if config.values["backend"] == "sampled":
-        shots = config.values["shots"] or 100_000
-        return SampledBackend(int(shots), int(config.values["seed"]))
+        return SampledBackend(config.values["shots"], config.values["seed"])
     return AnalyticBackend()
 
 
 def _hlvqe_options(config: RunConfig) -> HlvqeOptions:
     return HlvqeOptions(
-        learning_rate=float(config.values["eta"]),
-        max_iterations=int(config.values["iters"]),
+        learning_rate=config.values["eta"],
+        max_iterations=config.values["iters"],
         backend=_backend_from(config),
-        init_beta=float(config.values["beta0"]),
-        init_theta=float(config.values["theta0"]),
+        init_beta=config.values["beta0"],
+        init_theta=config.values["theta0"],
         summary_window=config.values["window"],
         update=config.values["update"],
     )
@@ -252,7 +278,7 @@ def _task_exact(config: RunConfig):
 
 def _task_effective(config: RunConfig):
     params = config.model_params()
-    lam = int(_require(config, "lambda"))
+    lam = _require(config, "lambda")
     sol = solve_effective(params, lam)
     rows = [(n, sol.state.amplitudes[n]) for n in range(lam)]
     extra = {
@@ -278,7 +304,7 @@ def _task_sweep_lambda(config: RunConfig):
 
 def _task_sweep_vbar(config: RunConfig):
     params = config.model_params()
-    lam = int(_require(config, "lambda"))
+    lam = _require(config, "lambda")
     grid = _require(config, "vbar_grid")
     rows = sweep_vbar(params, lam, grid)
     header = ["vbar", "rel_error_percent"]
@@ -301,7 +327,7 @@ def _trace_table(trace, lam: int):
 
 def _task_hlvqe(config: RunConfig):
     params = config.model_params()
-    lam = int(_require(config, "lambda"))
+    lam = _require(config, "lambda")
     opts = _hlvqe_options(config)
     trace = run(params, lam, opts)
     header, rows = _trace_table(trace, lam)
@@ -315,7 +341,7 @@ def _task_hlvqe(config: RunConfig):
 
 def _task_reconstruct(config: RunConfig):
     params = config.model_params()
-    lam = int(_require(config, "lambda"))
+    lam = _require(config, "lambda")
     sol = solve_effective(params, lam)
     full = reconstruct_full(sol.state, params)
     projected = project_parity(full, "even")
@@ -329,14 +355,11 @@ def _task_reconstruct(config: RunConfig):
 
 def _task_excited(config: RunConfig):
     params = config.model_params()
-    lam = int(_require(config, "lambda"))
-    mu0 = float(_require(config, "mu0"))
+    lam = _require(config, "lambda")
+    mu0 = _require(config, "mu0")
     opts = _hlvqe_options(config)
     trace, shifted = excited_state_run(params, lam, mu0, opts)
     header, rows = _trace_table(trace, lam)
-    import scipy.linalg
-
-    from .pauli import reassemble
     w = scipy.linalg.eigh(reassemble(shifted), eigvals_only=True)
     extra = {"excited_energy": trace[-1].energy,
              "shifted_ground_eigenvalue": float(w[0]),

@@ -19,8 +19,8 @@ are only reachable in plain mode).
 Iteration records hold the parameters before the step-k update, the
 backend-evaluated energy, gradients, amplitude magnitudes (exact on the
 analytic backend; square roots of one measured computational-basis ensemble
-on the sampled backend) and the fidelity distance to the cached exact ground
-state.
+on the sampled backend) and the Bures distance to the exact ground state,
+which ``run`` computes once per run (NaN in excited-state traces).
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ModelParams, exact_ground_state
-from .pauli import PauliDecomposition, PauliString, hamiltonian_decomposition
+from .pauli import PauliDecomposition, decompose, hamiltonian_decomposition, reassemble
 from .qsim import (
     AnalyticBackend,
     SampledBackend,
     StateVector,
+    _shifted_states,
     measure_pauli,
-    parameter_shift_grad,
     prepare_ansatz,
 )
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
@@ -64,7 +64,6 @@ class HlvqeOptions:
     init_theta: float | np.ndarray = 0.1
     summary_window: tuple = (70, 80)
     update: str = "normalized"
-    convergence_tol: float | None = None  # optional early exit on |dE|
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -107,43 +106,51 @@ class RunSummary:
         return self.quantities[key][1]
 
 
-def _measure_terms(decomp: PauliDecomposition, state: StateVector, backend) -> dict:
+def _measure_terms(decomps, state: StateVector, backend) -> dict:
+    """<P> of every string in the decompositions, each measured once, in term
+    order; identity strings are exact."""
     vals = {}
-    for string, _ in decomp.terms:
-        if string.is_identity:
-            vals[string.ops] = 1.0
-        else:
-            vals[string.ops] = measure_pauli(state, string, backend).value
+    for decomp in decomps:
+        for string, _ in decomp.terms:
+            if string.ops not in vals:
+                vals[string.ops] = (1.0 if string.is_identity else
+                                    measure_pauli(state, string, backend).value)
     return vals
+
+
+def _shift_grads(decomp: PauliDecomposition, theta: np.ndarray, backend,
+                 n_qubits: int) -> np.ndarray:
+    """Shift-rule theta-gradient of sum_P c_P <P>.
+
+    The rule is linear in the observable, so one +-pi/2 pair of preparations
+    per angle serves every string; each string is measured on the up state,
+    then on the down state.
+    """
+    grad = np.zeros(len(theta))
+    for i in range(len(theta)):
+        up, dn = _shifted_states(theta, i, n_qubits)
+        grad[i] = math.fsum(
+            c * ((measure_pauli(up, s, backend).value
+                  - measure_pauli(dn, s, backend).value) / 2)
+            for s, c in decomp.terms if not s.is_identity)  # <I> has no theta dependence
+    return grad
+
+
+def _energy_and_grads(h: PauliDecomposition, dh: PauliDecomposition, theta: np.ndarray,
+                      backend) -> tuple[float, float, np.ndarray]:
+    state = prepare_ansatz(theta, h.n_qubits)
+    expect = _measure_terms((h, dh), state, backend)
+    energy = math.fsum(c * expect[s.ops] for s, c in h.terms)
+    grad_beta = math.fsum(c * expect[s.ops] for s, c in dh.terms)
+    return energy, grad_beta, _shift_grads(h, theta, backend, h.n_qubits)
 
 
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
                    backend) -> tuple[float, float, np.ndarray]:
     """Energy, beta-gradient and theta-gradients at one parameter point."""
     h, dh = hamiltonian_decomposition(params, beta, cutoff)
-    n_qubits = h.n_qubits
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    state = prepare_ansatz(theta, n_qubits)
-
-    expect = _measure_terms(h, state, backend)
-    for string, _ in dh.terms:
-        if string.ops not in expect:
-            expect[string.ops] = (1.0 if string.is_identity else
-                                  measure_pauli(state, string, backend).value)
-
-    energy = math.fsum(c * expect[s.ops] for s, c in h.terms)
-    grad_beta = math.fsum(c * expect[s.ops] for s, c in dh.terms)
-
-    grad_theta = np.zeros(len(theta))
-    for i in range(len(theta)):
-        contributions = []
-        for string, c in h.terms:
-            if string.is_identity:
-                continue  # <I> has no theta dependence
-            contributions.append(
-                c * parameter_shift_grad(theta, i, string, backend, n_qubits))
-        grad_theta[i] = math.fsum(contributions)
-    return energy, grad_beta, grad_theta
+    return _energy_and_grads(h, dh, theta, backend)
 
 
 def _recorded_amplitudes(state: StateVector, backend) -> np.ndarray:
@@ -154,49 +161,41 @@ def _recorded_amplitudes(state: StateVector, backend) -> np.ndarray:
     return np.abs(state.real_amplitudes())
 
 
-def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationRecord]:
-    """Gradient-descent trace; records the state at every step before updating.
+def _descend(cutoff: int, opts: HlvqeOptions, beta: float, objective,
+             fidelity=None) -> list[IterationRecord]:
+    """The descent loop of both runs.
 
-    Deterministic given the backend seed.  In normalized mode a gradient norm
-    below 1e-14 terminates the run early with the final record marked
-    converged (the update direction is undefined at an exact stationary
-    point).
+    ``objective(beta, theta)`` gives (E, G_beta, G_theta); an objective with
+    no beta dependence returns G_beta = 0 and so keeps beta fixed.
+    ``fidelity(beta, state)`` gives the recorded Bures distance (NaN when
+    absent).  In normalized mode a gradient norm below 1e-14 ends the run
+    with the final record marked converged (the update direction is
+    undefined at an exact stationary point).
     """
-    nq = cutoff.bit_length() - 1
     if cutoff < 2 or cutoff & (cutoff - 1):
         raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
+    nq = cutoff.bit_length() - 1
     eta = opts.learning_rate
-    beta = float(opts.init_beta)
     theta = np.atleast_1d(np.asarray(opts.init_theta, dtype=float))
     if theta.size == 1 and cutoff > 2:
         theta = np.full(cutoff - 1, float(theta[0]))
     if theta.shape != (cutoff - 1,):
         raise ConfigError(f"init_theta must provide {cutoff - 1} angles")
 
-    _, ex_amps = exact_ground_state(params)
-    exact = FullState(params.n_particles, ex_amps)
-
     trace = []
-    prev_energy = None
     for step in range(1, opts.max_iterations + 1):
-        energy, g_beta, g_theta = cost_and_grads(params, cutoff, beta, theta,
-                                                 opts.backend)
+        energy, g_beta, g_theta = objective(beta, theta)
         g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
 
         state = prepare_ansatz(theta, nq)
         amps = _recorded_amplitudes(state, opts.backend)
-        signed = state.real_amplitudes()
-        eff = EffectiveState(cutoff, beta, signed / np.linalg.norm(signed))
-        bures = bures_distance(reconstruct_full(eff, params), exact)
+        bures = float("nan") if fidelity is None else fidelity(beta, state)
 
         converged = opts.update == "normalized" and g_norm < 1e-14
-        if opts.convergence_tol is not None and prev_energy is not None:
-            converged = converged or abs(energy - prev_energy) < opts.convergence_tol
         trace.append(IterationRecord(step, beta, theta.copy(), energy, g_beta,
                                      g_theta.copy(), g_norm, amps, bures, converged))
         if converged:
             break
-        prev_energy = energy
 
         if opts.update == "normalized":
             beta -= eta * g_beta / g_norm
@@ -205,6 +204,26 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
             beta -= eta * g_beta
             theta = theta - eta * g_theta
     return trace
+
+
+def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationRecord]:
+    """Gradient-descent trace of the ground state, learning beta and theta;
+    records the state at every step before updating.
+
+    Deterministic given the backend seed.
+    """
+    _, ex_amps = exact_ground_state(params)
+    exact = FullState(params.n_particles, ex_amps)
+
+    def fidelity(beta, state):
+        signed = state.real_amplitudes()
+        eff = EffectiveState(cutoff, beta, signed / np.linalg.norm(signed))
+        return bures_distance(reconstruct_full(eff, params), exact)
+
+    return _descend(cutoff, opts, float(opts.init_beta),
+                    lambda beta, theta: cost_and_grads(params, cutoff, beta, theta,
+                                                       opts.backend),
+                    fidelity)
 
 
 def summarize(trace: list, window: tuple | None = None) -> RunSummary:
@@ -237,27 +256,17 @@ def excited_hamiltonian(decomp: PauliDecomposition, ground: StateVector,
                         mu0: float) -> PauliDecomposition:
     """Shift a converged state up by a chemical potential: H + mu0 |psi><psi|.
 
-    Every Pauli coefficient moves by mu0/2^n <psi|P|psi>, including strings
-    absent from the input decomposition.
+    The shifted matrix is decomposed afresh, so every Pauli coefficient moves
+    by mu0/2^n <psi|P|psi>, including strings absent from the input
+    decomposition.
     """
     if mu0 <= 0:
         raise ConfigError(f"mu0 must be > 0, got {mu0}")
     nq = decomp.n_qubits
     if ground.n_qubits != nq:
         raise ConfigError(f"state width {ground.n_qubits} != register width {nq}")
-    backend = AnalyticBackend()
-    base = decomp.as_dict()
-
-    strings = [""]
-    for _ in range(nq):
-        strings = [s + c for s in strings for c in "IXYZ"]
-    terms = []
-    for ops in strings:
-        val = measure_pauli(ground, PauliString(ops), backend).value
-        coeff = base.get(ops, 0.0) + mu0 / (2 ** nq) * val
-        if abs(coeff) > 1e-14:
-            terms.append((PauliString(ops), coeff))
-    return PauliDecomposition(nq, tuple(terms), decomp.beta)
+    amps = ground.amplitudes
+    return decompose(reassemble(decomp) + mu0 * np.outer(amps, amps.conj()), decomp.beta)
 
 
 def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
@@ -271,7 +280,7 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     callers holding a better-converged ground state should pass it explicitly,
     since the orthogonality of the excited state degrades linearly with the
     shift state's own error.  Returns the theta-only trace on the shifted
-    Hamiltonian and that Hamiltonian.
+    Hamiltonian (fidelities NaN) and that Hamiltonian.
     """
     nq = cutoff.bit_length() - 1
     if ground_state is None or beta0 is None:
@@ -282,31 +291,9 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
             ground_state = prepare_ansatz(last.theta, nq)
     h, _ = hamiltonian_decomposition(params, beta0, cutoff)
     shifted = excited_hamiltonian(h, ground_state, mu0)
-
-    eta = opts.learning_rate
-    theta = np.atleast_1d(np.asarray(opts.init_theta, dtype=float))
-    if theta.size == 1 and cutoff > 2:
-        theta = np.full(cutoff - 1, float(theta[0]))
-    backend = opts.backend
-    trace = []
-    for step in range(1, opts.max_iterations + 1):
-        state = prepare_ansatz(theta, nq)
-        expect = _measure_terms(shifted, state, backend)
-        energy = math.fsum(c * expect[s.ops] for s, c in shifted.terms)
-        g_theta = np.zeros(len(theta))
-        for i in range(len(theta)):
-            g_theta[i] = math.fsum(
-                c * parameter_shift_grad(theta, i, s, backend, nq)
-                for s, c in shifted.terms if not s.is_identity)
-        g_norm = float(np.linalg.norm(g_theta))
-        amps = _recorded_amplitudes(state, backend)
-        trace.append(IterationRecord(step, beta0, theta.copy(), energy, 0.0,
-                                     g_theta.copy(), g_norm, amps,
-                                     float("nan")))
-        if opts.update == "normalized":
-            if g_norm < 1e-14:
-                break
-            theta = theta - eta * g_theta / g_norm
-        else:
-            theta = theta - eta * g_theta
+    # held at beta_0, the shifted Hamiltonian's beta-derivative is zero
+    zero = PauliDecomposition(nq, (), beta0)
+    trace = _descend(cutoff, opts, beta0,
+                     lambda beta, theta: _energy_and_grads(shifted, zero, theta,
+                                                           opts.backend))
     return trace, shifted

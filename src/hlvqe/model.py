@@ -36,8 +36,6 @@ from .errors import ConfigError, NumericalError
 
 __all__ = [
     "ModelParams",
-    "BasisLabel",
-    "quasi_spin_element",
     "build_full_hamiltonian",
     "build_effective_hamiltonian",
     "build_effective_hamiltonian_dbeta",
@@ -81,73 +79,6 @@ class ModelParams:
         if coupling is None:
             return cls.from_vbar(n_particles, epsilon, vbar)
         return cls(n_particles, epsilon, coupling)
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Excitation-order label n of a quasi-spin basis state, with J = N/2, M = n - J."""
-
-    n: int
-    n_particles: int
-
-    def __post_init__(self):
-        if not 0 <= self.n <= self.n_particles:
-            raise ConfigError(f"n must lie in [0, {self.n_particles}], got {self.n}")
-
-    @property
-    def j(self) -> float:
-        return self.n_particles / 2
-
-    @property
-    def m(self) -> float:
-        return self.n - self.n_particles / 2
-
-
-_QS_KINDS = ("Jz", "J+", "J-", "Jz2", "J+2", "J-2", "{Jz,J+}", "{Jz,J-}", "{J+,J-}")
-
-
-def quasi_spin_element(j: float, kind: str, n_row: int, n_col: int) -> float:
-    """Closed-form matrix element <n_row| O |n_col> in the |J, M = n - J> ladder.
-
-    ``kind`` is one of Jz, J+, J-, Jz2, J+2, J-2, {Jz,J+}, {Jz,J-}, {J+,J-}.
-    Returns 0 when the selection rule on n_row - n_col is violated.
-    """
-    dim = int(round(2 * j))
-    if abs(2 * j - dim) > 1e-12 or j < 0:
-        raise ConfigError(f"j must be a non-negative half-integer, got {j}")
-    if not (0 <= n_row <= dim and 0 <= n_col <= dim):
-        raise ConfigError(f"labels must lie in [0, {dim}], got {n_row}, {n_col}")
-    if kind not in _QS_KINDS:
-        raise ConfigError(f"unknown operator kind {kind!r}")
-
-    m = n_col - j
-    jj = j * (j + 1)
-
-    def cp(mm):  # |J+|: <m+1| J+ |m>
-        return math.sqrt(jj - mm * (mm + 1))
-
-    def cm(mm):  # <m-1| J- |m>
-        return math.sqrt(jj - mm * (mm - 1))
-
-    dn = n_row - n_col
-    if kind == "Jz":
-        return m if dn == 0 else 0.0
-    if kind == "Jz2":
-        return m * m if dn == 0 else 0.0
-    if kind == "J+":
-        return cp(m) if dn == 1 else 0.0
-    if kind == "J-":
-        return cm(m) if dn == -1 else 0.0
-    if kind == "J+2":
-        return cp(m) * cp(m + 1) if dn == 2 else 0.0
-    if kind == "J-2":
-        return cm(m) * cm(m - 1) if dn == -2 else 0.0
-    if kind == "{Jz,J+}":
-        return (2 * m + 1) * cp(m) if dn == 1 else 0.0
-    if kind == "{Jz,J-}":
-        return (2 * m - 1) * cm(m) if dn == -1 else 0.0
-    # {J+,J-}
-    return 2 * jj - 2 * m * m if dn == 0 else 0.0
 
 
 def build_full_hamiltonian(params: ModelParams) -> np.ndarray:

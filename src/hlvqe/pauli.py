@@ -2,7 +2,9 @@
 
 String convention: a Pauli string is written most-significant qubit first,
 so string[0] acts on the qubit carrying the most significant bit of the
-basis index and the matrix of a string is the kron product in string order.
+basis index.  A string has one nonzero per column, P |c> = phase[c] |c ^ flip>
+(``_string_action``); decomposition, reassembly and exact expectations all go
+through that rule rather than through a dense matrix.
 With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
 two-qubit register), basis indices equal excitation orders directly.
 
@@ -30,7 +32,6 @@ from .model import (
 __all__ = [
     "PauliString",
     "PauliDecomposition",
-    "pauli_matrix",
     "decompose",
     "reassemble",
     "coeffs_1q",
@@ -38,13 +39,6 @@ __all__ = [
     "hamiltonian_decomposition",
     "expectation_from_probs",
 ]
-
-_PAULI_1Q = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
 
 # coefficients below this size are dropped from generic decompositions;
 # closed-form paths never prune
@@ -71,9 +65,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return set(self.ops) == {"I"}
 
-    def matrix(self) -> np.ndarray:
-        return pauli_matrix(self.ops)
-
     def sign_vector(self) -> np.ndarray:
         """Diagonal of the string's Z-pattern: entry b is prod over non-identity
         positions of (-1)^bit, identity positions contributing +1."""
@@ -85,13 +76,6 @@ class PauliString:
             bits = (np.arange(2 ** nq) >> (nq - 1 - q)) & 1
             signs *= 1.0 - 2.0 * bits
         return signs
-
-
-def pauli_matrix(ops: str) -> np.ndarray:
-    out = _PAULI_1Q[ops[0]]
-    for ch in ops[1:]:
-        out = np.kron(out, _PAULI_1Q[ch])
-    return out
 
 
 @dataclass(frozen=True)
@@ -108,12 +92,6 @@ class PauliDecomposition:
                 raise ConfigError(
                     f"string {string} has width {len(string)}, expected {self.n_qubits}")
 
-    def coefficient(self, ops: str) -> float:
-        for string, coeff in self.terms:
-            if string.ops == ops:
-                return coeff
-        return 0.0
-
     def as_dict(self) -> dict:
         return {s.ops: c for s, c in self.terms}
 
@@ -125,8 +103,9 @@ def _all_strings(n_qubits: int):
     return strings
 
 
-def _string_action(ops: str) -> tuple[int, np.ndarray]:
-    """Column action of a Pauli string: P |c> = phase[c] |c ^ flip>."""
+def _string_action(ops: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column action of a Pauli string: P |c> = phase[c] |rows[c]>, with
+    rows = c ^ flip and flip the X/Y positions of the string."""
     nq = len(ops)
     dim = 2 ** nq
     cols = np.arange(dim)
@@ -140,17 +119,16 @@ def _string_action(ops: str) -> tuple[int, np.ndarray]:
             phase = phase * (1j * (1.0 - 2.0 * bit))
         elif ch == "Z":
             phase = phase * (1.0 - 2.0 * bit)
-    return flip, phase
+    return cols ^ flip, phase
 
 
 def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
-    """Trace-projection decomposition of a real symmetric power-of-two matrix.
+    """Trace-projection decomposition of a Hermitian power-of-two matrix.
 
     Coefficients are <P, H> / 2^n_qubits, evaluated per string through its
-    one-nonzero-per-column action rather than a dense kron product.  Strings
-    whose coefficient falls below PRUNE_TOL are dropped.  For real symmetric
-    input every surviving coefficient is real (odd-Y strings project onto the
-    imaginary part).
+    one-nonzero-per-column action; they are real for Hermitian input, and a
+    complex one is rejected.  Strings whose coefficient falls below
+    PRUNE_TOL are dropped, so real symmetric input keeps no odd-Y string.
     """
     matrix = np.asarray(matrix)
     dim = matrix.shape[0]
@@ -161,20 +139,23 @@ def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
     cols = np.arange(dim)
     terms = []
     for ops in _all_strings(n_qubits):
-        flip, phase = _string_action(ops)
-        coeff = (phase.conj() * matrix[cols ^ flip, cols]).sum() / dim
+        rows, phase = _string_action(ops)
+        coeff = (phase.conj() * matrix[rows, cols]).sum() / dim
         if abs(coeff.imag) > 1e-12 * scale:
-            raise ConfigError("matrix is not real symmetric: complex Pauli weight")
+            raise ConfigError("matrix is not Hermitian: complex Pauli weight")
         if abs(coeff.real) > PRUNE_TOL:
             terms.append((PauliString(ops), float(coeff.real)))
     return PauliDecomposition(n_qubits, tuple(terms), beta)
 
 
 def reassemble(decomp: PauliDecomposition) -> np.ndarray:
+    """Dense matrix sum_P c_P P, filled entry by entry from each string's action."""
     dim = 2 ** decomp.n_qubits
+    cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in decomp.terms:
-        out += coeff * string.matrix()
+        rows, phase = _string_action(string.ops)
+        out[rows, cols] += coeff * phase
     return out.real
 
 

@@ -10,7 +10,8 @@ Z factor on the gate's first qubit argument.  Sandwiched between S and S^dag
 on the X qubit it becomes exp(+i theta/2 * Z Y), a real rotation; this is what
 makes the two-qubit ansatz real.
 
-Backends: ``AnalyticBackend`` evaluates expectations exactly;
+Backends: ``AnalyticBackend`` evaluates expectations exactly from the
+string's one-nonzero-per-column action;
 ``SampledBackend(shots, seed)`` rotates the measurement basis, draws one
 multinomial sample per call from a generator seeded once at construction
 (sequential draws make runs reproducible), and contracts the frequencies with
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .pauli import PauliString, expectation_from_probs
+from .pauli import PauliString, _string_action, expectation_from_probs
 
 __all__ = [
     "StateVector",
@@ -39,7 +40,6 @@ __all__ = [
     "prepare_ansatz",
     "measure_pauli",
     "parameter_shift_grad",
-    "sample_counts",
 ]
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
@@ -194,10 +194,13 @@ class AnalyticBackend:
     name = "analytic"
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
+        """<a|P|a> = sum_c conj(a[rows[c]]) phase[c] a[c], from the string's action."""
         if len(string) != state.n_qubits:
             raise ConfigError(
                 f"string width {len(string)} != state width {state.n_qubits}")
-        val = np.vdot(state.amplitudes, string.matrix() @ state.amplitudes)
+        rows, phase = _string_action(string.ops)
+        amps = state.amplitudes
+        val = np.vdot(amps[rows], phase * amps)
         return ExpectationEstimate(float(val.real), 0.0, 0)
 
 
@@ -212,14 +215,6 @@ class SampledBackend:
         self.shots = int(shots)
         self.seed = int(seed)
         self._rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-
-    def spawn(self) -> "SampledBackend":
-        """Independent stream for a concurrent ensemble."""
-        child = object.__new__(SampledBackend)
-        child.shots = self.shots
-        child.seed = self.seed
-        child._rng = np.random.default_rng(self._rng.bit_generator.seed_seq.spawn(1)[0])
-        return child
 
     def sample_probabilities(self, state: StateVector) -> np.ndarray:
         counts = self._rng.multinomial(self.shots, state.probabilities())
@@ -262,6 +257,16 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
     return backend.expectation(state, string)
 
 
+def _shifted_states(theta: np.ndarray, index: int,
+                    n_qubits: int) -> tuple[StateVector, StateVector]:
+    """The two preparations of the shift rule, at theta +- pi/2 e_index."""
+    up = theta.copy()
+    up[index] += math.pi / 2
+    dn = theta.copy()
+    dn[index] -= math.pi / 2
+    return prepare_ansatz(up, n_qubits), prepare_ansatz(dn, n_qubits)
+
+
 def parameter_shift_grad(theta, index: int, string: PauliString, backend,
                          n_qubits: int | None = None) -> float:
     """d<P>/d(theta_index) from two +-pi/2-shifted preparations.
@@ -274,20 +279,7 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend,
         n_qubits = len(string)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    up = theta.copy()
-    up[index] += math.pi / 2
-    dn = theta.copy()
-    dn[index] -= math.pi / 2
-    val_up = measure_pauli(prepare_ansatz(up, n_qubits), string, backend).value
-    val_dn = measure_pauli(prepare_ansatz(dn, n_qubits), string, backend).value
+    up, dn = _shifted_states(theta, index, n_qubits)
+    val_up = measure_pauli(up, string, backend).value
+    val_dn = measure_pauli(dn, string, backend).value
     return (val_up - val_dn) / 2
-
-
-def sample_counts(state: StateVector, shots: int, rng) -> np.ndarray:
-    """Multinomial counts over computational-basis outcomes; deterministic
-    given the generator state.  ``rng`` may be a seed or a numpy Generator."""
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return rng.multinomial(int(shots), state.probabilities())

@@ -34,7 +34,6 @@ from .model import ModelParams
 __all__ = [
     "EffectiveState",
     "FullState",
-    "wigner_small_d",
     "wigner_d_matrix",
     "reconstruct_full",
     "project_parity",
@@ -114,21 +113,6 @@ def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
     if abs(2 * j - two_j) > 1e-12 or j < 0:
         raise ConfigError(f"j must be a non-negative half-integer, got {j}")
     return _d_matrix_cached(two_j, float(beta))
-
-
-def wigner_small_d(j: float, m_row: float, m_col: float, beta: float) -> float:
-    """Single element d^J_{M',M}(beta); M', M must share J's half-integer character."""
-    two_j = int(round(2 * j))
-    if abs(2 * j - two_j) > 1e-12 or j < 0:
-        raise ConfigError(f"j must be a non-negative half-integer, got {j}")
-    i = m_row + j
-    k = m_col + j
-    ii, kk = int(round(i)), int(round(k))
-    if abs(i - ii) > 1e-9 or abs(k - kk) > 1e-9:
-        raise ConfigError(f"m values {m_row}, {m_col} incompatible with j={j}")
-    if not (0 <= ii <= two_j and 0 <= kk <= two_j):
-        raise ConfigError(f"|m| may not exceed j={j}: got {m_row}, {m_col}")
-    return float(_d_matrix_cached(two_j, float(beta))[ii, kk])
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from .rotations import (
 )
 
 __all__ = [
-    "SolverOptions",
     "EffectiveSolution",
     "ConvergenceRow",
     "hf_beta",
@@ -58,12 +57,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    grid_points: int = 64
-    refine_starts: int = 3
-    beta_tol: float = 1e-11
-    max_iterations: int = 500
+# angle scan: grid over [0, pi/2], Brent refinement of the lowest grid points
+_GRID_POINTS = 64
+_REFINE_STARTS = 3
+_BETA_TOL = 1e-11
+_BRENT_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,7 @@ def _polish_beta(params: ModelParams, cutoff: int, beta: float, span: float) -> 
     return beta
 
 
-def solve_effective(params: ModelParams, cutoff: int,
-                    opts: SolverOptions = SolverOptions()) -> EffectiveSolution:
+def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     """Variational optimum over the rotation angle at fixed cutoff.
 
     Returns the global minimum found over [0, pi/2] with amplitudes sign-fixed
@@ -140,21 +137,20 @@ def solve_effective(params: ModelParams, cutoff: int,
     if not 1 <= cutoff <= N + 1:
         raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
 
-    grid = np.linspace(0.0, math.pi / 2, opts.grid_points)
+    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
     values = np.array([_ground_energy(params, b, cutoff) for b in grid])
     spacing = grid[1] - grid[0]
 
     candidates = {0.0}
-    for idx in np.argsort(values)[:opts.refine_starts]:
+    for idx in np.argsort(values)[:_REFINE_STARTS]:
         lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, opts.grid_points - 1)]
+        hi = grid[min(idx + 1, _GRID_POINTS - 1)]
         if hi <= lo:
             candidates.add(float(grid[idx]))
             continue
         res = minimize_scalar(lambda b: _ground_energy(params, b, cutoff),
                               bounds=(lo, hi), method="bounded",
-                              options={"xatol": opts.beta_tol,
-                                       "maxiter": opts.max_iterations})
+                              options={"xatol": _BETA_TOL, "maxiter": _BRENT_MAXITER})
         if not res.success:
             raise NumericalError(
                 f"beta optimizer failed to converge at cutoff {cutoff}: {res.message}")
@@ -204,8 +200,7 @@ def _spectral_delta(w: np.ndarray, v: np.ndarray, state: np.ndarray) -> float:
     return float(((w - w[0]) * c * c).sum())
 
 
-def sweep_lambda(params: ModelParams, cutoffs,
-                 opts: SolverOptions = SolverOptions()) -> list[ConvergenceRow]:
+def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
     """Naive, effective and parity-projected energy errors per cutoff.
 
     ``cutoffs`` must be ascending.  Solver failures are re-raised annotated
@@ -229,7 +224,7 @@ def sweep_lambda(params: ModelParams, cutoffs,
             naive_pad[:cutoff] = nv
             de_naive = _spectral_delta(w, v, naive_pad) - shift
 
-            sol = solve_effective(params, cutoff, opts)
+            sol = solve_effective(params, cutoff)
             He = build_effective_hamiltonian(params, sol.beta_opt, cutoff)
             ve = sol.state.amplitudes
             # effective energy relative to the full ground eigenvalue, again as
@@ -246,8 +241,8 @@ def sweep_lambda(params: ModelParams, cutoffs,
     return rows
 
 
-def sweep_vbar(params_template: ModelParams, cutoff: int, vbar_grid,
-               opts: SolverOptions = SolverOptions()) -> list[tuple[float, float]]:
+def sweep_vbar(params_template: ModelParams, cutoff: int,
+               vbar_grid) -> list[tuple[float, float]]:
     """Relative ground-energy error in percent, per interaction ratio."""
     out = []
     for vbar in vbar_grid:
@@ -256,6 +251,6 @@ def sweep_vbar(params_template: ModelParams, cutoff: int, vbar_grid,
         p = ModelParams.from_vbar(params_template.n_particles,
                                   params_template.epsilon, float(vbar))
         e_exact, _ = exact_ground_state(p)
-        sol = solve_effective(p, cutoff, opts)
+        sol = solve_effective(p, cutoff)
         out.append((float(vbar), abs(e_exact - sol.energy) / abs(e_exact) * 100.0))
     return out

@@ -47,6 +47,23 @@ def oracle_rotated_block(params, beta, cutoff):
     return (W.T @ oracle_full_hamiltonian(params) @ W)[:cutoff, :cutoff]
 
 
+PAULI_1Q = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def pauli_kron(ops):
+    """Dense matrix of a Pauli string, the kron product in string order
+    (ops[0] acts on the most significant bit of the basis index)."""
+    out = np.eye(1)
+    for ch in ops:
+        out = np.kron(out, PAULI_1Q[ch])
+    return out
+
+
 def golden_section(f, lo, hi, tol=1e-12):
     """Minimizer of a unimodal f on [lo, hi] by plain value comparison."""
     invphi = (math.sqrt(5) - 1) / 2

@@ -25,6 +25,7 @@ class TestParseConfig:
         assert cfg.values["window"] == (70, 80)
         assert cfg.values["backend"] == "analytic"
         assert cfg.values["update"] == "normalized"
+        assert cfg.values["shots"] == 100_000
 
     def test_flag_overrides_file(self, tmp_path):
         f = tmp_path / "cfg.json"
@@ -170,3 +171,24 @@ class TestTasks:
 
     def test_missing_required_task_option(self):
         assert main(["effective", "--n", "30", "--vbar", "2.0"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["hlvqe", "--lambda", "2", "--window", "x..y"],
+        ["sweep-lambda", "--lambdas", "2,x"],
+        ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
+        ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
+    ], ids=["window", "lambdas", "vbar-grid", "zero-shots"])
+    def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
+        argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("entry", [{"n": "thirty"}, {"eta": [0.1]},
+                                       {"lambdas": [2, "x"]}, {"window": [70]},
+                                       {"iters": 80.5}, {"backend": "sampled "}],
+                             ids=["n", "eta", "lambdas", "window", "iters", "backend"])
+    def test_unreadable_file_values_exit_2(self, entry, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"n": 30, "vbar": 2.0, "lambda": 2, **entry}))
+        assert main(["hlvqe", "--config", str(f), "--out", str(tmp_path)]) == 2

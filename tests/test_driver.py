@@ -16,8 +16,21 @@ from hlvqe.driver import (
 )
 from hlvqe.errors import ConfigError
 from hlvqe.model import ModelParams, build_effective_hamiltonian
-from hlvqe.pauli import PauliDecomposition, PauliString, decompose, reassemble
-from hlvqe.qsim import AnalyticBackend, SampledBackend, StateVector, prepare_ansatz
+from hlvqe.pauli import (
+    PauliDecomposition,
+    PauliString,
+    decompose,
+    hamiltonian_decomposition,
+    reassemble,
+)
+from hlvqe.qsim import (
+    AnalyticBackend,
+    SampledBackend,
+    StateVector,
+    measure_pauli,
+    parameter_shift_grad,
+    prepare_ansatz,
+)
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 ANALYTIC = AnalyticBackend()
@@ -64,6 +77,34 @@ class TestCostAndGrads:
                 Ep, _, _ = cost_and_grads(P30, 4, beta, up, ANALYTIC)
                 Em, _, _ = cost_and_grads(P30, 4, beta, dn, ANALYTIC)
                 assert g_theta[i] == pytest.approx((Ep - Em) / (2 * step), abs=1e-6)
+
+    @pytest.mark.parametrize("lam", [2, 4])
+    def test_sampled_draws_match_per_string_order(self, lam):
+        # reference order: h strings, then the dh strings not in h, then per
+        # angle and per string one parameter_shift_grad (its own +-pi/2 pair);
+        # sharing the shifted preparations must not move a single draw
+        beta, theta = 0.7, np.linspace(0.3, -0.4, lam - 1)
+
+        def reference(backend):
+            h, dh = hamiltonian_decomposition(P30, beta, lam)
+            state = prepare_ansatz(theta, h.n_qubits)
+            expect = {}
+            for string, _ in h.terms + dh.terms:
+                if string.ops not in expect:
+                    expect[string.ops] = (1.0 if string.is_identity else
+                                          measure_pauli(state, string, backend).value)
+            energy = math.fsum(c * expect[s.ops] for s, c in h.terms)
+            g_beta = math.fsum(c * expect[s.ops] for s, c in dh.terms)
+            g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend, h.n_qubits)
+                                 for s, c in h.terms if not s.is_identity)
+                       for i in range(lam - 1)]
+            return energy, g_beta, g_theta
+
+        for seed in (0, 17):
+            E, g_beta, g_theta = cost_and_grads(P30, lam, beta, theta,
+                                                SampledBackend(2000, seed))
+            want = reference(SampledBackend(2000, seed))
+            assert (E, g_beta, g_theta.tolist()) == want
 
     def test_non_power_of_two_cutoff(self):
         with pytest.raises(ConfigError):
@@ -138,9 +179,6 @@ class TestRun:
 
     def test_gradient_assembly_linearity(self):
         # scaling one Pauli term scales its contribution to E and G_beta exactly
-        from hlvqe.pauli import hamiltonian_decomposition
-        from hlvqe.qsim import measure_pauli
-
         beta, theta = 0.7, np.array([0.3, -0.2, 0.5])
         h, dh = hamiltonian_decomposition(P30, beta, 4)
         state = prepare_ansatz(theta, 2)
@@ -261,6 +299,34 @@ class TestExcitedStates:
                                            ground_state=g, beta0=sol.beta_opt)
         e = prepare_ansatz(trace[-1].theta, nq).real_amplitudes()
         assert abs(sol.state.amplitudes @ e) <= 1e-6
+
+    @pytest.mark.parametrize("update", ["plain", "normalized"])
+    def test_excited_energies_match_dense_shifted_form(self, update):
+        # every recorded energy is psi^T (H(beta_0) + mu0 g g^T) psi
+        g = prepare_ansatz([1.1, -0.2, 0.4], 2)
+        gv = g.real_amplitudes()
+        beta0, mu0 = 0.9, 10.0
+        opts = HlvqeOptions(init_beta=0.3, init_theta=0.2, update=update,
+                            max_iterations=40, summary_window=(1, 40))
+        trace, _ = excited_state_run(P30, 4, mu0, opts, ground_state=g, beta0=beta0)
+        H = build_effective_hamiltonian(P30, beta0, 4) + mu0 * np.outer(gv, gv)
+        assert len(trace) == 40
+        for r in trace:
+            psi = prepare_ansatz(r.theta, 2).real_amplitudes()
+            assert r.energy == pytest.approx(psi @ H @ psi, abs=1e-10), r.step
+            assert r.beta == beta0 and r.grad_beta == 0.0
+            assert math.isnan(r.bures_to_exact)
+
+    def test_excited_run_marks_stationary_point_converged(self):
+        # at theta = 0 the one-qubit shifted Hamiltonian (g = |1>) has zero
+        # theta-gradient: the shared loop stops and marks the record
+        opts = HlvqeOptions(init_theta=0.0, update="normalized", max_iterations=30,
+                            summary_window=(1, 30))
+        trace, _ = excited_state_run(P30, 2, 10.0, opts,
+                                     ground_state=prepare_ansatz([math.pi], 1),
+                                     beta0=math.pi / 3)
+        assert [r.step for r in trace] == [1]
+        assert trace[-1].converged
 
     def test_excited_run_defaults_to_fresh_ground_run(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",

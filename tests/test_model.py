@@ -14,17 +14,14 @@ from scipy.linalg import eigh
 
 from hlvqe.errors import ConfigError
 from hlvqe.model import (
-    BasisLabel,
     ModelParams,
     build_effective_hamiltonian,
     build_effective_hamiltonian_dbeta,
     build_full_hamiltonian,
     exact_ground_state,
-    quasi_spin_element,
 )
 from oracles import (
     golden_section,
-    ladder_matrices,
     oracle_full_hamiltonian,
     oracle_rotated_block,
 )
@@ -49,60 +46,6 @@ class TestModelParams:
             ModelParams(1, 1.0, 0.1)
         with pytest.raises(ConfigError):
             ModelParams(4, -1.0, 0.1)
-
-    def test_basis_label(self):
-        lab = BasisLabel(3, 30)
-        assert lab.j == 15.0
-        assert lab.m == -12.0
-        with pytest.raises(ConfigError):
-            BasisLabel(31, 30)
-
-
-class TestQuasiSpinElements:
-    def test_jz_lowest_weight(self):
-        # M = -J on the 0p-0h state
-        assert quasi_spin_element(15, "Jz", 0, 0) == pytest.approx(-15.0)
-
-    def test_ladder_spin_one(self):
-        # J=1, M=-1 -> 0 (n: 0 -> 1): sqrt(2)
-        assert quasi_spin_element(1, "J+", 1, 0) == pytest.approx(math.sqrt(2))
-
-    def test_anticommutator_diagonal_against_product_oracle(self):
-        J = 15
-        _, Jp, Jm = ladder_matrices(30)
-        anti = Jp @ Jm + Jm @ Jp
-        for k in (0, 3, 10, 15, 22, 30):
-            m = k - J
-            want = anti[k, k]
-            assert quasi_spin_element(J, "{J+,J-}", k, k) == pytest.approx(want)
-            assert quasi_spin_element(J, "{J+,J-}", k, k) == pytest.approx(
-                2 * J * (J + 1) - 2 * m * m)
-
-    def test_all_kinds_against_product_oracle(self):
-        N = 9  # half-integer J
-        J = N / 2
-        Jz, Jp, Jm = ladder_matrices(N)
-        mats = {
-            "Jz": Jz, "J+": Jp, "J-": Jm, "Jz2": Jz @ Jz,
-            "J+2": Jp @ Jp, "J-2": Jm @ Jm,
-            "{Jz,J+}": Jz @ Jp + Jp @ Jz, "{Jz,J-}": Jz @ Jm + Jm @ Jz,
-            "{J+,J-}": Jp @ Jm + Jm @ Jp,
-        }
-        for kind, M in mats.items():
-            for r in range(N + 1):
-                for c in range(N + 1):
-                    assert quasi_spin_element(J, kind, r, c) == pytest.approx(
-                        M[r, c], abs=1e-10), (kind, r, c)
-
-    def test_selection_rule_zero(self):
-        assert quasi_spin_element(15, "J+", 2, 0) == 0.0
-        assert quasi_spin_element(15, "Jz", 1, 0) == 0.0
-
-    def test_invalid_kind_and_labels(self):
-        with pytest.raises(ConfigError):
-            quasi_spin_element(15, "Jx", 0, 0)
-        with pytest.raises(ConfigError):
-            quasi_spin_element(15, "Jz", 0, 31)
 
 
 class TestFullHamiltonian:

@@ -19,7 +19,6 @@ from hlvqe.qsim import (
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,
-    sample_counts,
 )
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
@@ -179,19 +178,6 @@ class TestMeasurePauli:
                  for _ in range(1)]
         assert vals1 == vals2
 
-    def test_spawned_streams_independent_and_reproducible(self):
-        st = prepare_ansatz([0.7], 1)
-
-        def values(seed):
-            parent = SampledBackend(1000, seed=seed)
-            kids = [parent.spawn() for _ in range(3)]
-            return [measure_pauli(st, PauliString("X"), b).value
-                    for b in (*kids, parent)]
-
-        first, second = values(3), values(3)
-        assert first == second
-        assert len(set(first)) > 1  # streams draw differently
-
     def test_width_mismatch(self):
         st = prepare_ansatz([0.3], 1)
         with pytest.raises(ConfigError):
@@ -259,29 +245,34 @@ class TestParameterShift:
 
 
 class TestSampleCounts:
+    """SampledBackend.sample_probabilities: one multinomial ensemble as
+    frequencies."""
+
     def test_deterministic_basis_state(self):
         st = prepare_ansatz([0.0], 1)
-        counts = sample_counts(st, 1000, 3)
-        assert counts.tolist() == [1000, 0]
+        freqs = SampledBackend(1000, seed=3).sample_probabilities(st)
+        assert freqs.tolist() == [1.0, 0.0]
 
     def test_uniform_within_five_sigma(self):
         st = prepare_ansatz([math.pi / 2, 0.0, math.pi / 2], 2)
         p = st.probabilities()
         # this ansatz point is uniform over all four outcomes
         assert np.abs(p - 0.25).max() < 1e-12
-        counts = sample_counts(st, 10 ** 6, 12)
+        counts = SampledBackend(10 ** 6, seed=12).sample_probabilities(st) * 10 ** 6
         sigma = math.sqrt(10 ** 6 * 0.25 * 0.75)
         assert np.abs(counts - 250_000).max() < 5 * sigma
 
     def test_seed_reproducibility(self):
         st = prepare_ansatz([0.8, 0.1, 0.4], 2)
-        a = sample_counts(st, 5000, 99)
-        b = sample_counts(st, 5000, 99)
+        a = SampledBackend(5000, seed=99).sample_probabilities(st)
+        b = SampledBackend(5000, seed=99).sample_probabilities(st)
         assert a.tolist() == b.tolist()
 
     def test_counts_sum(self):
         st = prepare_ansatz([1.2, -0.3, 0.5], 2)
-        assert sample_counts(st, 777, 5).sum() == 777
+        counts = SampledBackend(777, seed=5).sample_probabilities(st) * 777
+        assert np.abs(counts - np.rint(counts)).max() < 1e-9
+        assert np.rint(counts).sum() == 777
 
 
 class TestGateUnitarity:

@@ -19,7 +19,6 @@ from hlvqe.rotations import (
     project_parity,
     reconstruct_full,
     wigner_d_matrix,
-    wigner_small_d,
 )
 from oracles import oracle_rotation
 
@@ -45,8 +44,7 @@ class TestWignerSmallD:
         assert np.abs(d - do).max() < 1e-12
         for _ in range(20):
             i, k = rng.integers(0, 31, size=2)
-            assert wigner_small_d(15, i - 15, k - 15, beta) == pytest.approx(
-                do[i, k], abs=1e-12)
+            assert d[i, k] == pytest.approx(do[i, k], abs=1e-12)
 
     def test_half_integer_j_against_oracle(self):
         for j, beta in ((3.5, 1.3), (10.5, 0.4), (24.5, 2.1)):
@@ -69,10 +67,6 @@ class TestWignerSmallD:
             assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_invalid_quantum_numbers(self):
-        with pytest.raises(ConfigError):
-            wigner_small_d(2, 3, 0, 0.5)
-        with pytest.raises(ConfigError):
-            wigner_small_d(2, 0.5, 0, 0.5)  # mixed character
         with pytest.raises(ConfigError):
             wigner_d_matrix(1.3, 0.5)
 
