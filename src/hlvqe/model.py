@@ -140,30 +140,38 @@ def rayleigh_quotient(H: np.ndarray, v: np.ndarray) -> float:
     return num / den
 
 
+def _parity_chain(H: np.ndarray, parity: int, **select) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the beta = 0 Hamiltonian H on n = parity, parity + 2, ...
+
+    H couples n only to n and n +- 2, so this block is a tridiagonal chain and
+    its eigenpairs are exact eigenpairs of H.  ``select`` is passed to
+    scipy.linalg.eigh_tridiagonal.
+    """
+    try:
+        return scipy.linalg.eigh_tridiagonal(np.diag(H)[parity::2], np.diag(H, 2)[parity::2],
+                                             **select)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"eigensolver failed on the parity-{parity} chain") from exc
+
+
+def _parity_chains(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All eigenpairs (w, v) of the even-n chain, then of the odd-n chain."""
+    H = build_full_hamiltonian(params)
+    return [_parity_chain(H, parity) for parity in (0, 1)]
+
+
 def exact_ground_state(params: ModelParams) -> tuple[float, np.ndarray]:
     """Lowest even-parity eigenpair of the full Hamiltonian.
 
-    The lowest even- and odd-parity states become near-degenerate at large N
-    in the broken phase; the even-parity member is selected by comparing the
-    even- and odd-component norms of each candidate in ascending energy order.
-    The returned vector is unit-norm with its n = 0 component >= 0, and has
-    odd-n components that vanish to machine precision (parity selection).
+    H couples n only to n +- 2, so the even-n components form a tridiagonal
+    chain of their own; its lowest eigenpair is embedded in the full space
+    with every odd-n component exactly 0.0.  This holds at any N, including
+    the broken phase at large N, where the lowest even and odd states are
+    near-degenerate.  The returned vector is unit-norm with its n = 0
+    component >= 0; the energy is its Rayleigh quotient with H.
     """
     H = build_full_hamiltonian(params)
-    try:
-        w, v = scipy.linalg.eigh(H)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigensolver failed for N={params.n_particles}") from exc
-    if not np.all(np.isfinite(w)):
-        raise NumericalError(f"eigensolver returned non-finite values for N={params.n_particles}")
-
-    for i in range(len(w)):
-        vec = v[:, i]
-        if np.linalg.norm(vec[0::2]) > np.linalg.norm(vec[1::2]):
-            amps = vec.copy()
-            nz = np.nonzero(np.abs(amps) > 1e-12)[0]
-            if amps[nz[0]] < 0:
-                amps = -amps
-            energy = rayleigh_quotient(H, amps)
-            return energy, amps
-    raise NumericalError("no even-parity eigenvector found")  # pragma: no cover
+    _, v = _parity_chain(H, 0, select="i", select_range=(0, 0))
+    amps = np.zeros(params.n_particles + 1)
+    amps[0::2] = v[:, 0] if v[0, 0] >= 0 else -v[:, 0]
+    return rayleigh_quotient(H, amps), amps

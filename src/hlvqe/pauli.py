@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,9 +104,11 @@ def _all_strings(n_qubits: int):
     return strings
 
 
+@lru_cache(maxsize=4096)
 def _string_action(ops: str) -> tuple[np.ndarray, np.ndarray]:
     """Column action of a Pauli string: P |c> = phase[c] |rows[c]>, with
-    rows = c ^ flip and flip the X/Y positions of the string."""
+    rows = c ^ flip and flip the X/Y positions of the string.  Cached per
+    string; the arrays are read-only."""
     nq = len(ops)
     dim = 2 ** nq
     cols = np.arange(dim)
@@ -119,7 +122,10 @@ def _string_action(ops: str) -> tuple[np.ndarray, np.ndarray]:
             phase = phase * (1j * (1.0 - 2.0 * bit))
         elif ch == "Z":
             phase = phase * (1.0 - 2.0 * bit)
-    return cols ^ flip, phase
+    rows = cols ^ flip
+    rows.flags.writeable = False
+    phase.flags.writeable = False
+    return rows, phase
 
 
 def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
@@ -149,13 +155,19 @@ def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
 
 
 def reassemble(decomp: PauliDecomposition) -> np.ndarray:
-    """Dense matrix sum_P c_P P, filled entry by entry from each string's action."""
+    """Dense matrix sum_P c_P P, filled entry by entry from each string's action.
+
+    Complex when some string has an odd number of Y (the only strings with
+    imaginary entries), float64 otherwise.
+    """
     dim = 2 ** decomp.n_qubits
     cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in decomp.terms:
         rows, phase = _string_action(string.ops)
         out[rows, cols] += coeff * phase
+    if any(string.ops.count("Y") % 2 for string, _ in decomp.terms):
+        return out
     return out.real
 
 

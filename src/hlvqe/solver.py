@@ -13,14 +13,16 @@ as an explicit candidate; the returned solution is the lowest-energy
 candidate found.  Inner loop: dense symmetric eigensolve of the truncated
 matrix.
 
-Energy differences against the exact ground state are computed in the
-eigenbasis of the full Hamiltonian,
+Energies of full-space states are taken in the eigenbasis of the full
+Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
+even-n and an odd-n tridiagonal chain with eigenpairs (w_p, V_p).  With
+c_p = V_p^T state[p::2] and E_even the lowest even-chain eigenvalue,
 
-    E(state) - E_exact = sum_i (lambda_i - lambda_0) c_i^2,   c = V^T state,
+    E(state) - E_even = sum_p sum_i (w_p,i - E_even) c_p,i^2,
 
-a sum of non-negative terms that avoids the catastrophic cancellation of
-subtracting two ~N-sized energies; the projected-energy column of the
-convergence tables reaches ~1e-14 absolute accuracy this way.
+a sum that avoids the catastrophic cancellation of subtracting two ~N-sized
+energies; the naive and projected columns of the convergence tables reach
+the 1e-16 absolute level this way.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .model import (
     build_effective_hamiltonian,
     build_effective_hamiltonian_dbeta,
     exact_ground_state,
+    _parity_chains,
 )
 from .rotations import (
     EffectiveState,
@@ -175,9 +178,7 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     exact = FullState(N, ex_amps)
     full = reconstruct_full(state, params)
     projected = project_parity(full, "even")
-    w, v = scipy.linalg.eigh(build_effective_hamiltonian(params, 0.0, N + 1))
-    c = v.T @ projected.amplitudes
-    projected_energy = float(w @ (c * c))
+    projected_energy = _spectral_delta(_parity_chains(params), projected.amplitudes, 0.0)
 
     naive_vec = np.zeros(N + 1)
     _, nv = _ground_pair(build_effective_hamiltonian(params, 0.0, cutoff))
@@ -194,10 +195,14 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     )
 
 
-def _spectral_delta(w: np.ndarray, v: np.ndarray, state: np.ndarray) -> float:
-    """<state|H|state> - lambda_0 as a cancellation-free spectral sum."""
-    c = v.T @ state
-    return float(((w - w[0]) * c * c).sum())
+def _spectral_delta(chains: list[tuple[np.ndarray, np.ndarray]], state: np.ndarray,
+                    reference: float) -> float:
+    """<state|H|state> - reference as a spectral sum over both parity chains."""
+    total = 0.0
+    for parity, (w, v) in enumerate(chains):
+        c = v.T @ state[parity::2]
+        total += float(((w - reference) * c * c).sum())
+    return total
 
 
 def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
@@ -210,11 +215,9 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError("cutoffs must be strictly ascending")
     N = params.n_particles
-    Hfull = build_effective_hamiltonian(params, 0.0, N + 1)
-    w, v = scipy.linalg.eigh(Hfull)
-    # even-parity reference; for these parameters it is the global ground state
-    e_exact, ex_amps = exact_ground_state(params)
-    shift = e_exact - float(w[0])  # zero unless the odd state lies lower
+    chains = _parity_chains(params)
+    e_even = float(chains[0][0][0])
+    e_exact, _ = exact_ground_state(params)
 
     rows = []
     for cutoff in cutoffs:
@@ -222,7 +225,7 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
             _, nv = _ground_pair(build_effective_hamiltonian(params, 0.0, cutoff))
             naive_pad = np.zeros(N + 1)
             naive_pad[:cutoff] = nv
-            de_naive = _spectral_delta(w, v, naive_pad) - shift
+            de_naive = _spectral_delta(chains, naive_pad, e_even)
 
             sol = solve_effective(params, cutoff)
             He = build_effective_hamiltonian(params, sol.beta_opt, cutoff)
@@ -234,7 +237,7 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
 
             full = reconstruct_full(sol.state, params)
             projected = project_parity(full, "even")
-            de_proj = _spectral_delta(w, v, projected.amplitudes) - shift
+            de_proj = _spectral_delta(chains, projected.amplitudes, e_even)
         except NumericalError as exc:
             raise NumericalError(f"cutoff {cutoff}: {exc}") from exc
         rows.append(ConvergenceRow(cutoff, de_naive, de_eff, de_proj))

@@ -7,7 +7,8 @@ Hamiltonian is eps*Jz - V/2 (J+^2 + J-^2), and the rotated basis is
 matrix exponential.  (i*Jy = (J+ - J-)/2 is real, so W is real; the +i
 sign pairs with the reconstruction convention <m, 0 | n, beta> = <m| W |n>
 of the rotations module.)  Energies at the reference tables' precision
-floor come from mpmath at 40 digits.
+floor come from mpmath at 40 digits, and single d^J entries from Wigner's
+sum at 80 digits.
 """
 
 import math
@@ -39,6 +40,20 @@ def oracle_rotation(two_j, beta):
     """expm(+i beta Jy) for spin J = two_j / 2, rows and columns ordered by n."""
     _, Jp, Jm = ladder_matrices(two_j)
     return expm(beta * (Jp - Jm) / 2)
+
+
+def mp_wigner_d(two_j, beta, row, col, dps=80):
+    """Textbook d^J_{m'm}(beta) = <J m'| exp(-i beta Jy) |J m> by Wigner's sum,
+    with m' = row - J and m = col - J, at ``dps`` digits."""
+    p, q = row, col  # J + m', J + m
+    with mpmath.workdps(dps):
+        c, s = mpmath.cos(mpmath.mpf(beta) / 2), mpmath.sin(mpmath.mpf(beta) / 2)
+        f = mpmath.factorial
+        total = mpmath.mpf(0)
+        for k in range(max(0, q - p), min(q, two_j - p) + 1):
+            total += ((-1) ** (p - q + k) * c ** (two_j + q - p - 2 * k) * s ** (p - q + 2 * k)
+                      / (f(q - k) * f(k) * f(p - q + k) * f(two_j - p - k)))
+        return float(total * mpmath.sqrt(f(p) * f(two_j - p) * f(q) * f(two_j - q)))
 
 
 def oracle_rotated_block(params, beta, cutoff):

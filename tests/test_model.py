@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.linalg import eigh
 
 from hlvqe.errors import ConfigError
@@ -175,3 +176,15 @@ class TestExactGroundState:
         assert e == pytest.approx(w[0], abs=1e-12)
         vec = v[:, 0] * np.sign(v[0, 0])
         assert np.abs(np.abs(amps) - np.abs(vec)).max() < 1e-12
+
+    @given(n=st.integers(2, 400), vbar=st.floats(0.3, 3.5))
+    @example(n=100, vbar=2.5)
+    def test_exact_parity_and_even_block_energy(self, n, vbar):
+        # at large N the lowest even and odd states are near-degenerate; the
+        # returned state must still be purely even
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        e, amps = exact_ground_state(p)
+        assert np.all(amps[1::2] == 0.0)
+        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
+        want = eigh(oracle_full_hamiltonian(p)[0::2, 0::2], eigvals_only=True)[0]
+        assert e == pytest.approx(want, rel=1e-10)

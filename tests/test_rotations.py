@@ -1,8 +1,9 @@
 """Rotation matrices, reconstruction, projection, Bures distance.
 
-Oracle for the rotation matrix: dense expm(+i beta Jy) with Jy assembled from
-the su(2) ladder rule, evaluated in the same n-ordering (see oracles.py).  The
-closed-form series under test never touches that path.
+Oracles for the rotation matrix: dense expm(+i beta Jy) with Jy assembled from
+the su(2) ladder rule, evaluated in the same n-ordering, and single entries of
+Wigner's sum at 80 digits (see oracles.py).  The Jy-eigenbasis evaluation
+under test never touches either path.
 """
 
 import math
@@ -20,7 +21,7 @@ from hlvqe.rotations import (
     reconstruct_full,
     wigner_d_matrix,
 )
-from oracles import oracle_rotation
+from oracles import mp_wigner_d, oracle_rotation
 
 
 class TestWignerSmallD:
@@ -65,6 +66,14 @@ class TestWignerSmallD:
             lhs = wigner_d_matrix(j, float(b1)) @ wigner_d_matrix(j, float(b2))
             rhs = wigner_d_matrix(j, float(b1 + b2))
             assert np.abs(lhs - rhs).max() < 1e-9
+
+    @pytest.mark.parametrize("two_j", [96, 200])
+    def test_spot_entries_against_wigner_sum(self, two_j):
+        # the module's matrix is the transpose of the textbook d^J_{m'm}(beta)
+        rng = np.random.default_rng(two_j)
+        d = wigner_d_matrix(two_j / 2, 1.1)
+        for i, j in rng.integers(0, two_j + 1, size=(40, 2)):
+            assert abs(d[i, j] - mp_wigner_d(two_j, 1.1, j, i)) < 1e-13, (i, j)
 
     def test_invalid_quantum_numbers(self):
         with pytest.raises(ConfigError):

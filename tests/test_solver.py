@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 from hlvqe.errors import ConfigError
 from hlvqe.model import ModelParams, build_effective_hamiltonian, exact_ground_state
 from hlvqe.solver import hf_beta, solve_effective, sweep_lambda, sweep_vbar
-from oracles import scan_minimum
+from oracles import mp_beta0_gaps, scan_minimum
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 
@@ -114,6 +114,15 @@ class TestSweepLambda:
         assert r.delta_e_naive == pytest.approx(1.9755e-8, rel=1e-2)
         assert r.delta_e_effective == pytest.approx(1.9755e-8, rel=1e-2)
         assert r.delta_e_projected == pytest.approx(1.9755e-8, rel=1e-2)
+
+    def test_naive_column_at_precision_floor(self):
+        # the errors here run from 1.6e-12 down to 7.8e-26, while subtracting
+        # two ~N-sized energies rounds at ~1e-14
+        for N, cutoffs in ((32, [32]), (64, [62, 64])):
+            p = ModelParams.create(N, 1.0, vbar=2.0)
+            for row in sweep_lambda(p, cutoffs):
+                naive, _ = mp_beta0_gaps(N, 2.0, row.cutoff)
+                assert abs(row.delta_e_naive - naive) < 1e-16, (N, row.cutoff)
 
     def test_columns_nonnegative(self):
         p = ModelParams.create(16, 1.0, vbar=2.0)
