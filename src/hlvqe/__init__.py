@@ -31,13 +31,9 @@ from .pauli import (
 )
 from .qsim import (
     AnalyticBackend,
-    Circuit,
     ExpectationEstimate,
-    Gate,
     SampledBackend,
     StateVector,
-    ansatz_circuit,
-    apply_circuit,
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,

@@ -37,6 +37,7 @@ from .qsim import (
     AnalyticBackend,
     SampledBackend,
     StateVector,
+    _own_stream,
     _shifted_states,
     measure_pauli,
     prepare_ansatz,
@@ -161,12 +162,13 @@ def _recorded_amplitudes(state: StateVector, backend) -> np.ndarray:
     return np.abs(state.real_amplitudes())
 
 
-def _descend(cutoff: int, opts: HlvqeOptions, beta: float, objective,
+def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
              fidelity=None) -> list[IterationRecord]:
     """The descent loop of both runs.
 
     ``objective(beta, theta)`` gives (E, G_beta, G_theta); an objective with
-    no beta dependence returns G_beta = 0 and so keeps beta fixed.
+    no beta dependence returns G_beta = 0 and so keeps beta fixed; the
+    recorded amplitudes draw from the same ``backend`` as the objective.
     ``fidelity(beta, state)`` gives the recorded Bures distance (NaN when
     absent).  In normalized mode a gradient norm below 1e-14 ends the run
     with the final record marked converged (the update direction is
@@ -188,7 +190,7 @@ def _descend(cutoff: int, opts: HlvqeOptions, beta: float, objective,
         g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
 
         state = prepare_ansatz(theta, nq)
-        amps = _recorded_amplitudes(state, opts.backend)
+        amps = _recorded_amplitudes(state, backend)
         bures = float("nan") if fidelity is None else fidelity(beta, state)
 
         converged = opts.update == "normalized" and g_norm < 1e-14
@@ -210,8 +212,10 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
     """Gradient-descent trace of the ground state, learning beta and theta;
     records the state at every step before updating.
 
-    Deterministic given the backend seed.
+    Deterministic given the backend seed: a sampled run draws from a fresh
+    SeedSequence(seed) stream.
     """
+    backend = _own_stream(opts.backend)
     _, ex_amps = exact_ground_state(params)
     exact = FullState(params.n_particles, ex_amps)
 
@@ -220,9 +224,9 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
         eff = EffectiveState(cutoff, beta, signed / np.linalg.norm(signed))
         return bures_distance(reconstruct_full(eff, params), exact)
 
-    return _descend(cutoff, opts, float(opts.init_beta),
+    return _descend(cutoff, opts, backend, float(opts.init_beta),
                     lambda beta, theta: cost_and_grads(params, cutoff, beta, theta,
-                                                       opts.backend),
+                                                       backend),
                     fidelity)
 
 
@@ -280,7 +284,8 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     callers holding a better-converged ground state should pass it explicitly,
     since the orthogonality of the excited state degrades linearly with the
     shift state's own error.  Returns the theta-only trace on the shifted
-    Hamiltonian (fidelities NaN) and that Hamiltonian.
+    Hamiltonian (fidelities NaN) and that Hamiltonian.  A sampled excited
+    phase draws from its own stream, SeedSequence(seed, spawn_key=(1,)).
     """
     nq = cutoff.bit_length() - 1
     if ground_state is None or beta0 is None:
@@ -293,7 +298,8 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     shifted = excited_hamiltonian(h, ground_state, mu0)
     # held at beta_0, the shifted Hamiltonian's beta-derivative is zero
     zero = PauliDecomposition(nq, (), beta0)
-    trace = _descend(cutoff, opts, beta0,
+    backend = _own_stream(opts.backend, (1,))
+    trace = _descend(cutoff, opts, backend, beta0,
                      lambda beta, theta: _energy_and_grads(shifted, zero, theta,
-                                                           opts.backend))
+                                                           backend))
     return trace, shifted

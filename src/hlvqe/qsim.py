@@ -1,27 +1,33 @@
 """Minimal statevector simulator for the ansatz circuits.
 
-Gate set: Ry, S, Sdg, Hadamard and RZX, plus the measurement-basis rotations
-(H for X, S^dag then H for Y).  Qubit q carries bit (index >> (n-1-q)) & 1 of
+Every gate is a Pauli rotation exp(-i phi P), applied as (cos phi - i sin phi P)
+through the string's one-nonzero-per-column action (``pauli._string_action``);
+nothing else changes amplitudes.  Qubit q carries bit (index >> (n-1-q)) & 1 of
 the basis index, i.e. qubit 0 is the most significant bit, matching the Pauli
 string convention of the pauli module.
 
-RZX convention: rzx(theta, qa, qb) applies exp(-i theta/2 * Z_qa X_qb) - the
-Z factor on the gate's first qubit argument.  Sandwiched between S and S^dag
-on the X qubit it becomes exp(+i theta/2 * Z Y), a real rotation; this is what
-makes the two-qubit ansatz real.
+Ansatz: each angle is one native gate.  Ry(theta) on qubit q is the rotation
+of the string with Y on q; S RZX S^dag on (q, q+1), with
+RZX = exp(-i theta/2 Z_q X_q+1), is exp(+i theta/2 Z_q Y_q+1).  Both
+generators have an odd number of Y, so every rotation is real and the
+prepared state stays float64.
+
+Measurement basis change: Ry(-pi/2) for X and Rx(pi/2) for Y, which give the
+computational-basis probabilities of H and of S^dag then H.
 
 Backends: ``AnalyticBackend`` evaluates expectations exactly from the
 string's one-nonzero-per-column action;
 ``SampledBackend(shots, seed)`` rotates the measurement basis, draws one
-multinomial sample per call from a generator seeded once at construction
-(sequential draws make runs reproducible), and contracts the frequencies with
-the string's sign vector.
+multinomial sample per call from a generator seeded by ``SeedSequence(seed)``,
+and contracts the frequencies with the string's sign vector.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,21 +36,13 @@ from .pauli import PauliString, _string_action, expectation_from_probs
 
 __all__ = [
     "StateVector",
-    "Gate",
-    "Circuit",
     "ExpectationEstimate",
     "AnalyticBackend",
     "SampledBackend",
-    "ansatz_circuit",
-    "apply_circuit",
     "prepare_ansatz",
     "measure_pauli",
     "parameter_shift_grad",
 ]
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-_S = np.diag([1.0, 1.0j])
-_SDG = np.diag([1.0, -1.0j])
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (2 ** self.n_qubits,):
             raise ConfigError(f"bad amplitude shape {amps.shape} for {self.n_qubits} qubits")
@@ -70,115 +68,64 @@ class StateVector:
         return self.amplitudes.real.copy()
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str              # RY | S | SDG | H | RZX
-    qubits: tuple          # (q,) or (qz, qx) for RZX
-    angle: float | None = None
+def _rotate(amps: np.ndarray, ops: str, c: float, s: float) -> np.ndarray:
+    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi).
+
+    P is applied as (phase * amps)[rows]: rows = cols ^ flip is its own
+    inverse.  Real amplitudes stay real when -i phase is real, which is when
+    P has an odd number of Y.
+    """
+    rows, phase = _string_action(ops)
+    kick = -1j * phase
+    if not kick.imag.any():
+        kick = kick.real
+    return c * amps + s * (kick * amps)[rows]
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple
+@lru_cache(maxsize=16)
+def _generators(n_qubits: int) -> tuple:
+    """(string, sign) per ansatz angle in gate order: angle k is the rotation
+    exp(-i sign theta_k / 2 P_k).
+
+    Ry on qubit q is Y on q with sign +1; S RZX S^dag on (q, q+1) is
+    exp(+i theta/2 Z_q Y_q+1), so Z on q and Y on q+1 with sign -1.
+    """
+    def ry(q):
+        return "I" * q + "Y" + "I" * (n_qubits - q - 1), 1.0
+
+    def zy(q):
+        return "I" * q + "ZY" + "I" * (n_qubits - q - 2), -1.0
+
+    if n_qubits == 2:
+        return (ry(0), zy(0), ry(1))
+    want = 2 ** n_qubits - 1
+    gens = []
+    while len(gens) < want:
+        gens += [ry(q) for q in range(n_qubits)] + [zy(q) for q in range(n_qubits - 1)]
+    return tuple(gens[:want])
 
 
-def _apply_single(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.moveaxis(t, qubit, -1)
-    t = t @ mat.T
-    return np.moveaxis(t, -1, qubit).reshape(-1)
-
-
-def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    if gate.kind == "RY":
-        th = gate.angle
-        mat = np.array([[math.cos(th / 2), -math.sin(th / 2)],
-                        [math.sin(th / 2), math.cos(th / 2)]], dtype=complex)
-        return _apply_single(amps, mat, gate.qubits[0], n)
-    if gate.kind == "S":
-        return _apply_single(amps, _S, gate.qubits[0], n)
-    if gate.kind == "SDG":
-        return _apply_single(amps, _SDG, gate.qubits[0], n)
-    if gate.kind == "H":
-        return _apply_single(amps, _H.astype(complex), gate.qubits[0], n)
-    if gate.kind == "RZX":
-        qz, qx = gate.qubits
-        th = gate.angle
-        t = amps.reshape([2] * n)
-        # exp(-i th/2 Z X) = cos(th/2) I - i sin(th/2) Z_qz X_qx
-        zsign = np.ones([2] * n)
-        idx = [slice(None)] * n
-        idx[qz] = 1
-        zsign[tuple(idx)] = -1.0
-        flipped = np.flip(t, axis=qx)
-        t = math.cos(th / 2) * t - 1j * math.sin(th / 2) * zsign * flipped
-        return t.reshape(-1)
-    raise ConfigError(f"unknown gate kind {gate.kind!r}")
-
-
-def apply_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVector:
-    n = circuit.n_qubits
-    amps = (np.zeros(2 ** n, dtype=complex) if state is None
-            else state.amplitudes.astype(complex))
-    if state is None:
-        amps[0] = 1.0
-    for gate in circuit.gates:
-        amps = _apply_gate(amps, gate, n)
-    return StateVector(n, amps)
-
-
-def ansatz_circuit(theta, n_qubits: int) -> Circuit:
-    """Real-amplitude preparation circuit with 2^n - 1 angles, one gate each.
+def prepare_ansatz(theta, n_qubits: int) -> StateVector:
+    """Real-amplitude ansatz state on |0...0> with 2^n - 1 angles, one gate each.
 
     One qubit: Ry(theta).  Two qubits: Ry on the high qubit, an S-conjugated
     RZX between them, Ry on the low qubit - the native-gate construction whose
     output is the four-term product-of-half-angle form.  Three or more qubits:
     repeated layers of per-qubit Ry rotations and an S-conjugated RZX chain,
-    truncated once 2^n - 1 angles have been placed.  Every angle parameterizes
-    exactly one Ry or RZX gate, so the +-pi/2 shift rule stays exact.
+    truncated once 2^n - 1 angles have been placed.  Every angle sits in
+    exactly one rotation exp(-i theta/2 P), so the +-pi/2 shift rule stays
+    exact.  The amplitudes are float64.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     want = 2 ** n_qubits - 1
     if theta.shape != (want,):
         raise ConfigError(
             f"{n_qubits}-qubit ansatz needs {want} angles, got shape {theta.shape}")
-    if n_qubits == 1:
-        return Circuit(1, (Gate("RY", (0,), theta[0]),))
-    if n_qubits == 2:
-        return Circuit(2, (
-            Gate("RY", (0,), theta[0]),
-            Gate("S", (1,)),
-            Gate("RZX", (0, 1), theta[1]),
-            Gate("SDG", (1,)),
-            Gate("RY", (1,), theta[2]),
-        ))
-    gates = []
-    k = 0
-
-    def take():
-        nonlocal k
-        v = theta[k]
-        k += 1
-        return v
-
-    while k < want:
-        for q in range(n_qubits):
-            if k >= want:
-                break
-            gates.append(Gate("RY", (q,), take()))
-        for q in range(n_qubits - 1):
-            if k >= want:
-                break
-            gates.append(Gate("S", (q + 1,)))
-            gates.append(Gate("RZX", (q, q + 1), take()))
-            gates.append(Gate("SDG", (q + 1,)))
-    return Circuit(n_qubits, tuple(gates))
-
-
-def prepare_ansatz(theta, n_qubits: int) -> StateVector:
-    """Run the ansatz circuit on |0...0>; the result is real to 1e-12."""
-    return apply_circuit(ansatz_circuit(theta, n_qubits))
+    amps = np.zeros(2 ** n_qubits)
+    amps[0] = 1.0
+    for (ops, sign), th in zip(_generators(n_qubits), theta):
+        amps = _rotate(amps, ops, math.cos(th / 2), sign * math.sin(th / 2))
+    return StateVector(n_qubits, amps)
 
 
 @dataclass(frozen=True)
@@ -205,7 +152,8 @@ class AnalyticBackend:
 
 
 class SampledBackend:
-    """Shot-noise simulation with a seedable, sequentially consumed generator."""
+    """Shot-noise simulation with a seedable, sequentially consumed generator;
+    the driver's runs draw from ``_own_stream`` copies and never consume it."""
 
     name = "sampled"
 
@@ -232,28 +180,45 @@ class SampledBackend:
         return ExpectationEstimate(val, std, self.shots)
 
 
+def _own_stream(backend, spawn_key: tuple = ()):
+    """The backend a run draws from: a sampled backend is copied onto its own
+    stream, SeedSequence(seed, spawn_key), so runs are pure functions of
+    their inputs and never consume the backend they are given."""
+    if not isinstance(backend, SampledBackend):
+        return backend
+    fresh = copy.copy(backend)
+    fresh._rng = np.random.default_rng(
+        np.random.SeedSequence(backend.seed, spawn_key=spawn_key))
+    return fresh
+
+
+# cos = sin = 1/sqrt(2), the entries of H, so that the rotated amplitudes have
+# H's magnitudes bit for bit; cos(pi/4) is one ulp larger
+_R = 1 / math.sqrt(2)
+
+# measured Pauli -> (rotation generator, sin): Ry(-pi/2) for X, Rx(pi/2) for Y
+_BASIS_CHANGE = {"X": ("Y", -_R), "Y": ("X", _R)}
+
+
 def _rotate_for_measurement(state: StateVector, string: PauliString) -> StateVector:
-    gates = []
+    n = state.n_qubits
+    amps = state.amplitudes
     for q, ch in enumerate(string.ops):
-        if ch == "X":
-            gates.append(Gate("H", (q,)))
-        elif ch == "Y":
-            gates.append(Gate("SDG", (q,)))
-            gates.append(Gate("H", (q,)))
-    if not gates:
-        return state
-    return apply_circuit(Circuit(state.n_qubits, tuple(gates)), state)
+        if ch in _BASIS_CHANGE:
+            gen, s = _BASIS_CHANGE[ch]
+            amps = _rotate(amps, "I" * q + gen + "I" * (n - q - 1), _R, s)
+    return StateVector(n, amps)
 
 
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
     """Expectation of a Pauli string on the given backend.
 
-    Identity strings are exact (value 1) on either backend.
+    Identity strings are exact (value 1) on either backend and draw no shots.
     """
     if len(string) != state.n_qubits:
         raise ConfigError(f"string width {len(string)} != state width {state.n_qubits}")
     if string.is_identity:
-        return ExpectationEstimate(1.0, 0.0, getattr(backend, "shots", 0))
+        return ExpectationEstimate(1.0, 0.0, 0)
     return backend.expectation(state, string)
 
 

@@ -21,8 +21,8 @@ c_p = V_p^T state[p::2] and E_even the lowest even-chain eigenvalue,
     E(state) - E_even = sum_p sum_i (w_p,i - E_even) c_p,i^2,
 
 a sum that avoids the catastrophic cancellation of subtracting two ~N-sized
-energies; the naive and projected columns of the convergence tables reach
-the 1e-16 absolute level this way.
+energies; all three columns of the convergence tables reach the 1e-16
+absolute level this way.
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
     N = params.n_particles
     chains = _parity_chains(params)
     e_even = float(chains[0][0][0])
-    e_exact, _ = exact_ground_state(params)
 
     rows = []
     for cutoff in cutoffs:
@@ -228,14 +227,11 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
             de_naive = _spectral_delta(chains, naive_pad, e_even)
 
             sol = solve_effective(params, cutoff)
-            He = build_effective_hamiltonian(params, sol.beta_opt, cutoff)
-            ve = sol.state.amplitudes
-            # effective energy relative to the full ground eigenvalue, again as
-            # a spectral sum: embed is exact because H(beta) truncates H rotated
-            e_eff = math.fsum((ve * (He @ ve)).tolist())
-            de_eff = e_eff - e_exact
-
+            # H(beta) is the rotated H truncated, so the effective energy is
+            # that of the reconstructed full state, a spectral sum again
             full = reconstruct_full(sol.state, params)
+            de_eff = _spectral_delta(chains, full.amplitudes, e_even)
+
             projected = project_parity(full, "even")
             de_proj = _spectral_delta(chains, projected.amplitudes, e_even)
         except NumericalError as exc:

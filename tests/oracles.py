@@ -8,7 +8,8 @@ matrix exponential.  (i*Jy = (J+ - J-)/2 is real, so W is real; the +i
 sign pairs with the reconstruction convention <m, 0 | n, beta> = <m| W |n>
 of the rotations module.)  Energies at the reference tables' precision
 floor come from mpmath at 40 digits, and single d^J entries from Wigner's
-sum at 80 digits.
+sum at 80 digits.  Ansatz states and measurement basis changes are products
+of kron-built gate matrices.
 """
 
 import math
@@ -77,6 +78,63 @@ def pauli_kron(ops):
     for ch in ops:
         out = np.kron(out, PAULI_1Q[ch])
     return out
+
+
+def _on_qubit(n_qubits, q, gate):
+    """A 2x2 gate on qubit q of n (qubit 0 = most significant bit), kron-built."""
+    out = np.eye(1)
+    for k in range(n_qubits):
+        out = np.kron(out, gate if k == q else np.eye(2))
+    return out
+
+
+S_GATE = np.diag([1.0, 1.0j])
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+
+
+def ry_gate(theta):
+    return np.array([[math.cos(theta / 2), -math.sin(theta / 2)],
+                     [math.sin(theta / 2), math.cos(theta / 2)]], dtype=complex)
+
+
+def oracle_ansatz_state(theta, n_qubits):
+    """The ansatz state as a product of dense gate matrices on |0...0>.
+
+    Gate order: one qubit, Ry; two qubits, Ry on qubit 0, then S on qubit 1,
+    RZX = exp(-i t/2 Z_0 X_1) and S^dag on qubit 1, then Ry on qubit 1; three
+    or more, layers of Ry on every qubit followed by S, RZX, S^dag on each
+    neighbouring pair (q, q+1), truncated at 2^n - 1 angles.
+    """
+    n = n_qubits
+    if n == 2:
+        order = [("ry", 0), ("rzx", 0), ("ry", 1)]
+    else:
+        layer = [("ry", q) for q in range(n)] + [("rzx", q) for q in range(n - 1)]
+        order = (layer * 2 ** n)[:2 ** n - 1]
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
+    for (kind, q), t in zip(order, theta, strict=True):
+        if kind == "ry":
+            psi = _on_qubit(n, q, ry_gate(t)) @ psi
+        else:
+            zx = _on_qubit(n, q, PAULI_1Q["Z"]) @ _on_qubit(n, q + 1, PAULI_1Q["X"])
+            rzx = math.cos(t / 2) * np.eye(2 ** n) - 1j * math.sin(t / 2) * zx
+            psi = (_on_qubit(n, q + 1, S_GATE.conj()) @ rzx
+                   @ _on_qubit(n, q + 1, S_GATE) @ psi)
+    return psi
+
+
+def oracle_measurement_basis(psi, ops):
+    """Amplitudes after the textbook basis change, H on X qubits and S^dag
+    then H on Y qubits, kron-built; returns (amplitudes, probabilities)."""
+    change = {"I": np.eye(2), "Z": np.eye(2), "X": HADAMARD,
+              "Y": HADAMARD @ S_GATE.conj()}
+    out = np.eye(1)
+    for ch in ops:
+        out = np.kron(out, change[ch])
+    amps = out @ psi
+    p = np.abs(amps) ** 2
+    return amps, p / p.sum()
 
 
 def golden_section(f, lo, hi, tol=1e-12):

@@ -1,48 +1,32 @@
 """Statevector simulator: preparation, measurement, shift rule, sampling.
 
-Oracle for the two-qubit preparation: explicit 4x4 gate matrices multiplied
-in sequence (kron-assembled by hand, independent of the simulator's
-tensor-contraction path).
+Oracles (``tests/oracles.py``): the ansatz as a product of kron-built Ry, S,
+RZX and S^dag matrices in gate order, and the measurement basis change as
+kron-built H and H S^dag, both independent of the simulator's Pauli-rotation
+kernel.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from hlvqe.errors import ConfigError
 from hlvqe.pauli import PauliString, coeffs_2q
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
-    ansatz_circuit,
+    _generators,
+    _rotate_for_measurement,
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,
 )
+from oracles import oracle_ansatz_state, oracle_measurement_basis
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
-
-
-def oracle_two_qubit_state(t0, t1, t2):
-    """Gate-by-gate 4x4 matrix product, qubit 0 = most significant bit."""
-    I = np.eye(2)
-
-    def ry(th):
-        return np.array([[math.cos(th / 2), -math.sin(th / 2)],
-                         [math.sin(th / 2), math.cos(th / 2)]], dtype=complex)
-
-    S = np.diag([1.0, 1.0j])
-    SDG = np.diag([1.0, -1.0j])
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Z = np.diag([1.0, -1.0])
-    ZX = np.kron(Z, X)  # Z on qubit 0 (msb), X on qubit 1
-    RZX = (math.cos(t1 / 2) * np.eye(4) - 1j * math.sin(t1 / 2) * ZX)
-    U = (np.kron(I, ry(t2)) @ np.kron(I, SDG) @ RZX @ np.kron(I, S)
-         @ np.kron(ry(t0), I))
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    return U @ psi0
 
 
 def closed_form_two_qubit(t0, t1, t2):
@@ -73,11 +57,15 @@ class TestPrepareAnsatz:
         want = np.array([1, 0, 1, 0]) / math.sqrt(2)
         assert np.abs(st.real_amplitudes() - want).max() < 1e-12
 
-    def test_two_qubit_against_matrix_oracle(self):
-        t = (0.7, 0.3, -0.2)
-        st = prepare_ansatz(t, 2)
-        want = oracle_two_qubit_state(*t)
-        assert np.abs(st.amplitudes - want).max() < 1e-12
+    @given(strategies.integers(1, 4).flatmap(lambda nq: strategies.tuples(
+        strategies.just(nq),
+        strategies.lists(strategies.floats(-math.pi, math.pi),
+                         min_size=2 ** nq - 1, max_size=2 ** nq - 1))))
+    def test_against_gate_matrix_oracle(self, case):
+        nq, t = case
+        got = prepare_ansatz(t, nq).amplitudes
+        assert got.dtype == np.float64
+        assert np.abs(got - oracle_ansatz_state(t, nq)).max() < 1e-12
 
     def test_two_qubit_closed_form(self):
         rng = np.random.default_rng(42)
@@ -95,12 +83,16 @@ class TestPrepareAnsatz:
                 assert np.abs(st.amplitudes.imag).max() <= 1e-12
                 assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
-    def test_each_angle_appears_once(self):
-        for nq in (1, 2, 3, 4):
-            circ = ansatz_circuit(np.linspace(0.1, 0.9, 2 ** nq - 1), nq)
-            angles = [g.angle for g in circ.gates if g.angle is not None]
-            assert len(angles) == 2 ** nq - 1
-            assert len(set(angles)) == len(angles)
+    def test_generator_table(self):
+        # one rotation per angle, each generated by a single string with an
+        # odd number of Y: the rotation is real and the shift rule exact
+        for nq in (1, 2, 3, 4, 5):
+            gens = _generators(nq)
+            assert len(gens) == 2 ** nq - 1
+            for ops, sign in gens:
+                assert len(ops) == nq and set(ops) <= set("IYZ")
+                assert ops.count("Y") % 2 == 1
+                assert sign in (1.0, -1.0)
 
     def test_parameter_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -122,6 +114,7 @@ class TestMeasurePauli:
         est = measure_pauli(st, PauliString("I"), SampledBackend(100, seed=1))
         assert est.value == 1.0
         assert est.std_error == 0.0
+        assert est.shots == 0
 
     def test_two_qubit_yy(self):
         t = (0.4, 0.9, 0.1)
@@ -177,6 +170,16 @@ class TestMeasurePauli:
         vals2 = [measure_pauli(st, PauliString("XZ"), SampledBackend(1000, seed=9)).value
                  for _ in range(1)]
         assert vals1 == vals2
+
+    def test_basis_change_matches_hadamard_oracle_exactly(self):
+        # the sampled draws depend on these probabilities; the magnitudes
+        # before normalization pin cos = sin to H's 1/sqrt(2), not cos(pi/4)
+        vacuum = prepare_ansatz(np.zeros(3), 2)
+        for ops in map("".join, itertools.product("IXYZ", repeat=2)):
+            got = _rotate_for_measurement(vacuum, PauliString(ops))
+            amps, probs = oracle_measurement_basis(vacuum.amplitudes, ops)
+            assert np.abs(got.amplitudes).tolist() == np.abs(amps).tolist(), ops
+            assert got.probabilities().tolist() == probs.tolist(), ops
 
     def test_width_mismatch(self):
         st = prepare_ansatz([0.3], 1)

@@ -117,12 +117,14 @@ class TestSweepLambda:
 
     def test_naive_column_at_precision_floor(self):
         # the errors here run from 1.6e-12 down to 7.8e-26, while subtracting
-        # two ~N-sized energies rounds at ~1e-14
+        # two ~N-sized energies rounds at ~1e-14; the effective optimum at
+        # these cutoffs is beta = 0, so its column is the naive gap as well
         for N, cutoffs in ((32, [32]), (64, [62, 64])):
             p = ModelParams.create(N, 1.0, vbar=2.0)
             for row in sweep_lambda(p, cutoffs):
                 naive, _ = mp_beta0_gaps(N, 2.0, row.cutoff)
-                assert abs(row.delta_e_naive - naive) < 1e-16, (N, row.cutoff)
+                for column in (row.delta_e_naive, row.delta_e_effective):
+                    assert abs(column - naive) < 1e-16, (N, row.cutoff)
 
     def test_columns_nonnegative(self):
         p = ModelParams.create(16, 1.0, vbar=2.0)
