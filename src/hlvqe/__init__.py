@@ -22,8 +22,6 @@ from .model import (
 from .pauli import (
     PauliDecomposition,
     PauliString,
-    coeffs_1q,
-    coeffs_2q,
     decompose,
     expectation_from_probs,
     hamiltonian_decomposition,

@@ -18,16 +18,21 @@ vbar = (N-1) * V / epsilon; the symmetric phase ends at vbar = 1.
 
 The rotated-frame Hamiltonian H(beta) = U(beta)^dag H U(beta), with
 U(beta) = exp(-i beta Jy) acting on the quasi-spins, connects n with
-n' = n, n +- 1, n +- 2 only.  Its matrix elements are evaluated from closed
-forms in (n, beta) rather than by numerically rotating operators, which
-avoids cancellation; the rotated-operator construction is kept to the test
-suite as an independent oracle.
+n' = n, n +- 1, n +- 2 only.  Every matrix element is a trig polynomial in
+beta, so H(beta) = sum_k f_k(beta) M[k] with f = (1, cos, sin, sin^2,
+sin cos) and five fixed band matrices M[k] (``_bands``), built once per
+(params, cutoff) from closed forms in n rather than by numerically rotating
+operators, which avoids cancellation; dH/dbeta is f'(beta) times the same
+table.  This is the only place the formula for H(beta) is written down.  The
+rotated-operator construction and the per-entry builders are kept in the
+test suite as independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -86,50 +91,62 @@ def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
     return build_effective_hamiltonian(params, 0.0, params.n_particles + 1)
 
 
+def _trig(beta: float) -> tuple[tuple, tuple]:
+    """f(beta) and f'(beta) of the band table, f = (1, cos, sin, sin^2, sin cos)."""
+    s, c = math.sin(beta), math.cos(beta)
+    return ((1.0, c, s, s * s, s * c),
+            (0.0, -s, c, math.sin(2 * beta), math.cos(2 * beta)))
+
+
+def _combine(f, stack):
+    """sum_k f[k] * stack[k], term by term, so every entry rounds alike."""
+    return sum(fk * m for fk, m in zip(f, stack))
+
+
+@lru_cache(maxsize=4)
+def _bands(params: ModelParams, cutoff: int) -> np.ndarray:
+    """The five fixed matrices M[k] of H(beta) = sum_k f_k(beta) M[k] over the
+    rotated states n < cutoff (f as in ``_trig``); cached per (params,
+    cutoff), read-only.
+
+    M[1] (cos) is the diagonal eps (n - N/2); M[2] (sin) and M[4] (sin cos)
+    fill |dn| = 1; M[0] (1) fills |dn| = 2; M[3] (sin^2) fills the diagonal
+    and |dn| = 2, from 1 + cos^2 = 2 - sin^2 on that band.
+    """
+    N = params.n_particles
+    if not 1 <= cutoff <= N + 1:
+        raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
+    eps, V = params.epsilon, params.coupling
+    n = np.arange(cutoff, dtype=float)
+    k = n[:-1]
+    r1 = np.sqrt((N - k) * (k + 1))
+    r2b = np.sqrt((N - k[:-1] - 1) * (k[:-1] + 2))  # r2 = r1[:-1] * r2b
+
+    M = np.zeros((5, cutoff, cutoff))
+    i = np.arange(cutoff)
+    M[1, i, i] = eps * (n - N / 2)
+    M[3, i, i] = -(V / 4) * (N * N + 6 * n * n - 6 * n * N - N)
+    for m, d, vals in ((2, 1, 0.5 * r1 * eps),
+                       (4, 1, -0.5 * r1 * V * (N - 2 * k - 1)),
+                       (0, 2, -(V / 2) * r1[:-1] * r2b),
+                       (3, 2, (V / 4) * r1[:-1] * r2b)):
+        M[m, i[d:], i[:-d]] = M[m, i[:-d], i[d:]] = vals
+    M.flags.writeable = False
+    return M
+
+
 def build_effective_hamiltonian(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:
     """Cutoff x cutoff matrix of H(beta) over the rotated states |n, beta>, n < cutoff.
 
     Five-band structure: diagonal, |dn| = 1 (vanishing at beta = 0) and |dn| = 2.
     At beta = 0 this is the upper-left block of the full Hamiltonian.
     """
-    N = params.n_particles
-    if not 1 <= cutoff <= N + 1:
-        raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
-    eps, V = params.epsilon, params.coupling
-    s, c = math.sin(beta), math.cos(beta)
-
-    H = np.zeros((cutoff, cutoff))
-    n = np.arange(cutoff)
-    H[n, n] = eps * c * (n - N / 2) - (V / 4) * s * s * (N * N + 6 * n * n - 6 * n * N - N)
-    for k in range(cutoff - 1):
-        val = 0.5 * math.sqrt((N - k) * (k + 1)) * s * (eps - V * c * (N - 2 * k - 1))
-        H[k + 1, k] = H[k, k + 1] = val
-    for k in range(cutoff - 2):
-        val = -(V / 4) * (1 + c * c) * math.sqrt((N - k) * (k + 1)) \
-            * math.sqrt((N - k - 1) * (k + 2))
-        H[k + 2, k] = H[k, k + 2] = val
-    return H
+    return _combine(_trig(beta)[0], _bands(params, cutoff))
 
 
 def build_effective_hamiltonian_dbeta(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:
     """Entrywise analytic d/dbeta of build_effective_hamiltonian."""
-    N = params.n_particles
-    if not 1 <= cutoff <= N + 1:
-        raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
-    eps, V = params.epsilon, params.coupling
-    s, c = math.sin(beta), math.cos(beta)
-    s2, c2 = math.sin(2 * beta), math.cos(2 * beta)
-
-    D = np.zeros((cutoff, cutoff))
-    n = np.arange(cutoff)
-    D[n, n] = -eps * s * (n - N / 2) - (V / 4) * s2 * (N * N + 6 * n * n - 6 * n * N - N)
-    for k in range(cutoff - 1):
-        val = 0.5 * math.sqrt((N - k) * (k + 1)) * (eps * c - V * c2 * (N - 2 * k - 1))
-        D[k + 1, k] = D[k, k + 1] = val
-    for k in range(cutoff - 2):
-        val = (V / 4) * s2 * math.sqrt((N - k) * (k + 1)) * math.sqrt((N - k - 1) * (k + 2))
-        D[k + 2, k] = D[k, k + 2] = val
-    return D
+    return _combine(_trig(beta)[1], _bands(params, cutoff))
 
 
 def rayleigh_quotient(H: np.ndarray, v: np.ndarray) -> float:

@@ -8,41 +8,34 @@ through that rule rather than through a dense matrix.
 With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
 two-qubit register), basis indices equal excitation orders directly.
 
-The one- and two-qubit coefficient sets below are closed forms in
-(N, epsilon, V, beta) obtained by projecting the banded effective matrix
-onto the Pauli basis by hand; the generic trace decomposition reproduces
-them to machine precision (tested), and is the route used for three or
-more qubits.  Coefficients are real for the real symmetric input.
+H(beta) is sum_k f_k(beta) M[k] over the five fixed band matrices of
+``model._bands``, so its Pauli form at any power-of-two cutoff is f(beta)
+times the trace decompositions of the M[k], taken once per (params, cutoff);
+dH/dbeta is f'(beta) times the same table.  Coefficients are real for the
+real symmetric input.  The one- and two-qubit closed forms are kept in the
+test suite as the oracle of this path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import (
-    ModelParams,
-    build_effective_hamiltonian,
-    build_effective_hamiltonian_dbeta,
-)
+from .model import ModelParams, _bands, _combine, _trig
 
 __all__ = [
     "PauliString",
     "PauliDecomposition",
     "decompose",
     "reassemble",
-    "coeffs_1q",
-    "coeffs_2q",
     "hamiltonian_decomposition",
     "expectation_from_probs",
 ]
 
-# coefficients below this size are dropped from generic decompositions;
-# closed-form paths never prune
+# coefficients below this size are dropped from decompositions
 PRUNE_TOL = 1e-14
 
 
@@ -67,16 +60,13 @@ class PauliString:
         return set(self.ops) == {"I"}
 
     def sign_vector(self) -> np.ndarray:
-        """Diagonal of the string's Z-pattern: entry b is prod over non-identity
-        positions of (-1)^bit, identity positions contributing +1."""
-        nq = len(self.ops)
-        signs = np.ones(2 ** nq)
-        for q, ch in enumerate(self.ops):
-            if ch == "I":
-                continue
-            bits = (np.arange(2 ** nq) >> (nq - 1 - q)) & 1
-            signs *= 1.0 - 2.0 * bits
-        return signs
+        """Diagonal of the string's Z-pattern (every X/Y read as Z): entry b is
+        prod over non-identity positions of (-1)^bit, the real phase of that
+        pattern's cached string action."""
+        zs = self.ops.replace("X", "Z").replace("Y", "Z")
+        # a contiguous copy: BLAS sums probs @ signs in another order when
+        # the operand is the strided real view of the complex phase
+        return np.ascontiguousarray(_string_action(zs)[1].real)
 
 
 @dataclass(frozen=True)
@@ -171,103 +161,33 @@ def reassemble(decomp: PauliDecomposition) -> np.ndarray:
     return out.real
 
 
-def coeffs_1q(params: ModelParams, beta: float) -> tuple[dict, dict]:
-    """Closed-form coefficients of the 2-state (one-qubit) effective Hamiltonian
-    and their analytic beta-derivatives, keyed by Pauli label.
-
-    h_Y vanishes identically; h_X carries the factor (eps - (N-1) V cos(beta))
-    whose root is the mean-field stationary angle.
-    """
-    N, eps, V = params.n_particles, params.epsilon, params.coupling
-    s, c = math.sin(beta), math.cos(beta)
-    h = {
-        "I": -(N - 1) / 4 * ((N - 3) * V * s * s + 2 * eps * c),
-        "X": math.sqrt(N) / 2 * (eps - (N - 1) * V * c) * s,
-        "Z": -0.25 * (3 * (N - 1) * V * s * s + 2 * eps * c),
-    }
-    dh = {
-        "I": (N - 1) / 2 * (eps - (N - 3) * V * c) * s,
-        "X": math.sqrt(N) / 2 * (eps * c - (N - 1) * V * math.cos(2 * beta)),
-        "Z": 0.5 * (eps - 3 * (N - 1) * V * c) * s,
-    }
-    return h, dh
-
-
-def coeffs_2q(params: ModelParams, beta: float) -> tuple[dict, dict]:
-    """Closed-form coefficients of the 4-state (two-qubit) effective Hamiltonian
-    and their analytic beta-derivatives, keyed by Pauli label.
-
-    h_YY equals h_XX identically.  Requires N >= 3 (the forms contain
-    sqrt(N - 2)).
-    """
-    N, eps, V = params.n_particles, params.epsilon, params.coupling
-    if N < 3:
-        raise ConfigError(f"two-qubit coefficients require N >= 3, got {N}")
-    s, c = math.sin(beta), math.cos(beta)
-    s2, c2 = math.sin(2 * beta), math.cos(2 * beta)
-    rN = math.sqrt(N)
-    r3N2 = math.sqrt(3.0) * math.sqrt(N - 2)
-    rN1 = math.sqrt(N - 1)
-    r2 = math.sqrt(2.0)
-
-    h = {
-        "II": -0.25 * (N - 3) * ((N - 7) * V * s * s + 2 * eps * c),
-        "XX": rN1 * s * (eps - (N - 3) * V * c) / (2 * r2),
-        "XZ": -(rN - r3N2) * rN1 * V * (c2 + 3) / (8 * r2),
-        "XI": -(rN + r3N2) * rN1 * V * (c2 + 3) / (8 * r2),
-        "ZX": 0.25 * s * (eps * (rN - r3N2)
-                          - (rN * (N - 1) - r3N2 * (N - 5)) * V * c),
-        "ZZ": -1.5 * V * s * s,
-        "ZI": -1.5 * (N - 3) * V * s * s - eps * c,
-        "IX": 0.25 * s * (eps * (rN + r3N2)
-                          - (rN * (N - 1) + r3N2 * (N - 5)) * V * c),
-        "IZ": -0.25 * (3 * (N - 3) * V * s * s + 2 * eps * c),
-    }
-    h["YY"] = h["XX"]
-    dh = {
-        "II": 0.5 * (N - 3) * (eps - (N - 7) * V * c) * s,
-        "XX": rN1 * (eps * c - (N - 3) * V * c2) / (2 * r2),
-        "XZ": (rN - r3N2) * rN1 * V * s2 / (4 * r2),
-        "XI": (rN + r3N2) * rN1 * V * s2 / (4 * r2),
-        "ZX": 0.25 * (eps * (rN - r3N2) * c
-                      - (rN * (N - 1) - r3N2 * (N - 5)) * V * c2),
-        "ZZ": -1.5 * V * s2,
-        "ZI": -1.5 * (N - 3) * V * s2 + eps * s,
-        "IX": 0.25 * (eps * (rN + r3N2) * c
-                      - (rN * (N - 1) + r3N2 * (N - 5)) * V * c2),
-        "IZ": 0.5 * (eps - 3 * (N - 3) * V * c) * s,
-    }
-    dh["YY"] = dh["XX"]
-    return h, dh
-
-
-def _dict_to_decomposition(coeffs: dict, n_qubits: int, beta: float) -> PauliDecomposition:
-    terms = tuple((PauliString(k), float(v)) for k, v in coeffs.items())
-    return PauliDecomposition(n_qubits, terms, beta)
+@lru_cache(maxsize=4)
+def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
+    """Pauli weights W[k] of the band matrices M[k] of H(beta) = sum_k
+    f_k(beta) M[k] (``model._bands``), over the union of the strings that
+    survive in any M[k], in ``_all_strings`` order; cached per (params,
+    cutoff), read-only."""
+    parts = [decompose(m).as_dict() for m in _bands(params, cutoff)]
+    ops = [s for s in _all_strings(cutoff.bit_length() - 1) if any(s in d for d in parts)]
+    W = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
+    W.flags.writeable = False
+    return tuple(PauliString(s) for s in ops), W
 
 
 def hamiltonian_decomposition(params: ModelParams, beta: float,
                               cutoff: int) -> tuple[PauliDecomposition, PauliDecomposition]:
     """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff.
 
-    One and two qubits use the closed forms; wider registers decompose the
-    analytically differentiated matrix elements (never finite differences of
-    coefficients).
+    The weights are f(beta) . W and f'(beta) . W from the band table's
+    cached decomposition, so both carry the same strings at every beta (a
+    weight may be exactly 0, as the X-carrying ones are at beta = 0).
     """
-    nq = cutoff.bit_length() - 1
     if cutoff < 2 or cutoff & (cutoff - 1):
         raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
-    if cutoff == 2:
-        h, dh = coeffs_1q(params, beta)
-        return (_dict_to_decomposition(h, 1, beta),
-                _dict_to_decomposition(dh, 1, beta))
-    if cutoff == 4:
-        h, dh = coeffs_2q(params, beta)
-        return (_dict_to_decomposition(h, 2, beta),
-                _dict_to_decomposition(dh, 2, beta))
-    H = build_effective_hamiltonian(params, beta, cutoff)
-    D = build_effective_hamiltonian_dbeta(params, beta, cutoff)
-    return decompose(H, beta), decompose(D, beta)
+    strings, W = _band_weights(params, cutoff)
+    nq = cutoff.bit_length() - 1
+    return tuple(PauliDecomposition(nq, tuple(zip(strings, _combine(f, W).tolist())), beta)
+                 for f in _trig(beta))
 
 
 def expectation_from_probs(probs: np.ndarray, string: PauliString) -> float:

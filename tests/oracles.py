@@ -9,7 +9,9 @@ sign pairs with the reconstruction convention <m, 0 | n, beta> = <m| W |n>
 of the rotations module.)  Energies at the reference tables' precision
 floor come from mpmath at 40 digits, and single d^J entries from Wigner's
 sum at 80 digits.  Ansatz states and measurement basis changes are products
-of kron-built gate matrices.
+of kron-built gate matrices.  The per-entry loop builders of H(beta) and
+dH/dbeta, and the hand-projected one- and two-qubit Pauli weights, are the
+closed forms the band table replaced, kept here as its oracles.
 """
 
 import math
@@ -61,6 +63,107 @@ def oracle_rotated_block(params, beta, cutoff):
     """W^T H W truncated to the first ``cutoff`` rotated states."""
     W = oracle_rotation(params.n_particles, beta)
     return (W.T @ oracle_full_hamiltonian(params) @ W)[:cutoff, :cutoff]
+
+
+def loop_effective_hamiltonian(params, beta, cutoff):
+    """H(beta) over the rotated states n < cutoff, one closed-form entry at a time."""
+    N, eps, V = params.n_particles, params.epsilon, params.coupling
+    s, c = math.sin(beta), math.cos(beta)
+    H = np.zeros((cutoff, cutoff))
+    n = np.arange(cutoff)
+    H[n, n] = eps * c * (n - N / 2) - (V / 4) * s * s * (N * N + 6 * n * n - 6 * n * N - N)
+    for k in range(cutoff - 1):
+        val = 0.5 * math.sqrt((N - k) * (k + 1)) * s * (eps - V * c * (N - 2 * k - 1))
+        H[k + 1, k] = H[k, k + 1] = val
+    for k in range(cutoff - 2):
+        val = -(V / 4) * (1 + c * c) * math.sqrt((N - k) * (k + 1)) \
+            * math.sqrt((N - k - 1) * (k + 2))
+        H[k + 2, k] = H[k, k + 2] = val
+    return H
+
+
+def loop_effective_hamiltonian_dbeta(params, beta, cutoff):
+    """Entrywise analytic d/dbeta of loop_effective_hamiltonian."""
+    N, eps, V = params.n_particles, params.epsilon, params.coupling
+    s, c = math.sin(beta), math.cos(beta)
+    s2, c2 = math.sin(2 * beta), math.cos(2 * beta)
+    D = np.zeros((cutoff, cutoff))
+    n = np.arange(cutoff)
+    D[n, n] = -eps * s * (n - N / 2) - (V / 4) * s2 * (N * N + 6 * n * n - 6 * n * N - N)
+    for k in range(cutoff - 1):
+        val = 0.5 * math.sqrt((N - k) * (k + 1)) * (eps * c - V * c2 * (N - 2 * k - 1))
+        D[k + 1, k] = D[k, k + 1] = val
+    for k in range(cutoff - 2):
+        val = (V / 4) * s2 * math.sqrt((N - k) * (k + 1)) * math.sqrt((N - k - 1) * (k + 2))
+        D[k + 2, k] = D[k, k + 2] = val
+    return D
+
+
+def coeffs_1q(params, beta):
+    """Closed-form Pauli weights of the 2-state (one-qubit) effective
+    Hamiltonian and their analytic beta-derivatives, keyed by Pauli label.
+
+    h_Y vanishes identically; h_X carries the factor (eps - (N-1) V cos(beta))
+    whose root is the mean-field stationary angle.
+    """
+    N, eps, V = params.n_particles, params.epsilon, params.coupling
+    s, c = math.sin(beta), math.cos(beta)
+    h = {
+        "I": -(N - 1) / 4 * ((N - 3) * V * s * s + 2 * eps * c),
+        "X": math.sqrt(N) / 2 * (eps - (N - 1) * V * c) * s,
+        "Z": -0.25 * (3 * (N - 1) * V * s * s + 2 * eps * c),
+    }
+    dh = {
+        "I": (N - 1) / 2 * (eps - (N - 3) * V * c) * s,
+        "X": math.sqrt(N) / 2 * (eps * c - (N - 1) * V * math.cos(2 * beta)),
+        "Z": 0.5 * (eps - 3 * (N - 1) * V * c) * s,
+    }
+    return h, dh
+
+
+def coeffs_2q(params, beta):
+    """Closed-form Pauli weights of the 4-state (two-qubit) effective
+    Hamiltonian and their analytic beta-derivatives, keyed by Pauli label,
+    projected by hand from the banded matrix (N >= 3).  h_YY equals h_XX
+    identically.
+    """
+    N, eps, V = params.n_particles, params.epsilon, params.coupling
+    s, c = math.sin(beta), math.cos(beta)
+    s2, c2 = math.sin(2 * beta), math.cos(2 * beta)
+    rN = math.sqrt(N)
+    r3N2 = math.sqrt(3.0) * math.sqrt(N - 2)
+    rN1 = math.sqrt(N - 1)
+    r2 = math.sqrt(2.0)
+
+    h = {
+        "II": -0.25 * (N - 3) * ((N - 7) * V * s * s + 2 * eps * c),
+        "XX": rN1 * s * (eps - (N - 3) * V * c) / (2 * r2),
+        "XZ": -(rN - r3N2) * rN1 * V * (c2 + 3) / (8 * r2),
+        "XI": -(rN + r3N2) * rN1 * V * (c2 + 3) / (8 * r2),
+        "ZX": 0.25 * s * (eps * (rN - r3N2)
+                          - (rN * (N - 1) - r3N2 * (N - 5)) * V * c),
+        "ZZ": -1.5 * V * s * s,
+        "ZI": -1.5 * (N - 3) * V * s * s - eps * c,
+        "IX": 0.25 * s * (eps * (rN + r3N2)
+                          - (rN * (N - 1) + r3N2 * (N - 5)) * V * c),
+        "IZ": -0.25 * (3 * (N - 3) * V * s * s + 2 * eps * c),
+    }
+    h["YY"] = h["XX"]
+    dh = {
+        "II": 0.5 * (N - 3) * (eps - (N - 7) * V * c) * s,
+        "XX": rN1 * (eps * c - (N - 3) * V * c2) / (2 * r2),
+        "XZ": (rN - r3N2) * rN1 * V * s2 / (4 * r2),
+        "XI": (rN + r3N2) * rN1 * V * s2 / (4 * r2),
+        "ZX": 0.25 * (eps * (rN - r3N2) * c
+                      - (rN * (N - 1) - r3N2 * (N - 5)) * V * c2),
+        "ZZ": -1.5 * V * s2,
+        "ZI": -1.5 * (N - 3) * V * s2 + eps * s,
+        "IX": 0.25 * (eps * (rN + r3N2) * c
+                      - (rN * (N - 1) + r3N2 * (N - 5)) * V * c2),
+        "IZ": 0.5 * (eps - 3 * (N - 3) * V * c) * s,
+    }
+    dh["YY"] = dh["XX"]
+    return h, dh
 
 
 PAULI_1Q = {

@@ -35,7 +35,6 @@ from hlvqe.model import (
 from hlvqe.pauli import (
     PauliDecomposition,
     PauliString,
-    coeffs_1q,
     decompose,
     reassemble,
 )
@@ -48,7 +47,7 @@ from hlvqe.qsim import (
 )
 from hlvqe.rotations import FullState, project_parity, wigner_d_matrix
 from hlvqe.solver import solve_effective, sweep_lambda
-from oracles import RotatedFrame, bures, coherent_state, mp_beta0_gaps
+from oracles import RotatedFrame, bures, coeffs_1q, coherent_state, mp_beta0_gaps
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 

@@ -31,6 +31,7 @@ from hlvqe.qsim import (
     parameter_shift_grad,
     prepare_ansatz,
 )
+from oracles import coeffs_1q
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 ANALYTIC = AnalyticBackend()
@@ -256,7 +257,6 @@ class TestSummarize:
 
 class TestExcitedStates:
     def test_mu_zero_rejected_and_identity_shift(self):
-        from hlvqe.pauli import coeffs_1q
         h, _ = coeffs_1q(P30, math.pi / 3)
         decomp = PauliDecomposition(
             1, tuple((PauliString(k), v) for k, v in h.items()), math.pi / 3)
@@ -266,7 +266,6 @@ class TestExcitedStates:
     def test_hf_point_gap(self):
         # chemical potential lifts the mean-field ground state; the new ground
         # eigenvalue is the first excited energy -16.0
-        from hlvqe.pauli import coeffs_1q
         h, _ = coeffs_1q(P30, math.pi / 3)
         decomp = PauliDecomposition(
             1, tuple((PauliString(k), v) for k, v in h.items()), math.pi / 3)

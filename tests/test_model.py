@@ -3,7 +3,8 @@
 Oracle for the builders: dense su(2) ladder matrices assembled from the
 raising/lowering rule alone, combined as eps*Jz - V/2 (J+^2 + J-^2) and, for
 the rotated frame, conjugated with expm(-i beta Jy) (see oracles.py).  That
-path shares no code with the closed-form builders under test.
+path shares no code with the band table under test.  The per-entry
+closed-form loops it replaced are a second, differential oracle.
 """
 
 import math
@@ -23,6 +24,8 @@ from hlvqe.model import (
 )
 from oracles import (
     golden_section,
+    loop_effective_hamiltonian,
+    loop_effective_hamiltonian_dbeta,
     oracle_full_hamiltonian,
     oracle_rotated_block,
 )
@@ -118,6 +121,19 @@ class TestEffectiveHamiltonian:
                 w_eff = eigh(build_effective_hamiltonian(p, beta, N + 1),
                              eigvals_only=True)
                 assert np.abs(np.sort(w_eff) - np.sort(w_full)).max() < 1e-9
+
+    @given(n=st.integers(2, 400), vbar=st.floats(0.3, 3.5),
+           beta=st.floats(-math.pi, math.pi), data=st.data())
+    def test_band_table_against_loop_oracle(self, n, vbar, beta, data):
+        # the five-matrix band table against the per-entry closed-form loops
+        cutoff = data.draw(st.integers(1, n + 1), label="cutoff")
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        for build, oracle in (
+                (build_effective_hamiltonian, loop_effective_hamiltonian),
+                (build_effective_hamiltonian_dbeta, loop_effective_hamiltonian_dbeta)):
+            want = oracle(p, beta, cutoff)
+            got = build(p, beta, cutoff)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), build.__name__
 
     def test_variational_monotonicity_in_cutoff(self):
         p = ModelParams.create(14, 1.0, vbar=1.7)

@@ -1,4 +1,6 @@
-"""Pauli decomposition: round trips, closed forms, probability contraction."""
+"""Pauli decomposition: round trips, the band-table decomposition of H(beta)
+against the hand-projected one- and two-qubit closed forms (oracles.py),
+probability contraction."""
 
 import itertools
 import math
@@ -16,15 +18,13 @@ from hlvqe.model import (
 from hlvqe.pauli import (
     PauliDecomposition,
     PauliString,
-    coeffs_1q,
-    coeffs_2q,
     decompose,
     expectation_from_probs,
     hamiltonian_decomposition,
     reassemble,
 )
 from hlvqe.qsim import AnalyticBackend, StateVector
-from oracles import pauli_kron
+from oracles import coeffs_1q, coeffs_2q, pauli_kron
 
 
 class TestDecompose:
@@ -101,10 +101,26 @@ class TestStringActionAgainstKron:
             assert abs(got - want) < 1e-13, ops
 
 
+def weights(params, beta, cutoff):
+    """(h, dh) of hamiltonian_decomposition as dicts keyed by Pauli label."""
+    h, dh = hamiltonian_decomposition(params, beta, cutoff)
+    return h.as_dict(), dh.as_dict()
+
+
+def assert_fd_derivatives(params, cutoff, betas, step=1e-6):
+    for beta in betas:
+        _, dh = weights(params, beta, cutoff)
+        hp, _ = weights(params, beta + step, cutoff)
+        hm, _ = weights(params, beta - step, cutoff)
+        for k in dh:
+            fd = (hp[k] - hm[k]) / (2 * step)
+            assert dh[k] == pytest.approx(fd, rel=1e-6, abs=1e-9), (beta, k)
+
+
 class TestClosedForm1Q:
     def test_beta_zero(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        h, _ = coeffs_1q(p, 0.0)
+        h, _ = weights(p, 0.0, 2)
         assert h["X"] == 0.0
         assert h["Z"] == pytest.approx(-0.5)
         assert h["I"] == pytest.approx(-29 / 2)
@@ -112,82 +128,42 @@ class TestClosedForm1Q:
     def test_x_vanishes_at_stationary_angle(self):
         for vbar, N in ((2.0, 30), (1.5, 12), (3.0, 50)):
             p = ModelParams.create(N, 1.0, vbar=vbar)
-            h, _ = coeffs_1q(p, math.acos(1 / vbar))
+            h, _ = weights(p, math.acos(1 / vbar), 2)
             assert abs(h["X"]) < 1e-12
 
-    def test_matches_generic_decomposition(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            N = int(rng.integers(2, 60))
-            vbar = float(rng.uniform(0.2, 3.0))
-            beta = float(rng.uniform(0.0, math.pi))
-            p = ModelParams.create(N, 1.0, vbar=vbar)
-            h, _ = coeffs_1q(p, beta)
-            want = decompose(build_effective_hamiltonian(p, beta, 2)).as_dict()
-            for k in ("I", "X", "Z"):
-                assert h[k] == pytest.approx(want.get(k, 0.0), abs=1e-10), (N, vbar, beta, k)
-
     def test_derivatives_match_finite_differences(self):
-        p = ModelParams.create(30, 1.0, vbar=2.0)
-        step = 1e-6
-        for beta in (0.1, 0.7, 1.3):
-            _, dh = coeffs_1q(p, beta)
-            hp, _ = coeffs_1q(p, beta + step)
-            hm, _ = coeffs_1q(p, beta - step)
-            for k in dh:
-                fd = (hp[k] - hm[k]) / (2 * step)
-                assert dh[k] == pytest.approx(fd, rel=1e-6, abs=1e-9), (beta, k)
+        assert_fd_derivatives(ModelParams.create(30, 1.0, vbar=2.0), 2, (0.1, 0.7, 1.3))
 
 
 class TestClosedForm2Q:
     def test_yy_equals_xx(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
         for beta in np.linspace(0, math.pi, 13):
-            h, dh = coeffs_2q(p, float(beta))
+            h, dh = weights(p, float(beta), 4)
             assert h["YY"] == h["XX"]
             assert dh["YY"] == dh["XX"]
 
     def test_beta_zero(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        h, _ = coeffs_2q(p, 0.0)
+        h, _ = weights(p, 0.0, 4)
         assert h["ZZ"] == 0.0
         assert h["ZI"] == pytest.approx(-1.0)
         assert h["XX"] == 0.0
 
     def test_reference_ground_energy_from_reassembly(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        h, _ = coeffs_2q(p, 1.0162245)
-        d = PauliDecomposition(2, tuple((PauliString(k), v) for k, v in h.items()),
-                               1.0162245)
-        w = eigh(reassemble(d), eigvals_only=True)
+        h, _ = hamiltonian_decomposition(p, 1.0162245, 4)
+        w = eigh(reassemble(h), eigvals_only=True)
         assert w[0] == pytest.approx(-18.900130, abs=1e-5)
 
-    def test_matches_generic_decomposition(self):
-        rng = np.random.default_rng(32)
-        for _ in range(200):
-            N = int(rng.integers(3, 60))
-            vbar = float(rng.uniform(0.2, 3.0))
-            beta = float(rng.uniform(0.0, math.pi))
-            p = ModelParams.create(N, 1.0, vbar=vbar)
-            h, _ = coeffs_2q(p, beta)
-            want = decompose(build_effective_hamiltonian(p, beta, 4)).as_dict()
-            for k, v in h.items():
-                assert v == pytest.approx(want.get(k, 0.0), abs=1e-10), (N, vbar, beta, k)
-
     def test_derivatives_match_finite_differences(self):
-        p = ModelParams.create(30, 1.0, vbar=2.0)
-        step = 1e-6
-        for beta in (0.15, 0.8, 1.4):
-            _, dh = coeffs_2q(p, beta)
-            hp, _ = coeffs_2q(p, beta + step)
-            hm, _ = coeffs_2q(p, beta - step)
-            for k in dh:
-                fd = (hp[k] - hm[k]) / (2 * step)
-                assert dh[k] == pytest.approx(fd, rel=1e-6, abs=1e-9), (beta, k)
+        assert_fd_derivatives(ModelParams.create(30, 1.0, vbar=2.0), 4, (0.15, 0.8, 1.4))
 
     def test_small_n_rejected(self):
-        with pytest.raises(ConfigError):
-            coeffs_2q(ModelParams(2, 1.0, 0.5), 0.3)
+        # two qubits need five basis states: cutoff 4 > N + 1 at N = 2
+        with pytest.raises(ConfigError, match="cutoff must lie") as info:
+            hamiltonian_decomposition(ModelParams(2, 1.0, 0.5), 0.3, 4)
+        assert info.traceback[-1].name == "_bands"
 
 
 class TestHamiltonianDecomposition:
@@ -198,12 +174,31 @@ class TestHamiltonianDecomposition:
         assert np.abs(reassemble(dh)
                       - build_effective_hamiltonian_dbeta(p, 0.6, 8)).max() < 1e-10
 
-    def test_closed_form_used_for_small_registers(self):
+    def test_matches_oracle_closed_forms(self):
+        rng = np.random.default_rng(31)
+        for cutoff, n_min, oracle in ((2, 2, coeffs_1q), (4, 3, coeffs_2q)):
+            for _ in range(200):
+                N = int(rng.integers(n_min, 60))
+                vbar = float(rng.uniform(0.2, 3.0))
+                beta = float(rng.uniform(0.0, math.pi))
+                p = ModelParams.create(N, 1.0, vbar=vbar)
+                for got, want in zip(weights(p, beta, cutoff), oracle(p, beta)):
+                    for k in got.keys() | want.keys():
+                        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-12, \
+                            (cutoff, N, vbar, beta, k)
+
+    def test_fixed_term_set(self):
+        # the strings come from the band table, so no weight that vanishes at
+        # one angle (the X-carrying ones at beta = 0) drops a term
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        h, dh = hamiltonian_decomposition(p, 0.5, 4)
-        want, dwant = coeffs_2q(p, 0.5)
-        assert h.as_dict() == pytest.approx(want)
-        assert dh.as_dict() == pytest.approx(dwant)
+        for cutoff in (2, 4, 8, 16):
+            tuples = []
+            for beta in (0.0, 0.7):
+                h, dh = hamiltonian_decomposition(p, beta, cutoff)
+                strings = tuple(s for s, _ in h.terms)
+                assert tuple(s for s, _ in dh.terms) == strings, (cutoff, beta)
+                tuples.append(strings)
+            assert tuples[0] == tuples[1], cutoff
 
     def test_non_power_of_two_rejected(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
@@ -245,6 +240,11 @@ class TestExpectationFromProbs:
         assert PauliString("ZZ").sign_vector().tolist() == [1, -1, -1, 1]
         assert PauliString("ZI").sign_vector().tolist() == [1, 1, -1, -1]
         assert PauliString("IZ").sign_vector().tolist() == [1, -1, 1, -1]
+        for ops in all_strings():
+            zs = ops.replace("X", "Z").replace("Y", "Z")
+            got = PauliString(ops).sign_vector()
+            assert got.dtype == np.float64, ops
+            assert np.array_equal(got, np.diag(pauli_kron(zs)).real), ops
 
     def test_normalization_guard(self):
         with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies
 
 from hlvqe.errors import ConfigError
-from hlvqe.pauli import PauliString, coeffs_2q
+from hlvqe.pauli import PauliString
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
@@ -24,7 +24,7 @@ from hlvqe.qsim import (
     parameter_shift_grad,
     prepare_ansatz,
 )
-from oracles import oracle_ansatz_state, oracle_measurement_basis
+from oracles import coeffs_2q, oracle_ansatz_state, oracle_measurement_basis
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
 
