@@ -117,6 +117,21 @@ def assert_fd_derivatives(params, cutoff, betas, step=1e-6):
             assert dh[k] == pytest.approx(fd, rel=1e-6, abs=1e-9), (beta, k)
 
 
+def assert_matches_oracle(oracle, cutoff, n_min, seed):
+    """Decomposition weights h and dh at 200 random (N, vbar, beta) against
+    the hand-projected closed form, to 1e-12."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        N = int(rng.integers(n_min, 60))
+        vbar = float(rng.uniform(0.2, 3.0))
+        beta = float(rng.uniform(0.0, math.pi))
+        p = ModelParams.create(N, 1.0, vbar=vbar)
+        for got, want in zip(weights(p, beta, cutoff), oracle(p, beta)):
+            for k in got.keys() | want.keys():
+                assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-12, \
+                    (N, vbar, beta, k)
+
+
 class TestClosedForm1Q:
     def test_beta_zero(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
@@ -124,6 +139,9 @@ class TestClosedForm1Q:
         assert h["X"] == 0.0
         assert h["Z"] == pytest.approx(-0.5)
         assert h["I"] == pytest.approx(-29 / 2)
+
+    def test_matches_generic_decomposition(self):
+        assert_matches_oracle(coeffs_1q, 2, 2, seed=31)
 
     def test_x_vanishes_at_stationary_angle(self):
         for vbar, N in ((2.0, 30), (1.5, 12), (3.0, 50)):
@@ -150,6 +168,9 @@ class TestClosedForm2Q:
         assert h["ZI"] == pytest.approx(-1.0)
         assert h["XX"] == 0.0
 
+    def test_matches_generic_decomposition(self):
+        assert_matches_oracle(coeffs_2q, 4, 3, seed=32)
+
     def test_reference_ground_energy_from_reassembly(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
         h, _ = hamiltonian_decomposition(p, 1.0162245, 4)
@@ -174,18 +195,16 @@ class TestHamiltonianDecomposition:
         assert np.abs(reassemble(dh)
                       - build_effective_hamiltonian_dbeta(p, 0.6, 8)).max() < 1e-10
 
-    def test_matches_oracle_closed_forms(self):
-        rng = np.random.default_rng(31)
-        for cutoff, n_min, oracle in ((2, 2, coeffs_1q), (4, 3, coeffs_2q)):
-            for _ in range(200):
-                N = int(rng.integers(n_min, 60))
-                vbar = float(rng.uniform(0.2, 3.0))
-                beta = float(rng.uniform(0.0, math.pi))
-                p = ModelParams.create(N, 1.0, vbar=vbar)
-                for got, want in zip(weights(p, beta, cutoff), oracle(p, beta)):
-                    for k in got.keys() | want.keys():
-                        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-12, \
-                            (cutoff, N, vbar, beta, k)
+    def test_closed_form_used_for_small_registers(self):
+        # one band-table path at every cutoff; at cutoffs 2 and 4 it keeps
+        # exactly the closed form's strings, in its label order
+        p = ModelParams.create(30, 1.0, vbar=2.0)
+        for cutoff, oracle in ((2, coeffs_1q), (4, coeffs_2q)):
+            h, dh = hamiltonian_decomposition(p, 0.5, cutoff)
+            want, dwant = oracle(p, 0.5)
+            assert [s.ops for s, _ in h.terms] == sorted(want), cutoff
+            assert h.as_dict() == pytest.approx(want, abs=1e-12), cutoff
+            assert dh.as_dict() == pytest.approx(dwant, abs=1e-12), cutoff
 
     def test_fixed_term_set(self):
         # the strings come from the band table, so no weight that vanishes at
