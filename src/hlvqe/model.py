@@ -171,10 +171,15 @@ def _parity_chain(H: np.ndarray, parity: int, **select) -> tuple[np.ndarray, np.
         raise NumericalError(f"eigensolver failed on the parity-{parity} chain") from exc
 
 
-def _parity_chains(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All eigenpairs (w, v) of the even-n chain, then of the odd-n chain."""
+@lru_cache(maxsize=4)
+def _parity_chains(params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """All eigenpairs (w, v) of the even-n chain, then of the odd-n chain;
+    cached per params, read-only."""
     H = build_full_hamiltonian(params)
-    return [_parity_chain(H, parity) for parity in (0, 1)]
+    chains = tuple(_parity_chain(H, parity) for parity in (0, 1))
+    for arr in (a for pair in chains for a in pair):
+        arr.flags.writeable = False
+    return chains
 
 
 def exact_ground_state(params: ModelParams) -> tuple[float, np.ndarray]:

@@ -1,17 +1,19 @@
 """Classical variational solution in the truncated rotated basis.
 
-Outer loop: scan the rotation angle on a coarse grid over [0, pi/2], refine
-the best grid minima with bounded Brent, then polish each candidate with a
-root find on the Hellmann-Feynman derivative
+The rotation angle is found from the Hellmann-Feynman slope of the lowest
+eigenvalue,
 
     g(beta) = <v0(beta)| dH/dbeta |v0(beta)>,
 
-which locates stationary angles to ~1e-12 where plain value comparison
-saturates at ~sqrt(eps) (the deep-plateau region has curvatures down to
-1e-4 and needs this).  beta = 0 is always stationary by parity and is kept
-as an explicit candidate; the returned solution is the lowest-energy
-candidate found.  Inner loop: dense symmetric eigensolve of the truncated
-matrix.
+evaluated on a fixed grid over [0, pi/2].  Every grid interval in which g goes
+from negative to non-negative brackets a minimum, and one ``brentq`` root
+there locates it to ~1e-14, where plain value comparison saturates at
+~sqrt(eps) (the deep-plateau region has curvatures down to 1e-4).  beta = 0 is
+stationary by parity and is always a candidate.  The candidates are ranked by
+the energy error of their reconstructed full-space states, the spectral sum
+below that the convergence tables report, which resolves minima whose
+~N-sized eigenvalues agree to rounding.  Inner loop: dense symmetric
+eigensolve of the truncated matrix.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
 from .model import (
@@ -60,11 +62,15 @@ __all__ = [
 ]
 
 
-# angle scan: grid over [0, pi/2], Brent refinement of the lowest grid points
+# slope scan: grid over [0, pi/2], one root per negative-to-non-negative step
 _GRID_POINTS = 64
-_REFINE_STARTS = 3
-_BETA_TOL = 1e-11
-_BRENT_MAXITER = 500
+# Sums within _TIE_RTOL |E_even| of the best keep the smallest angle.  This
+# matters only at full cutoff: the rotated basis spans the whole space, so
+# every angle gives the same state and the sums differ by rounding alone
+# (~1e-28 |E_even| at N = 30, which then reports beta = 0).  Distinct minima
+# below full cutoff differ by far more (1e-16 against 7e-26 at N = 256,
+# cutoff 46).
+_TIE_RTOL = 1e-26
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class EffectiveSolution:
     beta_opt: float
     energy: float
     state: EffectiveState
+    delta_e: float
     projected_energy: float
     bures: float
     bures_beta0: float
@@ -96,10 +103,6 @@ def _ground_pair(H: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def _ground_energy(params: ModelParams, beta: float, cutoff: int) -> float:
-    return _ground_pair(build_effective_hamiltonian(params, beta, cutoff))[0]
-
-
 def _hf_derivative(params: ModelParams, beta: float, cutoff: int) -> float:
     """Hellmann-Feynman d(lowest eigenvalue)/d(beta)."""
     _, v0 = _ground_pair(build_effective_hamiltonian(params, beta, cutoff))
@@ -107,31 +110,31 @@ def _hf_derivative(params: ModelParams, beta: float, cutoff: int) -> float:
     return float(v0 @ D @ v0)
 
 
-def _polish_beta(params: ModelParams, cutoff: int, beta: float, span: float) -> float:
-    """Root-polish a candidate minimum on the derivative; fall back to input."""
+def _candidate_betas(params: ModelParams, cutoff: int) -> list[float]:
+    """beta = 0, then one root of the slope per grid interval in which it rises
+    through zero, ascending.  The slope at beta = 0 is exactly 0 by parity, so
+    it is not evaluated there and no root is sought next to it."""
 
     def g(b):
         return _hf_derivative(params, b, cutoff)
 
-    for delta in (span, 8 * span, 64 * span):
-        lo = max(0.0, beta - delta)
-        hi = min(math.pi / 2, beta + delta)
-        glo, ghi = g(lo), g(hi)
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0:
-            return hi
-        if glo < 0.0 < ghi:
-            return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    return beta
+    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
+    slopes = [0.0] + [g(b) for b in grid[1:]]
+    roots = [0.0]
+    for lo, hi, glo, ghi in zip(grid, grid[1:], slopes, slopes[1:]):
+        if glo < 0.0 <= ghi:
+            roots.append(float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)))
+    return roots
 
 
 def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     """Variational optimum over the rotation angle at fixed cutoff.
 
-    Returns the global minimum found over [0, pi/2] with amplitudes sign-fixed
-    so the first nonzero component is positive.  The projected energy is the
-    full-basis expectation of the parity-projected reconstructed state;
+    Returns the candidate minimum over [0, pi/2] whose reconstructed state has
+    the lowest energy error ``delta_e`` (the spectral sum above, against the
+    exact even ground energy), with amplitudes sign-fixed so the first nonzero
+    component is positive.  The projected energy is the full-basis
+    expectation of the parity-projected reconstructed state;
     ``bures``/``bures_beta0`` are distances of the projected optimum and of
     the naive (beta = 0) truncated state to the exact even-parity ground
     state.
@@ -139,63 +142,40 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     N = params.n_particles
     if not 1 <= cutoff <= N + 1:
         raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
+    chains = _parity_chains(params)
+    e_even = float(chains[0][0][0])
 
-    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
-    values = np.array([_ground_energy(params, b, cutoff) for b in grid])
-    spacing = grid[1] - grid[0]
+    candidates = []
+    for beta in _candidate_betas(params, cutoff):
+        energy, vec = _ground_pair(build_effective_hamiltonian(params, beta, cutoff))
+        nz = np.nonzero(np.abs(vec) > 1e-12)[0]
+        state = EffectiveState(cutoff, beta, -vec if vec[nz[0]] < 0 else vec)
+        full = reconstruct_full(state, params)
+        candidates.append((_spectral_delta(chains, full.amplitudes, e_even), energy, state, full))
+    floor = min(c[0] for c in candidates) + _TIE_RTOL * abs(e_even)
+    delta_e, energy, state, full = next(c for c in candidates if c[0] <= floor)
 
-    candidates = {0.0}
-    for idx in np.argsort(values)[:_REFINE_STARTS]:
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, _GRID_POINTS - 1)]
-        if hi <= lo:
-            candidates.add(float(grid[idx]))
-            continue
-        res = minimize_scalar(lambda b: _ground_energy(params, b, cutoff),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": _BETA_TOL, "maxiter": _BRENT_MAXITER})
-        if not res.success:
-            raise NumericalError(
-                f"beta optimizer failed to converge at cutoff {cutoff}: {res.message}")
-        candidates.add(_polish_beta(params, cutoff, float(res.x), spacing / 16))
-
-    # prefer the smallest angle among energy ties (degenerate landscapes at
-    # full cutoff, where every beta is unitarily equivalent, resolve to 0)
-    tie_tol = 1e-10 * max(1.0, abs(values.min()))
-    best_beta, best_energy, best_vec = None, math.inf, None
-    for b in sorted(candidates):
-        e, vec = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
-        if e < best_energy - tie_tol:
-            best_beta, best_energy, best_vec = b, e, vec
-
-    amps = best_vec
-    nz = np.nonzero(np.abs(amps) > 1e-12)[0]
-    if amps[nz[0]] < 0:
-        amps = -amps
-    state = EffectiveState(cutoff, best_beta, amps)
-
-    e_exact, ex_amps = exact_ground_state(params)
+    _, ex_amps = exact_ground_state(params)
     exact = FullState(N, ex_amps)
-    full = reconstruct_full(state, params)
     projected = project_parity(full, "even")
-    projected_energy = _spectral_delta(_parity_chains(params), projected.amplitudes, 0.0)
+    projected_energy = _spectral_delta(chains, projected.amplitudes, 0.0)
 
     naive_vec = np.zeros(N + 1)
-    _, nv = _ground_pair(build_effective_hamiltonian(params, 0.0, cutoff))
-    naive_vec[:cutoff] = nv * np.sign(nv[np.nonzero(np.abs(nv) > 1e-12)[0][0]])
+    naive_vec[:cutoff] = candidates[0][2].amplitudes  # the beta = 0 candidate
     naive = FullState(N, naive_vec)
 
     return EffectiveSolution(
-        beta_opt=best_beta,
-        energy=best_energy,
+        beta_opt=state.beta,
+        energy=energy,
         state=state,
+        delta_e=delta_e,
         projected_energy=projected_energy,
         bures=bures_distance(projected, exact),
         bures_beta0=bures_distance(naive, exact),
     )
 
 
-def _spectral_delta(chains: list[tuple[np.ndarray, np.ndarray]], state: np.ndarray,
+def _spectral_delta(chains: tuple[tuple[np.ndarray, np.ndarray], ...], state: np.ndarray,
                     reference: float) -> float:
     """<state|H|state> - reference as a spectral sum over both parity chains."""
     total = 0.0
@@ -227,29 +207,25 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
             de_naive = _spectral_delta(chains, naive_pad, e_even)
 
             sol = solve_effective(params, cutoff)
-            # H(beta) is the rotated H truncated, so the effective energy is
-            # that of the reconstructed full state, a spectral sum again
-            full = reconstruct_full(sol.state, params)
-            de_eff = _spectral_delta(chains, full.amplitudes, e_even)
-
-            projected = project_parity(full, "even")
+            projected = project_parity(reconstruct_full(sol.state, params), "even")
             de_proj = _spectral_delta(chains, projected.amplitudes, e_even)
         except NumericalError as exc:
             raise NumericalError(f"cutoff {cutoff}: {exc}") from exc
-        rows.append(ConvergenceRow(cutoff, de_naive, de_eff, de_proj))
+        rows.append(ConvergenceRow(cutoff, de_naive, sol.delta_e, de_proj))
     return rows
 
 
 def sweep_vbar(params_template: ModelParams, cutoff: int,
                vbar_grid) -> list[tuple[float, float]]:
-    """Relative ground-energy error in percent, per interaction ratio."""
+    """Relative ground-energy error in percent, per interaction ratio: the
+    optimum's spectral sum over the exact even ground energy."""
     out = []
     for vbar in vbar_grid:
         if vbar <= 0:
             raise ConfigError(f"vbar grid must be positive, got {vbar}")
         p = ModelParams.from_vbar(params_template.n_particles,
                                   params_template.epsilon, float(vbar))
-        e_exact, _ = exact_ground_state(p)
         sol = solve_effective(p, cutoff)
-        out.append((float(vbar), abs(e_exact - sol.energy) / abs(e_exact) * 100.0))
+        e_even = float(_parity_chains(p)[0][0][0])
+        out.append((float(vbar), 100.0 * sol.delta_e / abs(e_even)))
     return out

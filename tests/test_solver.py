@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
 from hlvqe.errors import ConfigError
@@ -144,6 +145,32 @@ class TestSweepLambda:
         assert abs(row.delta_e_effective) < 1e-10
         assert abs(row.delta_e_projected) < 1e-10
 
+    def test_effective_column_variational_at_n256(self):
+        # at cutoff 46 the minima at beta = 0.80 and 0.99 differ by 7e-16 in
+        # energy, below the rounding of their ~-160 eigenvalues; only the
+        # spectral sums (7e-16 against 7e-26) order them
+        p = ModelParams.create(256, 1.0, vbar=2.0)
+        rows = sweep_lambda(p, [42, 44, 46, 48])
+        for a, b in zip(rows, rows[1:]):
+            assert b.delta_e_effective <= a.delta_e_effective, (a, b)
+        for row in rows:
+            assert row.delta_e_effective <= row.delta_e_naive, row
+
+    @given(n=st.integers(2, 256), vbar=st.floats(0.3, 3.5), data=st.data())
+    def test_effective_column_monotone_property(self, n, vbar, data):
+        # tol is the rounding of the two chains' lowest eigenvalues, whose
+        # computed difference reaches -3 eps |E_even| in the broken phase
+        top = min(n + 1, 48)
+        c = data.draw(st.integers(1, top), label="cutoff")
+        c2 = data.draw(st.integers(c, top), label="larger cutoff")
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        tol = 8 * np.finfo(float).eps * abs(exact_ground_state(p)[0])
+        rows = sweep_lambda(p, sorted({c, c2}))
+        for row in rows:
+            assert row.delta_e_effective <= row.delta_e_naive + tol, row
+            assert min(row.delta_e_effective, row.delta_e_naive) >= -tol, row
+        assert rows[-1].delta_e_effective <= rows[0].delta_e_effective + tol, rows
+
     def test_projected_error_exponential_regime_n64(self):
         # log of the projected error stays within 15% of its straight-line
         # fit across the small-cutoff regime
@@ -164,9 +191,12 @@ class TestSweepVbar:
             assert err < 1.0
 
     def test_full_cutoff_error_zero(self):
+        # the error is the optimum's spectral sum, so no energy difference
+        # of ~N-sized values rounds it up to ~1e-14 %
         out = sweep_vbar(ModelParams.create(10, 1.0, vbar=2.0), 11, [0.7, 1.5, 2.5])
+        out += sweep_vbar(ModelParams.create(64, 1.0, vbar=2.0), 65, [2.5])
         for _, err in out:
-            assert err < 1e-10
+            assert err < 1e-20
 
     def test_against_direct_scan_oracle(self):
         # independent dense diagonalization over a beta scan, sharpened by a
