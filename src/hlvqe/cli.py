@@ -54,8 +54,6 @@ _DEFAULTS = {
     "plot_data": False,
 }
 
-_KNOWN_KEYS = set(_DEFAULTS)
-
 # values checked after merging, whether they come from a flag or the file
 _NUMBERS = {"n": int, "eps": float, "vbar": float, "v": float, "lambda": int,
             "eta": float, "iters": int, "shots": int, "seed": int,
@@ -118,28 +116,13 @@ def parse_config(argv) -> RunConfig:
              "reconstruct", "excited")
     for name in tasks:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--vbar", type=float, default=None)
-        p.add_argument("--v", type=float, default=None)
-        p.add_argument("--lambda", dest="lambda_", type=int, default=None)
-        p.add_argument("--lambdas", type=str, default=None)
-        p.add_argument("--vbar-grid", dest="vbar_grid", type=str, default=None)
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--window", type=str, default=None)
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--backend", choices=_CHOICES["backend"], default=None)
-        p.add_argument("--update", choices=_CHOICES["update"], default=None)
-        p.add_argument("--beta0", type=float, default=None)
-        p.add_argument("--theta0", type=float, default=None)
-        p.add_argument("--mu0", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=_CHOICES["format"], default=None)
-        p.add_argument("--plot-data", dest="plot_data", action="store_true",
-                       default=None)
+        p.add_argument("--config")
+        for key in _DEFAULTS:
+            flag = "--" + key.replace("_", "-")
+            if key == "plot_data":
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag)
     ns = parser.parse_args(argv)
 
     values = dict(_DEFAULTS)
@@ -149,16 +132,17 @@ def parse_config(argv) -> RunConfig:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {ns.config}: {exc}") from exc
-        unknown = set(file_cfg) - _KNOWN_KEYS
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {ns.config} must hold a JSON object")
+        unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_cfg)
 
-    flag_map = {k: getattr(ns, "lambda_" if k == "lambda" else k)
-                for k in _KNOWN_KEYS}
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
+    for key in _DEFAULTS:
+        flag = getattr(ns, key)
+        if flag is not None:
+            values[key] = flag
 
     for key, kind in _NUMBERS.items():
         if values[key] is not None:
@@ -172,8 +156,10 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"{key} must be one of {allowed}, got {values[key]!r}")
     if values["shots"] < 1:
         raise ConfigError(f"shots must be >= 1, got {values['shots']}")
-    if values["plot_data"] is None:
-        values["plot_data"] = False
+    if not isinstance(values["plot_data"], bool):
+        raise ConfigError(f"plot_data must be true or false, got {values['plot_data']!r}")
+    if not isinstance(values["out"], str):
+        raise ConfigError(f"out must be a directory path, got {values['out']!r}")
 
     if values["v"] is not None and values["vbar"] is not None:
         raise ConfigError("specify exactly one of 'v' and 'vbar', got both")

@@ -17,14 +17,18 @@ eigensolve of the truncated matrix.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
-even-n and an odd-n tridiagonal chain with eigenpairs (w_p, V_p).  With
-c_p = V_p^T state[p::2] and E_even the lowest even-chain eigenvalue,
+even-n and an odd-n tridiagonal chain with eigenpairs (w_p, V_p), cached in
+``model._parity_chains``.  With c_p = V_p^T state[p::2] and E_even the lowest
+even-chain eigenvalue, which is the exact energy ``exact_ground_state``
+returns,
 
     E(state) - E_even = sum_p sum_i (w_p,i - E_even) c_p,i^2,
 
 a sum that avoids the catastrophic cancellation of subtracting two ~N-sized
 energies; all three columns of the convergence tables reach the 1e-16
-absolute level this way.
+absolute level this way.  ``solve_effective`` is the only place a cutoff is
+solved: it returns all three sums in its ``EffectiveSolution``, and both
+sweeps read them from there.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class EffectiveSolution:
     energy: float
     state: EffectiveState
     delta_e: float
+    delta_e_naive: float
+    delta_e_projected: float
     projected_energy: float
     bures: float
     bures_beta0: float
@@ -133,17 +139,18 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     Returns the candidate minimum over [0, pi/2] whose reconstructed state has
     the lowest energy error ``delta_e`` (the spectral sum above, against the
     exact even ground energy), with amplitudes sign-fixed so the first nonzero
-    component is positive.  The projected energy is the full-basis
-    expectation of the parity-projected reconstructed state;
-    ``bures``/``bures_beta0`` are distances of the projected optimum and of
-    the naive (beta = 0) truncated state to the exact even-parity ground
-    state.
+    component is positive.  ``delta_e_naive`` and ``delta_e_projected`` are
+    the same sums for the zero-padded beta = 0 candidate and for the
+    parity-projected optimum; the projected energy is that state's full-basis
+    expectation.  ``bures``/``bures_beta0`` are distances of the projected
+    optimum and of the naive (beta = 0) truncated state to the exact
+    even-parity ground state.
     """
     N = params.n_particles
     if not 1 <= cutoff <= N + 1:
         raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
     chains = _parity_chains(params)
-    e_even = float(chains[0][0][0])
+    e_even, ex_amps = exact_ground_state(params)
 
     candidates = []
     for beta in _candidate_betas(params, cutoff):
@@ -155,11 +162,8 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     floor = min(c[0] for c in candidates) + _TIE_RTOL * abs(e_even)
     delta_e, energy, state, full = next(c for c in candidates if c[0] <= floor)
 
-    _, ex_amps = exact_ground_state(params)
     exact = FullState(N, ex_amps)
     projected = project_parity(full, "even")
-    projected_energy = _spectral_delta(chains, projected.amplitudes, 0.0)
-
     naive_vec = np.zeros(N + 1)
     naive_vec[:cutoff] = candidates[0][2].amplitudes  # the beta = 0 candidate
     naive = FullState(N, naive_vec)
@@ -169,7 +173,9 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
         energy=energy,
         state=state,
         delta_e=delta_e,
-        projected_energy=projected_energy,
+        delta_e_naive=_spectral_delta(chains, naive_vec, e_even),
+        delta_e_projected=_spectral_delta(chains, projected.amplitudes, e_even),
+        projected_energy=_spectral_delta(chains, projected.amplitudes, 0.0),
         bures=bures_distance(projected, exact),
         bures_beta0=bures_distance(naive, exact),
     )
@@ -186,7 +192,8 @@ def _spectral_delta(chains: tuple[tuple[np.ndarray, np.ndarray], ...], state: np
 
 
 def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
-    """Naive, effective and parity-projected energy errors per cutoff.
+    """Naive, effective and parity-projected energy errors per cutoff, as
+    ``solve_effective`` reports them.
 
     ``cutoffs`` must be ascending.  Solver failures are re-raised annotated
     with the offending cutoff.
@@ -194,24 +201,14 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
     cutoffs = list(cutoffs)
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError("cutoffs must be strictly ascending")
-    N = params.n_particles
-    chains = _parity_chains(params)
-    e_even = float(chains[0][0][0])
-
     rows = []
     for cutoff in cutoffs:
         try:
-            _, nv = _ground_pair(build_effective_hamiltonian(params, 0.0, cutoff))
-            naive_pad = np.zeros(N + 1)
-            naive_pad[:cutoff] = nv
-            de_naive = _spectral_delta(chains, naive_pad, e_even)
-
             sol = solve_effective(params, cutoff)
-            projected = project_parity(reconstruct_full(sol.state, params), "even")
-            de_proj = _spectral_delta(chains, projected.amplitudes, e_even)
         except NumericalError as exc:
             raise NumericalError(f"cutoff {cutoff}: {exc}") from exc
-        rows.append(ConvergenceRow(cutoff, de_naive, sol.delta_e, de_proj))
+        rows.append(ConvergenceRow(cutoff, sol.delta_e_naive, sol.delta_e,
+                                   sol.delta_e_projected))
     return rows
 
 
@@ -226,6 +223,6 @@ def sweep_vbar(params_template: ModelParams, cutoff: int,
         p = ModelParams.from_vbar(params_template.n_particles,
                                   params_template.epsilon, float(vbar))
         sol = solve_effective(p, cutoff)
-        e_even = float(_parity_chains(p)[0][0][0])
+        e_even, _ = exact_ground_state(p)
         out.append((float(vbar), 100.0 * sol.delta_e / abs(e_even)))
     return out

@@ -39,6 +39,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lamda"):
             parse_config(["effective", "--config", str(f)])
 
+    @pytest.mark.parametrize("content", ["5", '["n"]'], ids=["number", "list"])
+    def test_config_file_not_an_object_rejected(self, content, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(content)
+        with pytest.raises(ConfigError, match="JSON object"):
+            parse_config(["exact", "--config", str(f), "--n", "30", "--vbar", "2.0"])
+
     def test_both_v_and_vbar_rejected(self):
         with pytest.raises(ConfigError, match="v"):
             parse_config(["exact", "--n", "30", "--v", "0.1", "--vbar", "2.0"])
@@ -177,7 +184,8 @@ class TestTasks:
         ["sweep-lambda", "--lambdas", "2,x"],
         ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
-    ], ids=["window", "lambdas", "vbar-grid", "zero-shots"])
+        ["exact", "--n", "thirty"],
+    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "n"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
         argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
         assert main(argv) == 2
@@ -186,9 +194,14 @@ class TestTasks:
 
     @pytest.mark.parametrize("entry", [{"n": "thirty"}, {"eta": [0.1]},
                                        {"lambdas": [2, "x"]}, {"window": [70]},
-                                       {"iters": 80.5}, {"backend": "sampled "}],
-                             ids=["n", "eta", "lambdas", "window", "iters", "backend"])
+                                       {"iters": 80.5}, {"backend": "sampled "},
+                                       {"plot_data": "false"}, {"out": 5}],
+                             ids=["n", "eta", "lambdas", "window", "iters", "backend",
+                                  "plot_data", "out"])
     def test_unreadable_file_values_exit_2(self, entry, tmp_path):
+        # the output directory comes from the file, so the "out" entry replaces it
         f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"n": 30, "vbar": 2.0, "lambda": 2, **entry}))
-        assert main(["hlvqe", "--config", str(f), "--out", str(tmp_path)]) == 2
+        f.write_text(json.dumps({"n": 30, "vbar": 2.0, "lambda": 2,
+                                 "out": str(tmp_path), **entry}))
+        assert main(["hlvqe", "--config", str(f)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -20,6 +20,7 @@ from hlvqe.model import (
     build_effective_hamiltonian,
     build_effective_hamiltonian_dbeta,
     build_full_hamiltonian,
+    _parity_chains,
     exact_ground_state,
 )
 from oracles import (
@@ -202,5 +203,10 @@ class TestExactGroundState:
         e, amps = exact_ground_state(p)
         assert np.all(amps[1::2] == 0.0)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
-        want = eigh(oracle_full_hamiltonian(p)[0::2, 0::2], eigvals_only=True)[0]
+        Ho = oracle_full_hamiltonian(p)
+        want = eigh(Ho[0::2, 0::2], eigvals_only=True)[0]
         assert e == pytest.approx(want, rel=1e-10)
+        # the energy is the cached even chain's eigenvalue, and it belongs to
+        # the returned vector
+        assert e == _parity_chains(p)[0][0][0]
+        assert e == pytest.approx(amps @ Ho @ amps / (amps @ amps), rel=1e-13)

@@ -8,8 +8,21 @@ from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
 from hlvqe.errors import ConfigError
-from hlvqe.model import ModelParams, build_effective_hamiltonian, exact_ground_state
-from hlvqe.solver import hf_beta, solve_effective, sweep_lambda, sweep_vbar
+from hlvqe.model import (
+    ModelParams,
+    _parity_chains,
+    build_effective_hamiltonian,
+    exact_ground_state,
+)
+from hlvqe.rotations import project_parity, reconstruct_full
+from hlvqe.solver import (
+    ConvergenceRow,
+    _spectral_delta,
+    hf_beta,
+    solve_effective,
+    sweep_lambda,
+    sweep_vbar,
+)
 from oracles import mp_beta0_gaps, scan_minimum
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
@@ -133,6 +146,28 @@ class TestSweepLambda:
             assert row.delta_e_naive >= -1e-12
             assert row.delta_e_effective >= -1e-12
             assert row.delta_e_projected >= -1e-12
+
+    @pytest.mark.parametrize("n, cutoffs", [(32, list(range(2, 33))),
+                                            (64, [2, 24, 44, 64])], ids=["n32", "n64"])
+    def test_columns_match_per_cutoff_oracle(self, n, cutoffs):
+        # oracle: the per-cutoff path the sweep used to run itself, a fresh
+        # beta = 0 eigensolve and a fresh reconstruction and projection of the
+        # optimum, must give the same sums to the bit
+        p = ModelParams.create(n, 1.0, vbar=2.0)
+        chains = _parity_chains(p)
+        e_even, _ = exact_ground_state(p)
+        rows = sweep_lambda(p, cutoffs)
+        for cutoff, row in zip(cutoffs, rows):
+            sol = solve_effective(p, cutoff)
+            assert row == ConvergenceRow(cutoff, sol.delta_e_naive, sol.delta_e,
+                                         sol.delta_e_projected)
+            _, v = eigh(build_effective_hamiltonian(p, 0.0, cutoff), subset_by_index=(0, 0))
+            naive = np.zeros(n + 1)
+            naive[:cutoff] = v[:, 0]
+            assert row.delta_e_naive == _spectral_delta(chains, naive, e_even), cutoff
+            projected = project_parity(reconstruct_full(sol.state, p), "even")
+            assert row.delta_e_projected == _spectral_delta(
+                chains, projected.amplitudes, e_even), cutoff
 
     def test_unsorted_cutoffs_rejected(self):
         with pytest.raises(ConfigError):
