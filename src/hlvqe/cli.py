@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -84,13 +85,14 @@ class RunConfig:
 
 
 def _number(key: str, value, kind):
-    """``kind(value)``; a non-string value must convert without change (so an
-    int key rejects 80.5)."""
+    """``kind(value)``, finite; a non-string value must convert without change
+    (so an int key rejects 80.5)."""
     try:
         out = kind(value)
-        if isinstance(value, str) or out == value:
+        finite = kind is int or math.isfinite(out)
+        if finite and (isinstance(value, str) or out == value):
             return out
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{key}: cannot read {value!r} as {kind.__name__}")
 
@@ -189,7 +191,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 def emit_report(config: RunConfig, name: str, header: list, rows: list,
                 extra: dict | None = None) -> str:
-    """Write one table in the configured format; returns the file path."""
+    """Write one table in the configured format, and with ``plot_data`` also
+    as ``<name>_long.csv`` (one row per x value and series); returns the
+    table's path."""
     out_dir = config.values["out"]
     stamp = datetime.now(timezone.utc).isoformat()
     echo = config.echo()
@@ -216,18 +220,13 @@ def emit_report(config: RunConfig, name: str, header: list, rows: list,
         if extra:
             payload.update(extra)
         _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if config.values["plot_data"]:
+        lines = [",".join((header[0], "series", "value"))]
+        for row in rows:
+            for col, val in zip(header[1:], row[1:]):
+                lines.append(f"{_fmt(row[0])},{col},{_fmt(val)}")
+        _atomic_write(os.path.join(out_dir, f"{name}_long.csv"), "\n".join(lines) + "\n")
     return path
-
-
-def _emit_plot_data(config: RunConfig, name: str, header: list, rows: list) -> None:
-    if not config.values["plot_data"]:
-        return
-    lines = [",".join((header[0], "series", "value"))]
-    for row in rows:
-        for col, val in zip(header[1:], row[1:]):
-            lines.append(f"{_fmt(row[0])},{col},{_fmt(val)}")
-    path = os.path.join(config.values["out"], f"{name}_long.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _backend_from(config: RunConfig):
@@ -283,9 +282,7 @@ def _task_sweep_lambda(config: RunConfig):
     rows = [(r.cutoff, r.delta_e_naive, r.delta_e_effective, r.delta_e_projected)
             for r in sweep_lambda(params, lams)]
     header = ["lambda", "dE_naive", "dE_effective", "dE_projected"]
-    path = emit_report(config, "sweep_lambda", header, rows)
-    _emit_plot_data(config, "sweep_lambda", header, rows)
-    return path
+    return emit_report(config, "sweep_lambda", header, rows)
 
 
 def _task_sweep_vbar(config: RunConfig):
@@ -293,10 +290,7 @@ def _task_sweep_vbar(config: RunConfig):
     lam = _require(config, "lambda")
     grid = _require(config, "vbar_grid")
     rows = sweep_vbar(params, lam, grid)
-    header = ["vbar", "rel_error_percent"]
-    path = emit_report(config, "sweep_vbar", header, rows)
-    _emit_plot_data(config, "sweep_vbar", header, rows)
-    return path
+    return emit_report(config, "sweep_vbar", ["vbar", "rel_error_percent"], rows)
 
 
 def _trace_table(trace, lam: int):
@@ -320,9 +314,7 @@ def _task_hlvqe(config: RunConfig):
     s = summarize(trace, opts.summary_window)
     extra = {"summary": {k: {"mean": v[0], "half_range": v[1]}
                          for k, v in s.quantities.items()}}
-    path = emit_report(config, "hlvqe_trace", header, rows, extra=extra)
-    _emit_plot_data(config, "hlvqe_trace", header, rows)
-    return path
+    return emit_report(config, "hlvqe_trace", header, rows, extra=extra)
 
 
 def _task_reconstruct(config: RunConfig):

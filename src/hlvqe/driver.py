@@ -7,8 +7,10 @@ Per iteration the cost and its gradients assemble as
     G_beta = sum_P  h_P'(beta)  <P>_theta
     G_th_i = sum_P  h_P(beta)   d<P>/d(theta_i)      (shift rule),
 
-with the coefficients evaluated classically and every <P> taken from the
-backend; identity strings contribute exactly and carry no theta-gradient.
+with the coefficients evaluated classically.  H(beta) and dH/dbeta carry the
+same strings, so one pass of <P> over them, in term order, serves both E and
+G_beta; the theta-gradients come from ``qsim``'s shift rule, and every
+measurement decision (the exact identity string included) is ``qsim``'s.
 Two update rules are provided: ``plain`` steps by -eta * G and converges
 geometrically near the optimum; ``normalized`` divides the step by the
 gradient norm, which keeps a fixed step length eta and therefore orbits the
@@ -33,15 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import ModelParams, exact_ground_state
 from .pauli import PauliDecomposition, decompose, hamiltonian_decomposition, reassemble
-from .qsim import (
-    AnalyticBackend,
-    SampledBackend,
-    StateVector,
-    _own_stream,
-    _shifted_states,
-    measure_pauli,
-    prepare_ansatz,
-)
+from .qsim import AnalyticBackend, StateVector, _shift_rule, measure_pauli, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
 __all__ = [
@@ -67,8 +61,12 @@ class HlvqeOptions:
     update: str = "normalized"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.init_beta) and np.isfinite(self.init_theta).all()):
+            raise ConfigError(f"initial angles must be finite, got beta {self.init_beta}, "
+                              f"theta {self.init_theta}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         lo, hi = self.summary_window
@@ -107,43 +105,15 @@ class RunSummary:
         return self.quantities[key][1]
 
 
-def _measure_terms(decomps, state: StateVector, backend) -> dict:
-    """<P> of every string in the decompositions, each measured once, in term
-    order; identity strings are exact."""
-    vals = {}
-    for decomp in decomps:
-        for string, _ in decomp.terms:
-            if string.ops not in vals:
-                vals[string.ops] = (1.0 if string.is_identity else
-                                    measure_pauli(state, string, backend).value)
-    return vals
-
-
-def _shift_grads(decomp: PauliDecomposition, theta: np.ndarray, backend,
-                 n_qubits: int) -> np.ndarray:
-    """Shift-rule theta-gradient of sum_P c_P <P>.
-
-    The rule is linear in the observable, so one +-pi/2 pair of preparations
-    per angle serves every string; each string is measured on the up state,
-    then on the down state.
-    """
-    grad = np.zeros(len(theta))
-    for i in range(len(theta)):
-        up, dn = _shifted_states(theta, i, n_qubits)
-        grad[i] = math.fsum(
-            c * ((measure_pauli(up, s, backend).value
-                  - measure_pauli(dn, s, backend).value) / 2)
-            for s, c in decomp.terms if not s.is_identity)  # <I> has no theta dependence
-    return grad
-
-
-def _energy_and_grads(h: PauliDecomposition, dh: PauliDecomposition, theta: np.ndarray,
-                      backend) -> tuple[float, float, np.ndarray]:
+def _energy_and_grads(h: PauliDecomposition, theta: np.ndarray,
+                      backend) -> tuple[float, list, np.ndarray]:
+    """E, the <P> of h's strings in term order, and the theta-gradients."""
     state = prepare_ansatz(theta, h.n_qubits)
-    expect = _measure_terms((h, dh), state, backend)
-    energy = math.fsum(c * expect[s.ops] for s, c in h.terms)
-    grad_beta = math.fsum(c * expect[s.ops] for s, c in dh.terms)
-    return energy, grad_beta, _shift_grads(h, theta, backend, h.n_qubits)
+    expect = [measure_pauli(state, s, backend).value for s, _ in h.terms]
+    energy = math.fsum(c * x for (_, c), x in zip(h.terms, expect))
+    grad = np.array([_shift_rule(theta, i, h.terms, backend, h.n_qubits)
+                     for i in range(len(theta))])
+    return energy, expect, grad
 
 
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
@@ -151,15 +121,10 @@ def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
     """Energy, beta-gradient and theta-gradients at one parameter point."""
     h, dh = hamiltonian_decomposition(params, beta, cutoff)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return _energy_and_grads(h, dh, theta, backend)
-
-
-def _recorded_amplitudes(state: StateVector, backend) -> np.ndarray:
-    """Exact magnitudes on the analytic backend; sqrt of one measured
-    computational-basis ensemble on the sampled backend."""
-    if isinstance(backend, SampledBackend):
-        return np.sqrt(backend.sample_probabilities(state))
-    return np.abs(state.real_amplitudes())
+    energy, expect, grad_theta = _energy_and_grads(h, theta, backend)
+    # dh carries h's strings in h's order, so the same <P> serve G_beta
+    grad_beta = math.fsum(c * x for (_, c), x in zip(dh.terms, expect))
+    return energy, grad_beta, grad_theta
 
 
 def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
@@ -190,7 +155,7 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
         g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
 
         state = prepare_ansatz(theta, nq)
-        amps = _recorded_amplitudes(state, backend)
+        amps = backend._magnitudes(state)
         bures = float("nan") if fidelity is None else fidelity(beta, state)
 
         converged = opts.update == "normalized" and g_norm < 1e-14
@@ -215,7 +180,7 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
     Deterministic given the backend seed: a sampled run draws from a fresh
     SeedSequence(seed) stream.
     """
-    backend = _own_stream(opts.backend)
+    backend = opts.backend._run_copy()
     _, ex_amps = exact_ground_state(params)
     exact = FullState(params.n_particles, ex_amps)
 
@@ -264,8 +229,8 @@ def excited_hamiltonian(decomp: PauliDecomposition, ground: StateVector,
     by mu0/2^n <psi|P|psi>, including strings absent from the input
     decomposition.
     """
-    if mu0 <= 0:
-        raise ConfigError(f"mu0 must be > 0, got {mu0}")
+    if not 0 < mu0 < math.inf:
+        raise ConfigError(f"mu0 must be finite and > 0, got {mu0}")
     nq = decomp.n_qubits
     if ground.n_qubits != nq:
         raise ConfigError(f"state width {ground.n_qubits} != register width {nq}")
@@ -294,12 +259,15 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
             beta0 = last.beta
         if ground_state is None:
             ground_state = prepare_ansatz(last.theta, nq)
+    if not math.isfinite(beta0):
+        raise ConfigError(f"beta0 must be finite, got {beta0}")
     h, _ = hamiltonian_decomposition(params, beta0, cutoff)
     shifted = excited_hamiltonian(h, ground_state, mu0)
-    # held at beta_0, the shifted Hamiltonian's beta-derivative is zero
-    zero = PauliDecomposition(nq, (), beta0)
-    backend = _own_stream(opts.backend, (1,))
-    trace = _descend(cutoff, opts, backend, beta0,
-                     lambda beta, theta: _energy_and_grads(shifted, zero, theta,
-                                                           backend))
-    return trace, shifted
+    backend = opts.backend._run_copy((1,))
+
+    def objective(beta, theta):
+        energy, _, grad_theta = _energy_and_grads(shifted, theta, backend)
+        # held at beta_0, the shifted Hamiltonian's beta-derivative is zero
+        return energy, 0.0, grad_theta
+
+    return _descend(cutoff, opts, backend, beta0, objective), shifted

@@ -65,8 +65,10 @@ class ModelParams:
     def __post_init__(self):
         if self.n_particles < 2:
             raise ConfigError(f"n_particles must be >= 2, got {self.n_particles}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not math.isfinite(self.coupling):
+            raise ConfigError(f"coupling must be finite, got {self.coupling}")
 
     @property
     def vbar(self) -> float:
@@ -83,8 +85,8 @@ class ModelParams:
         if coupling is None and vbar is None:
             raise ConfigError("one of coupling (V) or vbar is required")
         if coupling is not None and vbar is not None:
-            if abs(vbar * epsilon - (n_particles - 1) * coupling) > 1e-12 * max(
-                    1.0, abs(vbar * epsilon)):
+            if not abs(vbar * epsilon - (n_particles - 1) * coupling) <= 1e-12 * max(
+                    1.0, abs((n_particles - 1) * coupling)):
                 raise ConfigError(
                     f"inconsistent coupling={coupling} and vbar={vbar} for N={n_particles}")
         if coupling is None:

@@ -19,7 +19,10 @@ Backends: ``AnalyticBackend`` evaluates expectations exactly from the
 string's one-nonzero-per-column action;
 ``SampledBackend(shots, seed)`` rotates the measurement basis, draws one
 multinomial sample per call from a generator seeded by ``SeedSequence(seed)``,
-and contracts the frequencies with the string's sign vector.
+and contracts the frequencies with the string's sign vector.  Each backend
+also gives the amplitude magnitudes a run records (exact, or the square roots
+of one computational-basis ensemble) and the backend a run draws from (itself,
+or a copy on its own stream).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (2 ** self.n_qubits,):
             raise ConfigError(f"bad amplitude shape {amps.shape} for {self.n_qubits} qubits")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
             raise ConfigError("state vector must be unit norm")
 
     def probabilities(self) -> np.ndarray:
@@ -150,10 +153,18 @@ class AnalyticBackend:
         val = np.vdot(amps[rows], phase * amps)
         return ExpectationEstimate(float(val.real), 0.0, 0)
 
+    def _magnitudes(self, state: StateVector) -> np.ndarray:
+        """The exact amplitude magnitudes."""
+        return np.abs(state.real_amplitudes())
+
+    def _run_copy(self, spawn_key: tuple = ()):
+        """Exact expectations draw nothing, so a run uses this backend itself."""
+        return self
+
 
 class SampledBackend:
     """Shot-noise simulation with a seedable, sequentially consumed generator;
-    the driver's runs draw from ``_own_stream`` copies and never consume it."""
+    the driver's runs draw from ``_run_copy`` copies and never consume it."""
 
     name = "sampled"
 
@@ -179,17 +190,17 @@ class SampledBackend:
         std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
         return ExpectationEstimate(val, std, self.shots)
 
+    def _magnitudes(self, state: StateVector) -> np.ndarray:
+        """Square roots of one measured computational-basis ensemble."""
+        return np.sqrt(self.sample_probabilities(state))
 
-def _own_stream(backend, spawn_key: tuple = ()):
-    """The backend a run draws from: a sampled backend is copied onto its own
-    stream, SeedSequence(seed, spawn_key), so runs are pure functions of
-    their inputs and never consume the backend they are given."""
-    if not isinstance(backend, SampledBackend):
-        return backend
-    fresh = copy.copy(backend)
-    fresh._rng = np.random.default_rng(
-        np.random.SeedSequence(backend.seed, spawn_key=spawn_key))
-    return fresh
+    def _run_copy(self, spawn_key: tuple = ()):
+        """A copy on its own stream, SeedSequence(seed, spawn_key), so runs are
+        pure functions of their inputs and never consume this backend."""
+        fresh = copy.copy(self)
+        fresh._rng = np.random.default_rng(
+            np.random.SeedSequence(self.seed, spawn_key=spawn_key))
+        return fresh
 
 
 # cos = sin = 1/sqrt(2), the entries of H, so that the rotated amplitudes have
@@ -222,14 +233,22 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
     return backend.expectation(state, string)
 
 
-def _shifted_states(theta: np.ndarray, index: int,
-                    n_qubits: int) -> tuple[StateVector, StateVector]:
-    """The two preparations of the shift rule, at theta +- pi/2 e_index."""
+def _shift_rule(theta: np.ndarray, index: int, terms, backend, n_qubits: int) -> float:
+    """d/d(theta_index) of sum_P c_P <P> over the (string, c) ``terms``: the
+    only place the shifted states are prepared.
+
+    The rule is linear in the observable, so one pair of preparations at
+    theta +- pi/2 e_index serves every string; each string is measured on the
+    up state, then on the down state.  <I> has no theta dependence.
+    """
     up = theta.copy()
     up[index] += math.pi / 2
     dn = theta.copy()
     dn[index] -= math.pi / 2
-    return prepare_ansatz(up, n_qubits), prepare_ansatz(dn, n_qubits)
+    up, dn = prepare_ansatz(up, n_qubits), prepare_ansatz(dn, n_qubits)
+    return math.fsum(
+        c * ((measure_pauli(up, s, backend).value - measure_pauli(dn, s, backend).value) / 2)
+        for s, c in terms if not s.is_identity)
 
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend,
@@ -244,7 +263,6 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend,
         n_qubits = len(string)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    up, dn = _shifted_states(theta, index, n_qubits)
-    val_up = measure_pauli(up, string, backend).value
-    val_dn = measure_pauli(dn, string, backend).value
-    return (val_up - val_dn) / 2
+    if len(string) != n_qubits:
+        raise ConfigError(f"string width {len(string)} != register width {n_qubits}")
+    return _shift_rule(theta, index, ((string, 1.0),), backend, n_qubits)

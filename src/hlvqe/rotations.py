@@ -85,7 +85,7 @@ class EffectiveState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.cutoff,):
             raise ConfigError(f"expected {self.cutoff} amplitudes, got shape {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
             raise ConfigError("effective-state amplitudes must be unit-norm")
 
 
@@ -102,7 +102,7 @@ class FullState:
         if amps.shape != (self.n_particles + 1,):
             raise ConfigError(
                 f"expected {self.n_particles + 1} amplitudes, got shape {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
             raise ConfigError("full-state amplitudes must be unit-norm")
 
 

@@ -1,6 +1,7 @@
 """CLI: config parsing, precedence, report emission, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -164,14 +165,25 @@ class TestTasks:
             if int(row[0]) % 2 == 1:
                 assert row[2] == 0.0
 
-    def test_plot_data_long_format(self, tmp_path):
-        rc = main(["sweep-vbar", "--n", "12", "--vbar", "2.0", "--lambda", "3",
-                   "--vbar-grid", "1.5,2.5", "--out", str(tmp_path),
-                   "--plot-data"])
-        assert rc == 0
-        lines = (tmp_path / "sweep_vbar_long.csv").read_text().splitlines()
-        assert lines[0] == "vbar,series,value"
-        assert len(lines) == 3
+    @pytest.mark.parametrize("flags, name", [
+        (["sweep-vbar", "--lambda", "3", "--vbar-grid", "1.5,2.5"], "sweep_vbar"),
+        (["exact"], "exact"),
+        (["effective", "--lambda", "3"], "effective"),
+        (["reconstruct", "--lambda", "3"], "reconstruct"),
+        (["excited", "--lambda", "2", "--mu0", "10", "--iters", "3", "--window", "1..3"],
+         "excited_trace"),
+    ], ids=["sweep-vbar", "exact", "effective", "reconstruct", "excited"])
+    def test_plot_data_long_format(self, flags, name, tmp_path):
+        # one row per x value and series of the report's table
+        argv = flags[:1] + ["--n", "12", "--vbar", "2.0", "--out", str(tmp_path),
+                            "--plot-data"] + flags[1:]
+        assert main(argv) == 0
+        header, *rows = [l.split(",") for l in (tmp_path / f"{name}.csv").read_text()
+                         .splitlines() if not l.startswith("#")]
+        want = [f"{header[0]},series,value"] + [
+            f"{row[0]},{col},{val}" for row in rows for col, val in zip(header[1:], row[1:])]
+        assert (tmp_path / f"{name}_long.csv").read_text().splitlines() == want
+        assert len(want) > 1
 
     def test_config_error_exit_code(self):
         assert main(["exact", "--n", "30"]) == 2
@@ -185,7 +197,13 @@ class TestTasks:
         ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
         ["exact", "--n", "thirty"],
-    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "n"])
+        ["hlvqe", "--lambda", "2", "--eta", "nan"],
+        ["excited", "--lambda", "2", "--mu0", "nan"],
+        ["exact", "--vbar", "nan"],
+        ["effective", "--lambda", "2", "--vbar", "inf"],
+        ["hlvqe", "--lambda", "2", "--beta0", "inf"],
+    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "n", "eta-nan", "mu0-nan",
+            "vbar-nan", "vbar-inf", "beta0-inf"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
         argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
         assert main(argv) == 2
@@ -195,9 +213,10 @@ class TestTasks:
     @pytest.mark.parametrize("entry", [{"n": "thirty"}, {"eta": [0.1]},
                                        {"lambdas": [2, "x"]}, {"window": [70]},
                                        {"iters": 80.5}, {"backend": "sampled "},
-                                       {"plot_data": "false"}, {"out": 5}],
+                                       {"plot_data": "false"}, {"out": 5},
+                                       {"eta": math.inf}, {"iters": math.inf}],
                              ids=["n", "eta", "lambdas", "window", "iters", "backend",
-                                  "plot_data", "out"])
+                                  "plot_data", "out", "eta-inf", "iters-inf"])
     def test_unreadable_file_values_exit_2(self, entry, tmp_path):
         # the output directory comes from the file, so the "out" entry replaces it
         f = tmp_path / "cfg.json"

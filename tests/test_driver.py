@@ -107,6 +107,33 @@ class TestCostAndGrads:
             want = reference(SampledBackend(2000, seed))
             assert (E, g_beta, g_theta.tolist()) == want
 
+    @pytest.mark.parametrize("lam", [2, 4])
+    def test_excited_sampled_draws_match_per_string_order(self, lam):
+        # a sampled excited phase draws from SeedSequence(seed, spawn_key=(1,)):
+        # per-string measure_pauli on the shifted Hamiltonian, then per angle
+        # and per string one parameter_shift_grad
+        nq, seed, beta0, mu0 = lam.bit_length() - 1, 23, 0.9, 10.0
+        ground = prepare_ansatz(np.linspace(1.1, -0.3, lam - 1), nq)
+        opts = HlvqeOptions(init_theta=0.2, max_iterations=1, summary_window=(1, 1),
+                            backend=SampledBackend(2000, seed))
+        trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
+                                           beta0=beta0)
+
+        h, _ = hamiltonian_decomposition(P30, beta0, lam)
+        want = excited_hamiltonian(h, ground, mu0)
+        assert shifted.terms == want.terms
+        backend = SampledBackend(2000, seed)
+        backend._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        theta = np.full(lam - 1, 0.2)
+        state = prepare_ansatz(theta, nq)
+        energy = math.fsum(c * measure_pauli(state, s, backend).value
+                           for s, c in want.terms)
+        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend, nq)
+                             for s, c in want.terms if not s.is_identity)
+                   for i in range(lam - 1)]
+        rec = trace[0]
+        assert (rec.energy, rec.grad_beta, rec.grad_theta.tolist()) == (energy, 0.0, g_theta)
+
     def test_non_power_of_two_cutoff(self):
         with pytest.raises(ConfigError):
             run(P30, 3, HlvqeOptions())
@@ -211,6 +238,10 @@ class TestRun:
             HlvqeOptions(summary_window=(75, 85))
         with pytest.raises(ConfigError):
             HlvqeOptions(update="momentum")
+        for bad in ({"learning_rate": math.nan}, {"learning_rate": math.inf},
+                    {"init_beta": math.inf}, {"init_theta": [0.1, math.nan, 0.2]}):
+            with pytest.raises(ConfigError):
+                HlvqeOptions(**bad)
 
 
 class TestSummarize:
@@ -260,8 +291,9 @@ class TestExcitedStates:
         h, _ = coeffs_1q(P30, math.pi / 3)
         decomp = PauliDecomposition(
             1, tuple((PauliString(k), v) for k, v in h.items()), math.pi / 3)
-        with pytest.raises(ConfigError):
-            excited_hamiltonian(decomp, prepare_ansatz([0.0], 1), 0.0)
+        for mu0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                excited_hamiltonian(decomp, prepare_ansatz([0.0], 1), mu0)
 
     def test_hf_point_gap(self):
         # chemical potential lifts the mean-field ground state; the new ground
@@ -329,6 +361,13 @@ class TestExcitedStates:
                                      beta0=math.pi / 3)
         assert [r.step for r in trace] == [1]
         assert trace[-1].converged
+
+    def test_non_finite_beta0_rejected(self):
+        opts = HlvqeOptions(max_iterations=3, summary_window=(1, 3))
+        for beta0 in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                excited_state_run(P30, 2, 10.0, opts, ground_state=prepare_ansatz([0.1], 1),
+                                  beta0=beta0)
 
     def test_excited_run_defaults_to_fresh_ground_run(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",

@@ -52,6 +52,14 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams(4, -1.0, 0.1)
 
+    def test_non_finite_rejected(self):
+        for eps, v in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(ConfigError):
+                ModelParams(4, eps, v)
+        for vbar in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="inconsistent"):
+                ModelParams.create(30, 1.0, coupling=0.1, vbar=vbar)
+
 
 class TestFullHamiltonian:
     def test_free_theory_n2(self):

@@ -196,6 +196,12 @@ class TestParameterShift:
         g = parameter_shift_grad([0.0], 0, PauliString("Z"), AnalyticBackend())
         assert g == pytest.approx(0.0, abs=1e-14)
 
+    def test_string_width_checked(self):
+        # the identity string too, though it draws nothing and has no gradient
+        for ops in ("II", "XI"):
+            with pytest.raises(ConfigError):
+                parameter_shift_grad([0.1], 0, PauliString(ops), AnalyticBackend(), 1)
+
     def test_one_qubit_x_derivative(self):
         g = parameter_shift_grad([0.3], 0, PauliString("X"), AnalyticBackend())
         assert g == pytest.approx(math.cos(0.3), abs=1e-12)

@@ -173,6 +173,10 @@ class TestProjection:
         with pytest.raises(ProjectionError):
             project_parity(FullState(4, amps), "even")
 
+    def test_nan_amplitudes_fail_unit_norm(self):
+        with pytest.raises(ConfigError, match="unit-norm"):
+            FullState(2, [math.nan, 0.0, 0.0])
+
     def test_bad_sector_name(self):
         amps = np.zeros(5)
         amps[0] = 1.0
