@@ -114,9 +114,7 @@ def _parse_window(text) -> tuple:
 def parse_config(argv) -> RunConfig:
     parser = argparse.ArgumentParser(prog="hlvqe", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="task", required=True)
-    tasks = ("exact", "effective", "sweep-lambda", "sweep-vbar", "hlvqe",
-             "reconstruct", "excited")
-    for name in tasks:
+    for name in _TASKS:
         p = sub.add_parser(name)
         p.add_argument("--config")
         for key in _DEFAULTS:
@@ -203,12 +201,9 @@ def emit_report(config: RunConfig, name: str, header: list, rows: list,
     if config.values["format"] == "csv":
         lines = [f"# timestamp: {stamp} (informational; only non-deterministic line)",
                  f"# config: {json.dumps(echo, sort_keys=True)}"]
-        if extra:
-            for k in sorted(extra):
-                lines.append(f"# {k}: {json.dumps(extra[k], sort_keys=True)}")
+        lines += [f"# {k}: {json.dumps(extra[k], sort_keys=True)}" for k in sorted(extra or {})]
         lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        lines += [",".join(_fmt(x) for x in row) for row in rows]
         _atomic_write(path, "\n".join(lines) + "\n")
     else:
         payload = {
@@ -294,14 +289,11 @@ def _task_sweep_vbar(config: RunConfig):
 
 
 def _trace_table(trace, lam: int):
-    n_theta = lam - 1
     header = (["step", "energy", "beta"]
-              + [f"theta_{i}" for i in range(n_theta)]
+              + [f"theta_{i}" for i in range(lam - 1)]
               + [f"A_{n}" for n in range(lam)] + ["bures"])
-    rows = []
-    for r in trace:
-        rows.append([r.step, r.energy, r.beta, *r.theta.tolist(),
-                     *r.amplitudes.tolist(), r.bures_to_exact])
+    rows = [[r.step, r.energy, r.beta, *r.theta.tolist(), *r.amplitudes.tolist(),
+             r.bures_to_exact] for r in trace]
     return header, rows
 
 

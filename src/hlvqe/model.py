@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _finite, _integer
 
 __all__ = [
     "ModelParams",
@@ -63,12 +63,11 @@ class ModelParams:
     coupling: float
 
     def __post_init__(self):
-        if self.n_particles < 2:
+        if _integer("n_particles", self.n_particles) < 2:
             raise ConfigError(f"n_particles must be >= 2, got {self.n_particles}")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not math.isfinite(self.coupling):
-            raise ConfigError(f"coupling must be finite, got {self.coupling}")
+        if not _finite("epsilon", self.epsilon) > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        _finite("coupling", self.coupling)
 
     @property
     def vbar(self) -> float:

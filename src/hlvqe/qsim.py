@@ -6,11 +6,13 @@ nothing else changes amplitudes.  Qubit q carries bit (index >> (n-1-q)) & 1 of
 the basis index, i.e. qubit 0 is the most significant bit, matching the Pauli
 string convention of the pauli module.
 
-Ansatz: each angle is one native gate.  Ry(theta) on qubit q is the rotation
-of the string with Y on q; S RZX S^dag on (q, q+1), with
-RZX = exp(-i theta/2 Z_q X_q+1), is exp(+i theta/2 Z_q Y_q+1).  Both
-generators have an odd number of Y, so every rotation is real and the
-prepared state stays float64.
+Ansatz, at every register width: the uniformly-controlled-Ry tree of
+Mottonen, Vartiainen, Bergholm & Salomaa, QIC 5, 467 (2005), one rotation of
+Z^s Y_t per angle for each target qubit t and each subset s of the qubits
+before it.  Each string has a single Y, so the state stays float64.  On 1 and
+2 qubits these are the native Ry and S RZX S^dag, which turns RZX =
+exp(-i theta/2 Z_0 X_1) into exp(+i theta/2 Z_0 Y_1); wider Z^s Y_t rotations
+are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
 Measurement basis change: Ry(-pi/2) for X and Rx(pi/2) for Y, which give the
 computational-basis probabilities of H and of S^dag then H.
@@ -28,13 +30,14 @@ or a copy on its own stream).
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .pauli import PauliString, _string_action, expectation_from_probs
 
 __all__ = [
@@ -90,35 +93,20 @@ def _generators(n_qubits: int) -> tuple:
     """(string, sign) per ansatz angle in gate order: angle k is the rotation
     exp(-i sign theta_k / 2 P_k).
 
-    Ry on qubit q is Y on q with sign +1; S RZX S^dag on (q, q+1) is
-    exp(+i theta/2 Z_q Y_q+1), so Z on q and Y on q+1 with sign -1.
+    For each target qubit t in turn, P = Z^s Y_t for every subset s of the
+    qubits before t: the Z-carrying strings with sign -1, then the bare Y_t
+    with sign +1.  They commute, and together act as Ry(phi_c) on t for each
+    value c of the earlier qubits, phi_c = sum_s sign_s theta_s (-1)^|s & c|.
     """
-    def ry(q):
-        return "I" * q + "Y" + "I" * (n_qubits - q - 1), 1.0
-
-    def zy(q):
-        return "I" * q + "ZY" + "I" * (n_qubits - q - 2), -1.0
-
-    if n_qubits == 2:
-        return (ry(0), zy(0), ry(1))
-    want = 2 ** n_qubits - 1
-    gens = []
-    while len(gens) < want:
-        gens += [ry(q) for q in range(n_qubits)] + [zy(q) for q in range(n_qubits - 1)]
-    return tuple(gens[:want])
+    return tuple((prefix + "Y" + "I" * (n_qubits - t - 1), -1.0 if "Z" in prefix else 1.0)
+                 for t in range(n_qubits)
+                 for prefix in map("".join, itertools.product("ZI", repeat=t)))
 
 
 def prepare_ansatz(theta, n_qubits: int) -> StateVector:
-    """Real-amplitude ansatz state on |0...0> with 2^n - 1 angles, one gate each.
-
-    One qubit: Ry(theta).  Two qubits: Ry on the high qubit, an S-conjugated
-    RZX between them, Ry on the low qubit - the native-gate construction whose
-    output is the four-term product-of-half-angle form.  Three or more qubits:
-    repeated layers of per-qubit Ry rotations and an S-conjugated RZX chain,
-    truncated once 2^n - 1 angles have been placed.  Every angle sits in
-    exactly one rotation exp(-i theta/2 P), so the +-pi/2 shift rule stays
-    exact.  The amplitudes are float64.
-    """
+    """Real-amplitude ansatz state on |0...0>: one rotation exp(-i sign theta_k/2 P_k)
+    per angle over ``_generators``' 2^n - 1 strings, so the state is float64,
+    the +-pi/2 shift rule is exact, and every real unit vector is reachable."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     want = 2 ** n_qubits - 1
     if theta.shape != (want,):
@@ -140,8 +128,6 @@ class ExpectationEstimate:
 
 class AnalyticBackend:
     """Exact expectation values; std_error is zero and shots do not apply."""
-
-    name = "analytic"
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
         """<a|P|a> = sum_c conj(a[rows[c]]) phase[c] a[c], from the string's action."""
@@ -166,13 +152,13 @@ class SampledBackend:
     """Shot-noise simulation with a seedable, sequentially consumed generator;
     the driver's runs draw from ``_run_copy`` copies and never consume it."""
 
-    name = "sampled"
-
     def __init__(self, shots: int, seed: int):
-        if shots < 1:
+        self.shots = _integer("shots", shots)
+        self.seed = _integer("seed", seed)
+        if self.shots < 1:
             raise ConfigError(f"shots must be >= 1, got {shots}")
-        self.shots = int(shots)
-        self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self._rng = np.random.default_rng(np.random.SeedSequence(self.seed))
 
     def sample_probabilities(self, state: StateVector) -> np.ndarray:

@@ -8,8 +8,9 @@ matrix exponential.  (i*Jy = (J+ - J-)/2 is real, so W is real; the +i
 sign pairs with the reconstruction convention <m, 0 | n, beta> = <m| W |n>
 of the rotations module.)  Energies at the reference tables' precision
 floor come from mpmath at 40 digits, and single d^J entries from Wigner's
-sum at 80 digits.  Ansatz states and measurement basis changes are products
-of kron-built gate matrices.  The per-entry loop builders of H(beta) and
+sum at 80 digits.  Ansatz states are built from block-diagonal
+uniformly-controlled-Ry matrices, and measurement basis changes from
+kron-built gate matrices.  The per-entry loop builders of H(beta) and
 dH/dbeta, and the hand-projected one- and two-qubit Pauli weights, are the
 closed forms the band table replaced, kept here as its oracles.
 """
@@ -183,47 +184,41 @@ def pauli_kron(ops):
     return out
 
 
-def _on_qubit(n_qubits, q, gate):
-    """A 2x2 gate on qubit q of n (qubit 0 = most significant bit), kron-built."""
-    out = np.eye(1)
-    for k in range(n_qubits):
-        out = np.kron(out, gate if k == q else np.eye(2))
-    return out
-
-
 S_GATE = np.diag([1.0, 1.0j])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 
 def ry_gate(theta):
     return np.array([[math.cos(theta / 2), -math.sin(theta / 2)],
-                     [math.sin(theta / 2), math.cos(theta / 2)]], dtype=complex)
+                     [math.sin(theta / 2), math.cos(theta / 2)]])
 
 
 def oracle_ansatz_state(theta, n_qubits):
-    """The ansatz state as a product of dense gate matrices on |0...0>.
+    """The uniformly-controlled-Ry tree on |0...0>, one kron-built matrix per
+    target qubit.
 
-    Gate order: one qubit, Ry; two qubits, Ry on qubit 0, then S on qubit 1,
-    RZX = exp(-i t/2 Z_0 X_1) and S^dag on qubit 1, then Ry on qubit 1; three
-    or more, layers of Ry on every qubit followed by S, RZX, S^dag on each
-    neighbouring pair (q, q+1), truncated at 2^n - 1 angles.
+    Target t = 0 .. n-1 takes the next 2^t angles.  Angle k of target t
+    belongs to the control subset with bit mask m = 2^t - 1 - k over qubits
+    0 .. t-1 (qubit 0 the high bit), with sign -1 if m is non-empty and +1
+    for the bare angle, which comes last.  For each value c of qubits
+    0 .. t-1 the target turns by Ry(phi_c), phi_c = sum_k sign_k theta_k
+    (-1)^|m_k & c|: the block-diagonal matrix of those Ry over c, kron the
+    identity on the later qubits.
     """
     n = n_qubits
-    if n == 2:
-        order = [("ry", 0), ("rzx", 0), ("ry", 1)]
-    else:
-        layer = [("ry", q) for q in range(n)] + [("rzx", q) for q in range(n - 1)]
-        order = (layer * 2 ** n)[:2 ** n - 1]
-    psi = np.zeros(2 ** n, dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    assert theta.shape == (2 ** n - 1,)
+    psi = np.zeros(2 ** n)
     psi[0] = 1.0
-    for (kind, q), t in zip(order, theta, strict=True):
-        if kind == "ry":
-            psi = _on_qubit(n, q, ry_gate(t)) @ psi
-        else:
-            zx = _on_qubit(n, q, PAULI_1Q["Z"]) @ _on_qubit(n, q + 1, PAULI_1Q["X"])
-            rzx = math.cos(t / 2) * np.eye(2 ** n) - 1j * math.sin(t / 2) * zx
-            psi = (_on_qubit(n, q + 1, S_GATE.conj()) @ rzx
-                   @ _on_qubit(n, q + 1, S_GATE) @ psi)
+    for t in range(n):
+        angles = theta[2 ** t - 1:2 ** (t + 1) - 1]
+        masks = 2 ** t - 1 - np.arange(2 ** t)
+        signs = np.where(masks > 0, -1.0, 1.0)
+        tree = np.zeros((2 ** (t + 1), 2 ** (t + 1)))
+        for c in range(2 ** t):
+            parity = np.array([(-1) ** bin(m & c).count("1") for m in masks])
+            tree[2 * c:2 * c + 2, 2 * c:2 * c + 2] = ry_gate(float(signs * parity @ angles))
+        psi = np.kron(tree, np.eye(2 ** (n - t - 1))) @ psi
     return psi
 
 

@@ -202,8 +202,9 @@ class TestTasks:
         ["exact", "--vbar", "nan"],
         ["effective", "--lambda", "2", "--vbar", "inf"],
         ["hlvqe", "--lambda", "2", "--beta0", "inf"],
+        ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
     ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "n", "eta-nan", "mu0-nan",
-            "vbar-nan", "vbar-inf", "beta0-inf"])
+            "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
         argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
         assert main(argv) == 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.optimize import minimize
 
 from hlvqe.driver import (
     HlvqeOptions,
@@ -31,6 +32,7 @@ from hlvqe.qsim import (
     parameter_shift_grad,
     prepare_ansatz,
 )
+from hlvqe.solver import solve_effective
 from oracles import coeffs_1q
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
@@ -134,6 +136,19 @@ class TestCostAndGrads:
         rec = trace[0]
         assert (rec.energy, rec.grad_beta, rec.grad_theta.tolist()) == (energy, 0.0, g_theta)
 
+    def test_lbfgs_reaches_cutoff8_floor(self):
+        # at beta_opt the 3-qubit ansatz reaches the effective-space ground
+        # energy: L-BFGS over theta alone, on the shift-rule gradients
+        sol = solve_effective(P30, 8)
+
+        def energy(theta):
+            e, _, g_theta = cost_and_grads(P30, 8, sol.beta_opt, theta, ANALYTIC)
+            return e, g_theta
+
+        res = minimize(energy, np.full(7, 0.1), jac=True, method="L-BFGS-B",
+                       options={"ftol": 0.0, "gtol": 1e-12})
+        assert abs(res.fun - sol.energy) <= 1e-10
+
     def test_non_power_of_two_cutoff(self):
         with pytest.raises(ConfigError):
             run(P30, 3, HlvqeOptions())
@@ -183,6 +198,10 @@ class TestRun:
             opts = HlvqeOptions(init_beta=b0, init_theta=t0, update="plain")
             trace = run(P30, lam, opts)
             assert all(r.energy >= floor - 1e-9 for r in trace), lam
+        floor = solve_effective(P30, 8).energy
+        trace = run(P30, 8, HlvqeOptions(init_beta=0.8, init_theta=0.0, update="plain"))
+        assert len(trace) == 80
+        assert all(r.energy >= floor - 1e-10 for r in trace)
 
     def test_energy_monotone_after_burn_in(self):
         for lam, b0, t0 in ((2, 0.2, 0.1), (4, 0.8, 0.0)):
@@ -242,6 +261,21 @@ class TestRun:
                     {"init_beta": math.inf}, {"init_theta": [0.1, math.nan, 0.2]}):
             with pytest.raises(ConfigError):
                 HlvqeOptions(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"max_iterations": 2.5, "summary_window": (1, 2)},
+        {"learning_rate": "a"},
+        {"init_beta": "a"},
+        {"init_theta": "a"},
+    ], ids=["max_iterations", "learning_rate", "init_beta", "init_theta"])
+    def test_wrong_type_option_rejected(self, bad):
+        # fails at construction, not with a TypeError inside run
+        with pytest.raises(ConfigError):
+            HlvqeOptions(**bad)
+
+    def test_numpy_integer_iterations_accepted(self):
+        opts = HlvqeOptions(max_iterations=np.int64(3), summary_window=(1, 3))
+        assert len(run(P30, 2, opts)) == 3
 
 
 class TestSummarize:
@@ -364,10 +398,16 @@ class TestExcitedStates:
 
     def test_non_finite_beta0_rejected(self):
         opts = HlvqeOptions(max_iterations=3, summary_window=(1, 3))
-        for beta0 in (math.nan, math.inf):
+        for beta0 in (math.nan, math.inf, "a"):
             with pytest.raises(ConfigError):
                 excited_state_run(P30, 2, 10.0, opts, ground_state=prepare_ansatz([0.1], 1),
                                   beta0=beta0)
+
+    def test_non_numeric_mu0_rejected(self):
+        opts = HlvqeOptions(max_iterations=3, summary_window=(1, 3))
+        with pytest.raises(ConfigError):
+            excited_state_run(P30, 2, "a", opts, ground_state=prepare_ansatz([0.1], 1),
+                              beta0=0.5)
 
     def test_excited_run_defaults_to_fresh_ground_run(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",

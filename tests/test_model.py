@@ -60,6 +60,18 @@ class TestModelParams:
             with pytest.raises(ConfigError, match="inconsistent"):
                 ModelParams.create(30, 1.0, coupling=0.1, vbar=vbar)
 
+    @pytest.mark.parametrize("args", [(30.5, 1.0, 0.1), (30, "a", 0.1), (30, 1.0, "a")],
+                             ids=["n_particles", "epsilon", "coupling"])
+    def test_wrong_type_rejected_at_construction(self, args):
+        # a non-integral N or a non-numeric energy fails here, not later in
+        # a solver with a TypeError
+        with pytest.raises(ConfigError):
+            ModelParams(*args)
+
+    def test_numpy_integer_accepted(self):
+        p = ModelParams(np.int64(30), 1.0, 0.1)
+        assert exact_ground_state(p)[0] == exact_ground_state(ModelParams(30, 1.0, 0.1))[0]
+
 
 class TestFullHamiltonian:
     def test_free_theory_n2(self):

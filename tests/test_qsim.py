@@ -1,9 +1,9 @@
 """Statevector simulator: preparation, measurement, shift rule, sampling.
 
-Oracles (``tests/oracles.py``): the ansatz as a product of kron-built Ry, S,
-RZX and S^dag matrices in gate order, and the measurement basis change as
-kron-built H and H S^dag, both independent of the simulator's Pauli-rotation
-kernel.
+Oracles (``tests/oracles.py``): the ansatz as one block-diagonal
+uniformly-controlled-Ry matrix per target qubit, and the measurement basis
+change as kron-built H and H S^dag, both independent of the simulator's
+Pauli-rotation kernel.
 """
 
 import itertools
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies
+from scipy.optimize import minimize
 
 from hlvqe.errors import ConfigError
 from hlvqe.pauli import PauliString
@@ -84,15 +85,43 @@ class TestPrepareAnsatz:
                 assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_generator_table(self):
-        # one rotation per angle, each generated by a single string with an
-        # odd number of Y: the rotation is real and the shift rule exact
+        # one rotation per angle, each generated by a single Y with only Z or
+        # I before it: the rotation is real and the shift rule exact
+        assert _generators(1) == (("Y", 1.0),)
+        assert _generators(2) == (("YI", 1.0), ("ZY", -1.0), ("IY", 1.0))
         for nq in (1, 2, 3, 4, 5):
             gens = _generators(nq)
             assert len(gens) == 2 ** nq - 1
             for ops, sign in gens:
-                assert len(ops) == nq and set(ops) <= set("IYZ")
-                assert ops.count("Y") % 2 == 1
-                assert sign in (1.0, -1.0)
+                t = ops.index("Y")
+                assert len(ops) == nq and ops.count("Y") == 1
+                assert set(ops[:t]) <= set("ZI") and set(ops[t + 1:]) <= {"I"}
+                assert sign == (-1.0 if "Z" in ops else 1.0)
+            # each target carries every subset of Z controls exactly once,
+            # the bare Y last
+            for t in range(nq):
+                prefixes = [ops[:t] for ops, _ in gens if ops.index("Y") == t]
+                assert sorted(prefixes) == sorted(map("".join, itertools.product("ZI", repeat=t)))
+                assert prefixes[-1] == "I" * t
+
+    def test_reaches_random_real_three_qubit_states(self):
+        # the tree is universal for real states: BFGS on the infidelity, with
+        # d(psi)/d(theta_k) = psi(theta + pi e_k) / 2, reaches every target
+        rng = np.random.default_rng(2005)
+        for _ in range(5):
+            target = rng.standard_normal(8)
+            target /= np.linalg.norm(target)
+
+            def infidelity(t):
+                overlap = prepare_ansatz(t, 3).amplitudes @ target
+                d_overlap = [prepare_ansatz(t + math.pi * e, 3).amplitudes @ target / 2
+                             for e in np.eye(7)]
+                return 1 - overlap ** 2, -2 * overlap * np.array(d_overlap)
+
+            best = min(minimize(infidelity, rng.uniform(-math.pi, math.pi, 7), jac=True,
+                                method="BFGS", options={"gtol": 1e-12}).fun
+                       for _ in range(2))
+            assert best <= 1e-10
 
     def test_parameter_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -189,6 +218,19 @@ class TestMeasurePauli:
     def test_zero_shots_rejected(self):
         with pytest.raises(ConfigError):
             SampledBackend(0, seed=1)
+
+    @pytest.mark.parametrize("shots, seed", [(10.5, 1), (100, 1.7), (100, -1)],
+                             ids=["shots", "seed", "negative-seed"])
+    def test_non_integral_or_negative_counts_rejected(self, shots, seed):
+        # 10.5 shots are not read as 10, nor seed 1.7 as 1
+        with pytest.raises(ConfigError):
+            SampledBackend(shots, seed)
+
+    def test_numpy_integers_accepted(self):
+        st = prepare_ansatz([0.8, 0.2, -0.4], 2)
+        a = SampledBackend(np.int64(1000), np.int64(9)).sample_probabilities(st)
+        b = SampledBackend(1000, 9).sample_probabilities(st)
+        assert a.tolist() == b.tolist()
 
 
 class TestParameterShift:
