@@ -1,16 +1,12 @@
 """Simultaneous gradient-descent learning of the rotation angle and the
 ansatz angles, with energy as the cost.
 
-Per iteration the cost and its gradients assemble as
+Per iteration the cost is E = psi^T H(beta) psi at the ansatz state
+psi(theta), with gradients psi^T dH/dbeta psi and dE/d(theta_i), evaluated
+as the backend decides (``qsim``): from dense matrices and one adjoint sweep,
+or by measuring the Pauli decomposition with the shift rule.  The driver
+keeps no measurement code and never asks which backend it has.
 
-    E      = sum_P  h_P(beta)   <P>_theta
-    G_beta = sum_P  h_P'(beta)  <P>_theta
-    G_th_i = sum_P  h_P(beta)   d<P>/d(theta_i)      (shift rule),
-
-with the coefficients evaluated classically.  H(beta) and dH/dbeta carry the
-same strings, so one pass of <P> over them, in term order, serves both E and
-G_beta; the theta-gradients come from ``qsim``'s shift rule, and every
-measurement decision (the exact identity string included) is ``qsim``'s.
 Two update rules are provided: ``plain`` steps by -eta * G and converges
 geometrically near the optimum; ``normalized`` divides the step by the
 gradient norm, which keeps a fixed step length eta and therefore orbits the
@@ -39,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, _finite, _integer
 from .model import ModelParams, exact_ground_state
 from .pauli import PauliDecomposition, decompose, hamiltonian_decomposition, reassemble
-from .qsim import AnalyticBackend, StateVector, _shift_rule, measure_pauli, prepare_ansatz
+from .qsim import AnalyticBackend, StateVector, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
 __all__ = [
@@ -107,26 +103,13 @@ class RunSummary:
         return self.quantities[key][1]
 
 
-def _energy_and_grads(h: PauliDecomposition, theta: np.ndarray,
-                      backend) -> tuple[float, list, np.ndarray]:
-    """E, the <P> of h's strings in term order, and the theta-gradients."""
-    state = prepare_ansatz(theta, h.n_qubits)
-    expect = [measure_pauli(state, s, backend).value for s, _ in h.terms]
-    energy = math.fsum(c * x for (_, c), x in zip(h.terms, expect))
-    grad = np.array([_shift_rule(theta, i, h.terms, backend, h.n_qubits)
-                     for i in range(len(theta))])
-    return energy, expect, grad
-
-
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
                    backend) -> tuple[float, float, np.ndarray]:
     """Energy, beta-gradient and theta-gradients at one parameter point."""
-    h, dh = hamiltonian_decomposition(params, beta, cutoff)
+    if cutoff < 2 or cutoff & (cutoff - 1):
+        raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    energy, expect, grad_theta = _energy_and_grads(h, theta, backend)
-    # dh carries h's strings in h's order, so the same <P> serve G_beta
-    grad_beta = math.fsum(c * x for (_, c), x in zip(dh.terms, expect))
-    return energy, grad_beta, grad_theta
+    return backend._cost(theta, *backend._hamiltonian(params, beta, cutoff))
 
 
 def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
@@ -254,6 +237,8 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     Hamiltonian (fidelities NaN) and that Hamiltonian.  A sampled excited
     phase draws from its own stream, SeedSequence(seed, spawn_key=(1,)).
     """
+    if not _finite("mu0", mu0) > 0:
+        raise ConfigError(f"mu0 must be > 0, got {mu0}")
     nq = cutoff.bit_length() - 1
     if ground_state is None or beta0 is None:
         last = run(params, cutoff, opts)[-1]
@@ -265,10 +250,7 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     h, _ = hamiltonian_decomposition(params, beta0, cutoff)
     shifted = excited_hamiltonian(h, ground_state, mu0)
     backend = opts.backend._run_copy((1,))
-
-    def objective(beta, theta):
-        energy, _, grad_theta = _energy_and_grads(shifted, theta, backend)
-        # held at beta_0, the shifted Hamiltonian's beta-derivative is zero
-        return energy, 0.0, grad_theta
-
-    return _descend(cutoff, opts, backend, beta0, objective), shifted
+    observable = backend._observable(shifted)
+    # held at beta_0, the shifted Hamiltonian has no beta-gradient: G_beta = 0
+    return _descend(cutoff, opts, backend, beta0,
+                    lambda beta, theta: backend._cost(theta, observable)), shifted

@@ -29,9 +29,15 @@ def _integer(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value):
+    """``value`` if it is a real number or an array of them, else a ConfigError."""
+    if np.asarray(value).dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be real, got {value!r}")
+    return value
+
+
 def _finite(name: str, value):
     """``value`` if it is a finite real number or an array of them, else a ConfigError."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    if not np.isfinite(_real(name, value)).all():
         raise ConfigError(f"{name} must be finite and real, got {value!r}")
     return value

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalError, _finite, _integer
+from .errors import ConfigError, NumericalError, _finite, _integer, _real
 
 __all__ = [
     "ModelParams",
@@ -75,21 +75,23 @@ class ModelParams:
 
     @classmethod
     def from_vbar(cls, n_particles: int, epsilon: float, vbar: float) -> "ModelParams":
-        return cls(n_particles, epsilon, vbar * epsilon / (n_particles - 1))
+        return cls.create(n_particles, epsilon, vbar=vbar)
 
     @classmethod
     def create(cls, n_particles: int, epsilon: float, coupling: float | None = None,
                vbar: float | None = None) -> "ModelParams":
-        """Build from either V or vbar; if both are given they must agree to 1e-12."""
+        """Build from V or vbar (equal to 1e-12 if both are given), type-checking inputs first."""
+        _integer("n_particles", n_particles)
+        _finite("epsilon", epsilon)
         if coupling is None and vbar is None:
             raise ConfigError("one of coupling (V) or vbar is required")
-        if coupling is not None and vbar is not None:
-            if not abs(vbar * epsilon - (n_particles - 1) * coupling) <= 1e-12 * max(
-                    1.0, abs((n_particles - 1) * coupling)):
-                raise ConfigError(
-                    f"inconsistent coupling={coupling} and vbar={vbar} for N={n_particles}")
         if coupling is None:
-            return cls.from_vbar(n_particles, epsilon, vbar)
+            return cls(n_particles, epsilon, _finite("vbar", vbar) * epsilon / (n_particles - 1))
+        scaled = (n_particles - 1) * _finite("coupling", coupling)
+        if vbar is not None and not abs(_real("vbar", vbar) * epsilon - scaled) <= 1e-12 * max(
+                1.0, abs(scaled)):
+            raise ConfigError(
+                f"inconsistent coupling={coupling} and vbar={vbar} for N={n_particles}")
         return cls(n_particles, epsilon, coupling)
 
 

@@ -17,14 +17,15 @@ are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 Measurement basis change: Ry(-pi/2) for X and Rx(pi/2) for Y, which give the
 computational-basis probabilities of H and of S^dag then H.
 
-Backends: ``AnalyticBackend`` evaluates expectations exactly from the
-string's one-nonzero-per-column action;
-``SampledBackend(shots, seed)`` rotates the measurement basis, draws one
-multinomial sample per call from a generator seeded by ``SeedSequence(seed)``,
-and contracts the frequencies with the string's sign vector.  Each backend
-also gives the amplitude magnitudes a run records (exact, or the square roots
-of one computational-basis ensemble) and the backend a run draws from (itself,
-or a copy on its own stream).
+Backends: each evaluates an objective psi^T H psi and its gradients its own
+way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
+and every theta-gradient from one adjoint sweep, with no Pauli string.
+``SampledBackend(shots, seed)`` measures the Pauli decomposition string by
+string (basis rotation, one multinomial draw from a ``SeedSequence(seed)``
+generator, contraction with the sign vector) and takes theta-gradients by the
++-pi/2 shift rule.  Each backend also gives the amplitude magnitudes a run
+records (exact, or the square roots of one computational-basis ensemble) and
+the backend a run draws from (itself, or a copy on its own stream).
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, _integer
-from .pauli import PauliString, _string_action, expectation_from_probs
+from .model import build_effective_hamiltonian, build_effective_hamiltonian_dbeta
+from .pauli import (PauliString, _string_action, expectation_from_probs,
+                    hamiltonian_decomposition, reassemble)
 
 __all__ = [
     "StateVector",
@@ -82,9 +85,7 @@ def _rotate(amps: np.ndarray, ops: str, c: float, s: float) -> np.ndarray:
     P has an odd number of Y.
     """
     rows, phase = _string_action(ops)
-    kick = -1j * phase
-    if not kick.imag.any():
-        kick = kick.real
+    kick = (-1j * phase).real if ops.count("Y") % 2 else -1j * phase
     return c * amps + s * (kick * amps)[rows]
 
 
@@ -139,6 +140,28 @@ class AnalyticBackend:
         val = np.vdot(amps[rows], phase * amps)
         return ExpectationEstimate(float(val.real), 0.0, 0)
 
+    def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
+        return (build_effective_hamiltonian(params, beta, cutoff),
+                build_effective_hamiltonian_dbeta(params, beta, cutoff))
+
+    def _observable(self, decomp):
+        return reassemble(decomp)
+
+    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
+        """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one
+        reverse sweep, O(angles 2^n) (Jones & Gacon, arXiv:2009.02823): with phi the
+        state after gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k
+        lam.(-i P_k)phi, real as P_k has one Y; both are then un-rotated through gate k."""
+        psi = prepare_ansatz(theta, h.shape[0].bit_length() - 1).amplitudes
+        phi, lam = psi, h @ psi
+        energy = float(psi @ lam)
+        grad = np.empty(len(theta))
+        for k, (ops, sign) in reversed(list(enumerate(_generators(len(theta).bit_length())))):
+            grad[k] = sign * (lam @ _rotate(phi, ops, 0.0, 1.0))
+            c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
+            phi, lam = _rotate(phi, ops, c, s), _rotate(lam, ops, c, s)
+        return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad
+
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """The exact amplitude magnitudes."""
         return np.abs(state.real_amplitudes())
@@ -175,6 +198,23 @@ class SampledBackend:
         # contraction values are +-1, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
         return ExpectationEstimate(val, std, self.shots)
+
+    def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
+        return hamiltonian_decomposition(params, beta, cutoff)
+
+    def _observable(self, decomp):
+        return decomp
+
+    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
+        """sum_P c_P <P> over h, and over dh (0.0 without dh) from the same pass of
+        <P>, as dh carries h's strings in h's order; theta-gradients by the shift rule."""
+        state = prepare_ansatz(theta, h.n_qubits)
+        expect = [measure_pauli(state, s, self).value for s, _ in h.terms]
+        energy = math.fsum(c * x for (_, c), x in zip(h.terms, expect))
+        grad = np.array([_shift_rule(theta, i, h.terms, self, h.n_qubits)
+                         for i in range(len(theta))])
+        return energy, 0.0 if dh is None else math.fsum(
+            c * x for (_, c), x in zip(dh.terms, expect)), grad
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""

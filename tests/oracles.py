@@ -9,10 +9,12 @@ sign pairs with the reconstruction convention <m, 0 | n, beta> = <m| W |n>
 of the rotations module.)  Energies at the reference tables' precision
 floor come from mpmath at 40 digits, and single d^J entries from Wigner's
 sum at 80 digits.  Ansatz states are built from block-diagonal
-uniformly-controlled-Ry matrices, and measurement basis changes from
-kron-built gate matrices.  The per-entry loop builders of H(beta) and
-dH/dbeta, and the hand-projected one- and two-qubit Pauli weights, are the
-closed forms the band table replaced, kept here as its oracles.
+uniformly-controlled-Ry matrices, and their angles are read back off a real
+unit vector by inverting that tree from the leaves up; measurement basis
+changes come from kron-built gate matrices.  The per-entry loop builders of
+H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
+weights, are the closed forms the band table replaced, kept here as its
+oracles.
 """
 
 import math
@@ -220,6 +222,35 @@ def oracle_ansatz_state(theta, n_qubits):
             tree[2 * c:2 * c + 2, 2 * c:2 * c + 2] = ry_gate(float(signs * parity @ angles))
         psi = np.kron(tree, np.eye(2 ** (n - t - 1))) @ psi
     return psi
+
+
+def oracle_tree_angles(v):
+    """Angles theta with oracle_ansatz_state(theta) = v, for a real unit vector v
+    of length 2^n: the inverse of the uniformly-controlled-Ry tree.
+
+    Node c of level t (a value of qubits 0 .. t-1) splits its block of v into
+    a left half (qubit t = 0) and a right half (qubit t = 1), and turns by
+    phi_{t,c} = 2 atan2(right, left): the two signed amplitudes at the last
+    level, the two subtree norms above it.  Each level's phi_c = sum_k sign_k
+    theta_k (-1)^|m_k & c| is a Walsh-Hadamard transform, inverted as theta_k =
+    sign_k 2^-t sum_c (-1)^|m_k & c| phi_c (masks and signs as in
+    ``oracle_ansatz_state``).
+    """
+    v = np.asarray(v, dtype=float)
+    n = v.size.bit_length() - 1
+    assert v.shape == (2 ** n,) and n >= 1
+    theta = []
+    for t in range(n):
+        halves = v.reshape(2 ** t, 2, -1)
+        if t == n - 1:
+            left, right = halves[:, 0, 0], halves[:, 1, 0]
+        else:
+            left, right = (np.linalg.norm(halves[:, side], axis=1) for side in (0, 1))
+        phi = 2 * np.arctan2(right, left)
+        for m in 2 ** t - 1 - np.arange(2 ** t):
+            parity = np.array([(-1) ** bin(m & c).count("1") for c in range(2 ** t)])
+            theta.append((-1.0 if m > 0 else 1.0) * float(parity @ phi) / 2 ** t)
+    return np.array(theta)
 
 
 def oracle_measurement_basis(psi, ops):

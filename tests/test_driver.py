@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
+from hlvqe import driver, qsim
 from hlvqe.driver import (
     HlvqeOptions,
     cost_and_grads,
@@ -33,7 +34,7 @@ from hlvqe.qsim import (
     prepare_ansatz,
 )
 from hlvqe.solver import solve_effective
-from oracles import coeffs_1q
+from oracles import coeffs_1q, oracle_tree_angles
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 ANALYTIC = AnalyticBackend()
@@ -136,6 +137,28 @@ class TestCostAndGrads:
         rec = trace[0]
         assert (rec.energy, rec.grad_beta, rec.grad_theta.tolist()) == (energy, 0.0, g_theta)
 
+    @pytest.mark.parametrize("lam", [2, 4, 8])
+    def test_excited_analytic_objective_matches_per_string_shift_rule(self, lam):
+        # the dense shifted matrix and the adjoint sweep give what sum_P c_P <P>
+        # and the per-string shift rule give on excited_hamiltonian's strings
+        nq, beta0, mu0 = lam.bit_length() - 1, 0.9, 10.0
+        ground = prepare_ansatz(np.linspace(1.1, -0.3, lam - 1), nq)
+        opts = HlvqeOptions(init_theta=0.2, max_iterations=1, summary_window=(1, 1))
+        trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
+                                           beta0=beta0)
+        h, _ = hamiltonian_decomposition(P30, beta0, lam)
+        want = excited_hamiltonian(h, ground, mu0)
+        assert shifted.terms == want.terms
+        theta = np.full(lam - 1, 0.2)
+        state = prepare_ansatz(theta, nq)
+        energy = math.fsum(c * measure_pauli(state, s, ANALYTIC).value for s, c in want.terms)
+        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, ANALYTIC, nq)
+                             for s, c in want.terms if not s.is_identity)
+                   for i in range(lam - 1)]
+        rec = trace[0]
+        assert abs(rec.energy - energy) <= 1e-12 and rec.grad_beta == 0.0
+        assert np.abs(rec.grad_theta - g_theta).max() <= 1e-12
+
     def test_lbfgs_reaches_cutoff8_floor(self):
         # at beta_opt the 3-qubit ansatz reaches the effective-space ground
         # energy: L-BFGS over theta alone, on the shift-rule gradients
@@ -152,6 +175,48 @@ class TestCostAndGrads:
     def test_non_power_of_two_cutoff(self):
         with pytest.raises(ConfigError):
             run(P30, 3, HlvqeOptions())
+        for backend in (ANALYTIC, SampledBackend(100, 1)):
+            with pytest.raises(ConfigError):
+                cost_and_grads(P30, 3, 0.5, [0.1], backend)
+
+    @pytest.mark.parametrize("n, lam", [(30, 8), (30, 16), (64, 32), (64, 64)])
+    @pytest.mark.parametrize("vbar", [0.5, 2.0], ids=["symmetric", "broken"])
+    def test_classical_optimum_is_stationary(self, n, lam, vbar):
+        # the quantum objective at (beta_opt, theta(v_opt)), with the angles
+        # read off the classical vector by the inverted tree (oracles), sits
+        # at the effective-space energy with every gradient zero
+        params = ModelParams.create(n, 1.0, vbar=vbar)
+        sol = solve_effective(params, lam)
+        v = sol.state.amplitudes
+        theta = oracle_tree_angles(v)
+        assert np.abs(prepare_ansatz(theta, lam.bit_length() - 1).amplitudes - v).max() <= 1e-13
+        E, g_beta, g_theta = cost_and_grads(params, lam, sol.beta_opt, theta, ANALYTIC)
+        assert abs(E - sol.energy) <= 1e-12
+        assert abs(g_beta) < 1e-11 and np.abs(g_theta).max() < 1e-11
+
+    def test_analytic_objectives_take_no_per_string_path(self, monkeypatch):
+        # ground and excited analytic evaluations use dense matrices and the
+        # adjoint sweep: no shift rule, no <P>, no Pauli form of H(beta) (the
+        # excited run decomposes H(beta_0) once, to build the Hamiltonian it
+        # returns)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analytic objective took the per-string path")
+
+        for name in ("_shift_rule", "measure_pauli", "hamiltonian_decomposition"):
+            monkeypatch.setattr(qsim, name, forbidden)
+        monkeypatch.setattr(qsim.AnalyticBackend, "expectation", forbidden)
+        monkeypatch.setattr(driver, "hamiltonian_decomposition", forbidden)
+        cost_and_grads(P30, 8, 0.7, np.linspace(-0.5, 0.5, 7), ANALYTIC)
+        opts = HlvqeOptions(init_beta=0.8, init_theta=0.1, update="plain",
+                            max_iterations=10, summary_window=(1, 10))
+        assert len(run(P30, 8, opts)) == 10
+
+        setup = []
+        monkeypatch.setattr(driver, "hamiltonian_decomposition",
+                            lambda *args: setup.append(args) or hamiltonian_decomposition(*args))
+        trace, _ = excited_state_run(P30, 8, 10.0, opts, beta0=0.8,
+                                     ground_state=prepare_ansatz(np.full(7, 0.3), 3))
+        assert len(trace) == 10 and setup == [(P30, 0.8, 8)]
 
 
 class TestRun:
@@ -408,6 +473,17 @@ class TestExcitedStates:
         with pytest.raises(ConfigError):
             excited_state_run(P30, 2, "a", opts, ground_state=prepare_ansatz([0.1], 1),
                               beta0=0.5)
+
+    @pytest.mark.parametrize("mu0", [0.0, -1.0, math.nan, "a"])
+    def test_bad_mu0_rejected_before_ground_run(self, mu0, monkeypatch):
+        # without a ground state the run starts with a ground run; a bad mu0
+        # must be rejected before that run is spent
+        def no_ground_run(*args, **kwargs):
+            raise AssertionError("ground run started before mu0 was checked")
+
+        monkeypatch.setattr(driver, "run", no_ground_run)
+        with pytest.raises(ConfigError):
+            excited_state_run(P30, 8, mu0, HlvqeOptions())
 
     def test_excited_run_defaults_to_fresh_ground_run(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",

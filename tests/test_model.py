@@ -72,6 +72,27 @@ class TestModelParams:
         p = ModelParams(np.int64(30), 1.0, 0.1)
         assert exact_ground_state(p)[0] == exact_ground_state(ModelParams(30, 1.0, 0.1))[0]
 
+    @pytest.mark.parametrize("build", [
+        lambda: ModelParams.create("a", 1.0, vbar=2.0),
+        lambda: ModelParams.create(30, "a", vbar=2.0),
+        lambda: ModelParams.create(30, 1.0, coupling="a", vbar=2.0),
+        lambda: ModelParams.create(30, 1.0, vbar="a"),
+        lambda: ModelParams.from_vbar(30, 1.0, "a"),
+    ], ids=["n_particles", "epsilon", "coupling", "vbar", "from_vbar"])
+    def test_wrong_type_rejected_before_arithmetic(self, build):
+        # the factories check their inputs before computing V from vbar or
+        # comparing the two, so a string fails here, not with a TypeError
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_numpy_numbers_accepted_by_factories(self):
+        want = ModelParams.create(30, 1.0, vbar=2.0)
+        assert ModelParams.create(np.int64(30), np.float64(1.0), vbar=np.float64(2.0)) == want
+        assert ModelParams.from_vbar(np.int64(30), np.float64(1.0), np.float64(2.0)) == want
+        both = ModelParams.create(np.int64(30), np.float64(1.0),
+                                  coupling=np.float64(want.coupling), vbar=np.float64(2.0))
+        assert both.coupling == want.coupling
+
 
 class TestFullHamiltonian:
     def test_free_theory_n2(self):

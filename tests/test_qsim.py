@@ -1,9 +1,12 @@
-"""Statevector simulator: preparation, measurement, shift rule, sampling.
+"""Statevector simulator: preparation, measurement, shift rule, adjoint
+sweep, sampling.
 
 Oracles (``tests/oracles.py``): the ansatz as one block-diagonal
-uniformly-controlled-Ry matrix per target qubit, and the measurement basis
-change as kron-built H and H S^dag, both independent of the simulator's
-Pauli-rotation kernel.
+uniformly-controlled-Ry matrix per target qubit, its inverse that reads the
+angles off a real vector, and the measurement basis change as kron-built H
+and H S^dag, all independent of the simulator's Pauli-rotation kernel.  The
+per-string path (sum_P c_P <P> and the shift rule) is the adjoint sweep's
+oracle.
 """
 
 import itertools
@@ -11,21 +14,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies
+from hypothesis import assume, example, given, settings, strategies
 from scipy.optimize import minimize
 
 from hlvqe.errors import ConfigError
-from hlvqe.pauli import PauliString
+from hlvqe.pauli import PauliString, decompose
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
     _generators,
     _rotate_for_measurement,
+    _shift_rule,
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,
 )
-from oracles import coeffs_2q, oracle_ansatz_state, oracle_measurement_basis
+from oracles import (
+    coeffs_2q,
+    oracle_ansatz_state,
+    oracle_measurement_basis,
+    oracle_tree_angles,
+)
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
 
@@ -126,6 +135,17 @@ class TestPrepareAnsatz:
     def test_parameter_count_mismatch(self):
         with pytest.raises(ConfigError):
             prepare_ansatz([0.1, 0.2], 1)
+
+    @given(strategies.integers(1, 6).flatmap(lambda nq: strategies.lists(
+        strategies.floats(-1, 1), min_size=2 ** nq, max_size=2 ** nq)))
+    def test_tree_angles_round_trip(self, amps):
+        # v -> theta(v) by the inverted tree (oracles) -> prepare_ansatz gives v
+        v = np.array(amps)
+        assume(np.linalg.norm(v) > 1e-3)
+        v /= np.linalg.norm(v)
+        theta = oracle_tree_angles(v)
+        got = prepare_ansatz(theta, v.size.bit_length() - 1).amplitudes
+        assert np.abs(got - v).max() <= 1e-13
 
 
 class TestMeasurePauli:
@@ -293,6 +313,32 @@ class TestParameterShift:
                 fd = (measure_pauli(prepare_ansatz(up, 3), string, backend).value
                       - measure_pauli(prepare_ansatz(dn, 3), string, backend).value) / (2 * step)
                 assert abs(got - fd) < 2e-5, (ops, i)
+
+
+class TestAdjointSweep:
+    """The analytic backend's objective, one preparation and one reverse sweep,
+    against the per-string path it replaced: sum_P c_P <P> and the +-pi/2
+    shift rule over ``decompose(H)``, which stay as its oracle."""
+
+    # drawn on 1-5 qubits plus one fixed 6-qubit case: the oracle measures
+    # every one of the ~2000 strings of a dense 6-qubit H per shifted state
+    @settings(max_examples=12)
+    @example(nq=6, seed=0)
+    @given(nq=strategies.integers(1, 5), seed=strategies.integers(0, 2 ** 32 - 1))
+    def test_matches_per_string_shift_rule(self, nq, seed):
+        rng = np.random.default_rng(seed)
+        h, dh = ((a + a.T) / 2 for a in rng.standard_normal((2, 2 ** nq, 2 ** nq)))
+        theta = rng.uniform(-math.pi, math.pi, size=2 ** nq - 1)
+        backend = AnalyticBackend()
+        energy, g_beta, grad = backend._cost(theta, h, dh)
+
+        state = prepare_ansatz(theta, nq)
+        terms = decompose(h).terms
+        for got, decomp in ((energy, terms), (g_beta, decompose(dh).terms)):
+            want = math.fsum(c * measure_pauli(state, s, backend).value for s, c in decomp)
+            assert abs(got - want) <= 1e-12
+        want = [_shift_rule(theta, k, terms, backend, nq) for k in range(len(theta))]
+        assert np.abs(grad - want).max() <= 1e-12
 
 
 class TestSampleCounts:
