@@ -106,6 +106,7 @@ class RunSummary:
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
                    backend) -> tuple[float, float, np.ndarray]:
     """Energy, beta-gradient and theta-gradients at one parameter point."""
+    cutoff = _integer("cutoff", cutoff)
     if cutoff < 2 or cutoff & (cutoff - 1):
         raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -124,6 +125,7 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
     with the final record marked converged (the update direction is
     undefined at an exact stationary point).
     """
+    cutoff = _integer("cutoff", cutoff)
     if cutoff < 2 or cutoff & (cutoff - 1):
         raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
     nq = cutoff.bit_length() - 1
@@ -239,13 +241,13 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     """
     if not _finite("mu0", mu0) > 0:
         raise ConfigError(f"mu0 must be > 0, got {mu0}")
-    nq = cutoff.bit_length() - 1
+    cutoff = _integer("cutoff", cutoff)
     if ground_state is None or beta0 is None:
         last = run(params, cutoff, opts)[-1]
         if beta0 is None:
             beta0 = last.beta
         if ground_state is None:
-            ground_state = prepare_ansatz(last.theta, nq)
+            ground_state = prepare_ansatz(last.theta, cutoff.bit_length() - 1)
     _finite("beta0", beta0)
     h, _ = hamiltonian_decomposition(params, beta0, cutoff)
     shifted = excited_hamiltonian(h, ground_state, mu0)

@@ -81,7 +81,8 @@ class ModelParams:
     def create(cls, n_particles: int, epsilon: float, coupling: float | None = None,
                vbar: float | None = None) -> "ModelParams":
         """Build from V or vbar (equal to 1e-12 if both are given), type-checking inputs first."""
-        _integer("n_particles", n_particles)
+        if _integer("n_particles", n_particles) < 2:
+            raise ConfigError(f"n_particles must be >= 2, got {n_particles}")
         _finite("epsilon", epsilon)
         if coupling is None and vbar is None:
             raise ConfigError("one of coupling (V) or vbar is required")

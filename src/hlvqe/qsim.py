@@ -20,12 +20,14 @@ computational-basis probabilities of H and of S^dag then H.
 Backends: each evaluates an objective psi^T H psi and its gradients its own
 way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
 and every theta-gradient from one adjoint sweep, with no Pauli string.
-``SampledBackend(shots, seed)`` measures the Pauli decomposition string by
-string (basis rotation, one multinomial draw from a ``SeedSequence(seed)``
-generator, contraction with the sign vector) and takes theta-gradients by the
-+-pi/2 shift rule.  Each backend also gives the amplitude magnitudes a run
-records (exact, or the square roots of one computational-basis ensemble) and
-the backend a run draws from (itself, or a copy on its own stream).
+``SampledBackend(shots, seed)`` measures the Pauli decomposition, with
+theta-gradients by the +-pi/2 shift rule, in two row-batched ``_estimates``
+passes (the base state in each non-identity string, then per angle and string
+the up and down shifted states), each drawing every ensemble in one
+multinomial call on a ``SeedSequence(seed)`` generator, as one call per row in
+row order would.  Each backend also gives the amplitude magnitudes a run
+records (exact, or the square roots of one ensemble) and the backend a run
+draws from (itself, or a copy on its own stream).
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, _integer
 from .model import build_effective_hamiltonian, build_effective_hamiltonian_dbeta
-from .pauli import (PauliString, _string_action, expectation_from_probs,
-                    hamiltonian_decomposition, reassemble)
+from .pauli import PauliString, _string_action, hamiltonian_decomposition, reassemble
 
 __all__ = [
     "StateVector",
@@ -77,15 +78,19 @@ class StateVector:
         return self.amplitudes.real.copy()
 
 
-def _rotate(amps: np.ndarray, ops: str, c: float, s: float) -> np.ndarray:
-    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi).
-
-    P is applied as (phase * amps)[rows]: rows = cols ^ flip is its own
-    inverse.  Real amplitudes stay real when -i phase is real, which is when
-    P has an odd number of Y.
-    """
+@lru_cache(maxsize=4096)
+def _kicked(ops: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, kick) with -i P amps = (kick * amps)[rows], cached and read-only;
+    kick = -i phase is real, keeping real amplitudes real, for an odd number of Y."""
     rows, phase = _string_action(ops)
     kick = (-1j * phase).real if ops.count("Y") % 2 else -1j * phase
+    kick.flags.writeable = False
+    return rows, kick
+
+
+def _rotate(amps: np.ndarray, ops: str, c: float, s: float) -> np.ndarray:
+    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi)."""
+    rows, kick = _kicked(ops)
     return c * amps + s * (kick * amps)[rows]
 
 
@@ -140,6 +145,11 @@ class AnalyticBackend:
         val = np.vdot(amps[rows], phase * amps)
         return ExpectationEstimate(float(val.real), 0.0, 0)
 
+    def _estimates(self, amps: np.ndarray, strings: tuple) -> np.ndarray:
+        """Exact <P> of each row of ``amps`` in its string, one ``expectation`` each."""
+        return np.array([self.expectation(StateVector(len(s), a), s).value
+                         for a, s in zip(amps, strings)])
+
     def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
         return (build_effective_hamiltonian(params, beta, cutoff),
                 build_effective_hamiltonian_dbeta(params, beta, cutoff))
@@ -192,9 +202,7 @@ class SampledBackend:
         if len(string) != state.n_qubits:
             raise ConfigError(
                 f"string width {len(string)} != state width {state.n_qubits}")
-        rotated = _rotate_for_measurement(state, string)
-        freqs = self.sample_probabilities(rotated)
-        val = expectation_from_probs(freqs, string)
+        val = float(self._estimates(state.amplitudes[None], (string,))[0])
         # contraction values are +-1, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
         return ExpectationEstimate(val, std, self.shots)
@@ -205,14 +213,22 @@ class SampledBackend:
     def _observable(self, decomp):
         return decomp
 
+    def _estimates(self, amps: np.ndarray, strings: tuple) -> np.ndarray:
+        """Sampled <P> of each row of ``amps`` in its string, rounded as ``freqs @ signs``."""
+        changes, signs = _measurement_plan(strings, amps.shape[1].bit_length() - 1)
+        p = np.abs(_measurement_basis(amps, changes)) ** 2
+        freqs = self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
+        return np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
+
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """sum_P c_P <P> over h, and over dh (0.0 without dh) from the same pass of
         <P>, as dh carries h's strings in h's order; theta-gradients by the shift rule."""
-        state = prepare_ansatz(theta, h.n_qubits)
-        expect = [measure_pauli(state, s, self).value for s, _ in h.terms]
+        psi = prepare_ansatz(theta, h.n_qubits).amplitudes
+        strings = tuple(s for s, _ in h.terms if not s.is_identity)
+        measured = iter(self._estimates(np.tile(psi, (len(strings), 1)), strings).tolist())
+        expect = [1.0 if s.is_identity else next(measured) for s, _ in h.terms]
         energy = math.fsum(c * x for (_, c), x in zip(h.terms, expect))
-        grad = np.array([_shift_rule(theta, i, h.terms, self, h.n_qubits)
-                         for i in range(len(theta))])
+        grad = _shift_rule(theta, range(len(theta)), h.terms, self, h.n_qubits)
         return energy, 0.0 if dh is None else math.fsum(
             c * x for (_, c), x in zip(dh.terms, expect)), grad
 
@@ -237,14 +253,31 @@ _R = 1 / math.sqrt(2)
 _BASIS_CHANGE = {"X": ("Y", -_R), "Y": ("X", _R)}
 
 
+@lru_cache(maxsize=64)
+def _measurement_plan(strings: tuple, n_qubits: int) -> tuple:
+    """Row r measured in ``strings[r]``: per qubit and basis, the rotation's
+    ``_kicked`` pair, sin and rows; the read-only (R, 2^n) sign vectors."""
+    changes = [(*_kicked("I" * q + gen + "I" * (n_qubits - q - 1)), s,
+                np.flatnonzero([p.ops[q] == ch for p in strings]))
+               for q in range(n_qubits) for ch, (gen, s) in _BASIS_CHANGE.items()]
+    signs = np.array([p.sign_vector() for p in strings]).reshape(len(strings), 2 ** n_qubits)
+    signs.flags.writeable = False
+    return tuple(c for c in changes if c[3].size), signs
+
+
+def _measurement_basis(amps: np.ndarray, changes: tuple) -> np.ndarray:
+    """A copy of the (R, 2^n) ``amps``, each row turned qubit by qubit with the
+    float operations of ``_rotate`` at c = ``_R``; complex once a Y is measured."""
+    out = amps.astype(np.result_type(amps, *(kick for _, kick, _, _ in changes)))
+    for flip, kick, s, rows in changes:
+        sub = out[rows]
+        out[rows] = _R * sub + s * (kick * sub)[:, flip]
+    return out
+
+
 def _rotate_for_measurement(state: StateVector, string: PauliString) -> StateVector:
-    n = state.n_qubits
-    amps = state.amplitudes
-    for q, ch in enumerate(string.ops):
-        if ch in _BASIS_CHANGE:
-            gen, s = _BASIS_CHANGE[ch]
-            amps = _rotate(amps, "I" * q + gen + "I" * (n - q - 1), _R, s)
-    return StateVector(n, amps)
+    changes, _ = _measurement_plan((string,), state.n_qubits)
+    return StateVector(state.n_qubits, _measurement_basis(state.amplitudes[None], changes)[0])
 
 
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
@@ -259,22 +292,25 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
     return backend.expectation(state, string)
 
 
-def _shift_rule(theta: np.ndarray, index: int, terms, backend, n_qubits: int) -> float:
-    """d/d(theta_index) of sum_P c_P <P> over the (string, c) ``terms``: the
-    only place the shifted states are prepared.
+def _shift_rule(theta: np.ndarray, indices, terms, backend, n_qubits: int) -> np.ndarray:
+    """d/d(theta_k) of sum_P c_P <P> over the (string, c) ``terms``, for each k
+    in ``indices``: the only place the shifted states are prepared.
 
     The rule is linear in the observable, so one pair of preparations at
-    theta +- pi/2 e_index serves every string; each string is measured on the
-    up state, then on the down state.  <I> has no theta dependence.
+    theta +- pi/2 e_k serves every string.  One ``backend._estimates`` batch
+    measures all pairs, per angle and string up then down; <I> is constant.
     """
-    up = theta.copy()
-    up[index] += math.pi / 2
-    dn = theta.copy()
-    dn[index] -= math.pi / 2
-    up, dn = prepare_ansatz(up, n_qubits), prepare_ansatz(dn, n_qubits)
-    return math.fsum(
-        c * ((measure_pauli(up, s, backend).value - measure_pauli(dn, s, backend).value) / 2)
-        for s, c in terms if not s.is_identity)
+    measured = [(s, c) for s, c in terms if not s.is_identity]
+    pairs = []
+    for k in indices:
+        up, dn = theta.copy(), theta.copy()
+        up[k], dn[k] = theta[k] + math.pi / 2, theta[k] - math.pi / 2
+        pairs.append([prepare_ansatz(t, n_qubits).amplitudes for t in (up, dn)])
+    amps = np.repeat(np.array(pairs), len(measured), axis=0).reshape(-1, 2 ** n_qubits)
+    strings = tuple(s for s, _ in measured for _ in "ud") * len(pairs)
+    values = backend._estimates(amps, strings).reshape(len(pairs), len(measured), 2)
+    return np.array([math.fsum(c * ((u - d) / 2) for (_, c), (u, d) in zip(measured, row))
+                     for row in values.tolist()])
 
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend,
@@ -291,4 +327,4 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend,
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
     if len(string) != n_qubits:
         raise ConfigError(f"string width {len(string)} != register width {n_qubits}")
-    return _shift_rule(theta, index, ((string, 1.0),), backend, n_qubits)
+    return float(_shift_rule(theta, (index,), ((string, 1.0),), backend, n_qubits)[0])

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
 from .model import (
@@ -120,6 +119,8 @@ def _candidate_betas(params: ModelParams, cutoff: int) -> list[float]:
     """beta = 0, then one root of the slope per grid interval in which it rises
     through zero, ascending.  The slope at beta = 0 is exactly 0 by parity, so
     it is not evaluated there and no root is sought next to it."""
+    # imported here so that ``import hlvqe`` does not load scipy.optimize
+    from scipy.optimize import brentq
 
     def g(b):
         return _hf_derivative(params, b, cutoff)

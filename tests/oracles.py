@@ -11,7 +11,8 @@ floor come from mpmath at 40 digits, and single d^J entries from Wigner's
 sum at 80 digits.  Ansatz states are built from block-diagonal
 uniformly-controlled-Ry matrices, and their angles are read back off a real
 unit vector by inverting that tree from the leaves up; measurement basis
-changes come from kron-built gate matrices.  The per-entry loop builders of
+changes apply the textbook gates qubit by qubit, and sampled estimates take
+one multinomial draw per measured row.  The per-entry loops that fill
 H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
 weights, are the closed forms the band table replaced, kept here as its
 oracles.
@@ -255,15 +256,47 @@ def oracle_tree_angles(v):
 
 def oracle_measurement_basis(psi, ops):
     """Amplitudes after the textbook basis change, H on X qubits and S^dag
-    then H on Y qubits, kron-built; returns (amplitudes, probabilities)."""
-    change = {"I": np.eye(2), "Z": np.eye(2), "X": HADAMARD,
-              "Y": HADAMARD @ S_GATE.conj()}
-    out = np.eye(1)
-    for ch in ops:
-        out = np.kron(out, change[ch])
-    amps = out @ psi
+    then H on Y qubits, gate by gate from qubit 0 (the most significant bit)
+    on; returns (amplitudes, probabilities).
+
+    Each 2x2 gate g maps the amplitude pair (lo, hi) that its qubit splits to
+    (g00 lo + g01 hi, g10 lo + g11 hi): two rounded products and one sum per
+    amplitude.  A dense kron-built matrix product rounds differently, and a
+    one-ulp change of a probability moves multinomial draws (a conditional
+    probability of exactly 1/2 flips which side numpy draws), so the sampled
+    oracles need this gate-by-gate rounding.
+    """
+    change = {"X": HADAMARD, "Y": HADAMARD @ S_GATE.conj()}
+    n = len(ops)
+    amps = np.asarray(psi)
+    for q, ch in enumerate(ops):
+        if ch in change:
+            g = change[ch]
+            pair = amps.reshape(2 ** q, 2, 2 ** (n - q - 1))
+            lo, hi = pair[:, 0], pair[:, 1]
+            amps = np.stack([g[0, 0] * lo + g[0, 1] * hi, g[1, 0] * lo + g[1, 1] * hi],
+                            axis=1).reshape(-1)
     p = np.abs(amps) ** 2
     return amps, p / p.sum()
+
+
+def oracle_sign_vector(ops):
+    """Entry b is the product of (-1)^bit over the string's non-identity
+    positions (ops[0] on the most significant bit of b)."""
+    n = len(ops)
+    mask = int("".join("0" if ch == "I" else "1" for ch in ops), 2)
+    return np.array([(-1.0) ** bin(b & mask).count("1") for b in range(2 ** n)])
+
+
+def oracle_sampled_estimates(amps, ops_list, shots, rng):
+    """Sampled <P> of each row of ``amps`` in its string, one row at a time in
+    row order: the kron-built basis change, one ``rng.multinomial`` ensemble,
+    and its frequencies contracted with the string's sign vector."""
+    out = []
+    for psi, ops in zip(amps, ops_list):
+        _, probs = oracle_measurement_basis(psi, ops)
+        out.append(float(rng.multinomial(shots, probs) / shots @ oracle_sign_vector(ops)))
+    return np.array(out)
 
 
 def golden_section(f, lo, hi, tol=1e-12):

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hlvqe
 from hlvqe.cli import main, parse_config
 from hlvqe.errors import ConfigError
 
@@ -225,3 +230,13 @@ class TestTasks:
                                  "out": str(tmp_path), **entry}))
         assert main(["hlvqe", "--config", str(f)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the run verb never needs brentq, so a fresh import does not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(hlvqe.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hlvqe, hlvqe.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

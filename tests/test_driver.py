@@ -1,6 +1,8 @@
 """Gradient-descent driver: cost assembly, traces, summaries, excited states."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,10 +36,34 @@ from hlvqe.qsim import (
     prepare_ansatz,
 )
 from hlvqe.solver import solve_effective
-from oracles import coeffs_1q, oracle_tree_angles
+from oracles import coeffs_1q, oracle_sampled_estimates, oracle_tree_angles
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 ANALYTIC = AnalyticBackend()
+ONE_STEP = HlvqeOptions(max_iterations=1, summary_window=(1, 1))
+
+
+class RowByRowBackend(SampledBackend):
+    """The sampled backend with its batched pass replaced by the row-by-row
+    oracle: one basis change, multinomial draw and contraction per row."""
+
+    def _estimates(self, amps, strings):
+        return oracle_sampled_estimates(amps, [s.ops for s in strings], self.shots, self._rng)
+
+
+class CountingGenerator:
+    """A generator wrapper that counts multinomial calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def multinomial(self, n, pvals):
+        self.calls += 1
+        return self.rng.multinomial(n, pvals)
+
+
+def trace_bytes(trace):
+    return pickle.dumps([dataclasses.asdict(r) for r in trace])
 
 
 class TestCostAndGrads:
@@ -179,6 +205,33 @@ class TestCostAndGrads:
             with pytest.raises(ConfigError):
                 cost_and_grads(P30, 3, 0.5, [0.1], backend)
 
+    @pytest.mark.parametrize("entry", [
+        lambda lam: cost_and_grads(P30, lam, 0.5, np.zeros(3), ANALYTIC),
+        lambda lam: run(P30, lam, ONE_STEP),
+        lambda lam: excited_state_run(P30, lam, 10.0, ONE_STEP, beta0=0.9,
+                                      ground_state=prepare_ansatz(np.zeros(3), 2)),
+    ], ids=["cost_and_grads", "run", "excited_state_run"])
+    def test_float_cutoff_rejected_numpy_integer_accepted(self, entry):
+        # 4.0 is not read as 4: it fails as a ConfigError at the entry point,
+        # not as a TypeError or AttributeError inside the bit arithmetic
+        with pytest.raises(ConfigError, match="cutoff"):
+            entry(4.0)
+        entry(np.int64(4))
+
+    @pytest.mark.parametrize("lam", [2, 4, 8])
+    def test_sampled_objective_draws_twice_per_evaluation(self, lam, monkeypatch):
+        # one batched pass for the base state, one for every shifted state;
+        # no string is measured on its own
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled objective measured a single string")
+
+        monkeypatch.setattr(qsim, "measure_pauli", forbidden)
+        monkeypatch.setattr(qsim.SampledBackend, "expectation", forbidden)
+        backend = SampledBackend(1000, 3)
+        backend._rng = counting = CountingGenerator(backend._rng)
+        cost_and_grads(P30, lam, 0.7, np.linspace(0.3, -0.4, lam - 1), backend)
+        assert counting.calls == 2
+
     @pytest.mark.parametrize("n, lam", [(30, 8), (30, 16), (64, 32), (64, 64)])
     @pytest.mark.parametrize("vbar", [0.5, 2.0], ids=["symmetric", "broken"])
     def test_classical_optimum_is_stationary(self, n, lam, vbar):
@@ -220,6 +273,26 @@ class TestCostAndGrads:
 
 
 class TestRun:
+    @pytest.mark.parametrize("lam", [2, 4, 8])
+    def test_sampled_run_matches_row_by_row_oracle(self, lam):
+        # every record of a 10-iteration sampled run, bit for bit, against the
+        # same run drawing one row at a time in the batched pass's row order
+        traces = [run(P30, lam, HlvqeOptions(
+            init_beta=0.8, init_theta=0.1, update="plain", max_iterations=10,
+            summary_window=(1, 10), backend=cls(100_000, 31)))
+            for cls in (SampledBackend, RowByRowBackend)]
+        assert trace_bytes(traces[0]) == trace_bytes(traces[1])
+
+    def test_sampled_excited_run_matches_row_by_row_oracle(self):
+        ground = prepare_ansatz(np.linspace(1.1, -0.3, 3), 2)
+        runs = [excited_state_run(P30, 4, 10.0, HlvqeOptions(
+            init_theta=0.2, max_iterations=10, summary_window=(1, 10),
+            backend=cls(100_000, 23)), ground_state=ground, beta0=0.9)
+            for cls in (SampledBackend, RowByRowBackend)]
+        (trace, shifted), (want, want_shifted) = runs
+        assert shifted.terms == want_shifted.terms
+        assert trace_bytes(trace) == trace_bytes(want)
+
     def test_lambda2_plain_converges_to_reference(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain")
         trace = run(P30, 2, opts)

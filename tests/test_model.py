@@ -85,6 +85,15 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: ModelParams.create(1, 1.0, vbar=2.0),
+        lambda: ModelParams.from_vbar(1, 1.0, 2.0),
+    ], ids=["create", "from_vbar"])
+    def test_single_particle_rejected_before_vbar_arithmetic(self, build):
+        # V = vbar eps / (N - 1) would divide by zero at N = 1
+        with pytest.raises(ConfigError, match="n_particles"):
+            build()
+
     def test_numpy_numbers_accepted_by_factories(self):
         want = ModelParams.create(30, 1.0, vbar=2.0)
         assert ModelParams.create(np.int64(30), np.float64(1.0), vbar=np.float64(2.0)) == want

@@ -3,10 +3,11 @@ sweep, sampling.
 
 Oracles (``tests/oracles.py``): the ansatz as one block-diagonal
 uniformly-controlled-Ry matrix per target qubit, its inverse that reads the
-angles off a real vector, and the measurement basis change as kron-built H
-and H S^dag, all independent of the simulator's Pauli-rotation kernel.  The
+angles off a real vector, and the measurement basis change as textbook H
+and H S^dag gates, all independent of the simulator's Pauli-rotation kernel.  The
 per-string path (sum_P c_P <P> and the shift rule) is the adjoint sweep's
-oracle.
+oracle, and one multinomial draw per measured row is the batched sampled
+pass's oracle.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from oracles import (
     coeffs_2q,
     oracle_ansatz_state,
     oracle_measurement_basis,
+    oracle_sampled_estimates,
     oracle_tree_angles,
 )
 
@@ -337,8 +339,63 @@ class TestAdjointSweep:
         for got, decomp in ((energy, terms), (g_beta, decompose(dh).terms)):
             want = math.fsum(c * measure_pauli(state, s, backend).value for s, c in decomp)
             assert abs(got - want) <= 1e-12
-        want = [_shift_rule(theta, k, terms, backend, nq) for k in range(len(theta))]
+        want = _shift_rule(theta, range(len(theta)), terms, backend, nq)
         assert np.abs(grad - want).max() <= 1e-12
+
+
+class TestBatchedEstimates:
+    """SampledBackend._estimates, every row's basis change, draw and
+    contraction in one pass, against the row-by-row oracle; and the two numpy
+    behaviours that make the pass draw exactly what the row loop draws."""
+
+    @settings(max_examples=40)
+    @example(nq=6, n_rows=100, shots=100_000, seed=0)
+    @given(nq=strategies.integers(1, 6), n_rows=strategies.integers(1, 100),
+           shots=strategies.integers(1, 10 ** 6), seed=strategies.integers(0, 2 ** 32 - 1))
+    def test_matches_row_by_row_oracle(self, nq, n_rows, shots, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal((n_rows, 2 ** nq))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        # non-identity strings from a small pool, so that rows repeat strings
+        pool = ["".join(rng.choice(list("IXYZ"), nq)) for _ in range(8)]
+        pool = [ops for ops in pool if set(ops) != {"I"}] or ["Y" * nq]
+        ops_list = [pool[i] for i in rng.integers(len(pool), size=n_rows)]
+
+        backend = SampledBackend(shots, seed)
+        got = backend._estimates(amps, tuple(PauliString(ops) for ops in ops_list))
+        oracle_rng = np.random.default_rng(np.random.SeedSequence(seed))
+        want = oracle_sampled_estimates(amps, ops_list, shots, oracle_rng)
+        assert got.tolist() == want.tolist()
+        assert backend._rng.random() == oracle_rng.random()
+
+    def test_one_row_is_the_public_measurement(self):
+        st = prepare_ansatz([0.8, 0.2, -0.4], 2)
+        for ops in ("XY", "ZI", "YY"):
+            est = measure_pauli(st, PauliString(ops), SampledBackend(1000, 9))
+            want = oracle_sampled_estimates(st.amplitudes[None], [ops], 1000,
+                                            np.random.default_rng(np.random.SeedSequence(9)))
+            assert est.value == want[0] and est.shots == 1000
+
+    def test_two_dimensional_multinomial_draws_like_sequential_calls(self):
+        # the batched pass rests on this: one call on (R, k) pvals gives the
+        # counts, and leaves the stream where, R calls in row order would
+        for k in (2, 4, 8, 64):
+            pvals = np.random.default_rng(k).dirichlet(np.ones(k), size=50)
+            batched, rows = np.random.default_rng(7), np.random.default_rng(7)
+            got = batched.multinomial(100_000, pvals)
+            want = np.array([rows.multinomial(100_000, p) for p in pvals])
+            assert got.tolist() == want.tolist()
+            assert batched.random() == rows.random()
+
+    def test_batched_matmul_sums_like_per_row_dot(self):
+        # np.matmul on (R, 1, k) x (R, k, 1) rounds each row as freqs @ signs
+        # does; einsum and (f * S).sum(1) do not from 4 and 8 entries on
+        rng = np.random.default_rng(11)
+        for k in range(2, 65):
+            freqs = rng.multinomial(100_000, np.full(k, 1 / k), size=40) / 100_000
+            signs = rng.choice([-1.0, 1.0], size=(40, k))
+            got = np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
+            assert got.tolist() == [float(f @ s) for f, s in zip(freqs, signs)], k
 
 
 class TestSampleCounts:
