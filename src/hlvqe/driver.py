@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, _finite, _integer
+from .errors import ConfigError, _finite, _integer, _power_of_two
 from .model import ModelParams, exact_ground_state
 from .pauli import PauliDecomposition, decompose, hamiltonian_decomposition, reassemble
 from .qsim import AnalyticBackend, StateVector, prepare_ansatz
@@ -106,9 +106,7 @@ class RunSummary:
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
                    backend) -> tuple[float, float, np.ndarray]:
     """Energy, beta-gradient and theta-gradients at one parameter point."""
-    cutoff = _integer("cutoff", cutoff)
-    if cutoff < 2 or cutoff & (cutoff - 1):
-        raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
+    cutoff = _power_of_two("cutoff", cutoff)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return backend._cost(theta, *backend._hamiltonian(params, beta, cutoff))
 
@@ -125,9 +123,7 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
     with the final record marked converged (the update direction is
     undefined at an exact stationary point).
     """
-    cutoff = _integer("cutoff", cutoff)
-    if cutoff < 2 or cutoff & (cutoff - 1):
-        raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
+    cutoff = _power_of_two("cutoff", cutoff)
     nq = cutoff.bit_length() - 1
     eta = opts.learning_rate
     theta = np.atleast_1d(np.asarray(opts.init_theta, dtype=float))

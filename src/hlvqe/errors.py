@@ -29,6 +29,14 @@ def _integer(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _power_of_two(name: str, value) -> int:
+    """``value`` as an int if it is an integral power of two >= 2, else a ConfigError."""
+    value = _integer(name, value)
+    if value < 2 or value & (value - 1):
+        raise ConfigError(f"{name} must be a power of two, got {value}")
+    return value
+
+
 def _real(name: str, value):
     """``value`` if it is a real number or an array of them, else a ConfigError."""
     if np.asarray(value).dtype.kind not in "iuf":

@@ -109,8 +109,13 @@ def _trig(beta: float) -> tuple[tuple, tuple]:
 
 
 def _combine(f, stack):
-    """sum_k f[k] * stack[k], term by term, so every entry rounds alike."""
-    return sum(fk * m for fk, m in zip(f, stack))
+    """sum_k f[k] * stack[k], accumulated term by term into one array from
+    +0.0, so every entry rounds alike and no entry is -0.0."""
+    out = np.zeros(stack.shape[1:])
+    term = np.empty_like(out)
+    for fk, m in zip(f, stack):
+        out += np.multiply(fk, m, out=term)
+    return out
 
 
 @lru_cache(maxsize=4)

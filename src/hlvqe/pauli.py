@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _power_of_two
 from .model import ModelParams, _bands, _combine, _trig
 
 __all__ = [
@@ -182,8 +182,7 @@ def hamiltonian_decomposition(params: ModelParams, beta: float,
     cached decomposition, so both carry the same strings at every beta (a
     weight may be exactly 0, as the X-carrying ones are at beta = 0).
     """
-    if cutoff < 2 or cutoff & (cutoff - 1):
-        raise ConfigError(f"cutoff must be a power of two, got {cutoff}")
+    cutoff = _power_of_two("cutoff", cutoff)
     strings, W = _band_weights(params, cutoff)
     nq = cutoff.bit_length() - 1
     return tuple(PauliDecomposition(nq, tuple(zip(strings, _combine(f, W).tolist())), beta)

@@ -12,8 +12,16 @@ there locates it to ~1e-14, where plain value comparison saturates at
 stationary by parity and is always a candidate.  The candidates are ranked by
 the energy error of their reconstructed full-space states, the spectral sum
 below that the convergence tables report, which resolves minima whose
-~N-sized eigenvalues agree to rounding.  Inner loop: dense symmetric
-eigensolve of the truncated matrix.
+~N-sized eigenvalues agree to rounding.
+
+Inner loop: each slope is one ``dsyevr`` call (LAPACK's MRRR driver) for the
+lowest eigenpair of the dense truncated matrix, with its workspace queried
+once per size, and one quadratic form in dH/dbeta.  Every beta is solved at
+most once: the slopes are kept by beta, and ``brentq``'s first two
+evaluations, which land on the bracketing grid points, read them back.  The
+root search runs to its full tolerance even where g is at its rounding
+level: on the flat plateaus where the noise-driven roots sit, the delta_e of
+a candidate depends on where in that noise band beta lands.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
@@ -35,11 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _integer
 from .model import (
     ModelParams,
     build_effective_hamiltonian,
@@ -103,16 +112,26 @@ def hf_beta(params: ModelParams) -> float:
     return math.acos(1.0 / v) if v > 1.0 else 0.0
 
 
+@lru_cache(maxsize=None)
+def _workspace(n: int) -> tuple[int, int]:
+    """(lwork, liwork) of ``dsyevr`` on an n x n matrix, queried once per size."""
+    work, iwork, info = dsyevr_lwork(n, lower=1)
+    if info:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"dsyevr workspace query failed (info {info}) at size {n}")
+    return int(work), int(iwork)
+
+
 def _ground_pair(H: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = scipy.linalg.eigh(H, subset_by_index=(0, 0))
+    """Lowest eigenpair of the symmetric H: one ``dsyevr`` (MRRR) call with
+    the arguments ``scipy.linalg.eigh(H, subset_by_index=(0, 0))`` passes, so
+    the pair is the same to the bit (``tests/oracles.py`` keeps that call)."""
+    lwork, liwork = _workspace(len(H))
+    w, v, found, _, info = dsyevr(H, compute_v=1, range="I", lower=1, il=1, iu=1,
+                                  lwork=lwork, liwork=liwork)
+    if info or found != 1:  # a NaN entry gives found = 0 and info = 0
+        raise NumericalError(
+            f"dsyevr found {found} eigenpairs (info {info}) of a {len(H)}-state matrix")
     return float(w[0]), v[:, 0]
-
-
-def _hf_derivative(params: ModelParams, beta: float, cutoff: int) -> float:
-    """Hellmann-Feynman d(lowest eigenvalue)/d(beta)."""
-    _, v0 = _ground_pair(build_effective_hamiltonian(params, beta, cutoff))
-    D = build_effective_hamiltonian_dbeta(params, beta, cutoff)
-    return float(v0 @ D @ v0)
 
 
 def _candidate_betas(params: ModelParams, cutoff: int) -> list[float]:
@@ -122,15 +141,25 @@ def _candidate_betas(params: ModelParams, cutoff: int) -> list[float]:
     # imported here so that ``import hlvqe`` does not load scipy.optimize
     from scipy.optimize import brentq
 
+    slopes = {}  # beta -> g(beta), floats only; brentq starts on two grid points
+
     def g(b):
-        return _hf_derivative(params, b, cutoff)
+        """Hellmann-Feynman d(lowest eigenvalue)/d(beta), solved once per beta."""
+        if b not in slopes:
+            _, v0 = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
+            slopes[b] = float(v0 @ build_effective_hamiltonian_dbeta(params, b, cutoff) @ v0)
+        return slopes[b]
 
     grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
-    slopes = [0.0] + [g(b) for b in grid[1:]]
+    slopes[grid[0]] = 0.0
     roots = [0.0]
-    for lo, hi, glo, ghi in zip(grid, grid[1:], slopes, slopes[1:]):
-        if glo < 0.0 <= ghi:
+    for lo, hi in zip(grid, grid[1:]):
+        if g(lo) < 0.0 <= g(hi):
             roots.append(float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)))
+    # brentq's NaN-check wrapper of g refers to itself, so g and this dict
+    # outlive the call until the cyclic collector runs; emptied, it holds no
+    # floats in the meantime
+    slopes.clear()
     return roots
 
 
@@ -148,6 +177,7 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     even-parity ground state.
     """
     N = params.n_particles
+    cutoff = _integer("cutoff", cutoff)
     if not 1 <= cutoff <= N + 1:
         raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
     chains = _parity_chains(params)
@@ -199,7 +229,7 @@ def sweep_lambda(params: ModelParams, cutoffs) -> list[ConvergenceRow]:
     ``cutoffs`` must be ascending.  Solver failures are re-raised annotated
     with the offending cutoff.
     """
-    cutoffs = list(cutoffs)
+    cutoffs = [_integer("cutoff", c) for c in cutoffs]
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError("cutoffs must be strictly ascending")
     rows = []

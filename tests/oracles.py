@@ -15,7 +15,9 @@ changes apply the textbook gates qubit by qubit, and sampled estimates take
 one multinomial draw per measured row.  The per-entry loops that fill
 H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
 weights, are the closed forms the band table replaced, kept here as its
-oracles.
+oracles; the band table's terms are summed by Python's ``sum``, and lowest
+eigenpairs come from ``scipy.linalg.eigh``, the paths the solver's in-place
+sum and direct LAPACK call replaced.
 """
 
 import math
@@ -101,6 +103,17 @@ def loop_effective_hamiltonian_dbeta(params, beta, cutoff):
         val = (V / 4) * s2 * math.sqrt((N - k) * (k + 1)) * math.sqrt((N - k - 1) * (k + 2))
         D[k + 2, k] = D[k, k + 2] = val
     return D
+
+
+def sum_combine(f, stack):
+    """sum_k f[k] * stack[k] by Python's ``sum``, starting from the int 0."""
+    return sum(fk * m for fk, m in zip(f, stack))
+
+
+def eigh_ground_pair(H):
+    """Lowest eigenvalue and eigenvector of the symmetric H by ``scipy.linalg.eigh``."""
+    w, v = eigh(H, subset_by_index=(0, 0))
+    return float(w[0]), v[:, 0]
 
 
 def coeffs_1q(params, beta):

@@ -224,6 +224,13 @@ class TestHamiltonianDecomposition:
         with pytest.raises(ConfigError):
             hamiltonian_decomposition(p, 0.5, 3)
 
+    def test_cutoff_must_be_integral(self):
+        p = ModelParams.create(30, 1.0, vbar=2.0)
+        with pytest.raises(ConfigError, match="cutoff must be an integer"):
+            hamiltonian_decomposition(p, 0.5, 4.0)
+        assert (hamiltonian_decomposition(p, 0.5, np.int64(4))
+                == hamiltonian_decomposition(p, 0.5, 4))
+
 
 def ansatz_amplitudes(t0, t1, t2):
     """Product-of-half-angle closed form of the two-qubit ansatz state."""

@@ -7,23 +7,29 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from hlvqe.errors import ConfigError
+from hlvqe import solver
+from hlvqe.errors import ConfigError, NumericalError
 from hlvqe.model import (
     ModelParams,
+    _bands,
+    _combine,
     _parity_chains,
+    _trig,
     build_effective_hamiltonian,
     exact_ground_state,
 )
 from hlvqe.rotations import project_parity, reconstruct_full
 from hlvqe.solver import (
     ConvergenceRow,
+    _candidate_betas,
+    _ground_pair,
     _spectral_delta,
     hf_beta,
     solve_effective,
     sweep_lambda,
     sweep_vbar,
 )
-from oracles import mp_beta0_gaps, scan_minimum
+from oracles import eigh_ground_pair, mp_beta0_gaps, scan_minimum, sum_combine
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 
@@ -39,6 +45,48 @@ class TestHfBeta:
         p = ModelParams.create(30, 1.0, vbar=1.2)
         assert hf_beta(p) == pytest.approx(math.acos(1 / 1.2), abs=1e-12)
         assert hf_beta(p) == pytest.approx(0.5857, abs=2e-4)
+
+
+class TestGroundPair:
+    @given(n=st.integers(2, 256), vbar=st.floats(0.3, 3.5),
+           beta=st.floats(0.0, math.pi / 2), data=st.data())
+    def test_bitwise_equal_to_eigh_oracle(self, n, vbar, beta, data):
+        # the direct dsyevr call and the in-place band sum replace
+        # scipy.linalg.eigh and Python's sum without moving a bit, zero signs
+        # included
+        cutoff = data.draw(st.integers(1, n + 1), label="cutoff")
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        for f in _trig(beta):
+            got, want = _combine(f, _bands(p, cutoff)), sum_combine(f, _bands(p, cutoff))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        H = build_effective_hamiltonian(p, beta, cutoff)
+        (w, v), (w_ref, v_ref) = _ground_pair(H), eigh_ground_pair(H)
+        assert w.hex() == w_ref.hex()
+        assert v.tobytes() == v_ref.tobytes()
+
+    def test_nan_entry_raises(self):
+        # dsyevr reports a NaN matrix by finding no eigenpair, with info 0
+        H = np.eye(4)
+        H[1, 2] = H[2, 1] = np.nan
+        with pytest.raises(NumericalError, match="found 0 eigenpairs"):
+            _ground_pair(H)
+
+    def test_each_beta_solved_once(self, monkeypatch):
+        # brentq starts on the two grid points that bracket a root, whose
+        # slopes the grid scan has already solved; the sin and cos entries of
+        # H(beta) move with every step of the search, so one matrix stands
+        # for one beta
+        seen = []
+
+        def record(H):
+            seen.append(H.tobytes())
+            return _ground_pair(H)
+
+        monkeypatch.setattr(solver, "_ground_pair", record)
+        roots = _candidate_betas(ModelParams.create(64, 1.0, vbar=2.9), 40)
+        assert len(roots) == 10
+        assert len(seen) == len(set(seen))
 
 
 class TestSolveEffective:
@@ -113,6 +161,11 @@ class TestSolveEffective:
         with pytest.raises(ConfigError):
             solve_effective(P30, 32)
 
+    def test_cutoff_must_be_integral(self):
+        with pytest.raises(ConfigError, match="cutoff must be an integer"):
+            solve_effective(P30, 4.0)
+        assert solve_effective(P30, np.int64(4)).beta_opt == solve_effective(P30, 4).beta_opt
+
 
 class TestSweepLambda:
     def test_n32_reference_rows(self):
@@ -172,6 +225,36 @@ class TestSweepLambda:
     def test_unsorted_cutoffs_rejected(self):
         with pytest.raises(ConfigError):
             sweep_lambda(P30, [4, 2])
+
+    def test_cutoffs_must_be_integral(self):
+        with pytest.raises(ConfigError, match="cutoff must be an integer"):
+            sweep_lambda(P30, [2, 4.0])
+        assert sweep_lambda(P30, np.array([2, 4])) == sweep_lambda(P30, [2, 4])
+
+    @pytest.mark.parametrize("vbar", [1.6, 2.9])
+    def test_n64_sweep_bitwise_equal_to_eigh_oracle_path(self, vbar, monkeypatch):
+        # at vbar = 2.9 the slope has up to 11 noise-driven roots per cutoff;
+        # every one, and so every beta_opt and every column, must land where
+        # the scipy.linalg.eigh path put it
+        p = ModelParams.create(64, 1.0, vbar=vbar)
+        solve = solver.solve_effective
+
+        def sweep_bits():
+            sols = []
+
+            def record(*args):
+                sols.append(solve(*args))
+                return sols[-1]
+
+            monkeypatch.setattr(solver, "solve_effective", record)
+            rows = sweep_lambda(p, range(2, 45, 2))
+            return [(s.beta_opt.hex(), s.energy.hex(), r.cutoff, r.delta_e_naive.hex(),
+                     r.delta_e_effective.hex(), r.delta_e_projected.hex())
+                    for s, r in zip(sols, rows, strict=True)]
+
+        fast = sweep_bits()
+        monkeypatch.setattr(solver, "_ground_pair", eigh_ground_pair)
+        assert sweep_bits() == fast
 
     def test_full_cutoff_errors_vanish(self):
         p = ModelParams.create(10, 1.0, vbar=2.0)
