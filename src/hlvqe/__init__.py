@@ -23,7 +23,6 @@ from .pauli import (
     PauliDecomposition,
     PauliString,
     decompose,
-    expectation_from_probs,
     hamiltonian_decomposition,
     reassemble,
 )

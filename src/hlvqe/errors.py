@@ -4,6 +4,8 @@ import operator
 
 import numpy as np
 
+__all__ = ["HlvqeError", "ConfigError", "NumericalError", "ProjectionError"]
+
 
 class HlvqeError(Exception):
     """Base class for package errors."""

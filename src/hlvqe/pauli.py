@@ -3,8 +3,9 @@
 String convention: a Pauli string is written most-significant qubit first,
 so string[0] acts on the qubit carrying the most significant bit of the
 basis index.  A string has one nonzero per column, P |c> = phase[c] |c ^ flip>
-(``_string_action``); decomposition, reassembly and exact expectations all go
-through that rule rather than through a dense matrix.
+(``_string_action``); decomposition and reassembly go through that rule
+rather than through a dense matrix.  Expectations, exact or sampled, are
+taken in ``qsim`` alone, which reads the same rule.
 With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
 two-qubit register), basis indices equal excitation orders directly.
 
@@ -32,7 +33,6 @@ __all__ = [
     "decompose",
     "reassemble",
     "hamiltonian_decomposition",
-    "expectation_from_probs",
 ]
 
 # coefficients below this size are dropped from decompositions
@@ -58,15 +58,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return set(self.ops) == {"I"}
-
-    def sign_vector(self) -> np.ndarray:
-        """Diagonal of the string's Z-pattern (every X/Y read as Z): entry b is
-        prod over non-identity positions of (-1)^bit, the real phase of that
-        pattern's cached string action."""
-        zs = self.ops.replace("X", "Z").replace("Y", "Z")
-        # a contiguous copy: BLAS sums probs @ signs in another order when
-        # the operand is the strided real view of the complex phase
-        return np.ascontiguousarray(_string_action(zs)[1].real)
 
 
 @dataclass(frozen=True)
@@ -123,13 +114,16 @@ def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
 
     Coefficients are <P, H> / 2^n_qubits, evaluated per string through its
     one-nonzero-per-column action; they are real for Hermitian input, and a
-    complex one is rejected.  Strings whose coefficient falls below
-    PRUNE_TOL are dropped, so real symmetric input keeps no odd-Y string.
+    complex one is rejected, as is a non-finite entry.  Strings whose
+    coefficient falls below PRUNE_TOL are dropped, so real symmetric input
+    keeps no odd-Y string.
     """
     matrix = np.asarray(matrix)
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise ConfigError(f"matrix dimension {matrix.shape} is not a power of two")
+    if not np.isfinite(matrix).all():
+        raise ConfigError("matrix has a non-finite entry")
     n_qubits = dim.bit_length() - 1
     scale = max(1.0, float(np.abs(matrix).max()))
     cols = np.arange(dim)
@@ -187,18 +181,3 @@ def hamiltonian_decomposition(params: ModelParams, beta: float,
     nq = cutoff.bit_length() - 1
     return tuple(PauliDecomposition(nq, tuple(zip(strings, _combine(f, W).tolist())), beta)
                  for f in _trig(beta))
-
-
-def expectation_from_probs(probs: np.ndarray, string: PauliString) -> float:
-    """Contract measured computational-basis probabilities with the string's
-    sign vector.  The caller is responsible for having rotated the measurement
-    basis (Hadamard for X, then S^dag H for Y) before accumulating ``probs``.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (2 ** len(string),):
-        raise ConfigError(
-            f"got {probs.shape[0]} probabilities for a {len(string)}-qubit string")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"probabilities sum to {total}, expected 1")
-    return float(probs @ string.sign_vector())

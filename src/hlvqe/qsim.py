@@ -14,8 +14,14 @@ before it.  Each string has a single Y, so the state stays float64.  On 1 and
 exp(-i theta/2 Z_0 X_1) into exp(+i theta/2 Z_0 Y_1); wider Z^s Y_t rotations
 are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
-Measurement basis change: Ry(-pi/2) for X and Rx(pi/2) for Y, which give the
-computational-basis probabilities of H and of S^dag then H.
+Measurement lives in this module alone.  Each backend takes every <P>
+through its ``_estimates(amps, strings)``, one value per row of ``amps``
+measured in its string, and its ``expectation`` is the one-row call.  The
+analytic rows are exact quadratic forms from the string's action.  The
+sampled rows follow ``_measurement_plan``: a basis change of Ry(-pi/2) for X
+and Rx(pi/2) for Y, which give the computational-basis probabilities of H and
+of S^dag then H, then the measured frequencies contracted with the string's
+sign row.
 
 Backends: each evaluates an objective psi^T H psi and its gradients its own
 way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
@@ -136,19 +142,18 @@ class AnalyticBackend:
     """Exact expectation values; std_error is zero and shots do not apply."""
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
-        """<a|P|a> = sum_c conj(a[rows[c]]) phase[c] a[c], from the string's action."""
+        """Exact <P> of ``state``: the one-row ``_estimates`` call."""
         if len(string) != state.n_qubits:
             raise ConfigError(
                 f"string width {len(string)} != state width {state.n_qubits}")
-        rows, phase = _string_action(string.ops)
-        amps = state.amplitudes
-        val = np.vdot(amps[rows], phase * amps)
-        return ExpectationEstimate(float(val.real), 0.0, 0)
+        return ExpectationEstimate(float(self._estimates(state.amplitudes[None], (string,))[0]),
+                                   0.0, 0)
 
     def _estimates(self, amps: np.ndarray, strings: tuple) -> np.ndarray:
-        """Exact <P> of each row of ``amps`` in its string, one ``expectation`` each."""
-        return np.array([self.expectation(StateVector(len(s), a), s).value
-                         for a, s in zip(amps, strings)])
+        """Exact <P> of each row a of ``amps`` in its string, sum_c conj(a[rows[c]])
+        phase[c] a[c] from the string's action."""
+        return np.array([np.vdot(a[rows], phase * a).real for a, (rows, phase)
+                         in zip(amps, (_string_action(s.ops) for s in strings))])
 
     def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
         return (build_effective_hamiltonian(params, beta, cutoff),
@@ -256,11 +261,14 @@ _BASIS_CHANGE = {"X": ("Y", -_R), "Y": ("X", _R)}
 @lru_cache(maxsize=64)
 def _measurement_plan(strings: tuple, n_qubits: int) -> tuple:
     """Row r measured in ``strings[r]``: per qubit and basis, the rotation's
-    ``_kicked`` pair, sin and rows; the read-only (R, 2^n) sign vectors."""
+    ``_kicked`` pair, sin and rows; the read-only (R, 2^n) sign rows, entry b
+    of row r the product of (-1)^bit over the non-identity qubits of
+    ``strings[r]``, read off the action of its Z-pattern."""
     changes = [(*_kicked("I" * q + gen + "I" * (n_qubits - q - 1)), s,
                 np.flatnonzero([p.ops[q] == ch for p in strings]))
                for q in range(n_qubits) for ch, (gen, s) in _BASIS_CHANGE.items()]
-    signs = np.array([p.sign_vector() for p in strings]).reshape(len(strings), 2 ** n_qubits)
+    signs = np.array([_string_action(p.ops.replace("X", "Z").replace("Y", "Z"))[1].real
+                      for p in strings]).reshape(len(strings), 2 ** n_qubits)
     signs.flags.writeable = False
     return tuple(c for c in changes if c[3].size), signs
 
@@ -273,11 +281,6 @@ def _measurement_basis(amps: np.ndarray, changes: tuple) -> np.ndarray:
         sub = out[rows]
         out[rows] = _R * sub + s * (kick * sub)[:, flip]
     return out
-
-
-def _rotate_for_measurement(state: StateVector, string: PauliString) -> StateVector:
-    changes, _ = _measurement_plan((string,), state.n_qubits)
-    return StateVector(state.n_qubits, _measurement_basis(state.amplitudes[None], changes)[0])
 
 
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
@@ -313,18 +316,15 @@ def _shift_rule(theta: np.ndarray, indices, terms, backend, n_qubits: int) -> np
                      for row in values.tolist()])
 
 
-def parameter_shift_grad(theta, index: int, string: PauliString, backend,
-                         n_qubits: int | None = None) -> float:
-    """d<P>/d(theta_index) from two +-pi/2-shifted preparations.
+def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
+    """d<P>/d(theta_index) from two +-pi/2-shifted preparations on the string's
+    register, which must carry ``theta``'s 2^n - 1 angles.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if n_qubits is None:
-        n_qubits = len(string)
+    index = _integer("index", index)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    if len(string) != n_qubits:
-        raise ConfigError(f"string width {len(string)} != register width {n_qubits}")
-    return float(_shift_rule(theta, (index,), ((string, 1.0),), backend, n_qubits)[0])
+    return float(_shift_rule(theta, (index,), ((string, 1.0),), backend, len(string))[0])

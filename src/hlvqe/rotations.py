@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, ProjectionError
+from .errors import ConfigError, ProjectionError, _finite
 from .model import ModelParams
 
 __all__ = [
@@ -62,7 +62,8 @@ def _jy_eigenpairs(two_j: int) -> tuple[np.ndarray, np.ndarray]:
 
 def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
     """Full (2J+1) x (2J+1) reduced rotation matrix, rows/cols ordered by n = M + J."""
-    two_j = int(round(2 * j))
+    two_j = int(round(2 * _finite("j", j)))
+    _finite("beta", beta)
     if abs(2 * j - two_j) > 1e-12 or j < 0:
         raise ConfigError(f"j must be a non-negative half-integer, got {j}")
     w, v = _jy_eigenpairs(two_j)

@@ -17,11 +17,13 @@ below that the convergence tables report, which resolves minima whose
 Inner loop: each slope is one ``dsyevr`` call (LAPACK's MRRR driver) for the
 lowest eigenpair of the dense truncated matrix, with its workspace queried
 once per size, and one quadratic form in dH/dbeta.  Every beta is solved at
-most once: the slopes are kept by beta, and ``brentq``'s first two
-evaluations, which land on the bracketing grid points, read them back.  The
-root search runs to its full tolerance even where g is at its rounding
-level: on the flat plateaus where the noise-driven roots sit, the delta_e of
-a candidate depends on where in that noise band beta lands.
+most once: each slope is kept by beta next to its eigenpair.  ``brentq``'s
+first two evaluations, which land on the bracketing grid points, read them
+back, and so does ``solve_effective`` for every candidate, beta = 0 and each
+root (``brentq`` returns a beta it has evaluated).  The root search runs to
+its full tolerance even where g is at its rounding level: on the flat
+plateaus where the noise-driven roots sit, the delta_e of a candidate depends
+on where in that noise band beta lands.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-from .errors import ConfigError, NumericalError, _integer
+from .errors import ConfigError, NumericalError, _finite, _integer
 from .model import (
     ModelParams,
     build_effective_hamiltonian,
@@ -134,33 +136,37 @@ def _ground_pair(H: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def _candidate_betas(params: ModelParams, cutoff: int) -> list[float]:
-    """beta = 0, then one root of the slope per grid interval in which it rises
-    through zero, ascending.  The slope at beta = 0 is exactly 0 by parity, so
-    it is not evaluated there and no root is sought next to it."""
+def _candidate_betas(params: ModelParams, cutoff: int) -> list[tuple[float, float, np.ndarray]]:
+    """(beta, lowest eigenvalue, eigenvector) at beta = 0, then at one root of
+    the slope per grid interval in which it rises through zero, ascending.
+    The slope at beta = 0 is exactly 0 by parity, so it is not evaluated there
+    and no root is sought next to it."""
     # imported here so that ``import hlvqe`` does not load scipy.optimize
     from scipy.optimize import brentq
 
-    slopes = {}  # beta -> g(beta), floats only; brentq starts on two grid points
+    solved = {}  # beta -> (g(beta), eigenvalue, eigenvector); brentq starts on grid points
 
     def g(b):
         """Hellmann-Feynman d(lowest eigenvalue)/d(beta), solved once per beta."""
-        if b not in slopes:
-            _, v0 = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
-            slopes[b] = float(v0 @ build_effective_hamiltonian_dbeta(params, b, cutoff) @ v0)
-        return slopes[b]
+        if b not in solved:
+            w, v0 = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
+            slope = 0.0 if b == 0.0 else float(
+                v0 @ build_effective_hamiltonian_dbeta(params, b, cutoff) @ v0)
+            solved[b] = (slope, w, v0)
+        return solved[b][0]
 
     grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
-    slopes[grid[0]] = 0.0
     roots = [0.0]
     for lo, hi in zip(grid, grid[1:]):
         if g(lo) < 0.0 <= g(hi):
             roots.append(float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)))
+    # the grid scan solved beta = 0, and brentq returns a beta it has evaluated
+    candidates = [(b, *solved[b][1:]) for b in roots]
     # brentq's NaN-check wrapper of g refers to itself, so g and this dict
     # outlive the call until the cyclic collector runs; emptied, it holds no
-    # floats in the meantime
-    slopes.clear()
-    return roots
+    # eigenvectors in the meantime
+    solved.clear()
+    return candidates
 
 
 def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
@@ -184,8 +190,7 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     e_even, ex_amps = exact_ground_state(params)
 
     candidates = []
-    for beta in _candidate_betas(params, cutoff):
-        energy, vec = _ground_pair(build_effective_hamiltonian(params, beta, cutoff))
+    for beta, energy, vec in _candidate_betas(params, cutoff):
         nz = np.nonzero(np.abs(vec) > 1e-12)[0]
         state = EffectiveState(cutoff, beta, -vec if vec[nz[0]] < 0 else vec)
         full = reconstruct_full(state, params)
@@ -247,13 +252,15 @@ def sweep_vbar(params_template: ModelParams, cutoff: int,
                vbar_grid) -> list[tuple[float, float]]:
     """Relative ground-energy error in percent, per interaction ratio: the
     optimum's spectral sum over the exact even ground energy."""
-    out = []
-    for vbar in vbar_grid:
+    vbars = [float(_finite("vbar", v)) for v in vbar_grid]
+    for vbar in vbars:
         if vbar <= 0:
             raise ConfigError(f"vbar grid must be positive, got {vbar}")
+    out = []
+    for vbar in vbars:
         p = ModelParams.from_vbar(params_template.n_particles,
-                                  params_template.epsilon, float(vbar))
+                                  params_template.epsilon, vbar)
         sol = solve_effective(p, cutoff)
         e_even, _ = exact_ground_state(p)
-        out.append((float(vbar), 100.0 * sol.delta_e / abs(e_even)))
+        out.append((vbar, 100.0 * sol.delta_e / abs(e_even)))
     return out

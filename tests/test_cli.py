@@ -1,5 +1,7 @@
 """CLI: config parsing, precedence, report emission, determinism."""
 
+import importlib
+import inspect
 import json
 import math
 import os
@@ -240,3 +242,17 @@ def test_import_leaves_scipy_optimize_unloaded():
          "import sys, hlvqe, hlvqe.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_exactly_the_layer_modules_public_names():
+    # every module but the cli entry point lists its public names in __all__;
+    # the package exports those and nothing else, so a name a module drops
+    # cannot stay exported
+    layers = [importlib.import_module(f"hlvqe.{name}") for name in
+              ("errors", "model", "rotations", "solver", "pauli", "qsim", "driver")]
+    exported = {name: obj for name, obj in vars(hlvqe).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert sorted(exported) == sorted(name for mod in layers for name in mod.__all__)
+    for mod in layers:
+        for name in mod.__all__:
+            assert exported[name] is getattr(mod, name), (mod.__name__, name)

@@ -125,7 +125,7 @@ class TestCostAndGrads:
                                           measure_pauli(state, string, backend).value)
             energy = math.fsum(c * expect[s.ops] for s, c in h.terms)
             g_beta = math.fsum(c * expect[s.ops] for s, c in dh.terms)
-            g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend, h.n_qubits)
+            g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend)
                                  for s, c in h.terms if not s.is_identity)
                        for i in range(lam - 1)]
             return energy, g_beta, g_theta
@@ -157,7 +157,7 @@ class TestCostAndGrads:
         state = prepare_ansatz(theta, nq)
         energy = math.fsum(c * measure_pauli(state, s, backend).value
                            for s, c in want.terms)
-        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend, nq)
+        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend)
                              for s, c in want.terms if not s.is_identity)
                    for i in range(lam - 1)]
         rec = trace[0]
@@ -178,7 +178,7 @@ class TestCostAndGrads:
         theta = np.full(lam - 1, 0.2)
         state = prepare_ansatz(theta, nq)
         energy = math.fsum(c * measure_pauli(state, s, ANALYTIC).value for s, c in want.terms)
-        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, ANALYTIC, nq)
+        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, ANALYTIC)
                              for s, c in want.terms if not s.is_identity)
                    for i in range(lam - 1)]
         rec = trace[0]
@@ -197,6 +197,13 @@ class TestCostAndGrads:
         res = minimize(energy, np.full(7, 0.1), jac=True, method="L-BFGS-B",
                        options={"ftol": 0.0, "gtol": 1e-12})
         assert abs(res.fun - sol.energy) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # NaN returned NaN energies silently on both backends
+        for backend in (ANALYTIC, SampledBackend(100, 1)):
+            with pytest.raises(ConfigError, match="beta must be finite"):
+                cost_and_grads(P30, 4, beta, np.zeros(3), backend)
 
     def test_non_power_of_two_cutoff(self):
         with pytest.raises(ConfigError):

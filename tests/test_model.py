@@ -200,6 +200,15 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ConfigError):
             build_effective_hamiltonian(p, 0.3, 8)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
+                             ids=["nan", "inf", "-inf", "numpy-nan"])
+    def test_non_finite_beta_rejected(self, beta):
+        # NaN gave a NaN matrix silently, +-inf a "math domain error"
+        p = ModelParams.create(6, 1.0, vbar=2.0)
+        for build in (build_effective_hamiltonian, build_effective_hamiltonian_dbeta):
+            with pytest.raises(ConfigError, match="beta must be finite"):
+                build(p, beta, 4)
+
     def test_dbeta_matches_central_differences(self):
         p = ModelParams.create(11, 1.0, vbar=1.9)
         h = 1e-6

@@ -1,6 +1,6 @@
 """Pauli decomposition: round trips, the band-table decomposition of H(beta)
-against the hand-projected one- and two-qubit closed forms (oracles.py),
-probability contraction."""
+against the hand-projected one- and two-qubit closed forms (oracles.py), and
+the sign rows that measured probabilities are contracted with."""
 
 import itertools
 import math
@@ -19,11 +19,10 @@ from hlvqe.pauli import (
     PauliDecomposition,
     PauliString,
     decompose,
-    expectation_from_probs,
     hamiltonian_decomposition,
     reassemble,
 )
-from hlvqe.qsim import AnalyticBackend, StateVector
+from hlvqe.qsim import AnalyticBackend, StateVector, _measurement_basis, _measurement_plan
 from oracles import coeffs_1q, coeffs_2q, pauli_kron
 
 
@@ -49,6 +48,13 @@ class TestDecompose:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ConfigError):
             decompose(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_entries_rejected(self, bad):
+        # an all-NaN or all-inf matrix decomposed to zero terms
+        for matrix in (np.full((4, 4), bad), np.where(np.eye(4) == 1, bad, 0.0)):
+            with pytest.raises(ConfigError, match="non-finite"):
+                decompose(matrix)
 
     def test_no_odd_y_strings_for_real_input(self):
         rng = np.random.default_rng(4)
@@ -224,12 +230,23 @@ class TestHamiltonianDecomposition:
         with pytest.raises(ConfigError):
             hamiltonian_decomposition(p, 0.5, 3)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ConfigError, match="beta must be finite"):
+            hamiltonian_decomposition(ModelParams.create(30, 1.0, vbar=2.0), beta, 4)
+
     def test_cutoff_must_be_integral(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
         with pytest.raises(ConfigError, match="cutoff must be an integer"):
             hamiltonian_decomposition(p, 0.5, 4.0)
         assert (hamiltonian_decomposition(p, 0.5, np.int64(4))
                 == hamiltonian_decomposition(p, 0.5, 4))
+
+
+def sign_row(ops):
+    """The row ``qsim._measurement_plan`` contracts frequencies measured in
+    ``ops`` with."""
+    return _measurement_plan((PauliString(ops),), len(ops))[1][0]
 
 
 def ansatz_amplitudes(t0, t1, t2):
@@ -243,39 +260,40 @@ def ansatz_amplitudes(t0, t1, t2):
 
 
 class TestExpectationFromProbs:
+    """Measured probabilities contracted with the sign rows of
+    ``qsim._measurement_plan``, the only place those rows are built."""
+
     def test_zz_on_basis_state(self):
         probs = np.array([1.0, 0.0, 0.0, 0.0])
-        assert expectation_from_probs(probs, PauliString("ZZ")) == 1.0
+        assert probs @ sign_row("ZZ") == 1.0
 
     def test_uniform_probs_vanish(self):
         probs = np.full(4, 0.25)
         for ops in ("ZZ", "ZI", "IZ", "XX", "XZ"):
-            assert expectation_from_probs(probs, PauliString(ops)) == 0.0
+            assert probs @ sign_row(ops) == 0.0
 
     def test_xx_after_hadamard_rotation(self):
-        # oracle: the closed-form two-qubit expectation <X(x)X> = sin t0 sin t2
+        # oracle: the closed-form two-qubit expectation <X(x)X> = sin t0 sin t2,
+        # after the textbook H (x) H and after the plan's own basis change
         t0, t1, t2 = 0.3, 0.2, 0.1
         amps = ansatz_amplitudes(t0, t1, t2)
         Hd = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        rotated = np.kron(Hd, Hd) @ amps
-        probs = rotated ** 2
-        got = expectation_from_probs(probs, PauliString("XX"))
-        assert got == pytest.approx(math.sin(t0) * math.sin(t2), abs=1e-12)
+        changes, signs = _measurement_plan((PauliString("XX"),), 2)
+        for rotated in (np.kron(Hd, Hd) @ amps, _measurement_basis(amps[None], changes)[0]):
+            got = np.abs(rotated) ** 2 @ signs[0]
+            assert got == pytest.approx(math.sin(t0) * math.sin(t2), abs=1e-12)
 
     def test_sign_vectors(self):
-        assert PauliString("ZZ").sign_vector().tolist() == [1, -1, -1, 1]
-        assert PauliString("ZI").sign_vector().tolist() == [1, 1, -1, -1]
-        assert PauliString("IZ").sign_vector().tolist() == [1, -1, 1, -1]
-        for ops in all_strings():
-            zs = ops.replace("X", "Z").replace("Y", "Z")
-            got = PauliString(ops).sign_vector()
-            assert got.dtype == np.float64, ops
-            assert np.array_equal(got, np.diag(pauli_kron(zs)).real), ops
-
-    def test_normalization_guard(self):
-        with pytest.raises(ConfigError):
-            expectation_from_probs(np.array([0.7, 0.2]), PauliString("Z"))
-
-    def test_width_guard(self):
-        with pytest.raises(ConfigError):
-            expectation_from_probs(np.full(4, 0.25), PauliString("Z"))
+        assert sign_row("ZZ").tolist() == [1, -1, -1, 1]
+        assert sign_row("ZI").tolist() == [1, 1, -1, -1]
+        assert sign_row("IZ").tolist() == [1, -1, 1, -1]
+        for nq in (1, 2, 3):
+            ops_list = [ops for ops in all_strings() if len(ops) == nq]
+            _, signs = _measurement_plan(tuple(map(PauliString, ops_list)), nq)
+            # one C-contiguous float64 row per string, in order: BLAS sums
+            # freqs @ signs in another order on a strided operand
+            assert signs.dtype == np.float64 and signs.flags.c_contiguous
+            assert not signs.flags.writeable
+            for ops, got in zip(ops_list, signs, strict=True):
+                zs = ops.replace("X", "Z").replace("Y", "Z")
+                assert np.array_equal(got, np.diag(pauli_kron(zs)).real), ops

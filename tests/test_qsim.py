@@ -18,13 +18,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies
 from scipy.optimize import minimize
 
+from hlvqe import qsim
 from hlvqe.errors import ConfigError
 from hlvqe.pauli import PauliString, decompose
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
     _generators,
-    _rotate_for_measurement,
+    _measurement_basis,
+    _measurement_plan,
     _shift_rule,
     measure_pauli,
     parameter_shift_grad,
@@ -36,6 +38,7 @@ from oracles import (
     oracle_measurement_basis,
     oracle_sampled_estimates,
     oracle_tree_angles,
+    pauli_kron,
 )
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
@@ -227,10 +230,12 @@ class TestMeasurePauli:
         # before normalization pin cos = sin to H's 1/sqrt(2), not cos(pi/4)
         vacuum = prepare_ansatz(np.zeros(3), 2)
         for ops in map("".join, itertools.product("IXYZ", repeat=2)):
-            got = _rotate_for_measurement(vacuum, PauliString(ops))
+            changes, _ = _measurement_plan((PauliString(ops),), 2)
+            got = _measurement_basis(vacuum.amplitudes[None], changes)[0]
             amps, probs = oracle_measurement_basis(vacuum.amplitudes, ops)
-            assert np.abs(got.amplitudes).tolist() == np.abs(amps).tolist(), ops
-            assert got.probabilities().tolist() == probs.tolist(), ops
+            assert np.abs(got).tolist() == np.abs(amps).tolist(), ops
+            p = np.abs(got) ** 2
+            assert (p / p.sum()).tolist() == probs.tolist(), ops
 
     def test_width_mismatch(self):
         st = prepare_ansatz([0.3], 1)
@@ -261,10 +266,19 @@ class TestParameterShift:
         assert g == pytest.approx(0.0, abs=1e-14)
 
     def test_string_width_checked(self):
-        # the identity string too, though it draws nothing and has no gradient
+        # one angle is a 1-qubit ansatz; the identity string too, though it
+        # draws nothing and has no gradient
         for ops in ("II", "XI"):
             with pytest.raises(ConfigError):
-                parameter_shift_grad([0.1], 0, PauliString(ops), AnalyticBackend(), 1)
+                parameter_shift_grad([0.1], 0, PauliString(ops), AnalyticBackend())
+
+    def test_index_must_be_integral(self):
+        # 1.5 is not read as angle 1, and NumPy integers pass
+        t = [0.2, 0.5, 0.8]
+        with pytest.raises(ConfigError, match="index must be an integer"):
+            parameter_shift_grad(t, 1.5, PauliString("XZ"), AnalyticBackend())
+        assert (parameter_shift_grad(t, np.int64(1), PauliString("XZ"), AnalyticBackend())
+                == parameter_shift_grad(t, 1, PauliString("XZ"), AnalyticBackend()))
 
     def test_one_qubit_x_derivative(self):
         g = parameter_shift_grad([0.3], 0, PauliString("X"), AnalyticBackend())
@@ -308,7 +322,7 @@ class TestParameterShift:
         for ops in ("ZII", "XZI", "IYY", "ZXZ"):
             string = PauliString(ops)
             for i in range(7):
-                got = parameter_shift_grad(t, i, string, backend, n_qubits=3)
+                got = parameter_shift_grad(t, i, string, backend)
                 up, dn = t.copy(), t.copy()
                 up[i] += step
                 dn[i] -= step
@@ -375,6 +389,24 @@ class TestBatchedEstimates:
             want = oracle_sampled_estimates(st.amplitudes[None], [ops], 1000,
                                             np.random.default_rng(np.random.SeedSequence(9)))
             assert est.value == want[0] and est.shots == 1000
+
+    def test_analytic_rows_match_dense_oracle(self, monkeypatch):
+        # AnalyticBackend._estimates is its only <P> path: quadratic forms from
+        # the string action, with no StateVector (so no norm check) per row;
+        # expectation is its one-row call, bit for bit
+        rng = np.random.default_rng(4)
+        amps = rng.standard_normal((30, 8))
+        ops_list = ["".join(rng.choice(list("IXYZ"), 3)) for _ in range(30)]
+        strings = tuple(PauliString(ops) for ops in ops_list)
+        states = [prepare_ansatz(t, 3) for t in rng.uniform(-2, 2, (4, 7))]
+        singles = [AnalyticBackend().expectation(st, s).value
+                   for st in states for s in strings[:4]]
+        monkeypatch.setattr(qsim, "StateVector", None)
+        got = AnalyticBackend()._estimates(amps, strings)
+        want = [a @ pauli_kron(ops) @ a for a, ops in zip(amps, ops_list)]
+        assert np.abs(got - np.real(want)).max() <= 1e-12
+        assert singles == [AnalyticBackend()._estimates(st.amplitudes[None], (s,))[0]
+                           for st in states for s in strings[:4]]
 
     def test_two_dimensional_multinomial_draws_like_sequential_calls(self):
         # the batched pass rests on this: one call on (R, k) pvals gives the

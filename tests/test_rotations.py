@@ -79,6 +79,14 @@ class TestWignerSmallD:
         with pytest.raises(ConfigError):
             wigner_d_matrix(1.3, 0.5)
 
+    @pytest.mark.parametrize("j, beta", [(math.nan, 0.5), (math.inf, 0.5), (15, math.inf),
+                                         (15, math.nan), ("15", 0.5), (15, "0.5")],
+                             ids=["j-nan", "j-inf", "beta-inf", "beta-nan", "j-str", "beta-str"])
+    def test_non_finite_or_non_real_inputs_rejected(self, j, beta):
+        # beta = inf gave a NaN matrix, j = NaN a ValueError
+        with pytest.raises(ConfigError, match="must be (finite and )?real"):
+            wigner_d_matrix(j, beta)
+
 
 class TestReconstruct:
     def test_beta_zero_zero_pads(self):

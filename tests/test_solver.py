@@ -84,9 +84,18 @@ class TestGroundPair:
             return _ground_pair(H)
 
         monkeypatch.setattr(solver, "_ground_pair", record)
-        roots = _candidate_betas(ModelParams.create(64, 1.0, vbar=2.9), 40)
-        assert len(roots) == 10
+        p = ModelParams.create(64, 1.0, vbar=2.9)
+        candidates = _candidate_betas(p, 40)
+        assert len(candidates) == 10
         assert len(seen) == len(set(seen))
+        # solve_effective reads every candidate's eigenpair, beta = 0's too,
+        # from the slope search instead of solving it again
+        for cutoff in (4, 40):
+            seen.clear()
+            sol = solve_effective(p, cutoff)
+            assert len(seen) == len(set(seen))
+            assert sol.energy == _ground_pair(
+                build_effective_hamiltonian(p, sol.beta_opt, cutoff))[0]
 
 
 class TestSolveEffective:
@@ -334,3 +343,13 @@ class TestSweepVbar:
     def test_nonpositive_vbar_rejected(self):
         with pytest.raises(ConfigError):
             sweep_vbar(P30, 3, [-1.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, "2.0", None])
+    def test_grid_checked_before_first_solve(self, bad, monkeypatch):
+        # a bad last entry cost every earlier solve; a string raised TypeError
+        def fail(*args):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(solver, "solve_effective", fail)
+        with pytest.raises(ConfigError, match="vbar"):
+            sweep_vbar(P30, 3, [1.5, 2.0, bad])
