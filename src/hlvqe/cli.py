@@ -3,7 +3,9 @@
 One verb per artifact family: ``exact``, ``effective``, ``sweep-lambda``,
 ``sweep-vbar``, ``hlvqe``, ``reconstruct``, ``excited``.  Options come from
 an optional JSON config file overridden by flags (flags > file > defaults);
-unknown config keys are rejected.  Every output embeds the effective config
+unknown config keys are rejected.  ``_KEYS`` holds each key's default and
+reader, which reads flag strings and file values alike.  Each verb returns
+its table and ``main`` writes it.  Every output embeds the effective config
 and any seeds used; numeric CSV fields use repr's shortest round-trip form so
 reruns are byte-identical apart from the clearly marked timestamp line.
 
@@ -32,35 +34,84 @@ from .qsim import AnalyticBackend, SampledBackend
 from .rotations import project_parity, reconstruct_full
 from .solver import solve_effective, sweep_lambda, sweep_vbar
 
-_DEFAULTS = {
-    "n": None,
-    "eps": 1.0,
-    "vbar": None,
-    "v": None,
-    "lambda": None,
-    "lambdas": None,
-    "vbar_grid": None,
-    "eta": 0.07,
-    "iters": 80,
-    "window": (70, 80),
-    "shots": 100_000,
-    "seed": 1,
-    "backend": "analytic",
-    "update": "normalized",
-    "beta0": 0.2,
-    "theta0": 0.1,
-    "mu0": None,
-    "out": ".",
-    "format": "csv",
-    "plot_data": False,
-}
 
-# values checked after merging, whether they come from a flag or the file
-_NUMBERS = {"n": int, "eps": float, "vbar": float, "v": float, "lambda": int,
-            "eta": float, "iters": int, "shots": int, "seed": int,
-            "beta0": float, "theta0": float, "mu0": float}
-_CHOICES = {"backend": ("analytic", "sampled"), "update": ("normalized", "plain"),
-            "format": ("csv", "json")}
+def _number(kind):
+    """A reader of ``kind(value)``, finite; a non-string value must convert
+    without change (so an int key rejects 80.5)."""
+    def read(key: str, value):
+        try:
+            out = kind(value)
+            finite = kind is int or math.isfinite(out)
+            if finite and (isinstance(value, str) or out == value):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigError(f"{key}: cannot read {value!r} as {kind.__name__}")
+    return read
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
+def _list(kind):
+    """A reader of a comma-separated string or a JSON list of ``kind``."""
+    item = _number(kind)
+
+    def read(key: str, value):
+        items = value.split(",") if isinstance(value, str) else value
+        if not isinstance(items, (list, tuple)):
+            raise ConfigError(f"{key} must be a comma-separated list, got {value!r}")
+        return [item(key, x) for x in items if x != ""]
+    return read
+
+
+def _window(key: str, value) -> tuple:
+    """'A..B' or [A, B], read as a pair of ints."""
+    parts = value if isinstance(value, (list, tuple)) else str(value).split("..")
+    if len(parts) != 2:
+        raise ConfigError(f"{key} must look like 'A..B', got {value!r}")
+    return _INT(key, parts[0]), _INT(key, parts[1])
+
+
+def _check(test, need: str, read=lambda key, value: value):
+    """A reader that reads with ``read``, then requires ``test(value)``."""
+    def checked(key: str, value):
+        value = read(key, value)
+        if not test(value):
+            raise ConfigError(f"{key} must be {need}, got {value!r}")
+        return value
+    return checked
+
+
+def _choice(*allowed):
+    return _check(lambda v: v in allowed, f"one of {allowed}")
+
+
+# key -> (default, reader); a reader takes (key, value) from a flag string or
+# the config file and returns the value read, or raises ConfigError.  Only a
+# key whose default is None may be left None.
+_KEYS = {
+    "n": (None, _INT),
+    "eps": (1.0, _FLOAT),
+    "vbar": (None, _FLOAT),
+    "v": (None, _FLOAT),
+    "lambda": (None, _INT),
+    "lambdas": (None, _list(int)),
+    "vbar_grid": (None, _list(float)),
+    "eta": (HlvqeOptions.learning_rate, _FLOAT),
+    "iters": (HlvqeOptions.max_iterations, _INT),
+    "window": (HlvqeOptions.summary_window, _window),
+    "shots": (100_000, _check(lambda v: v >= 1, ">= 1", _INT)),
+    "seed": (1, _check(lambda v: v >= 0, ">= 0", _INT)),
+    "backend": ("analytic", _choice("analytic", "sampled")),
+    "update": (HlvqeOptions.update, _choice("normalized", "plain")),
+    "beta0": (HlvqeOptions.init_beta, _FLOAT),
+    "theta0": (HlvqeOptions.init_theta, _FLOAT),
+    "mu0": (None, _FLOAT),
+    "out": (".", _check(lambda v: isinstance(v, str), "a directory path")),
+    "format": ("csv", _choice("csv", "json")),
+    "plot_data": (False, _check(lambda v: isinstance(v, bool), "true or false")),
+}
 
 
 @dataclass(frozen=True)
@@ -75,40 +126,7 @@ class RunConfig:
                                   coupling=self.values["v"], vbar=self.values["vbar"])
 
     def echo(self) -> dict:
-        out = {"task": self.task}
-        for k in sorted(self.values):
-            v = self.values[k]
-            if isinstance(v, tuple):
-                v = list(v)
-            out[k] = v
-        return out
-
-
-def _number(key: str, value, kind):
-    """``kind(value)``, finite; a non-string value must convert without change
-    (so an int key rejects 80.5)."""
-    try:
-        out = kind(value)
-        finite = kind is int or math.isfinite(out)
-        if finite and (isinstance(value, str) or out == value):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{key}: cannot read {value!r} as {kind.__name__}")
-
-
-def _parse_list(key: str, value, kind) -> list:
-    items = value.split(",") if isinstance(value, str) else value
-    if not isinstance(items, (list, tuple)):
-        raise ConfigError(f"{key} must be a comma-separated list, got {value!r}")
-    return [_number(key, x, kind) for x in items if x != ""]
-
-
-def _parse_window(text) -> tuple:
-    parts = text if isinstance(text, (list, tuple)) else str(text).split("..")
-    if len(parts) != 2:
-        raise ConfigError(f"window must look like 'A..B', got {text!r}")
-    return _number("window", parts[0], int), _number("window", parts[1], int)
+        return {"task": self.task, **self.values}
 
 
 def parse_config(argv) -> RunConfig:
@@ -117,7 +135,7 @@ def parse_config(argv) -> RunConfig:
     for name in _TASKS:
         p = sub.add_parser(name)
         p.add_argument("--config")
-        for key in _DEFAULTS:
+        for key in _KEYS:
             flag = "--" + key.replace("_", "-")
             if key == "plot_data":
                 p.add_argument(flag, action="store_true", default=None)
@@ -125,7 +143,7 @@ def parse_config(argv) -> RunConfig:
                 p.add_argument(flag)
     ns = parser.parse_args(argv)
 
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (default, _) in _KEYS.items()}
     if ns.config is not None:
         try:
             with open(ns.config, encoding="utf-8") as fh:
@@ -134,32 +152,17 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"cannot read config file {ns.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {ns.config} must hold a JSON object")
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        unknown = set(file_cfg) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_cfg)
 
-    for key in _DEFAULTS:
+    for key, (default, read) in _KEYS.items():
         flag = getattr(ns, key)
         if flag is not None:
             values[key] = flag
-
-    for key, kind in _NUMBERS.items():
-        if values[key] is not None:
-            values[key] = _number(key, values[key], kind)
-    for key, kind in (("lambdas", int), ("vbar_grid", float)):
-        if values[key] is not None:
-            values[key] = _parse_list(key, values[key], kind)
-    values["window"] = _parse_window(values["window"])
-    for key, allowed in _CHOICES.items():
-        if values[key] not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {values[key]!r}")
-    if values["shots"] < 1:
-        raise ConfigError(f"shots must be >= 1, got {values['shots']}")
-    if not isinstance(values["plot_data"], bool):
-        raise ConfigError(f"plot_data must be true or false, got {values['plot_data']!r}")
-    if not isinstance(values["out"], str):
-        raise ConfigError(f"out must be a directory path, got {values['out']!r}")
+        if values[key] is not None or default is not None:
+            values[key] = read(key, values[key])
 
     if values["v"] is not None and values["vbar"] is not None:
         raise ConfigError("specify exactly one of 'v' and 'vbar', got both")
@@ -248,16 +251,13 @@ def _require(config: RunConfig, key: str):
     return config.values[key]
 
 
-def _task_exact(config: RunConfig):
-    params = config.model_params()
+def _task_exact(config: RunConfig, params: ModelParams):
     energy, amps = exact_ground_state(params)
     rows = [(m, amps[m]) for m in range(len(amps))]
-    return emit_report(config, "exact", ["m", "amplitude"], rows,
-                       extra={"energy": energy})
+    return "exact", ["m", "amplitude"], rows, {"energy": energy}
 
 
-def _task_effective(config: RunConfig):
-    params = config.model_params()
+def _task_effective(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
     sol = solve_effective(params, lam)
     rows = [(n, sol.state.amplitudes[n]) for n in range(lam)]
@@ -268,24 +268,21 @@ def _task_effective(config: RunConfig):
         "bures": sol.bures,
         "bures_beta0": sol.bures_beta0,
     }
-    return emit_report(config, "effective", ["n", "amplitude"], rows, extra=extra)
+    return "effective", ["n", "amplitude"], rows, extra
 
 
-def _task_sweep_lambda(config: RunConfig):
-    params = config.model_params()
+def _task_sweep_lambda(config: RunConfig, params: ModelParams):
     lams = _require(config, "lambdas")
     rows = [(r.cutoff, r.delta_e_naive, r.delta_e_effective, r.delta_e_projected)
             for r in sweep_lambda(params, lams)]
     header = ["lambda", "dE_naive", "dE_effective", "dE_projected"]
-    return emit_report(config, "sweep_lambda", header, rows)
+    return "sweep_lambda", header, rows, None
 
 
-def _task_sweep_vbar(config: RunConfig):
-    params = config.model_params()
+def _task_sweep_vbar(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
     grid = _require(config, "vbar_grid")
-    rows = sweep_vbar(params, lam, grid)
-    return emit_report(config, "sweep_vbar", ["vbar", "rel_error_percent"], rows)
+    return "sweep_vbar", ["vbar", "rel_error_percent"], sweep_vbar(params, lam, grid), None
 
 
 def _trace_table(trace, lam: int):
@@ -297,8 +294,7 @@ def _trace_table(trace, lam: int):
     return header, rows
 
 
-def _task_hlvqe(config: RunConfig):
-    params = config.model_params()
+def _task_hlvqe(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
     opts = _hlvqe_options(config)
     trace = run(params, lam, opts)
@@ -306,11 +302,10 @@ def _task_hlvqe(config: RunConfig):
     s = summarize(trace, opts.summary_window)
     extra = {"summary": {k: {"mean": v[0], "half_range": v[1]}
                          for k, v in s.quantities.items()}}
-    return emit_report(config, "hlvqe_trace", header, rows, extra=extra)
+    return "hlvqe_trace", header, rows, extra
 
 
-def _task_reconstruct(config: RunConfig):
-    params = config.model_params()
+def _task_reconstruct(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
     sol = solve_effective(params, lam)
     full = reconstruct_full(sol.state, params)
@@ -319,12 +314,10 @@ def _task_reconstruct(config: RunConfig):
     rows = [(m, full.amplitudes[m], projected.amplitudes[m], exact[m])
             for m in range(params.n_particles + 1)]
     header = ["m", "amplitude", "projected", "exact"]
-    return emit_report(config, "reconstruct", header, rows,
-                       extra={"beta_opt": sol.beta_opt, "bures": sol.bures})
+    return "reconstruct", header, rows, {"beta_opt": sol.beta_opt, "bures": sol.bures}
 
 
-def _task_excited(config: RunConfig):
-    params = config.model_params()
+def _task_excited(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
     mu0 = _require(config, "mu0")
     opts = _hlvqe_options(config)
@@ -334,7 +327,7 @@ def _task_excited(config: RunConfig):
     extra = {"excited_energy": trace[-1].energy,
              "shifted_ground_eigenvalue": float(w[0]),
              "mu0": mu0}
-    return emit_report(config, "excited_trace", header, rows, extra=extra)
+    return "excited_trace", header, rows, extra
 
 
 _TASKS = {
@@ -351,8 +344,8 @@ _TASKS = {
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-        path = _TASKS[config.task](config)
-        print(path)
+        table = _TASKS[config.task](config, config.model_params())
+        print(emit_report(config, *table))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

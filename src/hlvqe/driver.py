@@ -67,7 +67,11 @@ class HlvqeOptions:
         _finite("init_theta", self.init_theta)
         if _integer("max_iterations", self.max_iterations) < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        lo, hi = self.summary_window
+        try:
+            lo, hi = (_integer("summary_window", w) for w in self.summary_window)
+        except (TypeError, ValueError):
+            raise ConfigError(f"summary_window must be a pair of integers, "
+                              f"got {self.summary_window!r}") from None
         if not 1 <= lo <= hi <= self.max_iterations:
             raise ConfigError(
                 f"summary window {self.summary_window} outside [1, {self.max_iterations}]")

@@ -103,9 +103,13 @@ def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
 
 def _trig(beta: float) -> tuple[tuple, tuple]:
     """f(beta) and f'(beta) of the band table, f = (1, cos, sin, sin^2, sin cos);
-    the one place beta enters H(beta), so a non-finite beta stops here."""
-    if not math.isfinite(beta):
-        raise ConfigError(f"beta must be finite, got {beta!r}")
+    the one place beta enters H(beta), so a non-finite or non-real beta stops here."""
+    try:
+        finite = math.isfinite(beta)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"beta must be finite and real, got {beta!r}")
     s, c = math.sin(beta), math.cos(beta)
     return ((1.0, c, s, s * s, s * c),
             (0.0, -s, c, math.sin(2 * beta), math.cos(2 * beta)))

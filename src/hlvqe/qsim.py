@@ -119,6 +119,7 @@ def prepare_ansatz(theta, n_qubits: int) -> StateVector:
     """Real-amplitude ansatz state on |0...0>: one rotation exp(-i sign theta_k/2 P_k)
     per angle over ``_generators``' 2^n - 1 strings, so the state is float64,
     the +-pi/2 shift rule is exact, and every real unit vector is reachable."""
+    n_qubits = _integer("n_qubits", n_qubits)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     want = 2 ** n_qubits - 1
     if theta.shape != (want,):
@@ -160,7 +161,8 @@ class AnalyticBackend:
                 build_effective_hamiltonian_dbeta(params, beta, cutoff))
 
     def _observable(self, decomp):
-        return reassemble(decomp)
+        # the ansatz is real, so psi^T Im(H) psi = 0 for a complex shift state
+        return reassemble(decomp).real
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one

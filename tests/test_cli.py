@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hlvqe
-from hlvqe.cli import main, parse_config
+from hlvqe.cli import _KEYS, main, parse_config
 from hlvqe.errors import ConfigError
 
 
@@ -61,6 +62,14 @@ class TestParseConfig:
     def test_neither_v_nor_vbar_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(["exact", "--n", "30"])
+
+    @pytest.mark.parametrize("key", ["shots", "seed", "eta"])
+    def test_null_only_where_default_is_none(self, key, tmp_path):
+        # a null shots ended in a TypeError; keys with no default may be null
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"n": 30, "vbar": 2.0, "v": None, "mu0": None, key: None}))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(["hlvqe", "--config", str(f)])
 
     def test_window_parsing(self):
         cfg = parse_config(["hlvqe", "--n", "30", "--vbar", "2.0",
@@ -210,8 +219,9 @@ class TestTasks:
         ["effective", "--lambda", "2", "--vbar", "inf"],
         ["hlvqe", "--lambda", "2", "--beta0", "inf"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
+        ["exact", "--seed", "-1"],
     ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "n", "eta-nan", "mu0-nan",
-            "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed"])
+            "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
         argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
         assert main(argv) == 2
@@ -256,3 +266,13 @@ def test_package_exports_exactly_the_layer_modules_public_names():
     for mod in layers:
         for name in mod.__all__:
             assert exported[name] is getattr(mod, name), (mod.__name__, name)
+
+
+def test_readme_config_table_names_exactly_the_keys():
+    # the backticked names in the first column of README's "Config file"
+    # table, so the documented keys cannot drift from the key table
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
+    firsts = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(name for col in firsts for name in re.findall(r"`([^`]+)`", col)) \
+        == sorted(_KEYS)

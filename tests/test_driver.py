@@ -198,9 +198,11 @@ class TestCostAndGrads:
                        options={"ftol": 0.0, "gtol": 1e-12})
         assert abs(res.fun - sol.energy) <= 1e-10
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5])],
+                             ids=["nan", "inf", "str", "none", "complex", "array"])
     def test_non_finite_beta_rejected(self, beta):
-        # NaN returned NaN energies silently on both backends
+        # NaN returned NaN energies silently on both backends, and a non-real
+        # beta ended in a TypeError
         for backend in (ANALYTIC, SampledBackend(100, 1)):
             with pytest.raises(ConfigError, match="beta must be finite"):
                 cost_and_grads(P30, 4, beta, np.zeros(3), backend)
@@ -412,7 +414,11 @@ class TestRun:
         {"learning_rate": "a"},
         {"init_beta": "a"},
         {"init_theta": "a"},
-    ], ids=["max_iterations", "learning_rate", "init_beta", "init_theta"])
+        {"summary_window": "ab"},
+        {"summary_window": (1, 2, 3)},
+        {"summary_window": (1.0, 2.0)},
+    ], ids=["max_iterations", "learning_rate", "init_beta", "init_theta",
+            "summary_window-str", "summary_window-triple", "summary_window-float"])
     def test_wrong_type_option_rejected(self, bad):
         # fails at construction, not with a TypeError inside run
         with pytest.raises(ConfigError):
@@ -529,6 +535,21 @@ class TestExcitedStates:
             assert r.energy == pytest.approx(psi @ H @ psi, abs=1e-10), r.step
             assert r.beta == beta0 and r.grad_beta == 0.0
             assert math.isnan(r.bures_to_exact)
+
+    def test_analytic_excited_run_with_complex_ground_state(self):
+        # a complex shift state makes the shifted matrix complex; the real
+        # ansatz sees only its real part (a ComplexWarning, an error here, before)
+        g = StateVector(2, [0.5, 0.5j, 0.5, -0.5])
+        beta0, mu0 = 0.8, 10.0
+        opts = HlvqeOptions(init_theta=0.2, update="plain", max_iterations=10,
+                            summary_window=(1, 10))
+        trace, shifted = excited_state_run(P30, 4, mu0, opts, ground_state=g, beta0=beta0)
+        assert np.iscomplexobj(reassemble(shifted))
+        gv = g.amplitudes
+        H = (build_effective_hamiltonian(P30, beta0, 4) + mu0 * np.outer(gv, gv.conj())).real
+        for r in trace:
+            psi = prepare_ansatz(r.theta, 2).real_amplitudes()
+            assert r.energy == pytest.approx(psi @ H @ psi, abs=1e-12), r.step
 
     def test_excited_run_marks_stationary_point_converged(self):
         # at theta = 0 the one-qubit shifted Hamiltonian (g = |1>) has zero

@@ -200,10 +200,13 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ConfigError):
             build_effective_hamiltonian(p, 0.3, 8)
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
-                             ids=["nan", "inf", "-inf", "numpy-nan"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                      "0.5", None, 0.5 + 0j, np.array([0.5])],
+                             ids=["nan", "inf", "-inf", "numpy-nan",
+                                  "str", "none", "complex", "array"])
     def test_non_finite_beta_rejected(self, beta):
-        # NaN gave a NaN matrix silently, +-inf a "math domain error"
+        # NaN gave a NaN matrix silently, +-inf a "math domain error", and a
+        # string, None, complex or 1-D array beta a TypeError
         p = ModelParams.create(6, 1.0, vbar=2.0)
         for build in (build_effective_hamiltonian, build_effective_hamiltonian_dbeta):
             with pytest.raises(ConfigError, match="beta must be finite"):

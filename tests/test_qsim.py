@@ -141,6 +141,14 @@ class TestPrepareAnsatz:
         with pytest.raises(ConfigError):
             prepare_ansatz([0.1, 0.2], 1)
 
+    @pytest.mark.parametrize("n_qubits", [1.0, "1"], ids=["float", "str"])
+    def test_register_width_must_be_integral(self, n_qubits):
+        # ended in a TypeError inside the angle count
+        with pytest.raises(ConfigError, match="n_qubits must be an integer"):
+            prepare_ansatz([0.1], n_qubits)
+        assert np.array_equal(prepare_ansatz([0.1], np.int64(1)).amplitudes,
+                              prepare_ansatz([0.1], 1).amplitudes)
+
     @given(strategies.integers(1, 6).flatmap(lambda nq: strategies.lists(
         strategies.floats(-1, 1), min_size=2 ** nq, max_size=2 ** nq)))
     def test_tree_angles_round_trip(self, amps):
