@@ -103,9 +103,11 @@ def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
 
 def _trig(beta: float) -> tuple[tuple, tuple]:
     """f(beta) and f'(beta) of the band table, f = (1, cos, sin, sin^2, sin cos);
-    the one place beta enters H(beta), so a non-finite or non-real beta stops here."""
+    the one place beta enters H(beta), so a non-finite or non-real beta stops here
+    (a complex one too: NumPy's complex scalars are ``complex``, which
+    ``math.isfinite`` would take at its real part with only a warning)."""
     try:
-        finite = math.isfinite(beta)
+        finite = not isinstance(beta, complex) and math.isfinite(beta)
     except TypeError:
         finite = False
     if not finite:

@@ -27,13 +27,14 @@ Backends: each evaluates an objective psi^T H psi and its gradients its own
 way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
 and every theta-gradient from one adjoint sweep, with no Pauli string.
 ``SampledBackend(shots, seed)`` measures the Pauli decomposition, with
-theta-gradients by the +-pi/2 shift rule, in two row-batched ``_estimates``
-passes (the base state in each non-identity string, then per angle and string
-the up and down shifted states), each drawing every ensemble in one
-multinomial call on a ``SeedSequence(seed)`` generator, as one call per row in
-row order would.  Each backend also gives the amplitude magnitudes a run
-records (exact, or the square roots of one ensemble) and the backend a run
-draws from (itself, or a copy on its own stream).
+theta-gradients by the +-pi/2 shift rule, in one row-batched ``_estimates``
+pass over one batch of preparations (the base state in each non-identity
+string, then per angle and string the up and down shifted states), drawing
+every ensemble in one multinomial call on a ``SeedSequence(seed)`` generator,
+as one call per row in row order would.  Each backend also gives the
+amplitude magnitudes a run records (exact, or the square roots of one
+ensemble) and the backend a run draws from (itself, or a copy on its own
+stream).
 """
 
 from __future__ import annotations
@@ -115,21 +116,52 @@ def _generators(n_qubits: int) -> tuple:
                  for prefix in map("".join, itertools.product("ZI", repeat=t)))
 
 
-def prepare_ansatz(theta, n_qubits: int) -> StateVector:
-    """Real-amplitude ansatz state on |0...0>: one rotation exp(-i sign theta_k/2 P_k)
-    per angle over ``_generators``' 2^n - 1 strings, so the state is float64,
-    the +-pi/2 shift rule is exact, and every real unit vector is reachable."""
+def _angles(theta, n_qubits: int) -> tuple[np.ndarray, int]:
+    """(theta as a float array, n_qubits) if theta has the 2^n - 1 angles of
+    the ``n_qubits`` ansatz, else a ConfigError."""
     n_qubits = _integer("n_qubits", n_qubits)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     want = 2 ** n_qubits - 1
     if theta.shape != (want,):
         raise ConfigError(
             f"{n_qubits}-qubit ansatz needs {want} angles, got shape {theta.shape}")
+    return theta, n_qubits
+
+
+def prepare_ansatz(theta, n_qubits: int) -> StateVector:
+    """Real-amplitude ansatz state on |0...0>: one rotation exp(-i sign theta_k/2 P_k)
+    per angle over ``_generators``' 2^n - 1 strings, so the state is float64,
+    the +-pi/2 shift rule is exact, and every real unit vector is reachable."""
+    theta, n_qubits = _angles(theta, n_qubits)
     amps = np.zeros(2 ** n_qubits)
     amps[0] = 1.0
     for (ops, sign), th in zip(_generators(n_qubits), theta):
         amps = _rotate(amps, ops, math.cos(th / 2), sign * math.sin(th / 2))
     return StateVector(n_qubits, amps)
+
+
+def _shifted_ansatz(theta, indices, n_qubits: int) -> np.ndarray:
+    """(1 + 2K, 2^n) amplitudes: the ansatz state at theta, then for each of
+    the K angles k in ``indices`` the states at theta + pi/2 e_k and theta -
+    pi/2 e_k.
+
+    Gate j turns every row as ``_rotate`` would with the scalars of theta_j,
+    and the two rows shifted at j with their own, so each row takes the float
+    operations of ``prepare_ansatz``'s loop and equals its state bit for bit.
+    """
+    theta, n_qubits = _angles(theta, n_qubits)
+    shifted = {k: 1 + 2 * i for i, k in enumerate(indices)}
+    amps = np.zeros((1 + 2 * len(shifted), 2 ** n_qubits))
+    amps[:, 0] = 1.0
+    for j, ((ops, sign), th) in enumerate(zip(_generators(n_qubits), theta)):
+        rows, kick = _kicked(ops)
+        turned = math.cos(th / 2) * amps + sign * math.sin(th / 2) * (kick * amps)[:, rows]
+        if j in shifted:
+            r = shifted[j]
+            for row, t in ((r, th + math.pi / 2), (r + 1, th - math.pi / 2)):
+                turned[row] = _rotate(amps[row], ops, math.cos(t / 2), sign * math.sin(t / 2))
+        amps = turned
+    return amps
 
 
 @dataclass(frozen=True)
@@ -228,14 +260,14 @@ class SampledBackend:
         return np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
-        """sum_P c_P <P> over h, and over dh (0.0 without dh) from the same pass of
-        <P>, as dh carries h's strings in h's order; theta-gradients by the shift rule."""
-        psi = prepare_ansatz(theta, h.n_qubits).amplitudes
-        strings = tuple(s for s, _ in h.terms if not s.is_identity)
-        measured = iter(self._estimates(np.tile(psi, (len(strings), 1)), strings).tolist())
+        """sum_P c_P <P> over h, and over dh (0.0 without dh) from the same <P>, as
+        dh carries h's strings in h's order; theta-gradients by the shift rule,
+        whose one pass measures the base state too."""
+        base, grad = _shift_rule(theta, range(len(theta)), h.terms, self, h.n_qubits,
+                                 base=True)
+        measured = iter(base)
         expect = [1.0 if s.is_identity else next(measured) for s, _ in h.terms]
         energy = math.fsum(c * x for (_, c), x in zip(h.terms, expect))
-        grad = _shift_rule(theta, range(len(theta)), h.terms, self, h.n_qubits)
         return energy, 0.0 if dh is None else math.fsum(
             c * x for (_, c), x in zip(dh.terms, expect)), grad
 
@@ -297,25 +329,29 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
     return backend.expectation(state, string)
 
 
-def _shift_rule(theta: np.ndarray, indices, terms, backend, n_qubits: int) -> np.ndarray:
+def _shift_rule(theta: np.ndarray, indices, terms, backend, n_qubits: int,
+                base: bool = False):
     """d/d(theta_k) of sum_P c_P <P> over the (string, c) ``terms``, for each k
-    in ``indices``: the only place the shifted states are prepared.
+    in ``indices``: the only place the shifted states are prepared and measured.
 
     The rule is linear in the observable, so one pair of preparations at
-    theta +- pi/2 e_k serves every string.  One ``backend._estimates`` batch
-    measures all pairs, per angle and string up then down; <I> is constant.
+    theta +- pi/2 e_k serves every string.  One ``_shifted_ansatz`` batch
+    prepares every state and one ``backend._estimates`` call measures every
+    row: with ``base`` the unshifted state in each string first, then per
+    angle and string up then down; <I> is constant and not measured.  With
+    ``base`` the return is (the unshifted <P> in term order, gradients).
     """
     measured = [(s, c) for s, c in terms if not s.is_identity]
-    pairs = []
-    for k in indices:
-        up, dn = theta.copy(), theta.copy()
-        up[k], dn[k] = theta[k] + math.pi / 2, theta[k] - math.pi / 2
-        pairs.append([prepare_ansatz(t, n_qubits).amplitudes for t in (up, dn)])
-    amps = np.repeat(np.array(pairs), len(measured), axis=0).reshape(-1, 2 ** n_qubits)
-    strings = tuple(s for s, _ in measured for _ in "ud") * len(pairs)
-    values = backend._estimates(amps, strings).reshape(len(pairs), len(measured), 2)
-    return np.array([math.fsum(c * ((u - d) / 2) for (_, c), (u, d) in zip(measured, row))
-                     for row in values.tolist()])
+    strings = tuple(s for s, _ in measured)
+    states = _shifted_ansatz(theta, indices, n_qubits)
+    head = len(strings) if base else 0
+    order = [0] * head + [r for k in range(1, len(states), 2) for _ in strings for r in (k, k + 1)]
+    values = backend._estimates(
+        states[order], strings[:head] + tuple(s for s in strings for _ in "ud") * len(indices))
+    rows = values[head:].reshape(len(indices), len(strings), 2).tolist()
+    grad = np.array([math.fsum(c * ((u - d) / 2) for (_, c), (u, d) in zip(measured, row))
+                     for row in rows])
+    return (values[:head].tolist(), grad) if base else grad
 
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:

@@ -20,7 +20,8 @@ then, for row r and column c,
     d[r, c] = Re[ i^(c - r) (V e^(i beta w) V^T)[r, c] ],
 
 that is C = V cos(beta w) V^T or S = V sin(beta w) V^T picked entrywise as
-C, -S, -C, S for (c - r) mod 4 = 0, 1, 2, 3.  Every entry is a sum of
+C, -S, -C, S for (c - r) mod 4 = 0, 1, 2, 3: C where c - r is even, else S,
+times a fixed sign, which is exact.  Every entry is a sum of
 bounded terms, so no digits are lost to cancellation at any J; spot checks
 against 80-digit arithmetic at 2J = 96 and 200 agree to ~3e-15.
 """
@@ -60,6 +61,19 @@ def _jy_eigenpairs(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+@lru_cache(maxsize=64)
+def _d_pattern(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (even, sign) of size 2J + 1: entry [r, c] of d is C if
+    ``even`` ((c - r) mod 2 = 0), else S, times ``sign``, -1.0 where (c - r)
+    mod 4 is 1 or 2 and +1.0 elsewhere."""
+    n = np.arange(two_j + 1)
+    quarter = (n - n[:, None]) % 4
+    even, sign = quarter % 2 == 0, np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
+    even.flags.writeable = False
+    sign.flags.writeable = False
+    return even, sign
+
+
 def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
     """Full (2J+1) x (2J+1) reduced rotation matrix, rows/cols ordered by n = M + J."""
     two_j = int(round(2 * _finite("j", j)))
@@ -69,8 +83,10 @@ def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
     w, v = _jy_eigenpairs(two_j)
     cos_part = (v * np.cos(beta * w)) @ v.T
     sin_part = (v * np.sin(beta * w)) @ v.T
-    n = np.arange(two_j + 1)
-    return np.choose((n - n[:, None]) % 4, (cos_part, -sin_part, -cos_part, sin_part))
+    even, sign = _d_pattern(two_j)
+    d = np.where(even, cos_part, sin_part)
+    d *= sign
+    return d
 
 
 @dataclass(frozen=True)
@@ -142,9 +158,13 @@ def project_parity(state: FullState, sector: str) -> FullState:
 
 
 def bures_distance(a: FullState, b: FullState) -> float:
-    """sqrt(2 (1 - |<a|b>|)) for unit-norm real states; symmetric in its arguments."""
+    """sqrt(2 (1 - |<a|b>|)) for unit-norm real states, taken as ||a - sigma b||
+    with sigma = sign <a|b>: a sum of squares of small numbers, so distances
+    below sqrt(eps) are resolved rather than lost to the cancellation in 1 -
+    |<a|b>|.  Symmetric in its arguments."""
     if a.n_particles != b.n_particles:
         raise ConfigError(
             f"dimension mismatch: N={a.n_particles} vs N={b.n_particles}")
-    overlap = abs(float(a.amplitudes @ b.amplitudes))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - overlap)))
+    a, b = a.amplitudes, b.amplitudes
+    diff = a - b if a.dot(b) >= 0 else a + b
+    return math.sqrt(diff.dot(diff))

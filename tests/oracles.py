@@ -7,12 +7,18 @@ Hamiltonian is eps*Jz - V/2 (J+^2 + J-^2), and the rotated basis is
 matrix exponential.  (i*Jy = (J+ - J-)/2 is real, so W is real; the +i
 sign pairs with the reconstruction convention <m, 0 | n, beta> = <m| W |n>
 of the rotations module.)  Energies at the reference tables' precision
-floor come from mpmath at 40 digits, and single d^J entries from Wigner's
-sum at 80 digits.  Ansatz states are built from block-diagonal
-uniformly-controlled-Ry matrices, and their angles are read back off a real
-unit vector by inverting that tree from the leaves up; measurement basis
-changes apply the textbook gates qubit by qubit, and sampled estimates take
-one multinomial draw per measured row.  The per-entry loops that fill
+floor come from mpmath at 40 digits, single d^J entries from Wigner's sum at
+80 digits, and small Bures distances from 50-digit overlaps; the whole d^J
+matrix is also rebuilt by the rotations module's factorisation with its
+entries picked by ``np.choose``, the selection its parity mask replaced.
+Ansatz states are built from block-diagonal uniformly-controlled-Ry
+matrices, and their angles are read back off a real unit vector by
+inverting that tree from the leaves up; the simulator's one-row loop of
+Pauli rotations is rebuilt from bit arithmetic, for checks bit for bit.
+Measurement basis changes apply the textbook gates qubit by qubit, sampled
+estimates take one multinomial draw per measured row, and the sampled
+objective is evaluated in two such passes, the base state and then every
+shifted state prepared one at a time.  The per-entry loops that fill
 H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
 weights, are the closed forms the band table replaced, kept here as its
 oracles; the band table's terms are summed by Python's ``sum``, and lowest
@@ -24,7 +30,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
 
@@ -63,6 +69,20 @@ def mp_wigner_d(two_j, beta, row, col, dps=80):
             total += ((-1) ** (p - q + k) * c ** (two_j + q - p - 2 * k) * s ** (p - q + 2 * k)
                       / (f(q - k) * f(k) * f(p - q + k) * f(two_j - p - k)))
         return float(total * mpmath.sqrt(f(p) * f(two_j - p) * f(q) * f(two_j - q)))
+
+
+def choose_wigner_d(two_j, beta):
+    """d^J(beta) by the rotations module's factorisation, T = V diag(w) V^T
+    with w rounded to -J .. J, and its entries picked by ``np.choose`` as C,
+    -S, -C, S for (c - r) mod 4 = 0 .. 3: the selection that the parity mask
+    and sign matrix replaced."""
+    k = np.arange(two_j)
+    w, v = eigh_tridiagonal(np.zeros(two_j + 1), 0.5 * np.sqrt((k + 1) * (two_j - k)))
+    w = np.round(2 * w) / 2
+    cos_part = (v * np.cos(beta * w)) @ v.T
+    sin_part = (v * np.sin(beta * w)) @ v.T
+    n = np.arange(two_j + 1)
+    return np.choose((n - n[:, None]) % 4, (cos_part, -sin_part, -cos_part, sin_part))
 
 
 def oracle_rotated_block(params, beta, cutoff):
@@ -238,6 +258,36 @@ def oracle_ansatz_state(theta, n_qubits):
     return psi
 
 
+def row_ansatz_state(theta, n_qubits):
+    """The ansatz state as one row turned by one Pauli rotation per angle.
+
+    Angle k of target t is exp(-i sign theta/2 Z^m Y_t), with the control mask
+    m = 2^t - 1 - k over qubits 0 .. t-1 and sign -1 if m is non-empty (as in
+    ``oracle_ansatz_state``).  -i Z^m Y_t maps |b> to (-1)^|b & (t, m)| |b ^ t>,
+    so each rotation is cos(theta/2) a + sign sin(theta/2) (-1)^.. a[b ^ t]:
+    one rounded product per term and one sum, the simulator's float
+    operations, so the result is its state bit for bit.
+    """
+    n = n_qubits
+    theta = np.asarray(theta, dtype=float)
+    assert theta.shape == (2 ** n - 1,)
+    index = np.arange(2 ** n)
+    amps = np.zeros(2 ** n)
+    amps[0] = 1.0
+    angles = iter(theta)
+    for t in range(n):
+        target = 1 << (n - 1 - t)
+        for k in range(2 ** t):
+            mask = 2 ** t - 1 - k
+            src = index ^ target
+            kick = np.array([(-1.0) ** bin(b & (target | mask << (n - t))).count("1")
+                             for b in src])
+            th = next(angles)
+            sign = -1.0 if mask else 1.0
+            amps = math.cos(th / 2) * amps + sign * math.sin(th / 2) * (kick * amps[src])
+    return amps
+
+
 def oracle_tree_angles(v):
     """Angles theta with oracle_ansatz_state(theta) = v, for a real unit vector v
     of length 2^n: the inverse of the uniformly-controlled-Ry tree.
@@ -312,6 +362,39 @@ def oracle_sampled_estimates(amps, ops_list, shots, rng):
     return np.array(out)
 
 
+def two_pass_sampled_cost(theta, terms, dterms, shots, rng):
+    """(E, G_beta, G_theta) of the sampled objective over the (ops, c) ``terms``
+    (G_beta over ``dterms``, the same strings in the same order, or 0.0 for
+    None), drawn row by row from ``rng`` in two passes.
+
+    The first pass measures ``row_ansatz_state(theta)`` in each non-identity
+    string, in term order; <I> is 1.  The second prepares, per angle k, the
+    states at theta + pi/2 e_k and theta - pi/2 e_k one at a time and
+    measures, per string, up then down.  Sums are ``math.fsum`` of c <P> and
+    of c (up - down) / 2.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = len(terms[0][0])
+    measured = [(ops, c) for ops, c in terms if set(ops) != {"I"}]
+    strings = [ops for ops, _ in measured]
+    psi = row_ansatz_state(theta, n)
+    base = iter(oracle_sampled_estimates([psi] * len(strings), strings, shots, rng).tolist())
+    expect = [1.0 if set(ops) == {"I"} else next(base) for ops, _ in terms]
+    energy = math.fsum(c * x for (_, c), x in zip(terms, expect))
+    g_beta = 0.0 if dterms is None else math.fsum(c * x for (_, c), x in zip(dterms, expect))
+    rows = []
+    for k in range(len(theta)):
+        up, dn = theta.copy(), theta.copy()
+        up[k], dn[k] = theta[k] + math.pi / 2, theta[k] - math.pi / 2
+        pair = [row_ansatz_state(t, n) for t in (up, dn)]
+        rows += pair * len(strings)
+    values = oracle_sampled_estimates(rows, [ops for ops in strings for _ in "ud"] * len(theta),
+                                      shots, rng).reshape(len(theta), len(strings), 2)
+    grad = np.array([math.fsum(c * ((u - d) / 2) for (_, c), (u, d) in zip(measured, row))
+                     for row in values.tolist()])
+    return energy, g_beta, grad
+
+
 def golden_section(f, lo, hi, tol=1e-12):
     """Minimizer of a unimodal f on [lo, hi] by plain value comparison."""
     invphi = (math.sqrt(5) - 1) / 2
@@ -347,6 +430,16 @@ def coherent_state(N, beta):
 def bures(a, b):
     """sqrt(2 (1 - |<a|b>|)) for unit vectors."""
     return math.sqrt(2 * (1 - abs(float(a @ b))))
+
+
+def mp_bures(a, b, dps=50):
+    """sqrt(2 (1 - |<a|b>|)) of the float vectors a and b, each normalized,
+    at ``dps`` digits: no digit of a small distance is lost to cancellation."""
+    with mpmath.workdps(dps):
+        a, b = ([mpmath.mpf(float(x)) for x in v] for v in (a, b))
+        dot = abs(mpmath.fsum(x * y for x, y in zip(a, b)))
+        norms = mpmath.sqrt(mpmath.fsum(x * x for x in a) * mpmath.fsum(y * y for y in b))
+        return float(mpmath.sqrt(2 * (1 - dot / norms)))
 
 
 class RotatedFrame:

@@ -36,7 +36,12 @@ from hlvqe.qsim import (
     prepare_ansatz,
 )
 from hlvqe.solver import solve_effective
-from oracles import coeffs_1q, oracle_sampled_estimates, oracle_tree_angles
+from oracles import (
+    coeffs_1q,
+    oracle_sampled_estimates,
+    oracle_tree_angles,
+    two_pass_sampled_cost,
+)
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 ANALYTIC = AnalyticBackend()
@@ -198,8 +203,10 @@ class TestCostAndGrads:
                        options={"ftol": 0.0, "gtol": 1e-12})
         assert abs(res.fun - sol.energy) <= 1e-10
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5])],
-                             ids=["nan", "inf", "str", "none", "complex", "array"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5]),
+                                      np.complex128(0.5), np.complex128(0.5 + 0.3j)],
+                             ids=["nan", "inf", "str", "none", "complex", "array",
+                                  "numpy-complex", "numpy-complex-imag"])
     def test_non_finite_beta_rejected(self, beta):
         # NaN returned NaN energies silently on both backends, and a non-real
         # beta ended in a TypeError
@@ -228,9 +235,9 @@ class TestCostAndGrads:
         entry(np.int64(4))
 
     @pytest.mark.parametrize("lam", [2, 4, 8])
-    def test_sampled_objective_draws_twice_per_evaluation(self, lam, monkeypatch):
-        # one batched pass for the base state, one for every shifted state;
-        # no string is measured on its own
+    def test_sampled_objective_draws_once_per_evaluation(self, lam, monkeypatch):
+        # one batched pass for the base state and every shifted state; no
+        # string is measured on its own
         def forbidden(*args, **kwargs):
             raise AssertionError("sampled objective measured a single string")
 
@@ -239,7 +246,26 @@ class TestCostAndGrads:
         backend = SampledBackend(1000, 3)
         backend._rng = counting = CountingGenerator(backend._rng)
         cost_and_grads(P30, lam, 0.7, np.linspace(0.3, -0.4, lam - 1), backend)
-        assert counting.calls == 2
+        assert counting.calls == 1
+
+    @pytest.mark.parametrize("lam", [2, 4, 8])
+    def test_sampled_cost_matches_two_pass_oracle(self, lam):
+        # E, G_beta, G_theta and the stream left behind, bit for bit, against
+        # the base-state pass then the shifted-state pass, every state
+        # prepared and every ensemble drawn one row at a time (oracles)
+        theta = np.linspace(0.9, -0.6, lam - 1)
+        for seed in (3, 31, 2024):
+            backend = SampledBackend(100_000, seed)
+            h, dh = backend._hamiltonian(P30, 0.7, lam)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            for d in (dh, None):
+                energy, g_beta, grad = backend._cost(theta, h, d)
+                want = two_pass_sampled_cost(
+                    theta, [(s.ops, c) for s, c in h.terms],
+                    None if d is None else [(s.ops, c) for s, c in d.terms], 100_000, rng)
+                assert (energy, g_beta) == want[:2]
+                assert grad.tobytes() == want[2].tobytes()
+                assert backend._rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("n, lam", [(30, 8), (30, 16), (64, 32), (64, 64)])
     @pytest.mark.parametrize("vbar", [0.5, 2.0], ids=["symmetric", "broken"])

@@ -201,9 +201,10 @@ class TestEffectiveHamiltonian:
             build_effective_hamiltonian(p, 0.3, 8)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, np.float64(math.nan),
-                                      "0.5", None, 0.5 + 0j, np.array([0.5])],
-                             ids=["nan", "inf", "-inf", "numpy-nan",
-                                  "str", "none", "complex", "array"])
+                                      "0.5", None, 0.5 + 0j, np.array([0.5]),
+                                      np.complex128(0.5), np.complex128(0.5 + 0.3j)],
+                             ids=["nan", "inf", "-inf", "numpy-nan", "str", "none",
+                                  "complex", "array", "numpy-complex", "numpy-complex-imag"])
     def test_non_finite_beta_rejected(self, beta):
         # NaN gave a NaN matrix silently, +-inf a "math domain error", and a
         # string, None, complex or 1-D array beta a TypeError

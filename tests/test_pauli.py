@@ -230,8 +230,10 @@ class TestHamiltonianDecomposition:
         with pytest.raises(ConfigError):
             hamiltonian_decomposition(p, 0.5, 3)
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5])],
-                             ids=["nan", "inf", "str", "none", "complex", "array"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5]),
+                                      np.complex128(0.5), np.complex128(0.5 + 0.3j)],
+                             ids=["nan", "inf", "str", "none", "complex", "array",
+                                  "numpy-complex", "numpy-complex-imag"])
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(ConfigError, match="beta must be finite"):
             hamiltonian_decomposition(ModelParams.create(30, 1.0, vbar=2.0), beta, 4)

@@ -28,6 +28,7 @@ from hlvqe.qsim import (
     _measurement_basis,
     _measurement_plan,
     _shift_rule,
+    _shifted_ansatz,
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_sampled_estimates,
     oracle_tree_angles,
     pauli_kron,
+    row_ansatz_state,
 )
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
@@ -159,6 +161,36 @@ class TestPrepareAnsatz:
         theta = oracle_tree_angles(v)
         got = prepare_ansatz(theta, v.size.bit_length() - 1).amplitudes
         assert np.abs(got - v).max() <= 1e-13
+
+
+class TestShiftedBatch:
+    """``_shifted_ansatz``, the base state and every +-pi/2-shifted state in one
+    batch, against the one-row loop: ``prepare_ansatz`` and its bit-arithmetic
+    rebuild in the oracles."""
+
+    @given(strategies.integers(1, 4).flatmap(lambda nq: strategies.tuples(
+        strategies.just(nq),
+        strategies.lists(strategies.floats(-math.pi, math.pi),
+                         min_size=2 ** nq - 1, max_size=2 ** nq - 1),
+        strategies.lists(strategies.integers(0, 2 ** nq - 2), unique=True))))
+    def test_rows_equal_one_row_preparations(self, case):
+        nq, t, indices = case
+        theta = np.array(t)
+        rows = [theta]
+        for k in indices:
+            for shift in (math.pi / 2, -math.pi / 2):
+                row = theta.copy()
+                row[k] = theta[k] + shift
+                rows.append(row)
+        got = _shifted_ansatz(theta, indices, nq)
+        assert got.shape == (len(rows), 2 ** nq)
+        for amps, row in zip(got, rows):
+            assert amps.tobytes() == prepare_ansatz(row, nq).amplitudes.tobytes()
+            assert amps.tobytes() == row_ansatz_state(row, nq).tobytes()
+
+    def test_angle_count_checked(self):
+        with pytest.raises(ConfigError, match="needs 3 angles"):
+            _shifted_ansatz(np.zeros(2), range(2), 2)
 
 
 class TestMeasurePauli:
