@@ -178,14 +178,22 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    """Write ``text`` to ``path`` through a temporary file in its directory: a
+    directory that cannot be made is a ConfigError, any other OSError an
+    HlvqeError, and no temporary file is left behind."""
+    out_dir = os.path.dirname(path) or "."
     try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir!r} cannot be made a directory: {exc}") from exc
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         raise HlvqeError(f"failed writing {path}: {exc}") from exc
 

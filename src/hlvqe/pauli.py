@@ -168,16 +168,24 @@ def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
     return tuple(PauliString(s) for s in ops), W
 
 
-def hamiltonian_decomposition(params: ModelParams, beta: float,
-                              cutoff: int) -> tuple[PauliDecomposition, PauliDecomposition]:
-    """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff.
-
-    The weights are f(beta) . W and f'(beta) . W from the band table's
-    cached decomposition, so both carry the same strings at every beta (a
-    weight may be exactly 0, as the X-carrying ones are at beta = 0).
-    """
+def _hamiltonian_weights(params: ModelParams, beta: float,
+                         cutoff: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(strings, f(beta) . W, f'(beta) . W) over the band table's cached
+    decomposition (``_band_weights``), from one ``_trig`` call: the Pauli
+    weights of H(beta) and of dH/dbeta for a power-of-two cutoff, both on the
+    same strings at every beta (a weight may be exactly 0, as the X-carrying
+    ones are at beta = 0)."""
     cutoff = _power_of_two("cutoff", cutoff)
     strings, W = _band_weights(params, cutoff)
-    nq = cutoff.bit_length() - 1
-    return tuple(PauliDecomposition(nq, tuple(zip(strings, _combine(f, W).tolist())), beta)
-                 for f in _trig(beta))
+    f, df = _trig(beta)
+    return strings, _combine(f, W), _combine(df, W)
+
+
+def hamiltonian_decomposition(params: ModelParams, beta: float,
+                              cutoff: int) -> tuple[PauliDecomposition, PauliDecomposition]:
+    """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff, with
+    the weights of ``_hamiltonian_weights``."""
+    strings, *weights = _hamiltonian_weights(params, beta, cutoff)
+    nq = len(strings[0])
+    return tuple(PauliDecomposition(nq, tuple(zip(strings, w.tolist())), beta)
+                 for w in weights)

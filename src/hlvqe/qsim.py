@@ -15,8 +15,10 @@ exp(-i theta/2 Z_0 X_1) into exp(+i theta/2 Z_0 Y_1); wider Z^s Y_t rotations
 are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
 Measurement lives in this module alone.  Each backend takes every <P>
-through its ``_estimates(amps, strings)``, one value per row of ``amps``
-measured in its string, and its ``expectation`` is the one-row call.  The
+through its ``_estimates(amps, strings, plan=None)``, one value per row of
+``amps`` measured in its string (``plan``, the rows' ``_measurement_plan``
+when the caller already holds it, serves the sampled rows), and its
+``expectation`` is the one-row call.  The
 analytic rows are exact quadratic forms from the string's action.  The
 sampled rows follow ``_measurement_plan``: a basis change of Ry(-pi/2) for X
 and Rx(pi/2) for Y, which give the computational-basis probabilities of H and
@@ -26,15 +28,20 @@ sign row.
 Backends: each evaluates an objective psi^T H psi and its gradients its own
 way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
 and every theta-gradient from one adjoint sweep, with no Pauli string.
-``SampledBackend(shots, seed)`` measures the Pauli decomposition, with
-theta-gradients by the +-pi/2 shift rule, in one row-batched ``_estimates``
-pass over one batch of preparations (the base state in each non-identity
-string, then per angle and string the up and down shifted states), drawing
-every ensemble in one multinomial call on a ``SeedSequence(seed)`` generator,
-as one call per row in row order would.  Each backend also gives the
-amplitude magnitudes a run records (exact, or the square roots of one
-ensemble) and the backend a run draws from (itself, or a copy on its own
-stream).
+``SampledBackend(shots, seed)`` measures H(beta) as the band table's strings
+with the weight rows f(beta) . W and f'(beta) . W (``pauli``), or a
+decomposition converted once to (strings, weights), with theta-gradients by
+the +-pi/2 shift rule, in one row-batched ``_estimates`` pass over one batch
+of preparations (the base state in each non-identity string, then per angle
+and string the up and down shifted states), drawing every ensemble in one
+multinomial call on a ``SeedSequence(seed)`` generator, as one call per row in
+row order would.  What a step's rows are (identity mask, row order, basis
+changes, sign rows) is a plan cached per strings, register width, shifted
+angles and base (``_shift_plan``), so a step hashes only the observable's
+strings, and its sums are ``math.fsum`` over numpy products.  Each backend
+also gives the amplitude magnitudes a run records (exact, or the square roots
+of one ensemble) and the backend a run draws from (itself, or a copy on its
+own stream).
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, _integer
 from .model import build_effective_hamiltonian, build_effective_hamiltonian_dbeta
-from .pauli import PauliString, _string_action, hamiltonian_decomposition, reassemble
+from .pauli import PauliString, _hamiltonian_weights, _string_action, reassemble
 
 __all__ = [
     "StateVector",
@@ -145,22 +152,25 @@ def _shifted_ansatz(theta, indices, n_qubits: int) -> np.ndarray:
     the K angles k in ``indices`` the states at theta + pi/2 e_k and theta -
     pi/2 e_k.
 
-    Gate j turns every row as ``_rotate`` would with the scalars of theta_j,
-    and the two rows shifted at j with their own, so each row takes the float
+    Gate j turns every row in one pass, row r with the (cos, sin) of its own
+    angle: the ``math.cos``/``math.sin`` scalars of theta_j, or of theta_j
+    +- pi/2 on the two rows shifted at j.  So each row takes the float
     operations of ``prepare_ansatz``'s loop and equals its state bit for bit.
     """
     theta, n_qubits = _angles(theta, n_qubits)
-    shifted = {k: 1 + 2 * i for i, k in enumerate(indices)}
-    amps = np.zeros((1 + 2 * len(shifted), 2 ** n_qubits))
+    gens = _generators(n_qubits)
+    th = theta.tolist()
+    width = 1 + 2 * len(indices)
+    cos = [[math.cos(t / 2)] * width for t in th]
+    sin = [[sign * math.sin(t / 2)] * width for (_, sign), t in zip(gens, th)]
+    for r, k in enumerate(indices):
+        for row, t in ((1 + 2 * r, th[k] + math.pi / 2), (2 + 2 * r, th[k] - math.pi / 2)):
+            cos[k][row], sin[k][row] = math.cos(t / 2), gens[k][1] * math.sin(t / 2)
+    amps = np.zeros((width, 2 ** n_qubits))
     amps[:, 0] = 1.0
-    for j, ((ops, sign), th) in enumerate(zip(_generators(n_qubits), theta)):
+    for (ops, _), c, s in zip(gens, np.array(cos)[:, :, None], np.array(sin)[:, :, None]):
         rows, kick = _kicked(ops)
-        turned = math.cos(th / 2) * amps + sign * math.sin(th / 2) * (kick * amps)[:, rows]
-        if j in shifted:
-            r = shifted[j]
-            for row, t in ((r, th + math.pi / 2), (r + 1, th - math.pi / 2)):
-                turned[row] = _rotate(amps[row], ops, math.cos(t / 2), sign * math.sin(t / 2))
-        amps = turned
+        amps = c * amps + s * (kick * amps)[:, rows]
     return amps
 
 
@@ -182,9 +192,10 @@ class AnalyticBackend:
         return ExpectationEstimate(float(self._estimates(state.amplitudes[None], (string,))[0]),
                                    0.0, 0)
 
-    def _estimates(self, amps: np.ndarray, strings: tuple) -> np.ndarray:
+    def _estimates(self, amps: np.ndarray, strings: tuple, plan=None) -> np.ndarray:
         """Exact <P> of each row a of ``amps`` in its string, sum_c conj(a[rows[c]])
-        phase[c] a[c] from the string's action."""
+        phase[c] a[c] from the string's action (``plan`` is the sampled
+        backend's and not needed here)."""
         return np.array([np.vdot(a[rows], phase * a).real for a, (rows, phase)
                          in zip(amps, (_string_action(s.ops) for s in strings))])
 
@@ -247,29 +258,35 @@ class SampledBackend:
         return ExpectationEstimate(val, std, self.shots)
 
     def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
-        return hamiltonian_decomposition(params, beta, cutoff)
+        """((strings, f(beta) . W), f'(beta) . W): H(beta) as its band strings and
+        weights, and the weights of dH/dbeta on the same strings."""
+        strings, h, dh = _hamiltonian_weights(params, beta, cutoff)
+        return (strings, h), dh
 
     def _observable(self, decomp):
-        return decomp
+        """(strings, weights) of a decomposition, converted once per run."""
+        return (tuple(s for s, _ in decomp.terms),
+                np.array([c for _, c in decomp.terms], dtype=float))
 
-    def _estimates(self, amps: np.ndarray, strings: tuple) -> np.ndarray:
-        """Sampled <P> of each row of ``amps`` in its string, rounded as ``freqs @ signs``."""
-        changes, signs = _measurement_plan(strings, amps.shape[1].bit_length() - 1)
+    def _estimates(self, amps: np.ndarray, strings: tuple, plan=None) -> np.ndarray:
+        """Sampled <P> of each row of ``amps`` in its string, rounded as ``freqs @ signs``;
+        ``plan`` is the strings' ``_measurement_plan`` when the caller holds it."""
+        changes, signs = (_measurement_plan(strings, amps.shape[1].bit_length() - 1)
+                          if plan is None else plan)
         p = np.abs(_measurement_basis(amps, changes)) ** 2
         freqs = self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
         return np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
-        """sum_P c_P <P> over h, and over dh (0.0 without dh) from the same <P>, as
-        dh carries h's strings in h's order; theta-gradients by the shift rule,
-        whose one pass measures the base state too."""
-        base, grad = _shift_rule(theta, range(len(theta)), h.terms, self, h.n_qubits,
-                                 base=True)
-        measured = iter(base)
-        expect = [1.0 if s.is_identity else next(measured) for s, _ in h.terms]
-        energy = math.fsum(c * x for (_, c), x in zip(h.terms, expect))
-        return energy, 0.0 if dh is None else math.fsum(
-            c * x for (_, c), x in zip(dh.terms, expect)), grad
+        """sum_P c_P <P> over the (strings, weights) h, and over the weights dh
+        (0.0 without dh) on h's strings from the same <P>; theta-gradients by
+        the shift rule, whose one pass measures the base state too, on the
+        register that theta's 2^n - 1 angles imply."""
+        strings, weights = h
+        expect, grad = _shift_rule(theta, range(len(theta)), strings, weights, self,
+                                   len(theta).bit_length(), base=True)
+        return (math.fsum((weights * expect).tolist()),
+                0.0 if dh is None else math.fsum((dh * expect).tolist()), grad)
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""
@@ -294,26 +311,36 @@ _BASIS_CHANGE = {"X": ("Y", -_R), "Y": ("X", _R)}
 
 @lru_cache(maxsize=64)
 def _measurement_plan(strings: tuple, n_qubits: int) -> tuple:
-    """Row r measured in ``strings[r]``: per qubit and basis, the rotation's
-    ``_kicked`` pair, sin and rows; the read-only (R, 2^n) sign rows, entry b
-    of row r the product of (-1)^bit over the non-identity qubits of
-    ``strings[r]``, read off the action of its Z-pattern."""
-    changes = [(*_kicked("I" * q + gen + "I" * (n_qubits - q - 1)), s,
-                np.flatnonzero([p.ops[q] == ch for p in strings]))
-               for q in range(n_qubits) for ch, (gen, s) in _BASIS_CHANGE.items()]
+    """Row r measured in ``strings[r]``: per qubit q that some row measures in
+    X or Y, the columns q flips, those rows, and per row sin times the
+    ``_kicked`` factor of its rotation at the flipped columns; the read-only
+    (R, 2^n) sign rows, entry b of row r the product of (-1)^bit over the
+    non-identity qubits of ``strings[r]``, read off the action of its
+    Z-pattern."""
+    changes = []
+    for q in range(n_qubits):
+        rows = np.flatnonzero([p.ops[q] in "XY" for p in strings])
+        if rows.size:
+            kicks = {}
+            for ch, (gen, s) in _BASIS_CHANGE.items():
+                flip, kick = _kicked("I" * q + gen + "I" * (n_qubits - q - 1))
+                kicks[ch] = s * kick[flip]
+            changes.append((flip, rows, np.array([kicks[strings[r].ops[q]] for r in rows])))
     signs = np.array([_string_action(p.ops.replace("X", "Z").replace("Y", "Z"))[1].real
                       for p in strings]).reshape(len(strings), 2 ** n_qubits)
     signs.flags.writeable = False
-    return tuple(c for c in changes if c[3].size), signs
+    return tuple(changes), signs
 
 
 def _measurement_basis(amps: np.ndarray, changes: tuple) -> np.ndarray:
-    """A copy of the (R, 2^n) ``amps``, each row turned qubit by qubit with the
-    float operations of ``_rotate`` at c = ``_R``; complex once a Y is measured."""
-    out = amps.astype(np.result_type(amps, *(kick for _, kick, _, _ in changes)))
-    for flip, kick, s, rows in changes:
+    """A copy of the (R, 2^n) ``amps``, each row turned qubit by qubit as
+    ``_rotate`` would at c = ``_R``, but with (sin kick) x for sin (kick x):
+    kick is +-1 or -i, so the two differ at most in the sign of a zero and the
+    magnitudes are the same bit for bit; complex once a Y is measured."""
+    out = amps.astype(np.result_type(amps, *(kicks for _, _, kicks in changes)))
+    for flip, rows, kicks in changes:
         sub = out[rows]
-        out[rows] = _R * sub + s * (kick * sub)[:, flip]
+        out[rows] = _R * sub + kicks * sub[:, flip]
     return out
 
 
@@ -329,29 +356,53 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
     return backend.expectation(state, string)
 
 
-def _shift_rule(theta: np.ndarray, indices, terms, backend, n_qubits: int,
-                base: bool = False):
-    """d/d(theta_k) of sum_P c_P <P> over the (string, c) ``terms``, for each k
-    in ``indices``: the only place the shifted states are prepared and measured.
+@lru_cache(maxsize=64)
+def _shift_plan(strings: tuple, n_qubits: int, n_shifted: int, base: bool) -> tuple:
+    """(measured, order, rows, plan) of a shift-rule pass over ``strings`` on
+    ``n_qubits`` with ``n_shifted`` shifted angles: the indices of the
+    non-identity strings; the ``_shifted_ansatz`` row each measured row reads;
+    the string each is measured in; and those rows' ``_measurement_plan``.
+    Cached, so a step hashes only ``strings``."""
+    for string in strings:
+        if len(string) != n_qubits:
+            raise ConfigError(f"string width {len(string)} != register width {n_qubits}")
+    measured = np.array([i for i, s in enumerate(strings) if not s.is_identity], dtype=np.intp)
+    kept = tuple(strings[i] for i in measured)
+    head = len(kept) if base else 0
+    order = np.array([0] * head + [r for k in range(1, 1 + 2 * n_shifted, 2)
+                                   for _ in kept for r in (k, k + 1)], dtype=np.intp)
+    rows = kept[:head] + tuple(s for s in kept for _ in "ud") * n_shifted
+    for arr in (measured, order):
+        arr.flags.writeable = False
+    return measured, order, rows, _measurement_plan(rows, n_qubits)
+
+
+def _shift_rule(theta: np.ndarray, indices, strings: tuple, weights: np.ndarray, backend,
+                n_qubits: int, base: bool = False):
+    """d/d(theta_k) of sum_P c_P <P> over ``strings`` with the weights c_P, for
+    each k in ``indices``: the only place the shifted states are prepared and
+    measured.
 
     The rule is linear in the observable, so one pair of preparations at
     theta +- pi/2 e_k serves every string.  One ``_shifted_ansatz`` batch
     prepares every state and one ``backend._estimates`` call measures every
     row: with ``base`` the unshifted state in each string first, then per
     angle and string up then down; <I> is constant and not measured.  With
-    ``base`` the return is (the unshifted <P> in term order, gradients).
+    ``base`` the return is (the unshifted <P> of every string, 1.0 at the
+    identity, gradients).  Each sum is ``math.fsum`` of the products c x and
+    c (up - down) / 2.
     """
-    measured = [(s, c) for s, c in terms if not s.is_identity]
-    strings = tuple(s for s, _ in measured)
-    states = _shifted_ansatz(theta, indices, n_qubits)
-    head = len(strings) if base else 0
-    order = [0] * head + [r for k in range(1, len(states), 2) for _ in strings for r in (k, k + 1)]
-    values = backend._estimates(
-        states[order], strings[:head] + tuple(s for s in strings for _ in "ud") * len(indices))
-    rows = values[head:].reshape(len(indices), len(strings), 2).tolist()
-    grad = np.array([math.fsum(c * ((u - d) / 2) for (_, c), (u, d) in zip(measured, row))
-                     for row in rows])
-    return (values[:head].tolist(), grad) if base else grad
+    measured, order, rows, plan = _shift_plan(strings, n_qubits, len(indices), base)
+    values = backend._estimates(_shifted_ansatz(theta, indices, n_qubits)[order], rows, plan)
+    head = len(measured) if base else 0
+    pairs = values[head:].reshape(len(indices), len(measured), 2)
+    terms = weights[measured] * ((pairs[:, :, 0] - pairs[:, :, 1]) / 2)
+    grad = np.array([math.fsum(row) for row in terms.tolist()])
+    if not base:
+        return grad
+    expect = np.ones(len(strings))
+    expect[measured] = values[:head]
+    return expect, grad
 
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
@@ -365,4 +416,4 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> flo
     index = _integer("index", index)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    return float(_shift_rule(theta, (index,), ((string, 1.0),), backend, len(string))[0])
+    return float(_shift_rule(theta, (index,), (string,), np.ones(1), backend, len(string))[0])

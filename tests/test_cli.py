@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,37 @@ class TestTasks:
             f"{row[0]},{col},{val}" for row in rows for col, val in zip(header[1:], row[1:])]
         assert (tmp_path / f"{name}_long.csv").read_text().splitlines() == want
         assert len(want) > 1
+
+    @pytest.mark.parametrize("sub", [None, "sub", "sub/deeper"],
+                             ids=["file", "under-file", "deep-under-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, sub, tmp_path, capsys):
+        # an --out that is, or lies under, a regular file is a config error,
+        # not a traceback, and the file is left as it was
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker if sub is None else blocker / sub
+        assert main(["exact", "--n", "4", "--vbar", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert blocker.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    @pytest.mark.parametrize("stage", ["mkstemp", "write"])
+    def test_failed_write_exits_3_and_leaves_no_file(self, stage, tmp_path, capsys,
+                                                     monkeypatch):
+        # a temporary file that cannot be made or written once the directory
+        # exists is reported, not raised, and nothing is left behind
+        def no_space(*args, **kwargs):
+            if stage == "write":
+                os.close(args[0])
+            raise OSError(28, "No space left on device")
+
+        if stage == "mkstemp":
+            monkeypatch.setattr(tempfile, "mkstemp", no_space)
+        else:
+            monkeypatch.setattr(os, "fdopen", no_space)
+        assert main(["exact", "--n", "4", "--vbar", "2", "--out", str(tmp_path)]) == 3
+        assert "failed writing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_error_exit_code(self):
         assert main(["exact", "--n", "30"]) == 2

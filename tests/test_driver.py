@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
@@ -52,7 +53,7 @@ class RowByRowBackend(SampledBackend):
     """The sampled backend with its batched pass replaced by the row-by-row
     oracle: one basis change, multinomial draw and contraction per row."""
 
-    def _estimates(self, amps, strings):
+    def _estimates(self, amps, strings, plan=None):
         return oracle_sampled_estimates(amps, [s.ops for s in strings], self.shots, self._rng)
 
 
@@ -260,12 +261,76 @@ class TestCostAndGrads:
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             for d in (dh, None):
                 energy, g_beta, grad = backend._cost(theta, h, d)
+                strings, weights = h
                 want = two_pass_sampled_cost(
-                    theta, [(s.ops, c) for s, c in h.terms],
-                    None if d is None else [(s.ops, c) for s, c in d.terms], 100_000, rng)
+                    theta, [(s.ops, c) for s, c in zip(strings, weights.tolist())],
+                    None if d is None else [(s.ops, c) for s, c in zip(strings, d.tolist())],
+                    100_000, rng)
                 assert (energy, g_beta) == want[:2]
                 assert grad.tobytes() == want[2].tobytes()
                 assert backend._rng.bit_generator.state == rng.bit_generator.state
+
+    @given(lam=strategies.sampled_from([2, 4, 8]),
+           beta=strategies.floats(-math.pi, math.pi),
+           seed=strategies.integers(0, 2 ** 32 - 1),
+           data=strategies.data())
+    def test_sampled_cost_matches_two_pass_oracle_drawn(self, lam, beta, seed, data):
+        # random (theta, beta, seed) on H(beta) with dH/dbeta, then on the
+        # excited (shifted) observable at the same beta: E, G_beta, G_theta
+        # and the stream left behind, bit for bit, against the two-pass oracle
+        angles = strategies.lists(strategies.floats(-math.pi, math.pi),
+                                  min_size=lam - 1, max_size=lam - 1)
+        theta, phi = np.array(data.draw(angles)), np.array(data.draw(angles))
+        backend = SampledBackend(100_000, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        (strings, weights), dweights = backend._hamiltonian(P30, beta, lam)
+        h, _ = hamiltonian_decomposition(P30, beta, lam)
+        shifted = excited_hamiltonian(h, prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
+        cases = [((strings, weights), dweights, list(zip(strings, weights.tolist())),
+                  list(zip(strings, dweights.tolist()))),
+                 (backend._observable(shifted), None, list(shifted.terms), None)]
+        for observable, d, terms, dterms in cases:
+            energy, g_beta, grad = backend._cost(theta, observable, d)
+            want = two_pass_sampled_cost(
+                theta, [(s.ops, c) for s, c in terms],
+                None if dterms is None else [(s.ops, c) for s, c in dterms], 100_000, rng)
+            assert (energy, g_beta) == want[:2]
+            assert grad.tobytes() == want[2].tobytes()
+            assert backend._rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("nq", [1, 2, 3])
+    @pytest.mark.parametrize("weights", [[], [1.5], [1.5, -0.25]],
+                             ids=["empty", "identity", "identity-twice"])
+    def test_constant_observable_draws_nothing(self, nq, weights):
+        # <I> = 1 is not measured: the energy is the constant, every gradient
+        # is zero and the generator is left where it was
+        backend = SampledBackend(1000, 5)
+        before = backend._rng.bit_generator.state
+        decomp = PauliDecomposition(nq, tuple((PauliString("I" * nq), c) for c in weights))
+        theta = np.linspace(0.4, -0.7, 2 ** nq - 1)
+        energy, g_beta, grad = backend._cost(theta, backend._observable(decomp))
+        assert energy == math.fsum(weights)
+        assert g_beta == 0.0
+        assert grad.tolist() == [0.0] * (2 ** nq - 1)
+        assert backend._rng.bit_generator.state == before
+
+    def test_sampled_step_hashes_at_most_its_terms(self, monkeypatch):
+        # the step's plan is cached on the observable's strings, so a warm
+        # cutoff-4 step hashes each string at most once, not each of its 63
+        # measured rows
+        theta = np.linspace(0.9, -0.6, 3)
+        backend = SampledBackend(100_000, 3)
+        cost_and_grads(P30, 4, 0.7, theta, backend)
+        n_terms = len(hamiltonian_decomposition(P30, 0.3, 4)[0].terms)
+        calls = []
+        original = PauliString.__hash__
+        monkeypatch.setattr(PauliString, "__hash__",
+                            lambda self: calls.append(self.ops) or original(self))
+        cost_and_grads(P30, 4, 0.3, theta + 0.1, backend)
+        counted = len(calls)
+        hash(PauliString("ZZ"))
+        assert len(calls) == counted + 1  # the counter sees every hash
+        assert counted <= n_terms
 
     @pytest.mark.parametrize("n, lam", [(30, 8), (30, 16), (64, 32), (64, 64)])
     @pytest.mark.parametrize("vbar", [0.5, 2.0], ids=["symmetric", "broken"])
@@ -290,7 +355,7 @@ class TestCostAndGrads:
         def forbidden(*args, **kwargs):
             raise AssertionError("analytic objective took the per-string path")
 
-        for name in ("_shift_rule", "measure_pauli", "hamiltonian_decomposition"):
+        for name in ("_shift_rule", "measure_pauli", "_hamiltonian_weights"):
             monkeypatch.setattr(qsim, name, forbidden)
         monkeypatch.setattr(qsim.AnalyticBackend, "expectation", forbidden)
         monkeypatch.setattr(driver, "hamiltonian_decomposition", forbidden)

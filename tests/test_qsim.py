@@ -393,7 +393,8 @@ class TestAdjointSweep:
         for got, decomp in ((energy, terms), (g_beta, decompose(dh).terms)):
             want = math.fsum(c * measure_pauli(state, s, backend).value for s, c in decomp)
             assert abs(got - want) <= 1e-12
-        want = _shift_rule(theta, range(len(theta)), terms, backend, nq)
+        strings, weights = zip(*terms)
+        want = _shift_rule(theta, range(len(theta)), strings, np.array(weights), backend, nq)
         assert np.abs(grad - want).max() <= 1e-12
 
 
