@@ -9,7 +9,7 @@ its table and ``main`` writes it.  Every output embeds the effective config
 and any seeds used; numeric CSV fields use repr's shortest round-trip form so
 reruns are byte-identical apart from the clearly marked timestamp line.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or failed write.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .driver import HlvqeOptions, excited_state_run, run, summarize
-from .errors import ConfigError, HlvqeError
+from .errors import ConfigError, HlvqeError, NumericalError
 from .model import ModelParams, exact_ground_state
 from .pauli import reassemble
 from .qsim import AnalyticBackend, SampledBackend
@@ -359,7 +359,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HlvqeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # the one HlvqeError that is not numerical is a failed output write
+        label = "numerical failure" if isinstance(exc, NumericalError) else "output error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 3
 
 

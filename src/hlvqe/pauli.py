@@ -157,35 +157,35 @@ def reassemble(decomp: PauliDecomposition) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
-    """Pauli weights W[k] of the band matrices M[k] of H(beta) = sum_k
-    f_k(beta) M[k] (``model._bands``), over the union of the strings that
-    survive in any M[k], in ``_all_strings`` order; cached per (params,
-    cutoff), read-only."""
+    """(ops, W): the op strings that survive in any band matrix M[k] of
+    H(beta) = sum_k f_k(beta) M[k] (``model._bands``), in ``_all_strings``
+    order, and the Pauli weights W[k] of each M[k] on them; cached per
+    (params, cutoff), read-only."""
     parts = [decompose(m).as_dict() for m in _bands(params, cutoff)]
-    ops = [s for s in _all_strings(cutoff.bit_length() - 1) if any(s in d for d in parts)]
+    ops = tuple(s for s in _all_strings(cutoff.bit_length() - 1) if any(s in d for d in parts))
     W = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
     W.flags.writeable = False
-    return tuple(PauliString(s) for s in ops), W
+    return ops, W
 
 
 def _hamiltonian_weights(params: ModelParams, beta: float,
                          cutoff: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(strings, f(beta) . W, f'(beta) . W) over the band table's cached
+    """(ops, f(beta) . W, f'(beta) . W) over the band table's cached
     decomposition (``_band_weights``), from one ``_trig`` call: the Pauli
     weights of H(beta) and of dH/dbeta for a power-of-two cutoff, both on the
-    same strings at every beta (a weight may be exactly 0, as the X-carrying
-    ones are at beta = 0)."""
+    same op strings at every beta (a weight may be exactly 0, as the
+    X-carrying ones are at beta = 0)."""
     cutoff = _power_of_two("cutoff", cutoff)
-    strings, W = _band_weights(params, cutoff)
+    ops, W = _band_weights(params, cutoff)
     f, df = _trig(beta)
-    return strings, _combine(f, W), _combine(df, W)
+    return ops, _combine(f, W), _combine(df, W)
 
 
 def hamiltonian_decomposition(params: ModelParams, beta: float,
                               cutoff: int) -> tuple[PauliDecomposition, PauliDecomposition]:
     """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff, with
     the weights of ``_hamiltonian_weights``."""
-    strings, *weights = _hamiltonian_weights(params, beta, cutoff)
-    nq = len(strings[0])
-    return tuple(PauliDecomposition(nq, tuple(zip(strings, w.tolist())), beta)
+    ops, *weights = _hamiltonian_weights(params, beta, cutoff)
+    strings = tuple(map(PauliString, ops))
+    return tuple(PauliDecomposition(len(ops[0]), tuple(zip(strings, w.tolist())), beta)
                  for w in weights)

@@ -14,34 +14,32 @@ before it.  Each string has a single Y, so the state stays float64.  On 1 and
 exp(-i theta/2 Z_0 X_1) into exp(+i theta/2 Z_0 Y_1); wider Z^s Y_t rotations
 are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
-Measurement lives in this module alone.  Each backend takes every <P>
-through its ``_estimates(amps, strings, plan=None)``, one value per row of
-``amps`` measured in its string (``plan``, the rows' ``_measurement_plan``
-when the caller already holds it, serves the sampled rows), and its
-``expectation`` is the one-row call.  The
-analytic rows are exact quadratic forms from the string's action.  The
-sampled rows follow ``_measurement_plan``: a basis change of Ry(-pi/2) for X
-and Rx(pi/2) for Y, which give the computational-basis probabilities of H and
-of S^dag then H, then the measured frequencies contracted with the string's
-sign row.
+Measurement lives in this module alone, on plain op strings (``str``):
+``PauliString`` appears only in the public ``expectation``, ``measure_pauli``
+and ``parameter_shift_grad``.  Each backend takes every <P> through its
+``_estimates(amps, ops)``, one value per row of ``amps`` measured in its op
+string, and its ``expectation`` is the one-row call.  The analytic rows are
+exact quadratic forms from the string's action.  The sampled rows follow
+``_measurement_plan``, cached per tuple of op strings: a basis change of
+Ry(-pi/2) for X and Rx(pi/2) for Y, which give the computational-basis
+probabilities of H and of S^dag then H, then the measured frequencies
+contracted with the string's sign row.
 
 Backends: each evaluates an objective psi^T H psi and its gradients its own
 way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
 and every theta-gradient from one adjoint sweep, with no Pauli string.
-``SampledBackend(shots, seed)`` measures H(beta) as the band table's strings
-with the weight rows f(beta) . W and f'(beta) . W (``pauli``), or a
-decomposition converted once to (strings, weights), with theta-gradients by
-the +-pi/2 shift rule, in one row-batched ``_estimates`` pass over one batch
-of preparations (the base state in each non-identity string, then per angle
-and string the up and down shifted states), drawing every ensemble in one
-multinomial call on a ``SeedSequence(seed)`` generator, as one call per row in
-row order would.  What a step's rows are (identity mask, row order, basis
-changes, sign rows) is a plan cached per strings, register width, shifted
-angles and base (``_shift_plan``), so a step hashes only the observable's
-strings, and its sums are ``math.fsum`` over numpy products.  Each backend
-also gives the amplitude magnitudes a run records (exact, or the square roots
-of one ensemble) and the backend a run draws from (itself, or a copy on its
-own stream).
+``SampledBackend(shots, seed)`` measures H(beta) as the band table's op
+strings with the weight rows f(beta) . W and f'(beta) . W (``pauli``), or a
+decomposition converted once to (ops, weights).  Its step is one
+``_shifted_ansatz`` batch (the base state, then per angle the +-pi/2 shifted
+states) and one ``_estimates`` call over the rows ``_shift_plan`` lays out
+(the base state in each non-identity string, then per angle and string up
+then down), drawing every ensemble in one multinomial call on a
+``SeedSequence(seed)`` generator, as one call per row in row order would; its
+sums are ``math.fsum`` over numpy products.  Each backend also gives the
+amplitude magnitudes a run records (exact, or the square roots of one
+ensemble) and the backend a run draws from (itself, or a copy on its own
+stream).
 """
 
 from __future__ import annotations
@@ -123,15 +121,19 @@ def _generators(n_qubits: int) -> tuple:
                  for prefix in map("".join, itertools.product("ZI", repeat=t)))
 
 
-def _angles(theta, n_qubits: int) -> tuple[np.ndarray, int]:
-    """(theta as a float array, n_qubits) if theta has the 2^n - 1 angles of
-    the ``n_qubits`` ansatz, else a ConfigError."""
+def _angles(theta, n_qubits: int) -> tuple[list, int]:
+    """(theta as a list of floats, n_qubits) if theta has the 2^n - 1 finite
+    angles of the ``n_qubits`` ansatz, else a ConfigError."""
     n_qubits = _integer("n_qubits", n_qubits)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     want = 2 ** n_qubits - 1
     if theta.shape != (want,):
         raise ConfigError(
             f"{n_qubits}-qubit ansatz needs {want} angles, got shape {theta.shape}")
+    theta = theta.tolist()
+    # per angle, as a sum of large finite angles can overflow to inf
+    if not all(map(math.isfinite, theta)):
+        raise ConfigError(f"ansatz angles must be finite, got {theta}")
     return theta, n_qubits
 
 
@@ -157,9 +159,8 @@ def _shifted_ansatz(theta, indices, n_qubits: int) -> np.ndarray:
     +- pi/2 on the two rows shifted at j.  So each row takes the float
     operations of ``prepare_ansatz``'s loop and equals its state bit for bit.
     """
-    theta, n_qubits = _angles(theta, n_qubits)
+    th, n_qubits = _angles(theta, n_qubits)
     gens = _generators(n_qubits)
-    th = theta.tolist()
     width = 1 + 2 * len(indices)
     cos = [[math.cos(t / 2)] * width for t in th]
     sin = [[sign * math.sin(t / 2)] * width for (_, sign), t in zip(gens, th)]
@@ -189,15 +190,14 @@ class AnalyticBackend:
         if len(string) != state.n_qubits:
             raise ConfigError(
                 f"string width {len(string)} != state width {state.n_qubits}")
-        return ExpectationEstimate(float(self._estimates(state.amplitudes[None], (string,))[0]),
-                                   0.0, 0)
+        return ExpectationEstimate(
+            float(self._estimates(state.amplitudes[None], (string.ops,))[0]), 0.0, 0)
 
-    def _estimates(self, amps: np.ndarray, strings: tuple, plan=None) -> np.ndarray:
-        """Exact <P> of each row a of ``amps`` in its string, sum_c conj(a[rows[c]])
-        phase[c] a[c] from the string's action (``plan`` is the sampled
-        backend's and not needed here)."""
-        return np.array([np.vdot(a[rows], phase * a).real for a, (rows, phase)
-                         in zip(amps, (_string_action(s.ops) for s in strings))])
+    def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
+        """Exact <P> of each row a of ``amps`` in its op string,
+        sum_c conj(a[rows[c]]) phase[c] a[c] from the string's action."""
+        return np.array([np.vdot(a[rows], phase * a).real
+                         for a, (rows, phase) in zip(amps, map(_string_action, ops))])
 
     def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
         return (build_effective_hamiltonian(params, beta, cutoff),
@@ -238,8 +238,9 @@ class SampledBackend:
     def __init__(self, shots: int, seed: int):
         self.shots = _integer("shots", shots)
         self.seed = _integer("seed", seed)
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {shots}")
+        if not 1 <= self.shots <= 2 ** 63 - 1:
+            # multinomial draws int64 counts
+            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {shots}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         self._rng = np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -252,41 +253,53 @@ class SampledBackend:
         if len(string) != state.n_qubits:
             raise ConfigError(
                 f"string width {len(string)} != state width {state.n_qubits}")
-        val = float(self._estimates(state.amplitudes[None], (string,))[0])
+        val = float(self._estimates(state.amplitudes[None], (string.ops,))[0])
         # contraction values are +-1, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
         return ExpectationEstimate(val, std, self.shots)
 
     def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
-        """((strings, f(beta) . W), f'(beta) . W): H(beta) as its band strings and
+        """((ops, f(beta) . W), f'(beta) . W): H(beta) as its band op strings and
         weights, and the weights of dH/dbeta on the same strings."""
-        strings, h, dh = _hamiltonian_weights(params, beta, cutoff)
-        return (strings, h), dh
+        ops, h, dh = _hamiltonian_weights(params, beta, cutoff)
+        return (ops, h), dh
 
     def _observable(self, decomp):
-        """(strings, weights) of a decomposition, converted once per run."""
-        return (tuple(s for s, _ in decomp.terms),
+        """(ops, weights) of a decomposition, converted once per run."""
+        return (tuple(s.ops for s, _ in decomp.terms),
                 np.array([c for _, c in decomp.terms], dtype=float))
 
-    def _estimates(self, amps: np.ndarray, strings: tuple, plan=None) -> np.ndarray:
-        """Sampled <P> of each row of ``amps`` in its string, rounded as ``freqs @ signs``;
-        ``plan`` is the strings' ``_measurement_plan`` when the caller holds it."""
-        changes, signs = (_measurement_plan(strings, amps.shape[1].bit_length() - 1)
-                          if plan is None else plan)
+    def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
+        """Sampled <P> of each row of ``amps`` in its op string, rounded as
+        ``freqs @ signs`` over the strings' cached ``_measurement_plan``."""
+        changes, signs = _measurement_plan(ops, amps.shape[1].bit_length() - 1)
         p = np.abs(_measurement_basis(amps, changes)) ** 2
         freqs = self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
         return np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
-        """sum_P c_P <P> over the (strings, weights) h, and over the weights dh
-        (0.0 without dh) on h's strings from the same <P>; theta-gradients by
-        the shift rule, whose one pass measures the base state too, on the
-        register that theta's 2^n - 1 angles imply."""
-        strings, weights = h
-        expect, grad = _shift_rule(theta, range(len(theta)), strings, weights, self,
-                                   len(theta).bit_length(), base=True)
+        """sum_P c_P <P> over the (ops, weights) h, and over the weights dh (0.0
+        without dh) on h's strings from the same <P>, with <I> = 1 unmeasured;
+        every theta-gradient by the +-pi/2 shift rule, which is linear in the
+        observable, so one pair of states per angle serves every string.
+
+        One ``_shifted_ansatz`` batch on the register that theta's 2^n - 1
+        angles imply prepares every state and one ``_estimates`` call
+        measures the rows of ``_shift_plan``.  Each sum is ``math.fsum`` of
+        the products c <P> and c (up - down) / 2.
+        """
+        ops, weights = h
+        n_qubits = len(theta).bit_length()
+        measured, order, rows = _shift_plan(ops, n_qubits)
+        values = self._estimates(
+            _shifted_ansatz(theta, range(len(theta)), n_qubits)[order], rows)
+        expect = np.ones(len(ops))
+        expect[measured] = values[:len(measured)]
+        pairs = values[len(measured):].reshape(len(theta), len(measured), 2)
+        terms = weights[measured] * ((pairs[:, :, 0] - pairs[:, :, 1]) / 2)
         return (math.fsum((weights * expect).tolist()),
-                0.0 if dh is None else math.fsum((dh * expect).tolist()), grad)
+                0.0 if dh is None else math.fsum((dh * expect).tolist()),
+                np.array([math.fsum(row) for row in terms.tolist()]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""
@@ -310,24 +323,24 @@ _BASIS_CHANGE = {"X": ("Y", -_R), "Y": ("X", _R)}
 
 
 @lru_cache(maxsize=64)
-def _measurement_plan(strings: tuple, n_qubits: int) -> tuple:
-    """Row r measured in ``strings[r]``: per qubit q that some row measures in
-    X or Y, the columns q flips, those rows, and per row sin times the
-    ``_kicked`` factor of its rotation at the flipped columns; the read-only
-    (R, 2^n) sign rows, entry b of row r the product of (-1)^bit over the
-    non-identity qubits of ``strings[r]``, read off the action of its
+def _measurement_plan(ops: tuple, n_qubits: int) -> tuple:
+    """Row r measured in the op string ``ops[r]``: per qubit q that some row
+    measures in X or Y, the columns q flips, those rows, and per row sin
+    times the ``_kicked`` factor of its rotation at the flipped columns; the
+    read-only (R, 2^n) sign rows, entry b of row r the product of (-1)^bit
+    over the non-identity qubits of ``ops[r]``, read off the action of its
     Z-pattern."""
     changes = []
     for q in range(n_qubits):
-        rows = np.flatnonzero([p.ops[q] in "XY" for p in strings])
+        rows = np.flatnonzero([o[q] in "XY" for o in ops])
         if rows.size:
             kicks = {}
             for ch, (gen, s) in _BASIS_CHANGE.items():
                 flip, kick = _kicked("I" * q + gen + "I" * (n_qubits - q - 1))
                 kicks[ch] = s * kick[flip]
-            changes.append((flip, rows, np.array([kicks[strings[r].ops[q]] for r in rows])))
-    signs = np.array([_string_action(p.ops.replace("X", "Z").replace("Y", "Z"))[1].real
-                      for p in strings]).reshape(len(strings), 2 ** n_qubits)
+            changes.append((flip, rows, np.array([kicks[ops[r][q]] for r in rows])))
+    signs = np.array([_string_action(o.replace("X", "Z").replace("Y", "Z"))[1].real
+                      for o in ops]).reshape(len(ops), 2 ** n_qubits)
     signs.flags.writeable = False
     return tuple(changes), signs
 
@@ -357,57 +370,28 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
 
 
 @lru_cache(maxsize=64)
-def _shift_plan(strings: tuple, n_qubits: int, n_shifted: int, base: bool) -> tuple:
-    """(measured, order, rows, plan) of a shift-rule pass over ``strings`` on
-    ``n_qubits`` with ``n_shifted`` shifted angles: the indices of the
-    non-identity strings; the ``_shifted_ansatz`` row each measured row reads;
-    the string each is measured in; and those rows' ``_measurement_plan``.
-    Cached, so a step hashes only ``strings``."""
-    for string in strings:
-        if len(string) != n_qubits:
-            raise ConfigError(f"string width {len(string)} != register width {n_qubits}")
-    measured = np.array([i for i, s in enumerate(strings) if not s.is_identity], dtype=np.intp)
-    kept = tuple(strings[i] for i in measured)
-    head = len(kept) if base else 0
-    order = np.array([0] * head + [r for k in range(1, 1 + 2 * n_shifted, 2)
-                                   for _ in kept for r in (k, k + 1)], dtype=np.intp)
-    rows = kept[:head] + tuple(s for s in kept for _ in "ud") * n_shifted
+def _shift_plan(ops: tuple, n_qubits: int) -> tuple:
+    """(measured, order, rows) of a sampled step over the op strings ``ops``
+    on ``n_qubits``: the indices of the non-identity strings; the
+    ``_shifted_ansatz`` row each measured row reads (the base state in each
+    of them, then per angle and string up then down); and the op string
+    each is measured in."""
+    if any(len(o) != n_qubits for o in ops):
+        raise ConfigError(f"string widths {sorted(set(map(len, ops)))} != register width {n_qubits}")
+    measured = np.array([i for i, o in enumerate(ops) if set(o) != {"I"}], dtype=np.intp)
+    kept = tuple(ops[i] for i in measured)
+    order = np.array([0] * len(kept) + [r for k in range(1, 2 ** (n_qubits + 1) - 1, 2)
+                                        for _ in kept for r in (k, k + 1)], dtype=np.intp)
     for arr in (measured, order):
         arr.flags.writeable = False
-    return measured, order, rows, _measurement_plan(rows, n_qubits)
-
-
-def _shift_rule(theta: np.ndarray, indices, strings: tuple, weights: np.ndarray, backend,
-                n_qubits: int, base: bool = False):
-    """d/d(theta_k) of sum_P c_P <P> over ``strings`` with the weights c_P, for
-    each k in ``indices``: the only place the shifted states are prepared and
-    measured.
-
-    The rule is linear in the observable, so one pair of preparations at
-    theta +- pi/2 e_k serves every string.  One ``_shifted_ansatz`` batch
-    prepares every state and one ``backend._estimates`` call measures every
-    row: with ``base`` the unshifted state in each string first, then per
-    angle and string up then down; <I> is constant and not measured.  With
-    ``base`` the return is (the unshifted <P> of every string, 1.0 at the
-    identity, gradients).  Each sum is ``math.fsum`` of the products c x and
-    c (up - down) / 2.
-    """
-    measured, order, rows, plan = _shift_plan(strings, n_qubits, len(indices), base)
-    values = backend._estimates(_shifted_ansatz(theta, indices, n_qubits)[order], rows, plan)
-    head = len(measured) if base else 0
-    pairs = values[head:].reshape(len(indices), len(measured), 2)
-    terms = weights[measured] * ((pairs[:, :, 0] - pairs[:, :, 1]) / 2)
-    grad = np.array([math.fsum(row) for row in terms.tolist()])
-    if not base:
-        return grad
-    expect = np.ones(len(strings))
-    expect[measured] = values[:head]
-    return expect, grad
+    return measured, order, kept + tuple(o for o in kept for _ in "ud") * (2 ** n_qubits - 1)
 
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
-    """d<P>/d(theta_index) from two +-pi/2-shifted preparations on the string's
-    register, which must carry ``theta``'s 2^n - 1 angles.
+    """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2
+    from one two-row ``_estimates`` call on the string's register, which
+    must carry ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws
+    nothing.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.
@@ -416,4 +400,8 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> flo
     index = _integer("index", index)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    return float(_shift_rule(theta, (index,), (string,), np.ones(1), backend, len(string))[0])
+    amps = _shifted_ansatz(theta, (index,), len(string))
+    if string.is_identity:
+        return 0.0
+    up, down = backend._estimates(amps[1:], (string.ops,) * 2)
+    return float((up - down) / 2)

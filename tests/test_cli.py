@@ -230,7 +230,10 @@ class TestTasks:
         else:
             monkeypatch.setattr(os, "fdopen", no_space)
         assert main(["exact", "--n", "4", "--vbar", "2", "--out", str(tmp_path)]) == 3
-        assert "failed writing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed writing" in err
+        # an I/O fault is not labelled numerical
+        assert err.startswith("output error: failed writing") and "numerical" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_error_exit_code(self):
@@ -244,6 +247,7 @@ class TestTasks:
         ["sweep-lambda", "--lambdas", "2,x"],
         ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
+        ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", str(10 ** 23)],
         ["exact", "--n", "thirty"],
         ["hlvqe", "--lambda", "2", "--eta", "nan"],
         ["excited", "--lambda", "2", "--mu0", "nan"],
@@ -252,7 +256,8 @@ class TestTasks:
         ["hlvqe", "--lambda", "2", "--beta0", "inf"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
         ["exact", "--seed", "-1"],
-    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "n", "eta-nan", "mu0-nan",
+    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "oversized-shots", "n",
+            "eta-nan", "mu0-nan",
             "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
         argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]

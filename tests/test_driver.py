@@ -53,8 +53,8 @@ class RowByRowBackend(SampledBackend):
     """The sampled backend with its batched pass replaced by the row-by-row
     oracle: one basis change, multinomial draw and contraction per row."""
 
-    def _estimates(self, amps, strings, plan=None):
-        return oracle_sampled_estimates(amps, [s.ops for s in strings], self.shots, self._rng)
+    def _estimates(self, amps, ops):
+        return oracle_sampled_estimates(amps, list(ops), self.shots, self._rng)
 
 
 class CountingGenerator:
@@ -215,6 +215,22 @@ class TestCostAndGrads:
             with pytest.raises(ConfigError, match="beta must be finite"):
                 cost_and_grads(P30, 4, beta, np.zeros(3), backend)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        # inf raised a raw "math domain error" (analytic) and NaN a numpy
+        # "pvals" error (sampled) or a misleading unit-norm error (analytic)
+        for backend in (ANALYTIC, SampledBackend(100, 1)):
+            with pytest.raises(ConfigError, match="angles must be finite"):
+                cost_and_grads(P30, 4, 0.5, [0.1, bad, 0.3], backend)
+
+    @pytest.mark.parametrize("n_angles", [1, 7])
+    def test_angle_count_must_match_cutoff(self, n_angles):
+        # cutoff 4 is a 2-qubit register: its strings are not measured on 1
+        # or 3 qubits
+        for backend in (ANALYTIC, SampledBackend(100, 1)):
+            with pytest.raises(ConfigError, match="needs 3 angles|register width"):
+                cost_and_grads(P30, 4, 0.5, np.zeros(n_angles), backend)
+
     def test_non_power_of_two_cutoff(self):
         with pytest.raises(ConfigError):
             run(P30, 3, HlvqeOptions())
@@ -261,11 +277,10 @@ class TestCostAndGrads:
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             for d in (dh, None):
                 energy, g_beta, grad = backend._cost(theta, h, d)
-                strings, weights = h
+                ops, weights = h
                 want = two_pass_sampled_cost(
-                    theta, [(s.ops, c) for s, c in zip(strings, weights.tolist())],
-                    None if d is None else [(s.ops, c) for s, c in zip(strings, d.tolist())],
-                    100_000, rng)
+                    theta, list(zip(ops, weights.tolist())),
+                    None if d is None else list(zip(ops, d.tolist())), 100_000, rng)
                 assert (energy, g_beta) == want[:2]
                 assert grad.tobytes() == want[2].tobytes()
                 assert backend._rng.bit_generator.state == rng.bit_generator.state
@@ -283,17 +298,16 @@ class TestCostAndGrads:
         theta, phi = np.array(data.draw(angles)), np.array(data.draw(angles))
         backend = SampledBackend(100_000, seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        (strings, weights), dweights = backend._hamiltonian(P30, beta, lam)
+        (ops, weights), dweights = backend._hamiltonian(P30, beta, lam)
         h, _ = hamiltonian_decomposition(P30, beta, lam)
         shifted = excited_hamiltonian(h, prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
-        cases = [((strings, weights), dweights, list(zip(strings, weights.tolist())),
-                  list(zip(strings, dweights.tolist()))),
-                 (backend._observable(shifted), None, list(shifted.terms), None)]
+        cases = [((ops, weights), dweights, list(zip(ops, weights.tolist())),
+                  list(zip(ops, dweights.tolist()))),
+                 (backend._observable(shifted), None,
+                  [(s.ops, c) for s, c in shifted.terms], None)]
         for observable, d, terms, dterms in cases:
             energy, g_beta, grad = backend._cost(theta, observable, d)
-            want = two_pass_sampled_cost(
-                theta, [(s.ops, c) for s, c in terms],
-                None if dterms is None else [(s.ops, c) for s, c in dterms], 100_000, rng)
+            want = two_pass_sampled_cost(theta, terms, dterms, 100_000, rng)
             assert (energy, g_beta) == want[:2]
             assert grad.tobytes() == want[2].tobytes()
             assert backend._rng.bit_generator.state == rng.bit_generator.state
@@ -314,23 +328,23 @@ class TestCostAndGrads:
         assert grad.tolist() == [0.0] * (2 ** nq - 1)
         assert backend._rng.bit_generator.state == before
 
-    def test_sampled_step_hashes_at_most_its_terms(self, monkeypatch):
-        # the step's plan is cached on the observable's strings, so a warm
-        # cutoff-4 step hashes each string at most once, not each of its 63
-        # measured rows
+    def test_warm_sampled_step_misses_no_plan_and_hashes_no_string(self, monkeypatch):
+        # the step's rows are op strings (str, whose hash is cached), so a warm
+        # cutoff-4 step finds both cached plans and hashes no PauliString
         theta = np.linspace(0.9, -0.6, 3)
         backend = SampledBackend(100_000, 3)
         cost_and_grads(P30, 4, 0.7, theta, backend)
-        n_terms = len(hamiltonian_decomposition(P30, 0.3, 4)[0].terms)
+        plans = (qsim._shift_plan, qsim._measurement_plan)
+        misses = [plan.cache_info().misses for plan in plans]
         calls = []
         original = PauliString.__hash__
         monkeypatch.setattr(PauliString, "__hash__",
                             lambda self: calls.append(self.ops) or original(self))
         cost_and_grads(P30, 4, 0.3, theta + 0.1, backend)
-        counted = len(calls)
+        assert [plan.cache_info().misses for plan in plans] == misses
+        assert calls == []
         hash(PauliString("ZZ"))
-        assert len(calls) == counted + 1  # the counter sees every hash
-        assert counted <= n_terms
+        assert calls == ["ZZ"]  # the counter sees every hash
 
     @pytest.mark.parametrize("n, lam", [(30, 8), (30, 16), (64, 32), (64, 64)])
     @pytest.mark.parametrize("vbar", [0.5, 2.0], ids=["symmetric", "broken"])
@@ -355,7 +369,7 @@ class TestCostAndGrads:
         def forbidden(*args, **kwargs):
             raise AssertionError("analytic objective took the per-string path")
 
-        for name in ("_shift_rule", "measure_pauli", "_hamiltonian_weights"):
+        for name in ("_shift_plan", "_shifted_ansatz", "measure_pauli", "_hamiltonian_weights"):
             monkeypatch.setattr(qsim, name, forbidden)
         monkeypatch.setattr(qsim.AnalyticBackend, "expectation", forbidden)
         monkeypatch.setattr(driver, "hamiltonian_decomposition", forbidden)

@@ -249,7 +249,7 @@ class TestHamiltonianDecomposition:
 def sign_row(ops):
     """The row ``qsim._measurement_plan`` contracts frequencies measured in
     ``ops`` with."""
-    return _measurement_plan((PauliString(ops),), len(ops))[1][0]
+    return _measurement_plan((ops,), len(ops))[1][0]
 
 
 def ansatz_amplitudes(t0, t1, t2):
@@ -281,7 +281,7 @@ class TestExpectationFromProbs:
         t0, t1, t2 = 0.3, 0.2, 0.1
         amps = ansatz_amplitudes(t0, t1, t2)
         Hd = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        changes, signs = _measurement_plan((PauliString("XX"),), 2)
+        changes, signs = _measurement_plan(("XX",), 2)
         for rotated in (np.kron(Hd, Hd) @ amps, _measurement_basis(amps[None], changes)[0]):
             got = np.abs(rotated) ** 2 @ signs[0]
             assert got == pytest.approx(math.sin(t0) * math.sin(t2), abs=1e-12)
@@ -292,7 +292,7 @@ class TestExpectationFromProbs:
         assert sign_row("IZ").tolist() == [1, -1, 1, -1]
         for nq in (1, 2, 3):
             ops_list = [ops for ops in all_strings() if len(ops) == nq]
-            _, signs = _measurement_plan(tuple(map(PauliString, ops_list)), nq)
+            _, signs = _measurement_plan(tuple(ops_list), nq)
             # one C-contiguous float64 row per string, in order: BLAS sums
             # freqs @ signs in another order on a strided operand
             assert signs.dtype == np.float64 and signs.flags.c_contiguous

@@ -27,7 +27,6 @@ from hlvqe.qsim import (
     _generators,
     _measurement_basis,
     _measurement_plan,
-    _shift_rule,
     _shifted_ansatz,
     measure_pauli,
     parameter_shift_grad,
@@ -192,6 +191,15 @@ class TestShiftedBatch:
         with pytest.raises(ConfigError, match="needs 3 angles"):
             _shifted_ansatz(np.zeros(2), range(2), 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # inf ended in a raw "math domain error", and NaN in a norm check or
+        # a NaN gradient
+        with pytest.raises(ConfigError, match="angles must be finite"):
+            prepare_ansatz([bad], 1)
+        with pytest.raises(ConfigError, match="angles must be finite"):
+            _shifted_ansatz([0.1, bad, 0.2], (0,), 2)
+
 
 class TestMeasurePauli:
     def test_one_qubit_x_and_z(self):
@@ -270,7 +278,7 @@ class TestMeasurePauli:
         # before normalization pin cos = sin to H's 1/sqrt(2), not cos(pi/4)
         vacuum = prepare_ansatz(np.zeros(3), 2)
         for ops in map("".join, itertools.product("IXYZ", repeat=2)):
-            changes, _ = _measurement_plan((PauliString(ops),), 2)
+            changes, _ = _measurement_plan((ops,), 2)
             got = _measurement_basis(vacuum.amplitudes[None], changes)[0]
             amps, probs = oracle_measurement_basis(vacuum.amplitudes, ops)
             assert np.abs(got).tolist() == np.abs(amps).tolist(), ops
@@ -319,6 +327,35 @@ class TestParameterShift:
             parameter_shift_grad(t, 1.5, PauliString("XZ"), AnalyticBackend())
         assert (parameter_shift_grad(t, np.int64(1), PauliString("XZ"), AnalyticBackend())
                 == parameter_shift_grad(t, 1, PauliString("XZ"), AnalyticBackend()))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        for backend in (AnalyticBackend(), SampledBackend(1000, 2)):
+            for ops in ("XZ", "II"):
+                with pytest.raises(ConfigError, match="angles must be finite"):
+                    parameter_shift_grad([0.2, bad, 0.8], 0, PauliString(ops), backend)
+
+    def test_sampled_stream(self):
+        # a non-identity string advances the stream by one two-row draw (the
+        # up then the down state, as two row-by-row draws); the identity
+        # draws nothing, but a wrong angle count still raises
+        theta = np.array([0.2, 0.5, 0.8])
+        backend = SampledBackend(10_000, 4)
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        for i, ops in itertools.product(range(3), ("XZ", "YY", "II", "ZI")):
+            got = parameter_shift_grad(theta, i, PauliString(ops), backend)
+            if ops == "II":
+                assert got == 0.0
+            else:
+                up, dn = theta.copy(), theta.copy()
+                up[i], dn[i] = theta[i] + math.pi / 2, theta[i] - math.pi / 2
+                u, d = oracle_sampled_estimates([row_ansatz_state(t, 2) for t in (up, dn)],
+                                                [ops, ops], 10_000, rng)
+                assert got == (u - d) / 2
+            assert backend._rng.bit_generator.state == rng.bit_generator.state
+        with pytest.raises(ConfigError, match="needs 3 angles"):
+            parameter_shift_grad(theta[:2], 0, PauliString("II"), backend)
+        assert backend._rng.bit_generator.state == rng.bit_generator.state
 
     def test_one_qubit_x_derivative(self):
         g = parameter_shift_grad([0.3], 0, PauliString("X"), AnalyticBackend())
@@ -393,8 +430,16 @@ class TestAdjointSweep:
         for got, decomp in ((energy, terms), (g_beta, decompose(dh).terms)):
             want = math.fsum(c * measure_pauli(state, s, backend).value for s, c in decomp)
             assert abs(got - want) <= 1e-12
-        strings, weights = zip(*terms)
-        want = _shift_rule(theta, range(len(theta)), strings, np.array(weights), backend, nq)
+        # the per-string rule: per angle, every non-identity string measured
+        # at theta + pi/2 e_k then theta - pi/2 e_k in one two-block call
+        ops = tuple(s.ops for s, _ in terms if not s.is_identity)
+        weights = [c for s, c in terms if not s.is_identity]
+        shifted = _shifted_ansatz(theta, range(len(theta)), nq)
+        want = []
+        for k in range(len(theta)):
+            rows = np.repeat(shifted[1 + 2 * k:3 + 2 * k], len(ops), axis=0)
+            up, down = backend._estimates(rows, ops * 2).reshape(2, len(ops))
+            want.append(math.fsum(c * ((u - d) / 2) for c, u, d in zip(weights, up, down)))
         assert np.abs(grad - want).max() <= 1e-12
 
 
@@ -417,7 +462,7 @@ class TestBatchedEstimates:
         ops_list = [pool[i] for i in rng.integers(len(pool), size=n_rows)]
 
         backend = SampledBackend(shots, seed)
-        got = backend._estimates(amps, tuple(PauliString(ops) for ops in ops_list))
+        got = backend._estimates(amps, tuple(ops_list))
         oracle_rng = np.random.default_rng(np.random.SeedSequence(seed))
         want = oracle_sampled_estimates(amps, ops_list, shots, oracle_rng)
         assert got.tolist() == want.tolist()
@@ -438,16 +483,15 @@ class TestBatchedEstimates:
         rng = np.random.default_rng(4)
         amps = rng.standard_normal((30, 8))
         ops_list = ["".join(rng.choice(list("IXYZ"), 3)) for _ in range(30)]
-        strings = tuple(PauliString(ops) for ops in ops_list)
         states = [prepare_ansatz(t, 3) for t in rng.uniform(-2, 2, (4, 7))]
-        singles = [AnalyticBackend().expectation(st, s).value
-                   for st in states for s in strings[:4]]
+        singles = [AnalyticBackend().expectation(st, PauliString(ops)).value
+                   for st in states for ops in ops_list[:4]]
         monkeypatch.setattr(qsim, "StateVector", None)
-        got = AnalyticBackend()._estimates(amps, strings)
+        got = AnalyticBackend()._estimates(amps, tuple(ops_list))
         want = [a @ pauli_kron(ops) @ a for a, ops in zip(amps, ops_list)]
         assert np.abs(got - np.real(want)).max() <= 1e-12
-        assert singles == [AnalyticBackend()._estimates(st.amplitudes[None], (s,))[0]
-                           for st in states for s in strings[:4]]
+        assert singles == [AnalyticBackend()._estimates(st.amplitudes[None], (ops,))[0]
+                           for st in states for ops in ops_list[:4]]
 
     def test_two_dimensional_multinomial_draws_like_sequential_calls(self):
         # the batched pass rests on this: one call on (R, k) pvals gives the
