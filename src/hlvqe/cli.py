@@ -101,7 +101,7 @@ _KEYS = {
     "eta": (HlvqeOptions.learning_rate, _FLOAT),
     "iters": (HlvqeOptions.max_iterations, _INT),
     "window": (HlvqeOptions.summary_window, _window),
-    "shots": (100_000, _check(lambda v: v >= 1, ">= 1", _INT)),
+    "shots": (100_000, _check(lambda v: 1 <= v <= 2 ** 63 - 1, "in [1, 2**63 - 1]", _INT)),
     "seed": (1, _check(lambda v: v >= 0, ">= 0", _INT)),
     "backend": ("analytic", _choice("analytic", "sampled")),
     "update": (HlvqeOptions.update, _choice("normalized", "plain")),
@@ -131,16 +131,14 @@ class RunConfig:
 
 def parse_config(argv) -> RunConfig:
     parser = argparse.ArgumentParser(prog="hlvqe", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="task", required=True)
-    for name in _TASKS:
-        p = sub.add_parser(name)
-        p.add_argument("--config")
-        for key in _KEYS:
-            flag = "--" + key.replace("_", "-")
-            if key == "plot_data":
-                p.add_argument(flag, action="store_true", default=None)
-            else:
-                p.add_argument(flag)
+    parser.add_argument("task", choices=_TASKS)
+    parser.add_argument("--config")
+    for key in _KEYS:
+        flag = "--" + key.replace("_", "-")
+        if key == "plot_data":
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            parser.add_argument(flag)
     ns = parser.parse_args(argv)
 
     values = {key: default for key, (default, _) in _KEYS.items()}

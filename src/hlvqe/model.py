@@ -20,12 +20,17 @@ The rotated-frame Hamiltonian H(beta) = U(beta)^dag H U(beta), with
 U(beta) = exp(-i beta Jy) acting on the quasi-spins, connects n with
 n' = n, n +- 1, n +- 2 only.  Every matrix element is a trig polynomial in
 beta, so H(beta) = sum_k f_k(beta) M[k] with f = (1, cos, sin, sin^2,
-sin cos) and five fixed band matrices M[k] (``_bands``), built once per
-(params, cutoff) from closed forms in n rather than by numerically rotating
-operators, which avoids cancellation; dH/dbeta is f'(beta) times the same
-table.  This is the only place the formula for H(beta) is written down.  The
-rotated-operator construction and the per-entry builders are kept in the
-test suite as independent oracles.
+sin cos) and five fixed band matrices M[k], built once per (params, cutoff)
+from closed forms in n rather than by numerically rotating operators, which
+avoids cancellation.  The band table (``_bands``) stores them compactly: the
+flat indices of the |dn| <= 2 entries of a cutoff x cutoff matrix and the
+(5, nnz) values of the M[k] there.  A build is one contraction f . table
+(``_combine``) scattered into a zero matrix; dH/dbeta is f'(beta) times the
+same table.  No entry has more than two nonzero terms, so the contraction
+rounds each entry once, in any summation order, and never gives -0.0.  This
+is the only place the formula for H(beta) is written down.  The
+rotated-operator construction, the per-entry builders and the dense band
+stack are kept in the test suite as independent oracles.
 
 At beta = 0 the full Hamiltonian splits into an even-n and an odd-n
 tridiagonal chain.  Both are diagonalised once per params
@@ -101,11 +106,12 @@ def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
     return build_effective_hamiltonian(params, 0.0, params.n_particles + 1)
 
 
-def _trig(beta: float) -> tuple[tuple, tuple]:
-    """f(beta) and f'(beta) of the band table, f = (1, cos, sin, sin^2, sin cos);
-    the one place beta enters H(beta), so a non-finite or non-real beta stops here
-    (a complex one too: NumPy's complex scalars are ``complex``, which
-    ``math.isfinite`` would take at its real part with only a warning)."""
+def _trig(beta: float) -> np.ndarray:
+    """The (2, 5) rows f(beta) and f'(beta) of the band table, f = (1, cos,
+    sin, sin^2, sin cos); the one place beta enters H(beta), so a non-finite
+    or non-real beta stops here (a complex one too: NumPy's complex scalars
+    are ``complex``, which ``math.isfinite`` would take at its real part with
+    only a warning)."""
     try:
         finite = not isinstance(beta, complex) and math.isfinite(beta)
     except TypeError:
@@ -113,25 +119,24 @@ def _trig(beta: float) -> tuple[tuple, tuple]:
     if not finite:
         raise ConfigError(f"beta must be finite and real, got {beta!r}")
     s, c = math.sin(beta), math.cos(beta)
-    return ((1.0, c, s, s * s, s * c),
-            (0.0, -s, c, math.sin(2 * beta), math.cos(2 * beta)))
+    return np.array(((1.0, c, s, s * s, s * c),
+                     (0.0, -s, c, math.sin(2 * beta), math.cos(2 * beta))))
 
 
-def _combine(f, stack):
-    """sum_k f[k] * stack[k], accumulated term by term into one array from
-    +0.0, so every entry rounds alike and no entry is -0.0."""
-    out = np.zeros(stack.shape[1:])
-    term = np.empty_like(out)
-    for fk, m in zip(f, stack):
-        out += np.multiply(fk, m, out=term)
-    return out
+def _combine(f: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k f[..., k] * table[k] for f of shape (5,) or (2, 5), from +0.0.
+    Every product rounds once and no column of ``table`` has more than two
+    nonzero entries, so the sum is the same in any order and no entry is -0.0."""
+    return np.add.reduce(np.multiply(f[..., None], table), axis=-2, initial=0.0)
 
 
 @lru_cache(maxsize=4)
-def _bands(params: ModelParams, cutoff: int) -> np.ndarray:
-    """The five fixed matrices M[k] of H(beta) = sum_k f_k(beta) M[k] over the
-    rotated states n < cutoff (f as in ``_trig``); cached per (params,
-    cutoff), read-only.
+def _bands(params: ModelParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, vals): the row-major flat indices of the |dn| <= 2 entries of a
+    cutoff x cutoff matrix, and the (5, len(idx)) values there of the five
+    fixed matrices M[k] of H(beta) = sum_k f_k(beta) M[k] over the rotated
+    states n < cutoff (f as in ``_trig``); cached per (params, cutoff),
+    read-only.
 
     M[1] (cos) is the diagonal eps (n - N/2); M[2] (sin) and M[4] (sin cos)
     fill |dn| = 1; M[0] (1) fills |dn| = 2; M[3] (sin^2) fills the diagonal
@@ -146,17 +151,32 @@ def _bands(params: ModelParams, cutoff: int) -> np.ndarray:
     r1 = np.sqrt((N - k) * (k + 1))
     r2b = np.sqrt((N - k[:-1] - 1) * (k[:-1] + 2))  # r2 = r1[:-1] * r2b
 
-    M = np.zeros((5, cutoff, cutoff))
-    i = np.arange(cutoff)
-    M[1, i, i] = eps * (n - N / 2)
-    M[3, i, i] = -(V / 4) * (N * N + 6 * n * n - 6 * n * N - N)
-    for m, d, vals in ((2, 1, 0.5 * r1 * eps),
+    rows = np.repeat(np.arange(cutoff), 5)
+    cols = rows + np.tile(np.arange(-2, 3), cutoff)
+    keep = (cols >= 0) & (cols < cutoff)
+    rows, cols = rows[keep], cols[keep]
+    lower, dn = np.minimum(rows, cols), np.abs(cols - rows)
+    vals = np.zeros((5, len(rows)))
+    for m, d, band in ((1, 0, eps * (n - N / 2)),
+                       (3, 0, -(V / 4) * (N * N + 6 * n * n - 6 * n * N - N)),
+                       (2, 1, 0.5 * r1 * eps),
                        (4, 1, -0.5 * r1 * V * (N - 2 * k - 1)),
                        (0, 2, -(V / 2) * r1[:-1] * r2b),
                        (3, 2, (V / 4) * r1[:-1] * r2b)):
-        M[m, i[d:], i[:-d]] = M[m, i[:-d], i[d:]] = vals
-    M.flags.writeable = False
-    return M
+        on = dn == d
+        vals[m, on] = band[lower[on]]
+    idx = rows * cutoff + cols
+    for arr in (idx, vals):
+        arr.flags.writeable = False
+    return idx, vals
+
+
+def _dense(values: np.ndarray, idx: np.ndarray, cutoff: int) -> np.ndarray:
+    """The cutoff x cutoff matrix holding ``values`` at the flat indices
+    ``idx`` of a band table and +0.0 elsewhere."""
+    out = np.zeros(cutoff * cutoff)
+    out[idx] = values
+    return out.reshape(cutoff, cutoff)
 
 
 def build_effective_hamiltonian(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:
@@ -165,12 +185,16 @@ def build_effective_hamiltonian(params: ModelParams, beta: float, cutoff: int) -
     Five-band structure: diagonal, |dn| = 1 (vanishing at beta = 0) and |dn| = 2.
     At beta = 0 this is the upper-left block of the full Hamiltonian.
     """
-    return _combine(_trig(beta)[0], _bands(params, cutoff))
+    f = _trig(beta)[0]
+    idx, vals = _bands(params, cutoff)
+    return _dense(_combine(f, vals), idx, cutoff)
 
 
 def build_effective_hamiltonian_dbeta(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:
     """Entrywise analytic d/dbeta of build_effective_hamiltonian."""
-    return _combine(_trig(beta)[1], _bands(params, cutoff))
+    df = _trig(beta)[1]
+    idx, vals = _bands(params, cutoff)
+    return _dense(_combine(df, vals), idx, cutoff)
 
 
 @lru_cache(maxsize=4)
@@ -181,11 +205,13 @@ def _parity_chains(params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], 
     The full Hamiltonian H(0) = M[0] + M[1] couples n only to n (M[1]) and
     n +- 2 (M[0]), so each parity block is a tridiagonal chain and its
     eigenpairs are exact eigenpairs of H.  The chains are read straight from
-    the band table rather than through ``build_full_hamiltonian``, so a warm
-    cache skips no public call and traced call counts do not depend on it.
+    the compact band table rather than through ``build_full_hamiltonian``, so
+    no dense (N+1) x (N+1) matrix is made, a warm cache skips no public call
+    and traced call counts do not depend on it.
     """
-    M = _bands(params, params.n_particles + 1)
-    diag, band = np.diag(M[1]), np.diag(M[0], 2)
+    idx, vals = _bands(params, params.n_particles + 1)
+    rows, cols = np.divmod(idx, params.n_particles + 1)
+    diag, band = vals[1, rows == cols], vals[0, cols - rows == 2]
     chains = []
     for parity in (0, 1):
         try:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, _power_of_two
-from .model import ModelParams, _bands, _combine, _trig
+from .model import ModelParams, _bands, _combine, _dense, _trig
 
 __all__ = [
     "PauliString",
@@ -160,8 +160,10 @@ def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
     """(ops, W): the op strings that survive in any band matrix M[k] of
     H(beta) = sum_k f_k(beta) M[k] (``model._bands``), in ``_all_strings``
     order, and the Pauli weights W[k] of each M[k] on them; cached per
-    (params, cutoff), read-only."""
-    parts = [decompose(m).as_dict() for m in _bands(params, cutoff)]
+    (params, cutoff), read-only.  Each row of the compact band table is
+    scattered into a dense matrix once here, for ``decompose``."""
+    idx, vals = _bands(params, cutoff)
+    parts = [decompose(_dense(row, idx, cutoff)).as_dict() for row in vals]
     ops = tuple(s for s in _all_strings(cutoff.bit_length() - 1) if any(s in d for d in parts))
     W = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
     W.flags.writeable = False
@@ -171,14 +173,14 @@ def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
 def _hamiltonian_weights(params: ModelParams, beta: float,
                          cutoff: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """(ops, f(beta) . W, f'(beta) . W) over the band table's cached
-    decomposition (``_band_weights``), from one ``_trig`` call: the Pauli
-    weights of H(beta) and of dH/dbeta for a power-of-two cutoff, both on the
-    same op strings at every beta (a weight may be exactly 0, as the
-    X-carrying ones are at beta = 0)."""
+    decomposition (``_band_weights``), from one ``_combine`` of the (2, 5)
+    ``_trig`` rows: the Pauli weights of H(beta) and of dH/dbeta for a
+    power-of-two cutoff, both on the same op strings at every beta (a weight
+    may be exactly 0, as the X-carrying ones are at beta = 0)."""
     cutoff = _power_of_two("cutoff", cutoff)
     ops, W = _band_weights(params, cutoff)
-    f, df = _trig(beta)
-    return ops, _combine(f, W), _combine(df, W)
+    h, dh = _combine(_trig(beta), W)
+    return ops, h, dh
 
 
 def hamiltonian_decomposition(params: ModelParams, beta: float,

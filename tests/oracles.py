@@ -21,9 +21,11 @@ objective is evaluated in two such passes, the base state and then every
 shifted state prepared one at a time.  The per-entry loops that fill
 H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
 weights, are the closed forms the band table replaced, kept here as its
-oracles; the band table's terms are summed by Python's ``sum``, and lowest
-eigenpairs come from ``scipy.linalg.eigh``, the paths the solver's in-place
-sum and direct LAPACK call replaced.
+oracles.  The band table is also built as the dense stack of five
+cutoff x cutoff matrices that its compact form replaced, and its terms are
+summed by Python's ``sum``; lowest eigenpairs come from
+``scipy.linalg.eigh``, the paths the compact contraction and the solver's
+direct LAPACK call replaced.
 """
 
 import math
@@ -123,6 +125,28 @@ def loop_effective_hamiltonian_dbeta(params, beta, cutoff):
         val = (V / 4) * s2 * math.sqrt((N - k) * (k + 1)) * math.sqrt((N - k - 1) * (k + 2))
         D[k + 2, k] = D[k, k + 2] = val
     return D
+
+
+def dense_bands(params, cutoff):
+    """The five band matrices M[k] of H(beta) = sum_k f_k(beta) M[k], f = (1,
+    cos, sin, sin^2, sin cos), as one dense (5, cutoff, cutoff) stack with
+    +0.0 off the bands."""
+    N = params.n_particles
+    eps, V = params.epsilon, params.coupling
+    n = np.arange(cutoff, dtype=float)
+    k = n[:-1]
+    r1 = np.sqrt((N - k) * (k + 1))
+    r2b = np.sqrt((N - k[:-1] - 1) * (k[:-1] + 2))  # r2 = r1[:-1] * r2b
+    M = np.zeros((5, cutoff, cutoff))
+    i = np.arange(cutoff)
+    M[1, i, i] = eps * (n - N / 2)
+    M[3, i, i] = -(V / 4) * (N * N + 6 * n * n - 6 * n * N - N)
+    for m, d, vals in ((2, 1, 0.5 * r1 * eps),
+                       (4, 1, -0.5 * r1 * V * (N - 2 * k - 1)),
+                       (0, 2, -(V / 2) * r1[:-1] * r2b),
+                       (3, 2, (V / 4) * r1[:-1] * r2b)):
+        M[m, i[d:], i[:-d]] = M[m, i[:-d], i[d:]] = vals
+    return M
 
 
 def sum_combine(f, stack):

@@ -72,6 +72,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(["hlvqe", "--config", str(f)])
 
+    @pytest.mark.parametrize("argv, code", [(["bogus", "--n", "30"], 2), ([], 2),
+                                            (["sweep-lambda", "--help"], 0)],
+                             ids=["unknown-verb", "no-verb", "verb-help"])
+    def test_verb_is_checked_by_the_parser(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_config(argv)
+        assert info.value.code == code
+
     def test_window_parsing(self):
         cfg = parse_config(["hlvqe", "--n", "30", "--vbar", "2.0",
                             "--lambda", "2", "--window", "60..70"])
@@ -248,6 +256,7 @@ class TestTasks:
         ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", str(10 ** 23)],
+        ["hlvqe", "--lambda", "2", "--backend", "analytic", "--shots", str(10 ** 23)],
         ["exact", "--n", "thirty"],
         ["hlvqe", "--lambda", "2", "--eta", "nan"],
         ["excited", "--lambda", "2", "--mu0", "nan"],
@@ -256,7 +265,8 @@ class TestTasks:
         ["hlvqe", "--lambda", "2", "--beta0", "inf"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
         ["exact", "--seed", "-1"],
-    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "oversized-shots", "n",
+    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "oversized-shots",
+            "oversized-shots-analytic", "n",
             "eta-nan", "mu0-nan",
             "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):

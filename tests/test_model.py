@@ -8,11 +8,12 @@ closed-form loops it replaced are a second, differential oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from hlvqe.errors import ConfigError
 from hlvqe.model import (
@@ -20,15 +21,20 @@ from hlvqe.model import (
     build_effective_hamiltonian,
     build_effective_hamiltonian_dbeta,
     build_full_hamiltonian,
+    _bands,
     _parity_chains,
+    _trig,
     exact_ground_state,
 )
+from hlvqe.pauli import _band_weights, _hamiltonian_weights, decompose
 from oracles import (
+    dense_bands,
     golden_section,
     loop_effective_hamiltonian,
     loop_effective_hamiltonian_dbeta,
     oracle_full_hamiltonian,
     oracle_rotated_block,
+    sum_combine,
 )
 
 
@@ -273,3 +279,83 @@ class TestExactGroundState:
         # the returned vector
         assert e == _parity_chains(p)[0][0][0]
         assert e == pytest.approx(amps @ Ho @ amps / (amps @ amps), rel=1e-13)
+
+
+class TestCompactBandTable:
+    @given(nc=st.integers(2, 256).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
+           vbar=st.one_of(st.just(0.0), st.floats(0.0, 3.5)),
+           beta=st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, 7.0]),
+                          st.floats(-20.0, 20.0)))
+    @example(nc=(64, 65), vbar=0.0, beta=-0.0)
+    @example(nc=(30, 16), vbar=0.0, beta=math.pi / 2)
+    @example(nc=(256, 257), vbar=2.0, beta=-math.pi / 2)
+    def test_builds_equal_dense_oracle(self, nc, vbar, beta):
+        # the compact contraction against Python's sum over the dense stack,
+        # bit for bit; V = 0 gives -0.0 band values, which must not leak out
+        n, cutoff = nc
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        f = _trig(beta)
+        dense = dense_bands(p, cutoff)
+        for build, fk in zip((build_effective_hamiltonian, build_effective_hamiltonian_dbeta), f):
+            got, want = build(p, beta, cutoff), sum_combine(fk, dense)
+            assert got.tobytes() == want.tobytes(), build.__name__
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        width = min(16, 1 << (cutoff.bit_length() - 1))
+        if width >= 2:
+            ops, W = _band_weights(p, width)
+            parts = [decompose(m).as_dict() for m in dense_bands(p, width)]
+            assert set(ops) == set().union(*parts)
+            W_ref = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
+            assert W.tobytes() == W_ref.tobytes()
+            for got, fk in zip(_hamiltonian_weights(p, beta, width)[1:], f):
+                want = sum_combine(fk, W_ref)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_at_most_two_nonzero_terms_per_column(self):
+        # the order-free contraction rests on this: no band entry and no
+        # Pauli string carries more than two of the five M[k]
+        for n in range(2, 257):
+            p = ModelParams.create(n, 1.0, vbar=2.0)
+            for cutoff in (1 << j for j in range((n + 1).bit_length())):
+                idx, vals = _bands(p, cutoff)
+                assert np.count_nonzero(vals, axis=0).max() <= 2, (n, cutoff)
+                # a string's weight on M[k] sums M[k] over the entries
+                # (r, r ^ flip) it touches, so at most two M[k] nonzero on any
+                # flip pattern bounds every column of W at this cutoff
+                rows, cols = np.divmod(idx, cutoff)
+                touched = np.zeros((5, cutoff), dtype=bool)
+                for m in range(5):
+                    touched[m, (rows ^ cols)[vals[m] != 0]] = True
+                assert touched.sum(axis=0).max() <= 2, (n, cutoff)
+        for n in (3, 7, 31, 64, 256):
+            p = ModelParams.create(n, 1.0, vbar=2.0)
+            for cutoff in (2, 4, 8, 16, 32):
+                if cutoff <= n + 1:
+                    _, W = _band_weights(p, cutoff)
+                    assert np.count_nonzero(W, axis=0).max() <= 2, (n, cutoff)
+
+    def test_large_n_builds_no_dense_table(self):
+        # the parity chains read the compact table: at N = 1024 the dense
+        # (5, N+1, N+1) stack peaked at 48.4 MB.  What stays is the two
+        # cached eigenvector matrices (4.2 MB) and the chain solver's
+        # workspace, below one dense (N+1) x (N+1) float matrix (8.4 MB)
+        p = ModelParams.create(1024, 1.0, vbar=2.0)
+        _bands.cache_clear()
+        _parity_chains.cache_clear()
+        tracemalloc.start()
+        try:
+            exact_ground_state(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1025 ** 2
+        for n in (64, 256, 1024):
+            p = ModelParams.create(n, 1.0, vbar=2.0)
+            dense = dense_bands(p, n + 1)
+            diag, band = np.diag(dense[1]), np.diag(dense[0], 2)
+            for parity, (w, v) in enumerate(_parity_chains(p)):
+                w_ref, v_ref = eigh_tridiagonal(diag[parity::2], band[parity::2])
+                assert w.tobytes() == w_ref.tobytes()
+                assert v.tobytes() == v_ref.tobytes()

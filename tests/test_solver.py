@@ -13,6 +13,7 @@ from hlvqe.model import (
     ModelParams,
     _bands,
     _combine,
+    _dense,
     _parity_chains,
     _trig,
     build_effective_hamiltonian,
@@ -29,7 +30,7 @@ from hlvqe.solver import (
     sweep_lambda,
     sweep_vbar,
 )
-from oracles import eigh_ground_pair, mp_beta0_gaps, scan_minimum, sum_combine
+from oracles import dense_bands, eigh_ground_pair, mp_beta0_gaps, scan_minimum, sum_combine
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 
@@ -51,13 +52,15 @@ class TestGroundPair:
     @given(n=st.integers(2, 256), vbar=st.floats(0.3, 3.5),
            beta=st.floats(0.0, math.pi / 2), data=st.data())
     def test_bitwise_equal_to_eigh_oracle(self, n, vbar, beta, data):
-        # the direct dsyevr call and the in-place band sum replace
-        # scipy.linalg.eigh and Python's sum without moving a bit, zero signs
-        # included
+        # the direct dsyevr call and the compact band contraction replace
+        # scipy.linalg.eigh and Python's sum over the dense stack without
+        # moving a bit, zero signs included
         cutoff = data.draw(st.integers(1, n + 1), label="cutoff")
         p = ModelParams.create(n, 1.0, vbar=vbar)
+        idx, vals = _bands(p, cutoff)
         for f in _trig(beta):
-            got, want = _combine(f, _bands(p, cutoff)), sum_combine(f, _bands(p, cutoff))
+            got = _dense(_combine(f, vals), idx, cutoff)
+            want = sum_combine(f, dense_bands(p, cutoff))
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         H = build_effective_hamiltonian(p, beta, cutoff)
