@@ -50,6 +50,15 @@ __all__ = [
 ]
 
 
+def _integer_pair(name: str, value) -> tuple[int, int]:
+    """``value`` as a (lo, hi) pair of ints, else a ConfigError."""
+    try:
+        lo, hi = (_integer(name, w) for w in value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a pair of integers, got {value!r}") from None
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class HlvqeOptions:
     learning_rate: float = 0.07
@@ -67,11 +76,7 @@ class HlvqeOptions:
         _finite("init_theta", self.init_theta)
         if _integer("max_iterations", self.max_iterations) < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        try:
-            lo, hi = (_integer("summary_window", w) for w in self.summary_window)
-        except (TypeError, ValueError):
-            raise ConfigError(f"summary_window must be a pair of integers, "
-                              f"got {self.summary_window!r}") from None
+        lo, hi = _integer_pair("summary_window", self.summary_window)
         if not 1 <= lo <= hi <= self.max_iterations:
             raise ConfigError(
                 f"summary window {self.summary_window} outside [1, {self.max_iterations}]")
@@ -188,7 +193,7 @@ def summarize(trace: list, window: tuple | None = None) -> RunSummary:
         raise ConfigError("cannot summarize an empty trace")
     if window is None:
         window = (max(1, trace[-1].step - 10), trace[-1].step)
-    lo, hi = window
+    lo, hi = _integer_pair("window", window)
     rows = [r for r in trace if lo <= r.step <= hi]
     if not rows:
         raise ConfigError(f"window {window} selects no steps from the trace")

@@ -4,27 +4,29 @@ String convention: a Pauli string is written most-significant qubit first,
 so string[0] acts on the qubit carrying the most significant bit of the
 basis index.  A string has one nonzero per column, P |c> = phase[c] |c ^ flip>
 (``_string_action``); decomposition and reassembly go through that rule
-rather than through a dense matrix.  Expectations, exact or sampled, are
-taken in ``qsim`` alone, which reads the same rule.
+rather than through a dense matrix, and ``decompose`` evaluates only the
+strings whose flip pattern meets a nonzero entry.  Expectations, exact or
+sampled, are taken in ``qsim`` alone, which reads the same rule.
 With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
 two-qubit register), basis indices equal excitation orders directly.
 
 H(beta) is sum_k f_k(beta) M[k] over the five fixed band matrices of
 ``model._bands``, so its Pauli form at any power-of-two cutoff is f(beta)
-times the trace decompositions of the M[k], taken once per (params, cutoff);
-dH/dbeta is f'(beta) times the same table.  Coefficients are real for the
-real symmetric input.  The one- and two-qubit closed forms are kept in the
-test suite as the oracle of this path.
+times the trace decompositions of the M[k], taken once per (params, cutoff)
+and merged onto one sorted string set; dH/dbeta is f'(beta) times the same
+table.  Coefficients are real for the real symmetric input.  The one- and
+two-qubit closed forms are kept in the test suite as the oracle of this path.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, _power_of_two
+from .errors import ConfigError, _finite, _power_of_two
 from .model import ModelParams, _bands, _combine, _dense, _trig
 
 __all__ = [
@@ -69,20 +71,14 @@ class PauliDecomposition:
     beta: float = 0.0
 
     def __post_init__(self):
-        for string, coeff in self.terms:
+        _finite("Pauli coefficients", [coeff for _, coeff in self.terms])
+        for string, _ in self.terms:
             if len(string) != self.n_qubits:
                 raise ConfigError(
                     f"string {string} has width {len(string)}, expected {self.n_qubits}")
 
     def as_dict(self) -> dict:
         return {s.ops: c for s, c in self.terms}
-
-
-def _all_strings(n_qubits: int):
-    strings = [""]
-    for _ in range(n_qubits):
-        strings = [s + c for s in strings for c in "IXYZ"]
-    return strings
 
 
 @lru_cache(maxsize=4096)
@@ -116,7 +112,10 @@ def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
     one-nonzero-per-column action; they are real for Hermitian input, and a
     complex one is rejected, as is a non-finite entry.  Strings whose
     coefficient falls below PRUNE_TOL are dropped, so real symmetric input
-    keeps no odd-Y string.
+    keeps no odd-Y string.  Terms come in ``itertools.product("IXYZ")``
+    order; a string whose flip pattern (its X/Y positions) meets only zero
+    entries has a coefficient of exactly 0 and is skipped unevaluated, so a
+    matrix banded to |r - c| <= 2 costs 2n of the 2^n patterns.
     """
     matrix = np.asarray(matrix)
     dim = matrix.shape[0]
@@ -128,7 +127,14 @@ def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
     scale = max(1.0, float(np.abs(matrix).max()))
     cols = np.arange(dim)
     terms = []
-    for ops in _all_strings(n_qubits):
+    # the flip patterns r ^ c of the nonzero entries, and each string's own,
+    # its X/Y positions, in the order the strings are made
+    live = set(np.bitwise_xor(*np.nonzero(matrix)).tolist())
+    bits = [(0, 1 << q, 1 << q, 0) for q in reversed(range(n_qubits))]
+    flips = map(sum, itertools.product(*bits))
+    for ops, flip in zip(map("".join, itertools.product("IXYZ", repeat=n_qubits)), flips):
+        if flip not in live:
+            continue
         rows, phase = _string_action(ops)
         coeff = (phase.conj() * matrix[rows, cols]).sum() / dim
         if abs(coeff.imag) > 1e-12 * scale:
@@ -158,13 +164,14 @@ def reassemble(decomp: PauliDecomposition) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
     """(ops, W): the op strings that survive in any band matrix M[k] of
-    H(beta) = sum_k f_k(beta) M[k] (``model._bands``), in ``_all_strings``
+    H(beta) = sum_k f_k(beta) M[k] (``model._bands``), in ``decompose``'s
     order, and the Pauli weights W[k] of each M[k] on them; cached per
     (params, cutoff), read-only.  Each row of the compact band table is
     scattered into a dense matrix once here, for ``decompose``."""
     idx, vals = _bands(params, cutoff)
     parts = [decompose(_dense(row, idx, cutoff)).as_dict() for row in vals]
-    ops = tuple(s for s in _all_strings(cutoff.bit_length() - 1) if any(s in d for d in parts))
+    # I < X < Y < Z in ASCII, so sorted order is itertools.product("IXYZ") order
+    ops = tuple(sorted(set().union(*parts)))
     W = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
     W.flags.writeable = False
     return ops, W

@@ -14,8 +14,9 @@ Evaluation (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)): in the phase
 gauge |n> -> (-i)^n |n>, Jy becomes the real symmetric tridiagonal matrix T
 with zero diagonal and off-diagonal T[k, k+1] = sqrt((k + 1)(2J - k)) / 2,
 so Jy = G T G^dag with G = diag((-i)^n).  T is diagonalized once per J,
-T = V diag(w) V^T, with its eigenvalues rounded to the exact w = -J .. J;
-then, for row r and column c,
+T = V diag(w) V^T, with its eigenvalues rounded to the exact w = -J .. J
+and cached next to the entry selection below (``_d_parts``); then, for row
+r and column c,
 
     d[r, c] = Re[ i^(c - r) (V e^(i beta w) V^T)[r, c] ],
 
@@ -49,29 +50,22 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _jy_eigenpairs(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w = -J .. J (rounded to exact half-integers) and eigenvectors V
-    of the gauged Jy chain T for spin J = two_j / 2; read-only, shared by every beta."""
+def _d_parts(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (w, V, even, sign) of d^J for spin J = two_j / 2, shared by
+    every beta: the eigenvalues w = -J .. J (rounded to exact half-integers)
+    and eigenvectors V of the gauged Jy chain T, and the selection of entry
+    [r, c] as C where ``even`` ((c - r) mod 2 = 0), else S, times ``sign``,
+    -1.0 where (c - r) mod 4 is 1 or 2 and +1.0 elsewhere."""
     k = np.arange(two_j)
     w, v = scipy.linalg.eigh_tridiagonal(np.zeros(two_j + 1),
                                          0.5 * np.sqrt((k + 1) * (two_j - k)))
     w = np.round(2 * w) / 2
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
-@lru_cache(maxsize=64)
-def _d_pattern(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (even, sign) of size 2J + 1: entry [r, c] of d is C if
-    ``even`` ((c - r) mod 2 = 0), else S, times ``sign``, -1.0 where (c - r)
-    mod 4 is 1 or 2 and +1.0 elsewhere."""
     n = np.arange(two_j + 1)
     quarter = (n - n[:, None]) % 4
     even, sign = quarter % 2 == 0, np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
-    even.flags.writeable = False
-    sign.flags.writeable = False
-    return even, sign
+    for a in (w, v, even, sign):
+        a.flags.writeable = False
+    return w, v, even, sign
 
 
 def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
@@ -80,13 +74,23 @@ def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
     _finite("beta", beta)
     if abs(2 * j - two_j) > 1e-12 or j < 0:
         raise ConfigError(f"j must be a non-negative half-integer, got {j}")
-    w, v = _jy_eigenpairs(two_j)
+    w, v, even, sign = _d_parts(two_j)
     cos_part = (v * np.cos(beta * w)) @ v.T
     sin_part = (v * np.sin(beta * w)) @ v.T
-    even, sign = _d_pattern(two_j)
     d = np.where(even, cos_part, sin_part)
     d *= sign
     return d
+
+
+def _unit_amplitudes(state, size: int, kind: str) -> None:
+    """Store ``state.amplitudes`` as a float array; raise ConfigError unless
+    it has shape (size,) and unit norm (to 1e-10)."""
+    amps = np.asarray(state.amplitudes, dtype=float)
+    object.__setattr__(state, "amplitudes", amps)
+    if amps.shape != (size,):
+        raise ConfigError(f"expected {size} amplitudes, got shape {amps.shape}")
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
+        raise ConfigError(f"{kind}-state amplitudes must be unit-norm")
 
 
 @dataclass(frozen=True)
@@ -98,12 +102,7 @@ class EffectiveState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.cutoff,):
-            raise ConfigError(f"expected {self.cutoff} amplitudes, got shape {amps.shape}")
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
-            raise ConfigError("effective-state amplitudes must be unit-norm")
+        _unit_amplitudes(self, self.cutoff, "effective")
 
 
 @dataclass(frozen=True)
@@ -114,13 +113,7 @@ class FullState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.n_particles + 1,):
-            raise ConfigError(
-                f"expected {self.n_particles + 1} amplitudes, got shape {amps.shape}")
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
-            raise ConfigError("full-state amplitudes must be unit-norm")
+        _unit_amplitudes(self, self.n_particles + 1, "full")
 
 
 def reconstruct_full(state: EffectiveState, params: ModelParams) -> FullState:

@@ -141,9 +141,6 @@ def _candidate_betas(params: ModelParams, cutoff: int) -> list[tuple[float, floa
     the slope per grid interval in which it rises through zero, ascending.
     The slope at beta = 0 is exactly 0 by parity, so it is not evaluated there
     and no root is sought next to it."""
-    # imported here so that ``import hlvqe`` does not load scipy.optimize
-    from scipy.optimize import brentq
-
     solved = {}  # beta -> (g(beta), eigenvalue, eigenvector); brentq starts on grid points
 
     def g(b):
@@ -159,6 +156,9 @@ def _candidate_betas(params: ModelParams, cutoff: int) -> list[tuple[float, floa
     roots = [0.0]
     for lo, hi in zip(grid, grid[1:]):
         if g(lo) < 0.0 <= g(hi):
+            # imported here, so that neither ``import hlvqe`` nor a cutoff
+            # that ``model._bands`` rejects loads scipy.optimize
+            from scipy.optimize import brentq
             roots.append(float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)))
     # the grid scan solved beta = 0, and brentq returns a beta it has evaluated
     candidates = [(b, *solved[b][1:]) for b in roots]
@@ -184,13 +184,12 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     """
     N = params.n_particles
     cutoff = _integer("cutoff", cutoff)
-    if not 1 <= cutoff <= N + 1:
-        raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
+    found = _candidate_betas(params, cutoff)  # ``model._bands`` checks the range first
     chains = _parity_chains(params)
     e_even, ex_amps = exact_ground_state(params)
 
     candidates = []
-    for beta, energy, vec in _candidate_betas(params, cutoff):
+    for beta, energy, vec in found:
         nz = np.nonzero(np.abs(vec) > 1e-12)[0]
         state = EffectiveState(cutoff, beta, -vec if vec[nz[0]] < 0 else vec)
         full = reconstruct_full(state, params)

@@ -11,10 +11,12 @@ floor come from mpmath at 40 digits, single d^J entries from Wigner's sum at
 80 digits, and small Bures distances from 50-digit overlaps; the whole d^J
 matrix is also rebuilt by the rotations module's factorisation with its
 entries picked by ``np.choose``, the selection its parity mask replaced.
-Ansatz states are built from block-diagonal uniformly-controlled-Ry
-matrices, and their angles are read back off a real unit vector by
-inverting that tree from the leaves up; the simulator's one-row loop of
-Pauli rotations is rebuilt from bit arithmetic, for checks bit for bit.
+Pauli weights come from the per-string loop over all 4^n strings that the
+decomposition's flip-pattern skip replaced.  Ansatz states are built from
+block-diagonal uniformly-controlled-Ry matrices, and their angles are read
+back off a real unit vector by inverting that tree from the leaves up; the
+simulator's one-row loop of Pauli rotations is rebuilt from bit arithmetic,
+for checks bit for bit.
 Measurement basis changes apply the textbook gates qubit by qubit, sampled
 estimates take one multinomial draw per measured row, and the sampled
 objective is evaluated in two such passes, the base state and then every
@@ -241,6 +243,37 @@ def pauli_kron(ops):
     out = np.eye(1)
     for ch in ops:
         out = np.kron(out, PAULI_1Q[ch])
+    return out
+
+
+def loop_decompose(matrix):
+    """(ops, coefficient) pairs of the trace projection <P, H> / 2^n of every
+    Pauli string whose real part exceeds 1e-14, walking all 4^n strings in
+    the order the prefix loop builds them (last character fastest): the
+    per-string path that the flip-pattern skip replaced, with each string's
+    column action, P |c> = phase[c] |c ^ flip>, rebuilt in the same float
+    operations."""
+    dim = len(matrix)
+    nq = dim.bit_length() - 1
+    strings = [""]
+    for _ in range(nq):
+        strings = [s + c for s in strings for c in "IXYZ"]
+    cols = np.arange(dim)
+    out = []
+    for ops in strings:
+        flip = 0
+        phase = np.ones(dim, dtype=complex)
+        for q, ch in enumerate(ops):
+            bit = (cols >> (nq - 1 - q)) & 1
+            if ch in ("X", "Y"):
+                flip |= 1 << (nq - 1 - q)
+            if ch == "Y":
+                phase = phase * (1j * (1.0 - 2.0 * bit))
+            elif ch == "Z":
+                phase = phase * (1.0 - 2.0 * bit)
+        coeff = (phase.conj() * matrix[cols ^ flip, cols]).sum() / dim
+        if abs(coeff.real) > 1e-14:
+            out.append((ops, float(coeff.real)))
     return out
 
 

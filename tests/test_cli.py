@@ -292,13 +292,16 @@ class TestTasks:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the run verb never needs brentq, so a fresh import does not pay for it
+    # the run verb never needs brentq, so a fresh import does not pay for it,
+    # and neither does a cutoff the solver rejects
     env = dict(os.environ, PYTHONPATH=str(Path(hlvqe.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hlvqe, hlvqe.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, hlvqe, hlvqe.cli; print('scipy.optimize' in sys.modules)\n"
+         "try:\n    hlvqe.solve_effective(hlvqe.ModelParams.create(30, 1.0, vbar=2.0), 40)\n"
+         "except hlvqe.ConfigError as exc:\n    print(exc, 'scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "cutoff must lie in [1, 31], got 40 False"]
 
 
 def test_package_exports_exactly_the_layer_modules_public_names():

@@ -575,6 +575,14 @@ class TestSummarize:
         with pytest.raises(ConfigError):
             summarize(trace, (10, 20))
 
+    @pytest.mark.parametrize("window", [(1,), (1, 2, 3), ("a", 2), (1.5, 3)],
+                             ids=["single", "triple", "str", "float"])
+    def test_window_read_as_pair_of_integers(self, window):
+        # the reader ``HlvqeOptions.summary_window`` goes through
+        trace = run(P30, 2, ONE_STEP)
+        with pytest.raises(ConfigError, match="window must be"):
+            summarize(trace, window)
+
 
 class TestExcitedStates:
     def test_mu_zero_rejected_and_identity_shift(self):

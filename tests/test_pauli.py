@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
+from hlvqe import pauli
 from hlvqe.errors import ConfigError
 from hlvqe.model import (
     ModelParams,
@@ -18,12 +20,13 @@ from hlvqe.model import (
 from hlvqe.pauli import (
     PauliDecomposition,
     PauliString,
+    _band_weights,
     decompose,
     hamiltonian_decomposition,
     reassemble,
 )
 from hlvqe.qsim import AnalyticBackend, StateVector, _measurement_basis, _measurement_plan
-from oracles import coeffs_1q, coeffs_2q, pauli_kron
+from oracles import coeffs_1q, coeffs_2q, dense_bands, loop_decompose, pauli_kron
 
 
 class TestDecompose:
@@ -72,11 +75,68 @@ class TestDecompose:
             n_terms = len(decompose(H).terms)
             assert n_terms <= 4 * lam * lam, (nq, n_terms)
 
+    @pytest.mark.parametrize("nq", [5, 6, 7])
+    def test_banded_matrix_evaluates_live_flip_patterns_only(self, nq, monkeypatch):
+        # a matrix banded to |r - c| <= 2 meets 2n of the 2^n flip patterns,
+        # each carried by 2^n strings; the other strings are never evaluated
+        calls = []
+
+        def counting(ops, action=pauli._string_action):
+            calls.append(ops)
+            return action(ops)
+
+        monkeypatch.setattr(pauli, "_string_action", counting)
+        lam = 2 ** nq
+        H = build_effective_hamiltonian(ModelParams.create(2 * lam, 1.0, vbar=2.0), 0.9, lam)
+        decompose(H)
+        assert len(calls) <= 2 * nq * lam, (nq, len(calls))
+
+    @given(nq=st.integers(1, 5), kind=st.sampled_from(["real", "complex", "banded"]),
+           dead=st.floats(0.0, 1.0), sparse=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_string_oracle(self, nq, kind, dead, sparse, seed):
+        # terms, their order and every coefficient bit for bit; whole flip
+        # patterns (r ^ c) and then single (r, c), (c, r) pairs are zeroed at
+        # random, which keeps H Hermitian and leaves patterns partly zero
+        rng = np.random.default_rng(seed)
+        dim = 2 ** nq
+        A = rng.standard_normal((dim, dim))
+        if kind == "complex":
+            A = A + 1j * rng.standard_normal((dim, dim))
+        H = (A + A.conj().T) / 2
+        r, c = np.indices((dim, dim))
+        if kind == "banded":
+            H[np.abs(r - c) > 2] = 0.0
+        H[rng.random(dim)[r ^ c] < dead] = 0.0
+        pairs = np.triu(rng.random((dim, dim)) < sparse)
+        H[pairs | pairs.T] = 0.0
+        assert [(s.ops, w) for s, w in decompose(H).terms] == loop_decompose(H)
+
+    def test_band_matrices_match_per_string_oracle(self):
+        # the five band matrices of H(beta) up to six qubits, where most
+        # flip patterns are dead
+        for n, widths in ((30, (2, 4, 8, 16)), (256, (32, 64))):
+            p = ModelParams.create(n, 1.0, vbar=2.0)
+            for width in widths:
+                for m in dense_bands(p, width):
+                    assert ([(s.ops, w) for s, w in decompose(m).terms]
+                            == loop_decompose(m)), (n, width)
+
 
 def all_strings(max_qubits=3):
     for nq in range(1, max_qubits + 1):
         for ops in itertools.product("IXYZ", repeat=nq):
             yield "".join(ops)
+
+
+class TestPauliDecompositionInput:
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf, 1j, np.complex128(0.5)],
+                             ids=["nan", "inf", "-inf", "complex", "numpy-complex"])
+    def test_non_finite_or_non_real_coefficient_rejected(self, coeff):
+        # accepted before: NaN energies on both backends, and a complex
+        # weight that ``reassemble`` turned into the zero matrix
+        with pytest.raises(ConfigError, match="Pauli coefficients must be"):
+            PauliDecomposition(1, ((PauliString("I"), 1.0), (PauliString("Z"), coeff)))
 
 
 class TestStringActionAgainstKron:
@@ -229,6 +289,21 @@ class TestHamiltonianDecomposition:
         p = ModelParams.create(30, 1.0, vbar=2.0)
         with pytest.raises(ConfigError):
             hamiltonian_decomposition(p, 0.5, 3)
+
+    def test_band_weights_equal_five_decomposition_merge(self):
+        # every string of any band matrix's decomposition, ordered by its
+        # base-4 index (I, X, Y, Z = 0 .. 3, first character most
+        # significant), with each band's weight there or 0.0
+        index = str.maketrans("IXYZ", "0123")
+        for n in [*range(2, 34), 63, 64, 127, 128, 256]:
+            p = ModelParams.create(n, 1.0, vbar=2.0)
+            for cutoff in (1 << j for j in range(1, (n + 1).bit_length())):
+                parts = [decompose(m).as_dict() for m in dense_bands(p, cutoff)]
+                want = sorted(set().union(*parts), key=lambda s: int(s.translate(index), 4))
+                ops, W = _band_weights(p, cutoff)
+                assert ops == tuple(want), (n, cutoff)
+                W_ref = np.array([[d.get(s, 0.0) for s in want] for d in parts])
+                assert W.tobytes() == W_ref.tobytes(), (n, cutoff)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5]),
                                       np.complex128(0.5), np.complex128(0.5 + 0.3j)],
