@@ -54,14 +54,18 @@ _INT, _FLOAT = _number(int), _number(float)
 
 
 def _list(kind):
-    """A reader of a comma-separated string or a JSON list of ``kind``."""
+    """A reader of a comma-separated string or a JSON list of ``kind``,
+    holding at least one value."""
     item = _number(kind)
 
     def read(key: str, value):
         items = value.split(",") if isinstance(value, str) else value
         if not isinstance(items, (list, tuple)):
             raise ConfigError(f"{key} must be a comma-separated list, got {value!r}")
-        return [item(key, x) for x in items if x != ""]
+        out = [item(key, x) for x in items if x != ""]
+        if not out:
+            raise ConfigError(f"{key} must hold at least one value, got {value!r}")
+        return out
     return read
 
 
@@ -200,7 +204,7 @@ def emit_report(config: RunConfig, name: str, header: list, rows: list,
                 extra: dict | None = None) -> str:
     """Write one table in the configured format, and with ``plot_data`` also
     as ``<name>_long.csv`` (one row per x value and series); returns the
-    table's path."""
+    table's path.  A JSON report is strict JSON: a non-finite table entry is null."""
     out_dir = config.values["out"]
     stamp = datetime.now(timezone.utc).isoformat()
     echo = config.echo()
@@ -219,11 +223,13 @@ def emit_report(config: RunConfig, name: str, header: list, rows: list,
             "timestamp": stamp,
             "config": echo,
             "columns": header,
-            "rows": [[float(x) for x in row] for row in rows],
+            "rows": [[v if math.isfinite(v) else None for v in map(float, row)]
+                     for row in rows],
         }
         if extra:
             payload.update(extra)
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
     if config.values["plot_data"]:
         lines = [",".join((header[0], "series", "value"))]
         for row in rows:
@@ -307,7 +313,8 @@ def _task_hlvqe(config: RunConfig, params: ModelParams):
     header, rows = _trace_table(trace, lam)
     s = summarize(trace, opts.summary_window)
     extra = {"summary": {k: {"mean": v[0], "half_range": v[1]}
-                         for k, v in s.quantities.items()}}
+                         for k, v in s.quantities.items()},
+             "summary_window": s.window}
     return "hlvqe_trace", header, rows, extra
 
 

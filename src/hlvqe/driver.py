@@ -61,12 +61,16 @@ def _integer_pair(name: str, value) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class HlvqeOptions:
+    """Settings of one descent.  ``summary_window`` is the (lo, hi) step window
+    a report summarizes: None leaves it to ``summarize``'s default, which fits
+    a trace of any length, and a given window must lie in [1, max_iterations]."""
+
     learning_rate: float = 0.07
     max_iterations: int = 80
     backend: object = field(default_factory=AnalyticBackend)
     init_beta: float = 0.2
     init_theta: float | np.ndarray = 0.1
-    summary_window: tuple = (70, 80)
+    summary_window: tuple | None = None
     update: str = "normalized"
 
     def __post_init__(self):
@@ -76,10 +80,11 @@ class HlvqeOptions:
         _finite("init_theta", self.init_theta)
         if _integer("max_iterations", self.max_iterations) < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        lo, hi = _integer_pair("summary_window", self.summary_window)
-        if not 1 <= lo <= hi <= self.max_iterations:
-            raise ConfigError(
-                f"summary window {self.summary_window} outside [1, {self.max_iterations}]")
+        if self.summary_window is not None:
+            lo, hi = _integer_pair("summary_window", self.summary_window)
+            if not 1 <= lo <= hi <= self.max_iterations:
+                raise ConfigError(
+                    f"summary window {self.summary_window} outside [1, {self.max_iterations}]")
         if self.update not in ("normalized", "plain"):
             raise ConfigError(f"update must be 'normalized' or 'plain', got {self.update!r}")
 
@@ -188,7 +193,9 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
 
 
 def summarize(trace: list, window: tuple | None = None) -> RunSummary:
-    """Mean and half the max-min spread per tracked quantity over a step window."""
+    """Mean and half the max-min spread per tracked quantity over a step
+    window; with no window, over the trace's last 11 steps,
+    (max(1, last - 10), last), so (70, 80) for an 80-step trace."""
     if not trace:
         raise ConfigError("cannot summarize an empty trace")
     if window is None:

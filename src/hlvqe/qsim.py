@@ -89,6 +89,12 @@ class StateVector:
             raise ConfigError("state has non-negligible imaginary parts")
         return self.amplitudes.real.copy()
 
+    def _ops_of(self, string: PauliString) -> str:
+        """The op string of ``string``, which must be as wide as this state."""
+        if len(string) != self.n_qubits:
+            raise ConfigError(f"string width {len(string)} != state width {self.n_qubits}")
+        return string.ops
+
 
 @lru_cache(maxsize=4096)
 def _kicked(ops: str) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +193,8 @@ class AnalyticBackend:
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
         """Exact <P> of ``state``: the one-row ``_estimates`` call."""
-        if len(string) != state.n_qubits:
-            raise ConfigError(
-                f"string width {len(string)} != state width {state.n_qubits}")
         return ExpectationEstimate(
-            float(self._estimates(state.amplitudes[None], (string.ops,))[0]), 0.0, 0)
+            float(self._estimates(state.amplitudes[None], (state._ops_of(string),))[0]), 0.0, 0)
 
     def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
         """Exact <P> of each row a of ``amps`` in its op string,
@@ -250,10 +253,7 @@ class SampledBackend:
         return counts / self.shots
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
-        if len(string) != state.n_qubits:
-            raise ConfigError(
-                f"string width {len(string)} != state width {state.n_qubits}")
-        val = float(self._estimates(state.amplitudes[None], (string.ops,))[0])
+        val = float(self._estimates(state.amplitudes[None], (state._ops_of(string),))[0])
         # contraction values are +-1, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
         return ExpectationEstimate(val, std, self.shots)
@@ -362,8 +362,7 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
 
     Identity strings are exact (value 1) on either backend and draw no shots.
     """
-    if len(string) != state.n_qubits:
-        raise ConfigError(f"string width {len(string)} != state width {state.n_qubits}")
+    state._ops_of(string)
     if string.is_identity:
         return ExpectationEstimate(1.0, 0.0, 0)
     return backend.expectation(state, string)

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hlvqe
@@ -32,7 +33,7 @@ class TestParseConfig:
         cfg = parse_config(["hlvqe", "--n", "30", "--vbar", "2.0", "--lambda", "2"])
         assert cfg.values["eta"] == 0.07
         assert cfg.values["iters"] == 80
-        assert cfg.values["window"] == (70, 80)
+        assert cfg.values["window"] is None
         assert cfg.values["backend"] == "analytic"
         assert cfg.values["update"] == "normalized"
         assert cfg.values["shots"] == 100_000
@@ -179,6 +180,36 @@ class TestTasks:
         data = json.loads((tmp_path / "excited_trace.json").read_text())
         assert data["shifted_ground_eigenvalue"] == pytest.approx(-16.0, abs=5e-2)
 
+    @pytest.mark.parametrize("flags, window", [
+        (["--vbar", "2.0", "--iters", "10"], [1, 10]),
+        (["--vbar", "2.0", "--iters", "100", "--update", "plain"], [90, 100]),
+        (["--vbar", "0.5", "--beta0", "0", "--theta0", "0"], [1, 1]),
+    ], ids=["iters-10", "iters-100", "early-stop"])
+    def test_default_window_is_the_trace_tail(self, flags, window, tmp_path):
+        # with no --window the summary covers the trace's own last 11 steps,
+        # whatever its length
+        argv = ["hlvqe", "--n", "30", "--lambda", "2", "--out", str(tmp_path),
+                "--format", "json", *flags]
+        assert main(argv) == 0
+        data = json.loads((tmp_path / "hlvqe_trace.json").read_text())
+        assert data["config"]["window"] is None
+        assert data["summary_window"] == window
+        assert data["rows"][-1][0] == window[1]
+        energies = [row[1] for row in data["rows"] if window[0] <= row[0] <= window[1]]
+        assert data["summary"]["energy"]["mean"] == float(np.mean(energies))
+
+    def test_excited_json_is_strict_json(self, tmp_path):
+        # an excited trace has no fidelity: its NaN bures is written as null
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        assert main(["excited", "--n", "30", "--vbar", "2.0", "--lambda", "2", "--mu0", "10",
+                     "--iters", "3", "--out", str(tmp_path), "--format", "json"]) == 0
+        data = json.loads((tmp_path / "excited_trace.json").read_text(),
+                          parse_constant=reject)
+        assert data["columns"][-1] == "bures"
+        assert [row[-1] for row in data["rows"]] == [None] * 3
+
     def test_reconstruct_task(self, tmp_path):
         rc = main(["reconstruct", "--n", "30", "--vbar", "2.0", "--lambda", "3",
                    "--out", str(tmp_path), "--format", "json"])
@@ -265,10 +296,14 @@ class TestTasks:
         ["hlvqe", "--lambda", "2", "--beta0", "inf"],
         ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
         ["exact", "--seed", "-1"],
+        ["sweep-lambda", "--lambdas", ","],
+        ["sweep-vbar", "--lambda", "3", "--vbar-grid", ""],
+        ["hlvqe", "--lambda", "2", "--iters", "80", "--window", "75..85"],
     ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "oversized-shots",
             "oversized-shots-analytic", "n",
             "eta-nan", "mu0-nan",
-            "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed"])
+            "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed",
+            "empty-lambdas", "empty-vbar-grid", "window-outside-iters"])
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
         argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
         assert main(argv) == 2
@@ -279,9 +314,11 @@ class TestTasks:
                                        {"lambdas": [2, "x"]}, {"window": [70]},
                                        {"iters": 80.5}, {"backend": "sampled "},
                                        {"plot_data": "false"}, {"out": 5},
-                                       {"eta": math.inf}, {"iters": math.inf}],
+                                       {"eta": math.inf}, {"iters": math.inf},
+                                       {"lambdas": []}, {"vbar_grid": []}],
                              ids=["n", "eta", "lambdas", "window", "iters", "backend",
-                                  "plot_data", "out", "eta-inf", "iters-inf"])
+                                  "plot_data", "out", "eta-inf", "iters-inf",
+                                  "empty-lambdas", "empty-vbar-grid"])
     def test_unreadable_file_values_exit_2(self, entry, tmp_path):
         # the output directory comes from the file, so the "out" entry replaces it
         f = tmp_path / "cfg.json"

@@ -46,7 +46,7 @@ from oracles import (
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 ANALYTIC = AnalyticBackend()
-ONE_STEP = HlvqeOptions(max_iterations=1, summary_window=(1, 1))
+ONE_STEP = HlvqeOptions(max_iterations=1)
 
 
 class RowByRowBackend(SampledBackend):
@@ -149,7 +149,7 @@ class TestCostAndGrads:
         # and per string one parameter_shift_grad
         nq, seed, beta0, mu0 = lam.bit_length() - 1, 23, 0.9, 10.0
         ground = prepare_ansatz(np.linspace(1.1, -0.3, lam - 1), nq)
-        opts = HlvqeOptions(init_theta=0.2, max_iterations=1, summary_window=(1, 1),
+        opts = HlvqeOptions(init_theta=0.2, max_iterations=1,
                             backend=SampledBackend(2000, seed))
         trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
                                            beta0=beta0)
@@ -175,7 +175,7 @@ class TestCostAndGrads:
         # and the per-string shift rule give on excited_hamiltonian's strings
         nq, beta0, mu0 = lam.bit_length() - 1, 0.9, 10.0
         ground = prepare_ansatz(np.linspace(1.1, -0.3, lam - 1), nq)
-        opts = HlvqeOptions(init_theta=0.2, max_iterations=1, summary_window=(1, 1))
+        opts = HlvqeOptions(init_theta=0.2, max_iterations=1)
         trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
                                            beta0=beta0)
         h, _ = hamiltonian_decomposition(P30, beta0, lam)
@@ -375,7 +375,7 @@ class TestCostAndGrads:
         monkeypatch.setattr(driver, "hamiltonian_decomposition", forbidden)
         cost_and_grads(P30, 8, 0.7, np.linspace(-0.5, 0.5, 7), ANALYTIC)
         opts = HlvqeOptions(init_beta=0.8, init_theta=0.1, update="plain",
-                            max_iterations=10, summary_window=(1, 10))
+                            max_iterations=10)
         assert len(run(P30, 8, opts)) == 10
 
         setup = []
@@ -393,14 +393,14 @@ class TestRun:
         # same run drawing one row at a time in the batched pass's row order
         traces = [run(P30, lam, HlvqeOptions(
             init_beta=0.8, init_theta=0.1, update="plain", max_iterations=10,
-            summary_window=(1, 10), backend=cls(100_000, 31)))
+            backend=cls(100_000, 31)))
             for cls in (SampledBackend, RowByRowBackend)]
         assert trace_bytes(traces[0]) == trace_bytes(traces[1])
 
     def test_sampled_excited_run_matches_row_by_row_oracle(self):
         ground = prepare_ansatz(np.linspace(1.1, -0.3, 3), 2)
         runs = [excited_state_run(P30, 4, 10.0, HlvqeOptions(
-            init_theta=0.2, max_iterations=10, summary_window=(1, 10),
+            init_theta=0.2, max_iterations=10,
             backend=cls(100_000, 23)), ground_state=ground, beta0=0.9)
             for cls in (SampledBackend, RowByRowBackend)]
         (trace, shifted), (want, want_shifted) = runs
@@ -435,7 +435,7 @@ class TestRun:
 
     def test_records_every_step_and_norm_identity(self):
         opts = HlvqeOptions(init_beta=0.5, init_theta=0.2, update="plain",
-                            max_iterations=25, summary_window=(20, 25))
+                            max_iterations=25)
         trace = run(P30, 4, opts)
         assert [r.step for r in trace] == list(range(1, 26))
         for r in trace:
@@ -464,10 +464,10 @@ class TestRun:
 
     def test_bitwise_determinism_with_seed(self):
         opts1 = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",
-                             max_iterations=12, summary_window=(8, 12),
+                             max_iterations=12,
                              backend=SampledBackend(2000, seed=42))
         opts2 = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",
-                             max_iterations=12, summary_window=(8, 12),
+                             max_iterations=12,
                              backend=SampledBackend(2000, seed=42))
         # the third run reuses the first options object: a run does not
         # consume the backend it is given
@@ -496,8 +496,7 @@ class TestRun:
 
     def test_early_exit_at_exact_stationary_point(self):
         opts = HlvqeOptions(init_beta=math.pi / 3, init_theta=0.0,
-                            update="normalized", max_iterations=30,
-                            summary_window=(1, 30))
+                            update="normalized", max_iterations=30)
         trace = run(P30, 2, opts)
         assert trace[-1].converged
         assert trace[-1].step == 1
@@ -505,7 +504,7 @@ class TestRun:
     def test_invalid_options(self):
         with pytest.raises(ConfigError):
             HlvqeOptions(learning_rate=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"summary window \(75, 85\) outside \[1, 80\]"):
             HlvqeOptions(summary_window=(75, 85))
         with pytest.raises(ConfigError):
             HlvqeOptions(update="momentum")
@@ -515,7 +514,7 @@ class TestRun:
                 HlvqeOptions(**bad)
 
     @pytest.mark.parametrize("bad", [
-        {"max_iterations": 2.5, "summary_window": (1, 2)},
+        {"max_iterations": 2.5},
         {"learning_rate": "a"},
         {"init_beta": "a"},
         {"init_theta": "a"},
@@ -530,21 +529,21 @@ class TestRun:
             HlvqeOptions(**bad)
 
     def test_numpy_integer_iterations_accepted(self):
-        opts = HlvqeOptions(max_iterations=np.int64(3), summary_window=(1, 3))
+        opts = HlvqeOptions(max_iterations=np.int64(3))
         assert len(run(P30, 2, opts)) == 3
 
 
 class TestSummarize:
-    def _trace(self, energies):
-        opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",
-                            max_iterations=len(energies),
-                            summary_window=(1, len(energies)))
-        trace = run(P30, 2, opts)
-        return trace
+    @pytest.mark.parametrize("iters, window", [(1, (1, 1)), (10, (1, 10)), (25, (15, 25))])
+    def test_default_window_is_the_last_11_steps(self, iters, window):
+        # no window is given, so none is checked against the run length
+        opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, max_iterations=iters)
+        assert opts.summary_window is None
+        assert summarize(run(P30, 2, opts)).window == window
 
     def test_constant_trace_zero_half_range(self):
         opts = HlvqeOptions(init_beta=math.pi / 3, init_theta=0.0, update="plain",
-                            max_iterations=5, summary_window=(1, 5))
+                            max_iterations=5)
         trace = run(P30, 2, opts)
         s = summarize(trace, (1, 5))
         assert s.half_range("energy") == pytest.approx(0.0, abs=1e-12)
@@ -570,7 +569,7 @@ class TestSummarize:
 
     def test_empty_window_rejected(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",
-                            max_iterations=5, summary_window=(1, 5))
+                            max_iterations=5)
         trace = run(P30, 2, opts)
         with pytest.raises(ConfigError):
             summarize(trace, (10, 20))
@@ -625,8 +624,7 @@ class TestExcitedStates:
         nq = lam.bit_length() - 1
         g = StateVector(nq, sol.state.amplitudes.astype(complex))
         opts = HlvqeOptions(init_beta=sol.beta_opt, init_theta=0.1, update="plain",
-                            learning_rate=0.2, max_iterations=500,
-                            summary_window=(400, 500))
+                            learning_rate=0.2, max_iterations=500)
         trace, shifted = excited_state_run(P30, lam, mu0=10.0, opts=opts,
                                            ground_state=g, beta0=sol.beta_opt)
         e = prepare_ansatz(trace[-1].theta, nq).real_amplitudes()
@@ -639,7 +637,7 @@ class TestExcitedStates:
         gv = g.real_amplitudes()
         beta0, mu0 = 0.9, 10.0
         opts = HlvqeOptions(init_beta=0.3, init_theta=0.2, update=update,
-                            max_iterations=40, summary_window=(1, 40))
+                            max_iterations=40)
         trace, _ = excited_state_run(P30, 4, mu0, opts, ground_state=g, beta0=beta0)
         H = build_effective_hamiltonian(P30, beta0, 4) + mu0 * np.outer(gv, gv)
         assert len(trace) == 40
@@ -654,8 +652,7 @@ class TestExcitedStates:
         # ansatz sees only its real part (a ComplexWarning, an error here, before)
         g = StateVector(2, [0.5, 0.5j, 0.5, -0.5])
         beta0, mu0 = 0.8, 10.0
-        opts = HlvqeOptions(init_theta=0.2, update="plain", max_iterations=10,
-                            summary_window=(1, 10))
+        opts = HlvqeOptions(init_theta=0.2, update="plain", max_iterations=10)
         trace, shifted = excited_state_run(P30, 4, mu0, opts, ground_state=g, beta0=beta0)
         assert np.iscomplexobj(reassemble(shifted))
         gv = g.amplitudes
@@ -667,8 +664,7 @@ class TestExcitedStates:
     def test_excited_run_marks_stationary_point_converged(self):
         # at theta = 0 the one-qubit shifted Hamiltonian (g = |1>) has zero
         # theta-gradient: the shared loop stops and marks the record
-        opts = HlvqeOptions(init_theta=0.0, update="normalized", max_iterations=30,
-                            summary_window=(1, 30))
+        opts = HlvqeOptions(init_theta=0.0, update="normalized", max_iterations=30)
         trace, _ = excited_state_run(P30, 2, 10.0, opts,
                                      ground_state=prepare_ansatz([math.pi], 1),
                                      beta0=math.pi / 3)
@@ -676,14 +672,14 @@ class TestExcitedStates:
         assert trace[-1].converged
 
     def test_non_finite_beta0_rejected(self):
-        opts = HlvqeOptions(max_iterations=3, summary_window=(1, 3))
+        opts = HlvqeOptions(max_iterations=3)
         for beta0 in (math.nan, math.inf, "a"):
             with pytest.raises(ConfigError):
                 excited_state_run(P30, 2, 10.0, opts, ground_state=prepare_ansatz([0.1], 1),
                                   beta0=beta0)
 
     def test_non_numeric_mu0_rejected(self):
-        opts = HlvqeOptions(max_iterations=3, summary_window=(1, 3))
+        opts = HlvqeOptions(max_iterations=3)
         with pytest.raises(ConfigError):
             excited_state_run(P30, 2, "a", opts, ground_state=prepare_ansatz([0.1], 1),
                               beta0=0.5)
@@ -701,7 +697,7 @@ class TestExcitedStates:
 
     def test_excited_run_defaults_to_fresh_ground_run(self):
         opts = HlvqeOptions(init_beta=0.2, init_theta=0.1, update="plain",
-                            max_iterations=60, summary_window=(50, 60))
+                            max_iterations=60)
         trace, shifted = excited_state_run(P30, 2, mu0=10.0, opts=opts)
         # converged excited energy approaches the first excited level
         assert trace[-1].energy == pytest.approx(-16.0, abs=5e-2)

@@ -286,9 +286,15 @@ class TestMeasurePauli:
             assert (p / p.sum()).tolist() == probs.tolist(), ops
 
     def test_width_mismatch(self):
+        # measure_pauli and both expectations give the same error; an identity
+        # string of the wrong width is rejected too, though it draws nothing
         st = prepare_ansatz([0.3], 1)
-        with pytest.raises(ConfigError):
-            measure_pauli(st, PauliString("XX"), AnalyticBackend())
+        for backend in (AnalyticBackend(), SampledBackend(100, 1)):
+            for ops in ("XX", "II"):
+                for measure in (measure_pauli, lambda s, p, b: b.expectation(s, p)):
+                    with pytest.raises(ConfigError,
+                                       match=r"^string width 2 != state width 1$"):
+                        measure(st, PauliString(ops), backend)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ConfigError):
