@@ -245,14 +245,16 @@ def _backend_from(config: RunConfig):
     return AnalyticBackend()
 
 
-def _hlvqe_options(config: RunConfig) -> HlvqeOptions:
+def _hlvqe_options(config: RunConfig, summary_window=None) -> HlvqeOptions:
+    """The descent settings; only a verb that summarizes its trace passes a
+    window, so only there is it checked against ``iters``."""
     return HlvqeOptions(
         learning_rate=config.values["eta"],
         max_iterations=config.values["iters"],
         backend=_backend_from(config),
         init_beta=config.values["beta0"],
         init_theta=config.values["theta0"],
-        summary_window=config.values["window"],
+        summary_window=summary_window,
         update=config.values["update"],
     )
 
@@ -308,7 +310,7 @@ def _trace_table(trace, lam: int):
 
 def _task_hlvqe(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
-    opts = _hlvqe_options(config)
+    opts = _hlvqe_options(config, config.values["window"])
     trace = run(params, lam, opts)
     header, rows = _trace_table(trace, lam)
     s = summarize(trace, opts.summary_window)

@@ -6,24 +6,26 @@ eigenvalue,
     g(beta) = <v0(beta)| dH/dbeta |v0(beta)>,
 
 evaluated on a fixed grid over [0, pi/2].  Every grid interval in which g goes
-from negative to non-negative brackets a minimum, and one ``brentq`` root
-there locates it to ~1e-14, where plain value comparison saturates at
-~sqrt(eps) (the deep-plateau region has curvatures down to 1e-4).  beta = 0 is
-stationary by parity and is always a candidate.  The candidates are ranked by
-the energy error of their reconstructed full-space states, the spectral sum
-below that the convergence tables report, which resolves minima whose
-~N-sized eigenvalues agree to rounding.
+from negative to non-negative brackets a minimum, and one Brent root search
+there (``_brent``) locates it to ~1e-14, where plain value comparison
+saturates at ~sqrt(eps) (the deep-plateau region has curvatures down to
+1e-4).  beta = 0 is stationary by parity and is always a candidate.  The
+candidates are ranked by the energy error of their reconstructed full-space
+states, the spectral sum below that the convergence tables report, which
+resolves minima whose ~N-sized eigenvalues agree to rounding.
 
 Inner loop: each slope is one ``dsyevr`` call (LAPACK's MRRR driver) for the
 lowest eigenpair of the dense truncated matrix, with its workspace queried
-once per size, and one quadratic form in dH/dbeta.  Every beta is solved at
-most once: each slope is kept by beta next to its eigenpair.  ``brentq``'s
-first two evaluations, which land on the bracketing grid points, read them
-back, and so does ``solve_effective`` for every candidate, beta = 0 and each
-root (``brentq`` returns a beta it has evaluated).  The root search runs to
-its full tolerance even where g is at its rounding level: on the flat
-plateaus where the noise-driven roots sit, the delta_e of a candidate depends
-on where in that noise band beta lands.
+once per size, and one quadratic form in dH/dbeta.  The entries of H(beta)
+and dH/dbeta at all grid angles come from one ``model._band_values`` call,
+and each step of the root search takes both from a one-angle call.  Every
+beta is solved at most once: each slope is kept by beta next to its
+eigenpair.  The root search's first two evaluations, which land on the
+bracketing grid points, read them back, and so does ``solve_effective`` for
+every candidate, beta = 0 and each root (the search returns a beta it has
+evaluated).  The root search runs to its full tolerance even where g is at
+its rounding level: on the flat plateaus where the noise-driven roots sit,
+the delta_e of a candidate depends on where in that noise band beta lands.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
@@ -51,13 +53,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .errors import ConfigError, NumericalError, _finite, _integer
-from .model import (
-    ModelParams,
-    build_effective_hamiltonian,
-    build_effective_hamiltonian_dbeta,
-    exact_ground_state,
-    _parity_chains,
-)
+from .model import ModelParams, _band_values, _dense, _parity_chains, exact_ground_state
 from .rotations import (
     EffectiveState,
     FullState,
@@ -136,37 +132,86 @@ def _ground_pair(H: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
+def _brent(f, xa: float, xb: float, xtol: float = 1e-14, rtol: float = 8.9e-16,
+           maxiter: int = 100) -> float:
+    """A root of f between xa and xb, where f changes sign: Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) as scipy's ``brentq`` runs it, with the same float operations in
+    the same order, so it evaluates f at the same points and returns the same
+    root, a point it has evaluated.  A NaN value, a bracket without a sign
+    change or no convergence in ``maxiter`` steps raises NumericalError."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root search: the function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalError(f"root search: no sign change between {xpre!r} and {xcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; an underflowed denominator is C's infinite step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericalError(f"root search: no convergence in {maxiter} steps, at {xcur!r}")
+
+
 def _candidate_betas(params: ModelParams, cutoff: int) -> list[tuple[float, float, np.ndarray]]:
     """(beta, lowest eigenvalue, eigenvector) at beta = 0, then at one root of
     the slope per grid interval in which it rises through zero, ascending.
     The slope at beta = 0 is exactly 0 by parity, so it is not evaluated there
-    and no root is sought next to it."""
-    solved = {}  # beta -> (g(beta), eigenvalue, eigenvector); brentq starts on grid points
+    and no root is sought next to it.  Grid angles are solved as the scan
+    reaches them, from one table of their H(beta) and dH/dbeta entries."""
+    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
+    idx, table = _band_values(params, grid, cutoff)  # ``model._bands`` checks the cutoff
+    on_grid = dict(zip(grid.tolist(), table))
+    solved = {}  # beta -> (g(beta), eigenvalue, eigenvector); the search starts on grid points
 
     def g(b):
         """Hellmann-Feynman d(lowest eigenvalue)/d(beta), solved once per beta."""
         if b not in solved:
-            w, v0 = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
-            slope = 0.0 if b == 0.0 else float(
-                v0 @ build_effective_hamiltonian_dbeta(params, b, cutoff) @ v0)
+            h, dh = on_grid[b] if b in on_grid else _band_values(params, (b,), cutoff)[1][0]
+            w, v0 = _ground_pair(_dense(h, idx, cutoff))
+            slope = 0.0 if b == 0.0 else float(v0 @ _dense(dh, idx, cutoff) @ v0)
             solved[b] = (slope, w, v0)
         return solved[b][0]
 
-    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
     roots = [0.0]
     for lo, hi in zip(grid, grid[1:]):
         if g(lo) < 0.0 <= g(hi):
-            # imported here, so that neither ``import hlvqe`` nor a cutoff
-            # that ``model._bands`` rejects loads scipy.optimize
-            from scipy.optimize import brentq
-            roots.append(float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)))
-    # the grid scan solved beta = 0, and brentq returns a beta it has evaluated
-    candidates = [(b, *solved[b][1:]) for b in roots]
-    # brentq's NaN-check wrapper of g refers to itself, so g and this dict
-    # outlive the call until the cyclic collector runs; emptied, it holds no
-    # eigenvectors in the meantime
-    solved.clear()
-    return candidates
+            roots.append(_brent(g, lo, hi))
+    # the grid scan solved beta = 0, and _brent returns a beta it has evaluated
+    return [(b, *solved[b][1:]) for b in roots]
 
 
 def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:

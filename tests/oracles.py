@@ -27,7 +27,8 @@ oracles.  The band table is also built as the dense stack of five
 cutoff x cutoff matrices that its compact form replaced, and its terms are
 summed by Python's ``sum``; lowest eigenpairs come from
 ``scipy.linalg.eigh``, the paths the compact contraction and the solver's
-direct LAPACK call replaced.
+direct LAPACK call replaced.  Slope roots come from ``scipy.optimize.brentq``,
+which the solver's in-module Brent search ports.
 """
 
 import math
@@ -160,6 +161,31 @@ def eigh_ground_pair(H):
     """Lowest eigenvalue and eigenvector of the symmetric H by ``scipy.linalg.eigh``."""
     w, v = eigh(H, subset_by_index=(0, 0))
     return float(w[0]), v[:, 0]
+
+
+def brentq_candidate_betas(params, cutoff, build, build_dbeta, ground_pair, points=64):
+    """The solver's beta candidates found the way its in-module Brent search
+    and one-contraction angle table replaced: two full builds per angle and
+    one ``scipy.optimize.brentq`` root per grid interval in which the
+    Hellmann-Feynman slope rises through zero.  Returns (beta, lowest
+    eigenvalue, eigenvector) at beta = 0 and at each root.  The builders of
+    H(beta) and dH/dbeta and the lowest-eigenpair call are passed in, so
+    that nothing here calls into hlvqe on its own."""
+    solved = {}
+
+    def g(b):
+        if b not in solved:
+            w, v0 = ground_pair(build(params, b, cutoff))
+            slope = 0.0 if b == 0.0 else float(v0 @ build_dbeta(params, b, cutoff) @ v0)
+            solved[b] = (slope, w, v0)
+        return solved[b][0]
+
+    grid = np.linspace(0.0, math.pi / 2, points)
+    roots = [0.0]
+    for lo, hi in zip(grid, grid[1:]):
+        if g(lo) < 0.0 <= g(hi):
+            roots.append(float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)))
+    return [(b, *solved[b][1:]) for b in roots]
 
 
 def coeffs_1q(params, beta):

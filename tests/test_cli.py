@@ -198,6 +198,13 @@ class TestTasks:
         energies = [row[1] for row in data["rows"] if window[0] <= row[0] <= window[1]]
         assert data["summary"]["energy"]["mean"] == float(np.mean(energies))
 
+    @pytest.mark.parametrize("window", ["5..10", "1..2"])
+    def test_excited_ignores_the_summary_window(self, window, tmp_path):
+        # the excited verb never summarizes its trace, so a window outside
+        # --iters is not an error there
+        assert main(["excited", "--n", "30", "--vbar", "2", "--lambda", "2", "--mu0", "10",
+                     "--iters", "3", "--window", window, "--out", str(tmp_path)]) == 0
+
     def test_excited_json_is_strict_json(self, tmp_path):
         # an excited trace has no fidelity: its NaN bures is written as null
         def reject(token):
@@ -328,17 +335,22 @@ class TestTasks:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the run verb never needs brentq, so a fresh import does not pay for it,
-    # and neither does a cutoff the solver rejects
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # no verb needs scipy.optimize: a fresh import does not load it, nor does
+    # a cutoff the solver rejects, nor the beta solver's root search
     env = dict(os.environ, PYTHONPATH=str(Path(hlvqe.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, hlvqe, hlvqe.cli; print('scipy.optimize' in sys.modules)\n"
          "try:\n    hlvqe.solve_effective(hlvqe.ModelParams.create(30, 1.0, vbar=2.0), 40)\n"
-         "except hlvqe.ConfigError as exc:\n    print(exc, 'scipy.optimize' in sys.modules)"],
+         "except hlvqe.ConfigError as exc:\n    print(exc, 'scipy.optimize' in sys.modules)\n"
+         "for argv in ('sweep-lambda --n 64 --vbar 2 --lambdas 2,20,44',\n"
+         "             'effective --n 30 --vbar 2 --lambda 4'):\n"
+         "    assert hlvqe.cli.main(argv.split() + ['--out', sys.argv[1]]) == 0\n"
+         "assert 'scipy.optimize' not in sys.modules",
+         str(tmp_path)],
         capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.splitlines() == ["False", "cutoff must lie in [1, 31], got 40 False"]
+    assert out.stdout.splitlines()[:2] == ["False", "cutoff must lie in [1, 31], got 40 False"]
 
 
 def test_package_exports_exactly_the_layer_modules_public_names():

@@ -1,11 +1,13 @@
 """Classical effective-space solver and convergence sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 
 from hlvqe import solver
 from hlvqe.errors import ConfigError, NumericalError
@@ -17,11 +19,13 @@ from hlvqe.model import (
     _parity_chains,
     _trig,
     build_effective_hamiltonian,
+    build_effective_hamiltonian_dbeta,
     exact_ground_state,
 )
 from hlvqe.rotations import project_parity, reconstruct_full
 from hlvqe.solver import (
     ConvergenceRow,
+    _brent,
     _candidate_betas,
     _ground_pair,
     _spectral_delta,
@@ -30,7 +34,14 @@ from hlvqe.solver import (
     sweep_lambda,
     sweep_vbar,
 )
-from oracles import dense_bands, eigh_ground_pair, mp_beta0_gaps, scan_minimum, sum_combine
+from oracles import (
+    brentq_candidate_betas,
+    dense_bands,
+    eigh_ground_pair,
+    mp_beta0_gaps,
+    scan_minimum,
+    sum_combine,
+)
 
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
 
@@ -99,6 +110,94 @@ class TestGroundPair:
             assert len(seen) == len(set(seen))
             assert sol.energy == _ground_pair(
                 build_effective_hamiltonian(p, sol.beta_opt, cutoff))[0]
+
+
+class TestBrent:
+    @settings(max_examples=400)
+    @given(kind=st.sampled_from(["smooth", "noisy", "cubic", "step"]),
+           lo=st.floats(-2.0, 2.0), width=st.floats(1e-9, 4.0), at=st.floats(0.0, 1.0),
+           scale=st.floats(0.1, 1.0), exponent=st.integers(-300, 6), ends=st.sampled_from(
+               [None, (0, 0.0), (0, -0.0), (1, 0.0), (1, -0.0)]))
+    def test_same_steps_as_brentq(self, kind, lo, width, at, scale, exponent, ends):
+        # the port makes scipy's float operations in scipy's order, so both
+        # evaluate f at the same points and return the same root, zero-valued
+        # endpoints and brackets without a sign change included; a step
+        # function ties |f| at every point, which only bisection handles, and
+        # values near 1e-300 underflow the extrapolation's denominator
+        hi = lo + width
+        root = lo + at * width
+        shape = {"smooth": lambda x: math.expm1(x - root) + 0.3 * math.tanh(x - root),
+                 "noisy": lambda x: (x - root) + 1e-3 * math.sin(997.0 * x),
+                 "cubic": lambda x: (x - root) * ((x - lo) ** 2 - 0.1 * width * width),
+                 "step": lambda x: 1.0 if x > root else -1.0}[kind]
+
+        def run(search, error):
+            calls = []
+
+            def f(x):
+                calls.append(x.hex())
+                if ends is not None and x == (lo, hi)[ends[0]]:
+                    return ends[1]
+                return scale * 10.0 ** exponent * shape(x)
+            try:
+                return search(f, lo, hi).hex(), calls
+            except error:
+                return "no root", calls
+
+        want = run(lambda f, a, b: brentq(f, a, b, xtol=1e-14, rtol=8.9e-16), ValueError)
+        assert run(_brent, NumericalError) == want
+
+    def test_no_convergence_raises(self):
+        def f(x):
+            return x ** 3 - 0.1
+
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 1.0, maxiter=3)
+        with pytest.raises(NumericalError, match="no convergence in 3 steps"):
+            _brent(f, 0.0, 1.0, maxiter=3)
+        assert _brent(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+
+    def test_nan_value_raises(self):
+        def f(x):
+            return math.nan if x > 0.6 else x - 0.5
+
+        with pytest.raises(ValueError):
+            brentq(f, 0.0, 1.0)
+        with pytest.raises(NumericalError, match="NaN at 1.0"):
+            _brent(f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n, vbar, cutoffs", [
+        (64, 1.5, range(2, 45)), (64, 2.3, range(2, 45)), (64, 3.0, range(2, 45)),
+        (256, 2.0, (8, 44, 46, 130)),
+    ])
+    def test_solver_bitwise_equal_to_brentq_oracle(self, n, vbar, cutoffs, monkeypatch):
+        # the one-contraction angle table and the port change no matrix the
+        # eigensolver sees, nor their order, nor any bit of the solution
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        ground, seen = _ground_pair, []
+
+        def record(H):
+            seen.append(H.tobytes())
+            return ground(H)
+
+        def oracle(params, cutoff):
+            return brentq_candidate_betas(params, cutoff, build_effective_hamiltonian,
+                                          build_effective_hamiltonian_dbeta, record)
+
+        def bits(value):
+            if isinstance(value, float):
+                return value.hex()
+            return (value.cutoff, value.beta.hex(), value.amplitudes.tobytes())
+
+        def solve(candidates, cutoff):
+            seen.clear()
+            monkeypatch.setattr(solver, "_candidate_betas", candidates)
+            sol = solve_effective(p, cutoff)
+            return list(seen), {f.name: bits(getattr(sol, f.name)) for f in dataclasses.fields(sol)}
+
+        monkeypatch.setattr(solver, "_ground_pair", record)
+        for cutoff in cutoffs:
+            assert solve(_candidate_betas, cutoff) == solve(oracle, cutoff), cutoff
 
 
 class TestSolveEffective:
