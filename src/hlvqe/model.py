@@ -26,8 +26,7 @@ avoids cancellation.  The band table (``_bands``) stores them compactly: the
 flat indices of the |dn| <= 2 entries of a cutoff x cutoff matrix and the
 (5, nnz) values of the M[k] there.  A build is one contraction f . table
 (``_combine``) scattered into a zero matrix; dH/dbeta is f'(beta) times the
-same table, and ``_band_values`` gives both at any number of angles from one
-contraction.  No entry has more than two nonzero terms, so the contraction
+same table.  No entry has more than two nonzero terms, so the contraction
 rounds each entry once, in any summation order, and never gives -0.0.  This
 is the only place the formula for H(beta) is written down.  The
 rotated-operator construction, the per-entry builders and the dense band
@@ -125,7 +124,7 @@ def _trig(beta: float) -> np.ndarray:
 
 
 def _combine(f: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_k f[..., k] * table[k] for f of shape (..., 5), from +0.0.
+    """sum_k f[..., k] * table[k] for f of shape (5,) or (2, 5), from +0.0.
     Every product rounds once and no column of ``table`` has more than two
     nonzero entries, so the sum is the same in any order and no entry is -0.0."""
     return np.add.reduce(np.multiply(f[..., None], table), axis=-2, initial=0.0)
@@ -178,16 +177,6 @@ def _dense(values: np.ndarray, idx: np.ndarray, cutoff: int) -> np.ndarray:
     out = np.zeros(cutoff * cutoff)
     out[idx] = values
     return out.reshape(cutoff, cutoff)
-
-
-def _band_values(params: ModelParams, betas, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, values): the flat indices of the band table and the (K, 2,
-    len(idx)) entries there of H(beta) and dH/dbeta at each of the K angles
-    ``betas``, from one contraction of the stacked ``_trig`` rows; ``_dense``
-    of a row is the public builders' matrix, to the bit."""
-    f = np.array([_trig(beta) for beta in betas])
-    idx, vals = _bands(params, cutoff)
-    return idx, _combine(f, vals)
 
 
 def build_effective_hamiltonian(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:

@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, _integer
-from .model import _band_values, _dense
+from .model import build_effective_hamiltonian, build_effective_hamiltonian_dbeta
 from .pauli import PauliString, _hamiltonian_weights, _string_action, reassemble
 
 __all__ = [
@@ -203,9 +203,8 @@ class AnalyticBackend:
                          for a, (rows, phase) in zip(amps, map(_string_action, ops))])
 
     def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
-        """H(beta) and dH/dbeta, from one one-angle contraction."""
-        idx, ((h, dh),) = _band_values(params, (beta,), cutoff)
-        return _dense(h, idx, cutoff), _dense(dh, idx, cutoff)
+        return (build_effective_hamiltonian(params, beta, cutoff),
+                build_effective_hamiltonian_dbeta(params, beta, cutoff))
 
     def _observable(self, decomp):
         # the ansatz is real, so psi^T Im(H) psi = 0 for a complex shift state

@@ -16,16 +16,14 @@ resolves minima whose ~N-sized eigenvalues agree to rounding.
 
 Inner loop: each slope is one ``dsyevr`` call (LAPACK's MRRR driver) for the
 lowest eigenpair of the dense truncated matrix, with its workspace queried
-once per size, and one quadratic form in dH/dbeta.  The entries of H(beta)
-and dH/dbeta at all grid angles come from one ``model._band_values`` call,
-and each step of the root search takes both from a one-angle call.  Every
-beta is solved at most once: each slope is kept by beta next to its
-eigenpair.  The root search's first two evaluations, which land on the
-bracketing grid points, read them back, and so does ``solve_effective`` for
-every candidate, beta = 0 and each root (the search returns a beta it has
-evaluated).  The root search runs to its full tolerance even where g is at
-its rounding level: on the flat plateaus where the noise-driven roots sit,
-the delta_e of a candidate depends on where in that noise band beta lands.
+once per size, and one quadratic form in dH/dbeta.  Every beta is solved at
+most once: each slope is kept by beta next to its eigenpair.  The root
+search's first two evaluations, which land on the bracketing grid points,
+read them back, and so does ``solve_effective`` for every candidate, beta = 0
+and each root (the search returns a beta it has evaluated).  The root search
+runs to its full tolerance even where g is at its rounding level: on the flat
+plateaus where the noise-driven roots sit, the delta_e of a candidate depends
+on where in that noise band beta lands.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
@@ -53,7 +51,13 @@ import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .errors import ConfigError, NumericalError, _finite, _integer
-from .model import ModelParams, _band_values, _dense, _parity_chains, exact_ground_state
+from .model import (
+    ModelParams,
+    build_effective_hamiltonian,
+    build_effective_hamiltonian_dbeta,
+    exact_ground_state,
+    _parity_chains,
+)
 from .rotations import (
     EffectiveState,
     FullState,
@@ -74,6 +78,12 @@ __all__ = [
 
 # slope scan: grid over [0, pi/2], one root per negative-to-non-negative step
 _GRID_POINTS = 64
+# root search: stop once the bracket is below (_XTOL + _RTOL |beta|) / 2 wide
+# (brentq's tolerances as the solver has always passed them), and give up
+# after _MAXITER steps
+_XTOL = 1e-14
+_RTOL = 8.9e-16
+_MAXITER = 100
 # Sums within _TIE_RTOL |E_even| of the best keep the smallest angle.  This
 # matters only at full cutoff: the rotated basis spans the whole space, so
 # every angle gives the same state and the sums differ by rounding alone
@@ -132,14 +142,13 @@ def _ground_pair(H: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def _brent(f, xa: float, xb: float, xtol: float = 1e-14, rtol: float = 8.9e-16,
-           maxiter: int = 100) -> float:
+def _brent(f, xa: float, xb: float) -> float:
     """A root of f between xa and xb, where f changes sign: Brent's method
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
     ch. 4) as scipy's ``brentq`` runs it, with the same float operations in
     the same order, so it evaluates f at the same points and returns the same
     root, a point it has evaluated.  A NaN value, a bracket without a sign
-    change or no convergence in ``maxiter`` steps raises NumericalError."""
+    change or no convergence in ``_MAXITER`` steps raises NumericalError."""
     def value(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -155,14 +164,14 @@ def _brent(f, xa: float, xb: float, xtol: float = 1e-14, rtol: float = 8.9e-16,
     if (fpre < 0) == (fcur < 0):
         raise NumericalError(f"root search: no sign change between {xpre!r} and {xcur!r}")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -183,29 +192,26 @@ def _brent(f, xa: float, xb: float, xtol: float = 1e-14, rtol: float = 8.9e-16,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise NumericalError(f"root search: no convergence in {maxiter} steps, at {xcur!r}")
+    raise NumericalError(f"root search: no convergence in {_MAXITER} steps, at {xcur!r}")
 
 
 def _candidate_betas(params: ModelParams, cutoff: int) -> list[tuple[float, float, np.ndarray]]:
     """(beta, lowest eigenvalue, eigenvector) at beta = 0, then at one root of
     the slope per grid interval in which it rises through zero, ascending.
     The slope at beta = 0 is exactly 0 by parity, so it is not evaluated there
-    and no root is sought next to it.  Grid angles are solved as the scan
-    reaches them, from one table of their H(beta) and dH/dbeta entries."""
-    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
-    idx, table = _band_values(params, grid, cutoff)  # ``model._bands`` checks the cutoff
-    on_grid = dict(zip(grid.tolist(), table))
+    and no root is sought next to it."""
     solved = {}  # beta -> (g(beta), eigenvalue, eigenvector); the search starts on grid points
 
     def g(b):
         """Hellmann-Feynman d(lowest eigenvalue)/d(beta), solved once per beta."""
         if b not in solved:
-            h, dh = on_grid[b] if b in on_grid else _band_values(params, (b,), cutoff)[1][0]
-            w, v0 = _ground_pair(_dense(h, idx, cutoff))
-            slope = 0.0 if b == 0.0 else float(v0 @ _dense(dh, idx, cutoff) @ v0)
+            w, v0 = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
+            slope = 0.0 if b == 0.0 else float(
+                v0 @ build_effective_hamiltonian_dbeta(params, b, cutoff) @ v0)
             solved[b] = (slope, w, v0)
         return solved[b][0]
 
+    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
     roots = [0.0]
     for lo, hi in zip(grid, grid[1:]):
         if g(lo) < 0.0 <= g(hi):

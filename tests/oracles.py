@@ -165,9 +165,8 @@ def eigh_ground_pair(H):
 
 def brentq_candidate_betas(params, cutoff, build, build_dbeta, ground_pair, points=64):
     """The solver's beta candidates found the way its in-module Brent search
-    and one-contraction angle table replaced: two full builds per angle and
-    one ``scipy.optimize.brentq`` root per grid interval in which the
-    Hellmann-Feynman slope rises through zero.  Returns (beta, lowest
+    replaced: one ``scipy.optimize.brentq`` root per grid interval in which
+    the Hellmann-Feynman slope rises through zero.  Returns (beta, lowest
     eigenvalue, eigenvector) at beta = 0 and at each root.  The builders of
     H(beta) and dH/dbeta and the lowest-eigenpair call are passed in, so
     that nothing here calls into hlvqe on its own."""
