@@ -36,13 +36,15 @@ from .solver import solve_effective, sweep_lambda, sweep_vbar
 
 
 def _number(kind):
-    """A reader of ``kind(value)``, finite; a non-string value must convert
-    without change (so an int key rejects 80.5)."""
+    """A reader of ``kind(value)``, finite; a non-string value must be a
+    number, not a boolean, that converts without change (so an int key
+    rejects 80.5 and ``true``)."""
     def read(key: str, value):
         try:
             out = kind(value)
             finite = kind is int or math.isfinite(out)
-            if finite and (isinstance(value, str) or out == value):
+            exact = out == value and not isinstance(value, (bool, np.bool_))
+            if finite and (isinstance(value, str) or exact):
                 return out
         except (TypeError, ValueError, OverflowError):
             pass
@@ -165,11 +167,6 @@ def parse_config(argv) -> RunConfig:
             values[key] = flag
         if values[key] is not None or default is not None:
             values[key] = read(key, values[key])
-
-    if values["v"] is not None and values["vbar"] is not None:
-        raise ConfigError("specify exactly one of 'v' and 'vbar', got both")
-    if values["v"] is None and values["vbar"] is None:
-        raise ConfigError("one of 'v' or 'vbar' is required")
     return RunConfig(ns.task, values)
 
 
@@ -324,7 +321,7 @@ def _task_reconstruct(config: RunConfig, params: ModelParams):
     lam = _require(config, "lambda")
     sol = solve_effective(params, lam)
     full = reconstruct_full(sol.state, params)
-    projected = project_parity(full, "even")
+    projected = project_parity(full)
     _, exact = exact_ground_state(params)
     rows = [(m, full.amplitudes[m], projected.amplitudes[m], exact[m])
             for m in range(params.n_particles + 1)]

@@ -234,7 +234,7 @@ def excited_hamiltonian(decomp: PauliDecomposition, ground: StateVector,
     if ground.n_qubits != nq:
         raise ConfigError(f"state width {ground.n_qubits} != register width {nq}")
     amps = ground.amplitudes
-    return decompose(reassemble(decomp) + mu0 * np.outer(amps, amps.conj()), decomp.beta)
+    return decompose(reassemble(decomp) + mu0 * np.outer(amps, amps.conj()))
 
 
 def excited_state_run(params: ModelParams, cutoff: int, mu0: float,

@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+The checks are ``_integer`` (an integral number, NumPy integers too),
+``_power_of_two`` (an integral power of two >= 2) and ``_finite`` (a finite
+real number or array of them).  None of them takes a boolean for a number.
+"""
 
 import operator
 
@@ -24,11 +29,14 @@ class ProjectionError(NumericalError):
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int if it is integral (NumPy integers too), else a ConfigError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int if it is integral (NumPy integers too) and not a
+    boolean, else a ConfigError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _power_of_two(name: str, value) -> int:
@@ -39,15 +47,10 @@ def _power_of_two(name: str, value) -> int:
     return value
 
 
-def _real(name: str, value):
-    """``value`` if it is a real number or an array of them, else a ConfigError."""
-    if np.asarray(value).dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be real, got {value!r}")
-    return value
-
-
 def _finite(name: str, value):
-    """``value`` if it is a finite real number or an array of them, else a ConfigError."""
-    if not np.isfinite(_real(name, value)).all():
+    """``value`` if it is a finite real number or an array of them (integers
+    too, booleans not), else a ConfigError."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite and real, got {value!r}")
     return value

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalError, _finite, _integer, _real
+from .errors import ConfigError, NumericalError, _finite, _integer
 
 __all__ = [
     "ModelParams",
@@ -79,25 +79,16 @@ class ModelParams:
         return (self.n_particles - 1) * self.coupling / self.epsilon
 
     @classmethod
-    def from_vbar(cls, n_particles: int, epsilon: float, vbar: float) -> "ModelParams":
-        return cls.create(n_particles, epsilon, vbar=vbar)
-
-    @classmethod
     def create(cls, n_particles: int, epsilon: float, coupling: float | None = None,
                vbar: float | None = None) -> "ModelParams":
-        """Build from V or vbar (equal to 1e-12 if both are given), type-checking inputs first."""
+        """Build from exactly one of V and vbar, type-checking inputs first."""
         if _integer("n_particles", n_particles) < 2:
             raise ConfigError(f"n_particles must be >= 2, got {n_particles}")
         _finite("epsilon", epsilon)
-        if coupling is None and vbar is None:
-            raise ConfigError("one of coupling (V) or vbar is required")
+        if (coupling is None) == (vbar is None):
+            raise ConfigError("specify exactly one of coupling (V) and vbar")
         if coupling is None:
             return cls(n_particles, epsilon, _finite("vbar", vbar) * epsilon / (n_particles - 1))
-        scaled = (n_particles - 1) * _finite("coupling", coupling)
-        if vbar is not None and not abs(_real("vbar", vbar) * epsilon - scaled) <= 1e-12 * max(
-                1.0, abs(scaled)):
-            raise ConfigError(
-                f"inconsistent coupling={coupling} and vbar={vbar} for N={n_particles}")
         return cls(n_particles, epsilon, coupling)
 
 

@@ -68,7 +68,6 @@ class PauliDecomposition:
 
     n_qubits: int
     terms: tuple  # of (PauliString, float)
-    beta: float = 0.0
 
     def __post_init__(self):
         _finite("Pauli coefficients", [coeff for _, coeff in self.terms])
@@ -105,7 +104,7 @@ def _string_action(ops: str) -> tuple[np.ndarray, np.ndarray]:
     return rows, phase
 
 
-def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
+def decompose(matrix: np.ndarray) -> PauliDecomposition:
     """Trace-projection decomposition of a Hermitian power-of-two matrix.
 
     Coefficients are <P, H> / 2^n_qubits, evaluated per string through its
@@ -141,7 +140,7 @@ def decompose(matrix: np.ndarray, beta: float = 0.0) -> PauliDecomposition:
             raise ConfigError("matrix is not Hermitian: complex Pauli weight")
         if abs(coeff.real) > PRUNE_TOL:
             terms.append((PauliString(ops), float(coeff.real)))
-    return PauliDecomposition(n_qubits, tuple(terms), beta)
+    return PauliDecomposition(n_qubits, tuple(terms))
 
 
 def reassemble(decomp: PauliDecomposition) -> np.ndarray:
@@ -196,5 +195,5 @@ def hamiltonian_decomposition(params: ModelParams, beta: float,
     the weights of ``_hamiltonian_weights``."""
     ops, *weights = _hamiltonian_weights(params, beta, cutoff)
     strings = tuple(map(PauliString, ops))
-    return tuple(PauliDecomposition(len(ops[0]), tuple(zip(strings, w.tolist())), beta)
+    return tuple(PauliDecomposition(len(ops[0]), tuple(zip(strings, w.tolist())))
                  for w in weights)

@@ -130,23 +130,17 @@ def reconstruct_full(state: EffectiveState, params: ModelParams) -> FullState:
     return FullState(N, full / np.linalg.norm(full))
 
 
-def project_parity(state: FullState, sector: str) -> FullState:
-    """Zero the opposite-parity components and renormalize.
-
-    ``sector`` is "even" or "odd" (parity of the excitation order m).  A state
-    with no support in the requested sector raises ProjectionError: silently
-    returning a zero vector would corrupt downstream fidelities.
+def project_parity(state: FullState) -> FullState:
+    """Zero the odd-m components and renormalize: the projection onto the
+    even-parity sector (parity of the excitation order m), where the exact
+    ground state lives.  A state with no even support raises ProjectionError:
+    silently returning a zero vector would corrupt downstream fidelities.
     """
-    if sector not in ("even", "odd"):
-        raise ConfigError(f"sector must be 'even' or 'odd', got {sector!r}")
     amps = state.amplitudes.copy()
-    if sector == "even":
-        amps[1::2] = 0.0
-    else:
-        amps[0::2] = 0.0
+    amps[1::2] = 0.0
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
-        raise ProjectionError(f"state has no support in the {sector}-parity sector")
+        raise ProjectionError("state has no support in the even-parity sector")
     return FullState(state.n_particles, amps / norm)
 
 

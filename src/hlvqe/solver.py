@@ -249,7 +249,7 @@ def solve_effective(params: ModelParams, cutoff: int) -> EffectiveSolution:
     delta_e, energy, state, full = next(c for c in candidates if c[0] <= floor)
 
     exact = FullState(N, ex_amps)
-    projected = project_parity(full, "even")
+    projected = project_parity(full)
     naive_vec = np.zeros(N + 1)
     naive_vec[:cutoff] = candidates[0][2].amplitudes  # the beta = 0 candidate
     naive = FullState(N, naive_vec)
@@ -308,8 +308,8 @@ def sweep_vbar(params_template: ModelParams, cutoff: int,
             raise ConfigError(f"vbar grid must be positive, got {vbar}")
     out = []
     for vbar in vbars:
-        p = ModelParams.from_vbar(params_template.n_particles,
-                                  params_template.epsilon, vbar)
+        p = ModelParams.create(params_template.n_particles, params_template.epsilon,
+                               vbar=vbar)
         sol = solve_effective(p, cutoff)
         e_even, _ = exact_ground_state(p)
         out.append((vbar, 100.0 * sol.delta_e / abs(e_even)))

@@ -57,13 +57,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             parse_config(["exact", "--config", str(f), "--n", "30", "--vbar", "2.0"])
 
-    def test_both_v_and_vbar_rejected(self):
-        with pytest.raises(ConfigError, match="v"):
-            parse_config(["exact", "--n", "30", "--v", "0.1", "--vbar", "2.0"])
+    # ``ModelParams.create`` holds the exactly-one rule, so these go through main
+    def test_both_v_and_vbar_rejected(self, tmp_path, capsys):
+        assert main(["exact", "--n", "30", "--v", "0.1", "--vbar", "2.0",
+                     "--out", str(tmp_path)]) == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_neither_v_nor_vbar_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(["exact", "--n", "30"])
+    def test_neither_v_nor_vbar_rejected(self, tmp_path, capsys):
+        assert main(["exact", "--n", "30", "--out", str(tmp_path)]) == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["shots", "seed", "eta"])
     def test_null_only_where_default_is_none(self, key, tmp_path):
@@ -322,10 +326,13 @@ class TestTasks:
                                        {"iters": 80.5}, {"backend": "sampled "},
                                        {"plot_data": "false"}, {"out": 5},
                                        {"eta": math.inf}, {"iters": math.inf},
-                                       {"lambdas": []}, {"vbar_grid": []}],
+                                       {"lambdas": []}, {"vbar_grid": []},
+                                       {"vbar": True}, {"iters": True},
+                                       {"vbar": True, "iters": True}, {"lambdas": [2, True]}],
                              ids=["n", "eta", "lambdas", "window", "iters", "backend",
                                   "plot_data", "out", "eta-inf", "iters-inf",
-                                  "empty-lambdas", "empty-vbar-grid"])
+                                  "empty-lambdas", "empty-vbar-grid", "vbar-bool", "iters-bool",
+                                  "vbar-iters-bool", "lambdas-bool"])
     def test_unreadable_file_values_exit_2(self, entry, tmp_path):
         # the output directory comes from the file, so the "out" entry replaces it
         f = tmp_path / "cfg.json"

@@ -521,8 +521,11 @@ class TestRun:
         {"summary_window": "ab"},
         {"summary_window": (1, 2, 3)},
         {"summary_window": (1.0, 2.0)},
+        {"max_iterations": True},
+        {"summary_window": (True, True)},
     ], ids=["max_iterations", "learning_rate", "init_beta", "init_theta",
-            "summary_window-str", "summary_window-triple", "summary_window-float"])
+            "summary_window-str", "summary_window-triple", "summary_window-float",
+            "max_iterations-bool", "summary_window-bool"])
     def test_wrong_type_option_rejected(self, bad):
         # fails at construction, not with a TypeError inside run
         with pytest.raises(ConfigError):
@@ -587,7 +590,7 @@ class TestExcitedStates:
     def test_mu_zero_rejected_and_identity_shift(self):
         h, _ = coeffs_1q(P30, math.pi / 3)
         decomp = PauliDecomposition(
-            1, tuple((PauliString(k), v) for k, v in h.items()), math.pi / 3)
+            1, tuple((PauliString(k), v) for k, v in h.items()))
         for mu0 in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 excited_hamiltonian(decomp, prepare_ansatz([0.0], 1), mu0)
@@ -597,7 +600,7 @@ class TestExcitedStates:
         # eigenvalue is the first excited energy -16.0
         h, _ = coeffs_1q(P30, math.pi / 3)
         decomp = PauliDecomposition(
-            1, tuple((PauliString(k), v) for k, v in h.items()), math.pi / 3)
+            1, tuple((PauliString(k), v) for k, v in h.items()))
         ground = prepare_ansatz([0.0], 1)
         shifted = excited_hamiltonian(decomp, ground, mu0=10.0)
         w = eigh(reassemble(shifted), eigvals_only=True)

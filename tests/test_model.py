@@ -48,9 +48,12 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams.create(30, 1.0, coupling=0.1, vbar=2.0)
 
-    def test_consistent_v_and_vbar_accepted(self):
-        p = ModelParams.create(30, 1.0, coupling=2.0 / 29, vbar=2.0)
-        assert p.vbar == pytest.approx(2.0)
+    @pytest.mark.parametrize("inputs", [{"coupling": 2.0 / 29, "vbar": 2.0}, {}],
+                             ids=["both-consistent", "neither"])
+    def test_exactly_one_of_v_and_vbar(self, inputs):
+        # a V and a vbar that agree are refused too: one input, one meaning
+        with pytest.raises(ConfigError, match="exactly one"):
+            ModelParams.create(30, 1.0, **inputs)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
@@ -63,8 +66,8 @@ class TestModelParams:
             with pytest.raises(ConfigError):
                 ModelParams(4, eps, v)
         for vbar in (math.nan, math.inf):
-            with pytest.raises(ConfigError, match="inconsistent"):
-                ModelParams.create(30, 1.0, coupling=0.1, vbar=vbar)
+            with pytest.raises(ConfigError, match="vbar must be finite"):
+                ModelParams.create(30, 1.0, vbar=vbar)
 
     @pytest.mark.parametrize("args", [(30.5, 1.0, 0.1), (30, "a", 0.1), (30, 1.0, "a")],
                              ids=["n_particles", "epsilon", "coupling"])
@@ -81,20 +84,18 @@ class TestModelParams:
     @pytest.mark.parametrize("build", [
         lambda: ModelParams.create("a", 1.0, vbar=2.0),
         lambda: ModelParams.create(30, "a", vbar=2.0),
-        lambda: ModelParams.create(30, 1.0, coupling="a", vbar=2.0),
+        lambda: ModelParams.create(30, 1.0, coupling="a"),
         lambda: ModelParams.create(30, 1.0, vbar="a"),
-        lambda: ModelParams.from_vbar(30, 1.0, "a"),
-    ], ids=["n_particles", "epsilon", "coupling", "vbar", "from_vbar"])
+    ], ids=["n_particles", "epsilon", "coupling", "vbar"])
     def test_wrong_type_rejected_before_arithmetic(self, build):
-        # the factories check their inputs before computing V from vbar or
-        # comparing the two, so a string fails here, not with a TypeError
+        # the factory checks its inputs before computing V from vbar, so a
+        # string fails here, not with a TypeError
         with pytest.raises(ConfigError):
             build()
 
     @pytest.mark.parametrize("build", [
         lambda: ModelParams.create(1, 1.0, vbar=2.0),
-        lambda: ModelParams.from_vbar(1, 1.0, 2.0),
-    ], ids=["create", "from_vbar"])
+    ], ids=["create"])
     def test_single_particle_rejected_before_vbar_arithmetic(self, build):
         # V = vbar eps / (N - 1) would divide by zero at N = 1
         with pytest.raises(ConfigError, match="n_particles"):
@@ -103,10 +104,9 @@ class TestModelParams:
     def test_numpy_numbers_accepted_by_factories(self):
         want = ModelParams.create(30, 1.0, vbar=2.0)
         assert ModelParams.create(np.int64(30), np.float64(1.0), vbar=np.float64(2.0)) == want
-        assert ModelParams.from_vbar(np.int64(30), np.float64(1.0), np.float64(2.0)) == want
-        both = ModelParams.create(np.int64(30), np.float64(1.0),
-                                  coupling=np.float64(want.coupling), vbar=np.float64(2.0))
-        assert both.coupling == want.coupling
+        by_v = ModelParams.create(np.int64(30), np.float64(1.0),
+                                  coupling=np.float64(want.coupling))
+        assert by_v.coupling == want.coupling
 
 
 class TestFullHamiltonian:

@@ -300,10 +300,11 @@ class TestMeasurePauli:
         with pytest.raises(ConfigError):
             SampledBackend(0, seed=1)
 
-    @pytest.mark.parametrize("shots, seed", [(10.5, 1), (100, 1.7), (100, -1)],
-                             ids=["shots", "seed", "negative-seed"])
+    @pytest.mark.parametrize("shots, seed", [(10.5, 1), (100, 1.7), (100, -1),
+                                             (True, 1), (100, False)],
+                             ids=["shots", "seed", "negative-seed", "bool-shots", "bool-seed"])
     def test_non_integral_or_negative_counts_rejected(self, shots, seed):
-        # 10.5 shots are not read as 10, nor seed 1.7 as 1
+        # 10.5 shots are not read as 10, nor seed 1.7 as 1, nor True as 1
         with pytest.raises(ConfigError):
             SampledBackend(shots, seed)
 

@@ -164,12 +164,12 @@ class TestProjection:
         amps = np.zeros(7)
         amps[0] = amps[2] = amps[4] = 1 / math.sqrt(3)
         st = FullState(6, amps)
-        out = project_parity(st, "even")
+        out = project_parity(st)
         assert np.abs(out.amplitudes - amps).max() < 1e-14
 
     def test_uniform_example(self):
         amps = np.full(5, 1 / math.sqrt(5))
-        out = project_parity(FullState(4, amps), "even")
+        out = project_parity(FullState(4, amps))
         want = np.array([1, 0, 1, 0, 1]) / math.sqrt(3)
         assert out.amplitudes == pytest.approx(want, abs=1e-14)
 
@@ -181,7 +181,7 @@ class TestProjection:
         w, v = eigh(build_effective_hamiltonian(p, beta, 3))
         a = v[:, 0] * np.sign(v[0, 0])
         full = reconstruct_full(EffectiveState(3, beta, a), p)
-        proj = project_parity(full, "even")
+        proj = project_parity(full)
         Pi = np.diag((-1.0) ** np.arange(31))
         want = (np.eye(31) + Pi) / 2 @ full.amplitudes
         want /= np.linalg.norm(want)
@@ -190,18 +190,12 @@ class TestProjection:
     def test_zero_support_raises(self):
         amps = np.zeros(5)
         amps[1] = 1.0
-        with pytest.raises(ProjectionError):
-            project_parity(FullState(4, amps), "even")
+        with pytest.raises(ProjectionError, match="no support in the even-parity sector"):
+            project_parity(FullState(4, amps))
 
     def test_nan_amplitudes_fail_unit_norm(self):
         with pytest.raises(ConfigError, match="unit-norm"):
             FullState(2, [math.nan, 0.0, 0.0])
-
-    def test_bad_sector_name(self):
-        amps = np.zeros(5)
-        amps[0] = 1.0
-        with pytest.raises(ConfigError):
-            project_parity(FullState(4, amps), "both")
 
 
 class TestBures:
@@ -242,7 +236,7 @@ class TestBures:
         # 2.1e-8 at N=256, where the distances are 5.3e-10, 3.0e-12, 3.5e-14
         p = ModelParams.create(n, 1.0, vbar=2.0)
         sol = solve_effective(p, cutoff)
-        projected = project_parity(reconstruct_full(sol.state, p), "even")
+        projected = project_parity(reconstruct_full(sol.state, p))
         exact = exact_ground_state(p)[1]
         assert sol.bures == bures_distance(projected, FullState(n, exact))
         assert sol.bures == pytest.approx(mp_bures(projected.amplitudes, exact), rel=1e-5)
@@ -257,5 +251,5 @@ class TestBures:
             w, v = eigh(build_effective_hamiltonian(p, beta, lam))
             a = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
             full = reconstruct_full(EffectiveState(lam, beta, a), p)
-            proj = project_parity(full, "even")
+            proj = project_parity(full)
             assert bures_distance(proj, ex) <= bures_distance(full, ex) + 1e-12

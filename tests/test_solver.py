@@ -278,6 +278,11 @@ class TestSolveEffective:
             solve_effective(P30, 4.0)
         assert solve_effective(P30, np.int64(4)).beta_opt == solve_effective(P30, 4).beta_opt
 
+    def test_boolean_cutoff_rejected(self):
+        # True is not read as cutoff 1
+        with pytest.raises(ConfigError, match="cutoff must be an integer"):
+            solve_effective(P30, True)
+
 
 class TestSweepLambda:
     def test_n32_reference_rows(self):
@@ -330,7 +335,7 @@ class TestSweepLambda:
             naive = np.zeros(n + 1)
             naive[:cutoff] = v[:, 0]
             assert row.delta_e_naive == _spectral_delta(chains, naive, e_even), cutoff
-            projected = project_parity(reconstruct_full(sol.state, p), "even")
+            projected = project_parity(reconstruct_full(sol.state, p))
             assert row.delta_e_projected == _spectral_delta(
                 chains, projected.amplitudes, e_even), cutoff
 
