@@ -29,7 +29,6 @@ import scipy.linalg
 from .driver import HlvqeOptions, excited_state_run, run, summarize
 from .errors import ConfigError, HlvqeError, NumericalError
 from .model import ModelParams, exact_ground_state
-from .pauli import reassemble
 from .qsim import AnalyticBackend, SampledBackend
 from .rotations import project_parity, reconstruct_full
 from .solver import solve_effective, sweep_lambda, sweep_vbar
@@ -335,7 +334,7 @@ def _task_excited(config: RunConfig, params: ModelParams):
     opts = _hlvqe_options(config)
     trace, shifted = excited_state_run(params, lam, mu0, opts)
     header, rows = _trace_table(trace, lam)
-    w = scipy.linalg.eigh(reassemble(shifted), eigvals_only=True)
+    w = scipy.linalg.eigh(shifted, eigvals_only=True)
     extra = {"excited_energy": trace[-1].energy,
              "shifted_ground_eigenvalue": float(w[0]),
              "mu0": mu0}

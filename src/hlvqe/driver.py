@@ -5,7 +5,9 @@ Per iteration the cost is E = psi^T H(beta) psi at the ansatz state
 psi(theta), with gradients psi^T dH/dbeta psi and dE/d(theta_i), evaluated
 as the backend decides (``qsim``): from dense matrices and one adjoint sweep,
 or by measuring the Pauli decomposition with the shift rule.  The driver
-keeps no measurement code and never asks which backend it has.
+keeps no measurement code, holds no Pauli form and never asks which backend
+it has: the excited-state Hamiltonian H(beta_0) + mu0 g g^T is one dense
+real matrix, which the backend turns into its observable.
 
 Two update rules are provided: ``plain`` steps by -eta * G and converges
 geometrically near the optimum; ``normalized`` divides the step by the
@@ -32,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, _finite, _integer, _power_of_two
-from .model import ModelParams, exact_ground_state
-from .pauli import PauliDecomposition, decompose, hamiltonian_decomposition, reassemble
+from .errors import ConfigError, NumericalError, _finite, _integer, _power_of_two
+from .model import ModelParams, build_effective_hamiltonian, exact_ground_state
 from .qsim import AnalyticBackend, StateVector, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
@@ -135,7 +136,9 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
     ``fidelity(beta, state)`` gives the recorded Bures distance (NaN when
     absent).  In normalized mode a gradient norm below 1e-14 ends the run
     with the final record marked converged (the update direction is
-    undefined at an exact stationary point).
+    undefined at an exact stationary point).  A non-finite energy or gradient
+    norm raises NumericalError: the normalized step would divide by an
+    infinite norm and freeze every angle.
     """
     cutoff = _power_of_two("cutoff", cutoff)
     nq = cutoff.bit_length() - 1
@@ -150,6 +153,8 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
     for step in range(1, opts.max_iterations + 1):
         energy, g_beta, g_theta = objective(beta, theta)
         g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
+        if not math.isfinite(energy) or not math.isfinite(g_norm):
+            raise NumericalError(f"step {step}: energy {energy}, gradient norm {g_norm}")
 
         state = prepare_ansatz(theta, nq)
         amps = backend._magnitudes(state)
@@ -182,7 +187,7 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
     exact = FullState(params.n_particles, ex_amps)
 
     def fidelity(beta, state):
-        signed = state.real_amplitudes()
+        signed = state.amplitudes
         eff = EffectiveState(cutoff, beta, signed / np.linalg.norm(signed))
         return bures_distance(reconstruct_full(eff, params), exact)
 
@@ -220,26 +225,25 @@ def summarize(trace: list, window: tuple | None = None) -> RunSummary:
     return RunSummary((lo, hi), quantities)
 
 
-def excited_hamiltonian(decomp: PauliDecomposition, ground: StateVector,
-                        mu0: float) -> PauliDecomposition:
-    """Shift a converged state up by a chemical potential: H + mu0 |psi><psi|.
-
-    The shifted matrix is decomposed afresh, so every Pauli coefficient moves
-    by mu0/2^n <psi|P|psi>, including strings absent from the input
-    decomposition.
-    """
+def excited_hamiltonian(h, ground: StateVector, mu0: float) -> np.ndarray:
+    """Shift a converged state up by a chemical potential: h + mu0 g g^T for
+    the finite, real, symmetric 2^n x 2^n matrix h and the n-qubit state g.
+    The result is exactly symmetric, as the analytic theta-gradient needs."""
     if not _finite("mu0", mu0) > 0:
         raise ConfigError(f"mu0 must be > 0, got {mu0}")
-    nq = decomp.n_qubits
-    if ground.n_qubits != nq:
-        raise ConfigError(f"state width {ground.n_qubits} != register width {nq}")
-    amps = ground.amplitudes
-    return decompose(reassemble(decomp) + mu0 * np.outer(amps, amps.conj()))
+    h = np.asarray(_finite("h", h))
+    dim = 2 ** ground.n_qubits
+    if h.shape != (dim, dim):
+        raise ConfigError(f"h has shape {h.shape}, not the {ground.n_qubits}-qubit ({dim}, {dim})")
+    if not np.array_equal(h, h.T):
+        raise ConfigError("h must be symmetric")
+    g = ground.amplitudes
+    return h + mu0 * np.outer(g, g)
 
 
 def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
                       opts: HlvqeOptions, ground_state: StateVector | None = None,
-                      beta0: float | None = None) -> tuple[list, PauliDecomposition]:
+                      beta0: float | None = None) -> tuple[list, np.ndarray]:
     """First excited state via the chemical-potential construction.
 
     The shifted Hamiltonian H + mu0 |g><g| is minimized over theta alone at
@@ -248,12 +252,14 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     callers holding a better-converged ground state should pass it explicitly,
     since the orthogonality of the excited state degrades linearly with the
     shift state's own error.  Returns the theta-only trace on the shifted
-    Hamiltonian (fidelities NaN) and that Hamiltonian.  A sampled excited
-    phase draws from its own stream, SeedSequence(seed, spawn_key=(1,)).
+    Hamiltonian (fidelities NaN) and that Hamiltonian, H(beta_0) + mu0 g g^T
+    as one dense matrix, which only the sampled backend decomposes into Pauli
+    strings.  A sampled excited phase draws from its own stream,
+    SeedSequence(seed, spawn_key=(1,)).
     """
     if not _finite("mu0", mu0) > 0:
         raise ConfigError(f"mu0 must be > 0, got {mu0}")
-    cutoff = _integer("cutoff", cutoff)
+    cutoff = _power_of_two("cutoff", cutoff)
     if ground_state is None or beta0 is None:
         last = run(params, cutoff, opts)[-1]
         if beta0 is None:
@@ -261,8 +267,8 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
         if ground_state is None:
             ground_state = prepare_ansatz(last.theta, cutoff.bit_length() - 1)
     _finite("beta0", beta0)
-    h, _ = hamiltonian_decomposition(params, beta0, cutoff)
-    shifted = excited_hamiltonian(h, ground_state, mu0)
+    shifted = excited_hamiltonian(build_effective_hamiltonian(params, beta0, cutoff),
+                                  ground_state, mu0)
     backend = opts.backend._run_copy((1,))
     observable = backend._observable(shifted)
     # held at beta_0, the shifted Hamiltonian has no beta-gradient: G_beta = 0

@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the input checks that raise them.
 
 The checks are ``_integer`` (an integral number, NumPy integers too),
-``_power_of_two`` (an integral power of two >= 2) and ``_finite`` (a finite
-real number or array of them).  None of them takes a boolean for a number.
+``_power_of_two`` (an integral power of two >= 2), ``_finite`` (a finite
+real number or array of them) and ``_unit_amplitudes`` (the one check of
+every state type: a real unit vector of the size its integer field implies).
+None of them takes a boolean for a number.
 """
 
 import operator
@@ -54,3 +56,19 @@ def _finite(name: str, value):
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite and real, got {value!r}")
     return value
+
+
+def _unit_amplitudes(state, name: str, size) -> None:
+    """Store ``state.amplitudes`` as a float array; a ConfigError unless the
+    state's field ``name`` is an integer n and the amplitudes are real
+    numbers (booleans not), of shape (size(n),) and unit-norm to 1e-12."""
+    size = size(_integer(name, getattr(state, name)))
+    amps = np.asarray(state.amplitudes)
+    if amps.dtype.kind not in "iuf":
+        raise ConfigError(f"{type(state).__name__} amplitudes must be real, got dtype {amps.dtype}")
+    amps = amps.astype(float, copy=False)
+    object.__setattr__(state, "amplitudes", amps)
+    if amps.shape != (size,):
+        raise ConfigError(f"{type(state).__name__} needs {size} amplitudes, got shape {amps.shape}")
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
+        raise ConfigError(f"{type(state).__name__} amplitudes must be unit-norm")

@@ -30,7 +30,7 @@ way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
 and every theta-gradient from one adjoint sweep, with no Pauli string.
 ``SampledBackend(shots, seed)`` measures H(beta) as the band table's op
 strings with the weight rows f(beta) . W and f'(beta) . W (``pauli``), or a
-decomposition converted once to (ops, weights).  Its step is one
+dense observable decomposed once to (ops, weights).  Its step is one
 ``_shifted_ansatz`` batch (the base state, then per angle the +-pi/2 shifted
 states) and one ``_estimates`` call over the rows ``_shift_plan`` lays out
 (the base state in each non-identity string, then per angle and string up
@@ -52,9 +52,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, _integer
+from .errors import ConfigError, _integer, _unit_amplitudes
 from .model import build_effective_hamiltonian, build_effective_hamiltonian_dbeta
-from .pauli import PauliString, _hamiltonian_weights, _string_action, reassemble
+from .pauli import PauliString, _hamiltonian_weights, _string_action, decompose
 
 __all__ = [
     "StateVector",
@@ -69,25 +69,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateVector:
+    """Real amplitudes over the 2^n_qubits basis states."""
+
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ConfigError(f"bad amplitude shape {amps.shape} for {self.n_qubits} qubits")
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
-            raise ConfigError("state vector must be unit norm")
+        _unit_amplitudes(self, "n_qubits", lambda n: 2 ** n)
 
     def probabilities(self) -> np.ndarray:
         p = np.abs(self.amplitudes) ** 2
         return p / p.sum()
 
     def real_amplitudes(self) -> np.ndarray:
-        if np.abs(self.amplitudes.imag).max() > 1e-12:
-            raise ConfigError("state has non-negligible imaginary parts")
-        return self.amplitudes.real.copy()
+        """A copy of the amplitudes."""
+        return self.amplitudes.copy()
 
     def _ops_of(self, string: PauliString) -> str:
         """The op string of ``string``, which must be as wide as this state."""
@@ -155,10 +151,9 @@ def prepare_ansatz(theta, n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _shifted_ansatz(theta, indices, n_qubits: int) -> np.ndarray:
-    """(1 + 2K, 2^n) amplitudes: the ansatz state at theta, then for each of
-    the K angles k in ``indices`` the states at theta + pi/2 e_k and theta -
-    pi/2 e_k.
+def _shifted_ansatz(theta, n_qubits: int) -> np.ndarray:
+    """(2^(n+1) - 1, 2^n) amplitudes: the ansatz state at theta, then for each
+    angle k in turn the states at theta + pi/2 e_k and theta - pi/2 e_k.
 
     Gate j turns every row in one pass, row r with the (cos, sin) of its own
     angle: the ``math.cos``/``math.sin`` scalars of theta_j, or of theta_j
@@ -167,12 +162,12 @@ def _shifted_ansatz(theta, indices, n_qubits: int) -> np.ndarray:
     """
     th, n_qubits = _angles(theta, n_qubits)
     gens = _generators(n_qubits)
-    width = 1 + 2 * len(indices)
+    width = 1 + 2 * len(th)
     cos = [[math.cos(t / 2)] * width for t in th]
     sin = [[sign * math.sin(t / 2)] * width for (_, sign), t in zip(gens, th)]
-    for r, k in enumerate(indices):
-        for row, t in ((1 + 2 * r, th[k] + math.pi / 2), (2 + 2 * r, th[k] - math.pi / 2)):
-            cos[k][row], sin[k][row] = math.cos(t / 2), gens[k][1] * math.sin(t / 2)
+    for k, t in enumerate(th):
+        for row, u in ((1 + 2 * k, t + math.pi / 2), (2 + 2 * k, t - math.pi / 2)):
+            cos[k][row], sin[k][row] = math.cos(u / 2), gens[k][1] * math.sin(u / 2)
     amps = np.zeros((width, 2 ** n_qubits))
     amps[:, 0] = 1.0
     for (ops, _), c, s in zip(gens, np.array(cos)[:, :, None], np.array(sin)[:, :, None]):
@@ -206,9 +201,9 @@ class AnalyticBackend:
         return (build_effective_hamiltonian(params, beta, cutoff),
                 build_effective_hamiltonian_dbeta(params, beta, cutoff))
 
-    def _observable(self, decomp):
-        # the ansatz is real, so psi^T Im(H) psi = 0 for a complex shift state
-        return reassemble(decomp).real
+    def _observable(self, h):
+        """The dense observable itself."""
+        return h
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one
@@ -227,7 +222,7 @@ class AnalyticBackend:
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """The exact amplitude magnitudes."""
-        return np.abs(state.real_amplitudes())
+        return np.abs(state.amplitudes)
 
     def _run_copy(self, spawn_key: tuple = ()):
         """Exact expectations draw nothing, so a run uses this backend itself."""
@@ -264,10 +259,10 @@ class SampledBackend:
         ops, h, dh = _hamiltonian_weights(params, beta, cutoff)
         return (ops, h), dh
 
-    def _observable(self, decomp):
-        """(ops, weights) of a decomposition, converted once per run."""
-        return (tuple(s.ops for s, _ in decomp.terms),
-                np.array([c for _, c in decomp.terms], dtype=float))
+    def _observable(self, h):
+        """(ops, weights) of the dense observable ``h``, decomposed once per run."""
+        terms = decompose(h).terms
+        return tuple(s.ops for s, _ in terms), np.array([c for _, c in terms], dtype=float)
 
     def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
         """Sampled <P> of each row of ``amps`` in its op string, rounded as
@@ -291,8 +286,7 @@ class SampledBackend:
         ops, weights = h
         n_qubits = len(theta).bit_length()
         measured, order, rows = _shift_plan(ops, n_qubits)
-        values = self._estimates(
-            _shifted_ansatz(theta, range(len(theta)), n_qubits)[order], rows)
+        values = self._estimates(_shifted_ansatz(theta, n_qubits)[order], rows)
         expect = np.ones(len(ops))
         expect[measured] = values[:len(measured)]
         pairs = values[len(measured):].reshape(len(theta), len(measured), 2)
@@ -388,9 +382,9 @@ def _shift_plan(ops: tuple, n_qubits: int) -> tuple:
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
     """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2
-    from one two-row ``_estimates`` call on the string's register, which
-    must carry ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws
-    nothing.
+    from one ``_estimates`` call on rows 1 + 2k and 2 + 2k of the
+    ``_shifted_ansatz`` batch on the string's register, which must carry
+    ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws nothing.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.
@@ -399,8 +393,8 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> flo
     index = _integer("index", index)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    amps = _shifted_ansatz(theta, (index,), len(string))
+    amps = _shifted_ansatz(theta, len(string))
     if string.is_identity:
         return 0.0
-    up, down = backend._estimates(amps[1:], (string.ops,) * 2)
+    up, down = backend._estimates(amps[1 + 2 * index:3 + 2 * index], (string.ops,) * 2)
     return float((up - down) / 2)

@@ -317,8 +317,8 @@ def test_criterion_09_excited_state_gap():
     decomp = PauliDecomposition(
         1, tuple((PauliString(k), v) for k, v in h.items()))
     ground = prepare_ansatz([0.0], 1)
-    shifted = excited_hamiltonian(decomp, ground, mu0=10.0)
-    w = eigh(reassemble(shifted), eigvals_only=True)
+    shifted = excited_hamiltonian(reassemble(decomp), ground, mu0=10.0)
+    w = eigh(shifted, eigvals_only=True)
     dt = time.perf_counter() - t0
     ok = abs(w[0] + 16.00) <= 1e-6 and dt < 1.0
     report(9, "excited-state gap via chemical potential", ok,

@@ -286,6 +286,16 @@ class TestTasks:
         assert err.startswith("output error: failed writing") and "numerical" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_excited_descent_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # g_theta . g_theta overflows at mu0 = 1e308: the normalized step
+        # divided by the infinite norm, froze every angle and exited 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["excited", "--n", "30", "--vbar", "2", "--lambda", "2",
+                         "--mu0", "1e308", "--iters", "3", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_exit_code(self):
         assert main(["exact", "--n", "30"]) == 2
 

@@ -10,7 +10,7 @@ from hypothesis import given, strategies
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
-from hlvqe import driver, qsim
+from hlvqe import driver, pauli, qsim
 from hlvqe.driver import (
     HlvqeOptions,
     cost_and_grads,
@@ -19,7 +19,7 @@ from hlvqe.driver import (
     run,
     summarize,
 )
-from hlvqe.errors import ConfigError
+from hlvqe.errors import ConfigError, NumericalError
 from hlvqe.model import ModelParams, build_effective_hamiltonian
 from hlvqe.pauli import (
     PauliDecomposition,
@@ -154,17 +154,17 @@ class TestCostAndGrads:
         trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
                                            beta0=beta0)
 
-        h, _ = hamiltonian_decomposition(P30, beta0, lam)
-        want = excited_hamiltonian(h, ground, mu0)
-        assert shifted.terms == want.terms
+        want = excited_hamiltonian(build_effective_hamiltonian(P30, beta0, lam), ground, mu0)
+        assert shifted.tobytes() == want.tobytes()
+        terms = decompose(want).terms
         backend = SampledBackend(2000, seed)
         backend._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         theta = np.full(lam - 1, 0.2)
         state = prepare_ansatz(theta, nq)
         energy = math.fsum(c * measure_pauli(state, s, backend).value
-                           for s, c in want.terms)
+                           for s, c in terms)
         g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend)
-                             for s, c in want.terms if not s.is_identity)
+                             for s, c in terms if not s.is_identity)
                    for i in range(lam - 1)]
         rec = trace[0]
         assert (rec.energy, rec.grad_beta, rec.grad_theta.tolist()) == (energy, 0.0, g_theta)
@@ -178,14 +178,14 @@ class TestCostAndGrads:
         opts = HlvqeOptions(init_theta=0.2, max_iterations=1)
         trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
                                            beta0=beta0)
-        h, _ = hamiltonian_decomposition(P30, beta0, lam)
-        want = excited_hamiltonian(h, ground, mu0)
-        assert shifted.terms == want.terms
+        want = excited_hamiltonian(build_effective_hamiltonian(P30, beta0, lam), ground, mu0)
+        assert shifted.tobytes() == want.tobytes()
+        terms = decompose(want).terms
         theta = np.full(lam - 1, 0.2)
         state = prepare_ansatz(theta, nq)
-        energy = math.fsum(c * measure_pauli(state, s, ANALYTIC).value for s, c in want.terms)
+        energy = math.fsum(c * measure_pauli(state, s, ANALYTIC).value for s, c in terms)
         g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, ANALYTIC)
-                             for s, c in want.terms if not s.is_identity)
+                             for s, c in terms if not s.is_identity)
                    for i in range(lam - 1)]
         rec = trace[0]
         assert abs(rec.energy - energy) <= 1e-12 and rec.grad_beta == 0.0
@@ -299,12 +299,12 @@ class TestCostAndGrads:
         backend = SampledBackend(100_000, seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         (ops, weights), dweights = backend._hamiltonian(P30, beta, lam)
-        h, _ = hamiltonian_decomposition(P30, beta, lam)
-        shifted = excited_hamiltonian(h, prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
+        shifted = excited_hamiltonian(build_effective_hamiltonian(P30, beta, lam),
+                                      prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
         cases = [((ops, weights), dweights, list(zip(ops, weights.tolist())),
                   list(zip(ops, dweights.tolist()))),
                  (backend._observable(shifted), None,
-                  [(s.ops, c) for s, c in shifted.terms], None)]
+                  [(s.ops, c) for s, c in decompose(shifted).terms], None)]
         for observable, d, terms, dterms in cases:
             energy, g_beta, grad = backend._cost(theta, observable, d)
             want = two_pass_sampled_cost(theta, terms, dterms, 100_000, rng)
@@ -322,7 +322,7 @@ class TestCostAndGrads:
         before = backend._rng.bit_generator.state
         decomp = PauliDecomposition(nq, tuple((PauliString("I" * nq), c) for c in weights))
         theta = np.linspace(0.4, -0.7, 2 ** nq - 1)
-        energy, g_beta, grad = backend._cost(theta, backend._observable(decomp))
+        energy, g_beta, grad = backend._cost(theta, backend._observable(reassemble(decomp)))
         assert energy == math.fsum(weights)
         assert g_beta == 0.0
         assert grad.tolist() == [0.0] * (2 ** nq - 1)
@@ -363,27 +363,24 @@ class TestCostAndGrads:
 
     def test_analytic_objectives_take_no_per_string_path(self, monkeypatch):
         # ground and excited analytic evaluations use dense matrices and the
-        # adjoint sweep: no shift rule, no <P>, no Pauli form of H(beta) (the
-        # excited run decomposes H(beta_0) once, to build the Hamiltonian it
-        # returns)
+        # adjoint sweep: no shift rule, no <P> and no Pauli form at all, not
+        # even of the excited run's H(beta_0) + mu0 g g^T
         def forbidden(*args, **kwargs):
             raise AssertionError("analytic objective took the per-string path")
 
-        for name in ("_shift_plan", "_shifted_ansatz", "measure_pauli", "_hamiltonian_weights"):
+        for name in ("_shift_plan", "_shifted_ansatz", "measure_pauli", "_hamiltonian_weights",
+                     "decompose"):
             monkeypatch.setattr(qsim, name, forbidden)
+        for name in ("hamiltonian_decomposition", "decompose", "reassemble"):
+            monkeypatch.setattr(pauli, name, forbidden)
         monkeypatch.setattr(qsim.AnalyticBackend, "expectation", forbidden)
-        monkeypatch.setattr(driver, "hamiltonian_decomposition", forbidden)
         cost_and_grads(P30, 8, 0.7, np.linspace(-0.5, 0.5, 7), ANALYTIC)
         opts = HlvqeOptions(init_beta=0.8, init_theta=0.1, update="plain",
                             max_iterations=10)
         assert len(run(P30, 8, opts)) == 10
-
-        setup = []
-        monkeypatch.setattr(driver, "hamiltonian_decomposition",
-                            lambda *args: setup.append(args) or hamiltonian_decomposition(*args))
         trace, _ = excited_state_run(P30, 8, 10.0, opts, beta0=0.8,
                                      ground_state=prepare_ansatz(np.full(7, 0.3), 3))
-        assert len(trace) == 10 and setup == [(P30, 0.8, 8)]
+        assert len(trace) == 10
 
 
 class TestRun:
@@ -404,7 +401,7 @@ class TestRun:
             backend=cls(100_000, 23)), ground_state=ground, beta0=0.9)
             for cls in (SampledBackend, RowByRowBackend)]
         (trace, shifted), (want, want_shifted) = runs
-        assert shifted.terms == want_shifted.terms
+        assert shifted.tobytes() == want_shifted.tobytes()
         assert trace_bytes(trace) == trace_bytes(want)
 
     def test_lambda2_plain_converges_to_reference(self):
@@ -602,21 +599,20 @@ class TestExcitedStates:
         decomp = PauliDecomposition(
             1, tuple((PauliString(k), v) for k, v in h.items()))
         ground = prepare_ansatz([0.0], 1)
-        shifted = excited_hamiltonian(decomp, ground, mu0=10.0)
-        w = eigh(reassemble(shifted), eigvals_only=True)
+        shifted = excited_hamiltonian(reassemble(decomp), ground, mu0=10.0)
+        w = eigh(shifted, eigvals_only=True)
         assert w[0] == pytest.approx(-16.0, abs=1e-6)
 
     def test_matrix_level_oracle_random(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((4, 4))
         H = (A + A.T) / 2
-        decomp = decompose(H)
         vec = rng.standard_normal(4)
         vec /= np.linalg.norm(vec)
-        state = StateVector(2, vec.astype(complex))
-        shifted = excited_hamiltonian(decomp, state, mu0=5.0)
+        state = StateVector(2, vec)
+        shifted = excited_hamiltonian(H, state, mu0=5.0)
         want = H + 5.0 * np.outer(vec, vec)
-        assert np.abs(reassemble(shifted) - want).max() < 1e-10
+        assert np.abs(shifted - want).max() < 1e-10
 
     @pytest.mark.parametrize("lam", [2, 4])
     def test_excited_state_orthogonal_to_ground(self, lam):
@@ -625,7 +621,7 @@ class TestExcitedStates:
         from hlvqe.solver import solve_effective
         sol = solve_effective(P30, lam)
         nq = lam.bit_length() - 1
-        g = StateVector(nq, sol.state.amplitudes.astype(complex))
+        g = StateVector(nq, sol.state.amplitudes)
         opts = HlvqeOptions(init_beta=sol.beta_opt, init_theta=0.1, update="plain",
                             learning_rate=0.2, max_iterations=500)
         trace, shifted = excited_state_run(P30, lam, mu0=10.0, opts=opts,
@@ -650,19 +646,36 @@ class TestExcitedStates:
             assert r.beta == beta0 and r.grad_beta == 0.0
             assert math.isnan(r.bures_to_exact)
 
-    def test_analytic_excited_run_with_complex_ground_state(self):
-        # a complex shift state makes the shifted matrix complex; the real
-        # ansatz sees only its real part (a ComplexWarning, an error here, before)
-        g = StateVector(2, [0.5, 0.5j, 0.5, -0.5])
-        beta0, mu0 = 0.8, 10.0
-        opts = HlvqeOptions(init_theta=0.2, update="plain", max_iterations=10)
-        trace, shifted = excited_state_run(P30, 4, mu0, opts, ground_state=g, beta0=beta0)
-        assert np.iscomplexobj(reassemble(shifted))
-        gv = g.amplitudes
-        H = (build_effective_hamiltonian(P30, beta0, 4) + mu0 * np.outer(gv, gv.conj())).real
-        for r in trace:
-            psi = prepare_ansatz(r.theta, 2).real_amplitudes()
-            assert r.energy == pytest.approx(psi @ H @ psi, abs=1e-12), r.step
+    def test_returned_matrix_is_shifted_band_hamiltonian(self):
+        ground = prepare_ansatz([1.1, -0.2, 0.4], 2)
+        beta0, mu0 = 0.9, 10.0
+        _, shifted = excited_state_run(P30, 4, mu0, ONE_STEP, ground_state=ground, beta0=beta0)
+        g = ground.amplitudes
+        want = build_effective_hamiltonian(P30, beta0, 4) + mu0 * np.outer(g, g)
+        assert shifted.dtype == want.dtype and shifted.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda h: np.where(np.eye(4, dtype=bool), math.nan, h), "finite and real"),
+        (lambda h: h.astype(complex), "finite and real"),
+        (lambda h: h[:2, :2], "shape"),
+        (lambda h: h + np.triu(np.full((4, 4), 1e-3), 1), "symmetric"),
+    ], ids=["non-finite", "complex", "wrong-shape", "asymmetric"])
+    def test_bad_matrix_rejected(self, bad, match):
+        # the adjoint theta-gradient of the analytic cost holds only for a
+        # finite real symmetric h on the ground state's register
+        h = bad(build_effective_hamiltonian(P30, 0.9, 4))
+        with pytest.raises(ConfigError, match=match):
+            excited_hamiltonian(h, prepare_ansatz([1.1, -0.2, 0.4], 2), 10.0)
+
+    @pytest.mark.parametrize("update", ["plain", "normalized"])
+    def test_overflowing_gradient_norm_raises(self, update):
+        # g_theta . g_theta overflows at mu0 = 1e308: the normalized step
+        # divided by the infinite norm and froze every angle, the plain step
+        # ran on to energies of +-8e291
+        opts = HlvqeOptions(update=update, max_iterations=3)
+        with pytest.raises(NumericalError, match="gradient norm inf"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                excited_state_run(P30, 2, 1e308, opts)
 
     def test_excited_run_marks_stationary_point_converged(self):
         # at theta = 0 the one-qubit shifted Hamiltonian (g = |1>) has zero

@@ -24,6 +24,7 @@ from hlvqe.pauli import PauliString, decompose
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
+    StateVector,
     _generators,
     _measurement_basis,
     _measurement_plan,
@@ -162,6 +163,20 @@ class TestPrepareAnsatz:
         assert np.abs(got - v).max() <= 1e-13
 
 
+class TestStateVector:
+    @pytest.mark.parametrize("n_qubits, amps, match", [
+        (True, [1.0, 0.0], "n_qubits must be an integer"),
+        (1, [0.6, 0.8j], "must be real"),
+        (1, np.array([True, False]), "must be real"),
+        (1, np.array([1.0, 0.0], dtype=object), "must be real"),
+    ], ids=["bool-width", "complex", "bool-amps", "object-amps"])
+    def test_non_real_amplitudes_or_non_integer_width_rejected(self, n_qubits, amps, match):
+        # all accepted before, the first keeping n_qubits=True: the state
+        # types share one check, errors._unit_amplitudes
+        with pytest.raises(ConfigError, match=match):
+            StateVector(n_qubits, amps)
+
+
 class TestShiftedBatch:
     """``_shifted_ansatz``, the base state and every +-pi/2-shifted state in one
     batch, against the one-row loop: ``prepare_ansatz`` and its bit-arithmetic
@@ -170,18 +185,17 @@ class TestShiftedBatch:
     @given(strategies.integers(1, 4).flatmap(lambda nq: strategies.tuples(
         strategies.just(nq),
         strategies.lists(strategies.floats(-math.pi, math.pi),
-                         min_size=2 ** nq - 1, max_size=2 ** nq - 1),
-        strategies.lists(strategies.integers(0, 2 ** nq - 2), unique=True))))
+                         min_size=2 ** nq - 1, max_size=2 ** nq - 1))))
     def test_rows_equal_one_row_preparations(self, case):
-        nq, t, indices = case
+        nq, t = case
         theta = np.array(t)
         rows = [theta]
-        for k in indices:
+        for k in range(len(theta)):
             for shift in (math.pi / 2, -math.pi / 2):
                 row = theta.copy()
                 row[k] = theta[k] + shift
                 rows.append(row)
-        got = _shifted_ansatz(theta, indices, nq)
+        got = _shifted_ansatz(theta, nq)
         assert got.shape == (len(rows), 2 ** nq)
         for amps, row in zip(got, rows):
             assert amps.tobytes() == prepare_ansatz(row, nq).amplitudes.tobytes()
@@ -189,7 +203,7 @@ class TestShiftedBatch:
 
     def test_angle_count_checked(self):
         with pytest.raises(ConfigError, match="needs 3 angles"):
-            _shifted_ansatz(np.zeros(2), range(2), 2)
+            _shifted_ansatz(np.zeros(2), 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
@@ -198,7 +212,7 @@ class TestShiftedBatch:
         with pytest.raises(ConfigError, match="angles must be finite"):
             prepare_ansatz([bad], 1)
         with pytest.raises(ConfigError, match="angles must be finite"):
-            _shifted_ansatz([0.1, bad, 0.2], (0,), 2)
+            _shifted_ansatz([0.1, bad, 0.2], 2)
 
 
 class TestMeasurePauli:
@@ -441,7 +455,7 @@ class TestAdjointSweep:
         # at theta + pi/2 e_k then theta - pi/2 e_k in one two-block call
         ops = tuple(s.ops for s, _ in terms if not s.is_identity)
         weights = [c for s, c in terms if not s.is_identity]
-        shifted = _shifted_ansatz(theta, range(len(theta)), nq)
+        shifted = _shifted_ansatz(theta, nq)
         want = []
         for k in range(len(theta)):
             rows = np.repeat(shifted[1 + 2 * k:3 + 2 * k], len(ops), axis=0)

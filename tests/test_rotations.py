@@ -197,6 +197,20 @@ class TestProjection:
         with pytest.raises(ConfigError, match="unit-norm"):
             FullState(2, [math.nan, 0.0, 0.0])
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: EffectiveState(3, 0.1, [0.6, 0.8, 0.5j]), "must be real"),
+        (lambda: EffectiveState(2.0, 0.1, [1, 0]), "cutoff must be an integer"),
+        (lambda: EffectiveState(True, 0.1, [1.0]), "cutoff must be an integer"),
+        (lambda: FullState(1.0, [1.0, 0.0]), "n_particles must be an integer"),
+        (lambda: FullState(1, np.array([True, False])), "must be real"),
+        (lambda: FullState(1, np.array([1.0, 0.0], dtype=object)), "must be real"),
+    ], ids=["complex", "float-cutoff", "bool-cutoff", "float-n", "bool-amps", "object-amps"])
+    def test_non_real_amplitudes_or_non_integer_size_rejected(self, make, match):
+        # accepted before: a complex entry was cast to its real part with only
+        # a warning, and a float cutoff ended in a TypeError in reconstruct_full
+        with pytest.raises(ConfigError, match=match):
+            make()
+
 
 class TestBures:
     def _state(self, vec):
