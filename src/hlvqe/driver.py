@@ -4,10 +4,10 @@ ansatz angles, with energy as the cost.
 Per iteration the cost is E = psi^T H(beta) psi at the ansatz state
 psi(theta), with gradients psi^T dH/dbeta psi and dE/d(theta_i), evaluated
 as the backend decides (``qsim``): from dense matrices and one adjoint sweep,
-or by measuring the Pauli decomposition with the shift rule.  The driver
-keeps no measurement code, holds no Pauli form and never asks which backend
-it has: the excited-state Hamiltonian H(beta_0) + mu0 g g^T is one dense
-real matrix, which the backend turns into its observable.
+or by measuring them one flip pattern at a time with the shift rule.  The
+driver keeps no measurement code, holds no Pauli form and never asks which
+backend it has: it hands either backend the same dense real matrices,
+H(beta) and dH/dbeta, or the excited-state H(beta_0) + mu0 g g^T.
 
 Two update rules are provided: ``plain`` steps by -eta * G and converges
 geometrically near the optimum; ``normalized`` divides the step by the
@@ -35,7 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, _finite, _integer, _power_of_two
-from .model import ModelParams, build_effective_hamiltonian, exact_ground_state
+from .model import (
+    ModelParams,
+    build_effective_hamiltonian,
+    build_effective_hamiltonian_dbeta,
+    exact_ground_state,
+)
 from .qsim import AnalyticBackend, StateVector, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
@@ -120,10 +125,12 @@ class RunSummary:
 
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
                    backend) -> tuple[float, float, np.ndarray]:
-    """Energy, beta-gradient and theta-gradients at one parameter point."""
+    """Energy, beta-gradient and theta-gradients at one parameter point, which
+    the backend evaluates on the dense H(beta) and dH/dbeta."""
     cutoff = _power_of_two("cutoff", cutoff)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return backend._cost(theta, *backend._hamiltonian(params, beta, cutoff))
+    return backend._cost(theta, build_effective_hamiltonian(params, beta, cutoff),
+                         build_effective_hamiltonian_dbeta(params, beta, cutoff))
 
 
 def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
@@ -253,9 +260,9 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     since the orthogonality of the excited state degrades linearly with the
     shift state's own error.  Returns the theta-only trace on the shifted
     Hamiltonian (fidelities NaN) and that Hamiltonian, H(beta_0) + mu0 g g^T
-    as one dense matrix, which only the sampled backend decomposes into Pauli
-    strings.  A sampled excited phase draws from its own stream,
-    SeedSequence(seed, spawn_key=(1,)).
+    as one dense matrix, which either backend takes as it is (the sampled one
+    measures it in all its flip patterns).  A sampled excited phase draws
+    from its own stream, SeedSequence(seed, spawn_key=(1,)).
     """
     if not _finite("mu0", mu0) > 0:
         raise ConfigError(f"mu0 must be > 0, got {mu0}")
@@ -270,7 +277,6 @@ def excited_state_run(params: ModelParams, cutoff: int, mu0: float,
     shifted = excited_hamiltonian(build_effective_hamiltonian(params, beta0, cutoff),
                                   ground_state, mu0)
     backend = opts.backend._run_copy((1,))
-    observable = backend._observable(shifted)
     # held at beta_0, the shifted Hamiltonian has no beta-gradient: G_beta = 0
     return _descend(cutoff, opts, backend, beta0,
-                    lambda beta, theta: backend._cost(theta, observable)), shifted
+                    lambda beta, theta: backend._cost(theta, shifted)), shifted

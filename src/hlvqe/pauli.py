@@ -5,8 +5,9 @@ so string[0] acts on the qubit carrying the most significant bit of the
 basis index.  A string has one nonzero per column, P |c> = phase[c] |c ^ flip>
 (``_string_action``); decomposition and reassembly go through that rule
 rather than through a dense matrix, and ``decompose`` evaluates only the
-strings whose flip pattern meets a nonzero entry.  Expectations, exact or
-sampled, are taken in ``qsim`` alone, which reads the same rule.
+strings whose flip pattern meets a nonzero entry.  No objective goes through
+a Pauli form: both backends take the dense matrices, and ``qsim`` reads the
+same rule for its gates and its public per-string measurements.
 With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
 two-qubit register), basis indices equal excitation orders directly.
 
@@ -176,24 +177,15 @@ def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
     return ops, W
 
 
-def _hamiltonian_weights(params: ModelParams, beta: float,
-                         cutoff: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(ops, f(beta) . W, f'(beta) . W) over the band table's cached
-    decomposition (``_band_weights``), from one ``_combine`` of the (2, 5)
-    ``_trig`` rows: the Pauli weights of H(beta) and of dH/dbeta for a
-    power-of-two cutoff, both on the same op strings at every beta (a weight
-    may be exactly 0, as the X-carrying ones are at beta = 0)."""
-    cutoff = _power_of_two("cutoff", cutoff)
-    ops, W = _band_weights(params, cutoff)
-    h, dh = _combine(_trig(beta), W)
-    return ops, h, dh
-
-
 def hamiltonian_decomposition(params: ModelParams, beta: float,
                               cutoff: int) -> tuple[PauliDecomposition, PauliDecomposition]:
-    """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff, with
-    the weights of ``_hamiltonian_weights``."""
-    ops, *weights = _hamiltonian_weights(params, beta, cutoff)
+    """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff: the
+    band table's cached decomposition (``_band_weights``) weighted by f(beta)
+    and f'(beta), from one ``_combine`` of the (2, 5) ``_trig`` rows, both on
+    the same op strings at every beta (a weight may be exactly 0, as the
+    X-carrying ones are at beta = 0)."""
+    cutoff = _power_of_two("cutoff", cutoff)
+    ops, W = _band_weights(params, cutoff)
     strings = tuple(map(PauliString, ops))
     return tuple(PauliDecomposition(len(ops[0]), tuple(zip(strings, w.tolist())))
-                 for w in weights)
+                 for w in _combine(_trig(beta), W))

@@ -19,27 +19,30 @@ Measurement lives in this module alone, on plain op strings (``str``):
 and ``parameter_shift_grad``.  Each backend takes every <P> through its
 ``_estimates(amps, ops)``, one value per row of ``amps`` measured in its op
 string, and its ``expectation`` is the one-row call.  The analytic rows are
-exact quadratic forms from the string's action.  The sampled rows follow
-``_measurement_plan``, cached per tuple of op strings: a basis change of
-Ry(-pi/2) for X and Rx(pi/2) for Y, which give the computational-basis
-probabilities of H and of S^dag then H, then the measured frequencies
-contracted with the string's sign row.
+exact quadratic forms from the string's action.
 
-Backends: each evaluates an objective psi^T H psi and its gradients its own
-way.  ``AnalyticBackend`` reads dense H(beta) and dH/dbeta from the band table
-and every theta-gradient from one adjoint sweep, with no Pauli string.
-``SampledBackend(shots, seed)`` measures H(beta) as the band table's op
-strings with the weight rows f(beta) . W and f'(beta) . W (``pauli``), or a
-dense observable decomposed once to (ops, weights).  Its step is one
+Backends: both take the objective psi^T H psi and its gradients from dense
+real matrices, H(beta) and dH/dbeta or an excited observable, each its own
+way.  ``AnalyticBackend`` contracts them with the state and takes every
+theta-gradient from one adjoint sweep.  ``SampledBackend(shots, seed)``
+measures them by flip pattern: H_f, the entries (c, c ^ f) of H, is diagonal
+in the basis (|c> +- |c ^ f>)/sqrt(2) that a CNOT fan-out from f's top set
+bit t and a Hadamard on t turn into computational-basis outcomes, with the
+eigenvalues +-H[c, c ^ f] (``_flip_basis``; pattern 0 is the diagonal, read
+in the computational basis).  H couples only |dn| <= 2, so 2n patterns
+serve an n-qubit H(beta) where a Pauli decomposition needs one basis per
+string (the extended Bell measurement of Kondo et al., Quantum 6, 688
+(2022)), and no state leaves real arithmetic.  Its step is one
 ``_shifted_ansatz`` batch (the base state, then per angle the +-pi/2 shifted
-states) and one ``_estimates`` call over the rows ``_shift_plan`` lays out
-(the base state in each non-identity string, then per angle and string up
-then down), drawing every ensemble in one multinomial call on a
-``SeedSequence(seed)`` generator, as one call per row in row order would; its
-sums are ``math.fsum`` over numpy products.  Each backend also gives the
-amplitude magnitudes a run records (exact, or the square roots of one
-ensemble) and the backend a run draws from (itself, or a copy on its own
-stream).
+states) measured in every pattern of the nonzero entries of H and dH/dbeta,
+every ensemble drawn in one multinomial call on a ``SeedSequence(seed)``
+generator, as one call per row in row order would; its sums are
+``math.fsum`` over numpy products.  A single string is measured the same
+way, in the basis of its flip pattern against its real +-1 row; a string
+with an odd number of Y reads 0 on a real state and draws nothing.  Each
+backend also gives the amplitude magnitudes a run records (exact, or the
+square roots of one ensemble) and the backend a run draws from (itself, or
+a copy on its own stream).
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, _integer, _unit_amplitudes
-from .model import build_effective_hamiltonian, build_effective_hamiltonian_dbeta
-from .pauli import PauliString, _hamiltonian_weights, _string_action, decompose
+from .pauli import PauliString, _string_action
 
 __all__ = [
     "StateVector",
@@ -94,10 +96,11 @@ class StateVector:
 
 @lru_cache(maxsize=4096)
 def _kicked(ops: str) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, kick) with -i P amps = (kick * amps)[rows], cached and read-only;
-    kick = -i phase is real, keeping real amplitudes real, for an odd number of Y."""
+    """(rows, kick) with -i P amps = (kick * amps)[rows] for a string with one
+    Y, as every ansatz generator has: its phase is +-i, so kick = -i phase =
+    phase.imag is real and keeps real amplitudes real; cached and read-only."""
     rows, phase = _string_action(ops)
-    kick = (-1j * phase).real if ops.count("Y") % 2 else -1j * phase
+    kick = phase.imag.copy()
     kick.flags.writeable = False
     return rows, kick
 
@@ -197,14 +200,6 @@ class AnalyticBackend:
         return np.array([np.vdot(a[rows], phase * a).real
                          for a, (rows, phase) in zip(amps, map(_string_action, ops))])
 
-    def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
-        return (build_effective_hamiltonian(params, beta, cutoff),
-                build_effective_hamiltonian_dbeta(params, beta, cutoff))
-
-    def _observable(self, h):
-        """The dense observable itself."""
-        return h
-
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one
         reverse sweep, O(angles 2^n) (Jones & Gacon, arXiv:2009.02823): with phi the
@@ -248,52 +243,64 @@ class SampledBackend:
         return counts / self.shots
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
-        val = float(self._estimates(state.amplitudes[None], (state._ops_of(string),))[0])
-        # contraction values are +-1, so the sample variance is 1 - mean^2
+        ops = state._ops_of(string)
+        if ops.count("Y") % 2:
+            # an odd number of Y makes P imaginary, so <P> = 0 on a real state
+            return ExpectationEstimate(0.0, 0.0, 0)
+        val = float(self._estimates(state.amplitudes[None], (ops,))[0])
+        # each shot reads an eigenvalue +-1 of P, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
         return ExpectationEstimate(val, std, self.shots)
 
-    def _hamiltonian(self, params, beta: float, cutoff: int) -> tuple:
-        """((ops, f(beta) . W), f'(beta) . W): H(beta) as its band op strings and
-        weights, and the weights of dH/dbeta on the same strings."""
-        ops, h, dh = _hamiltonian_weights(params, beta, cutoff)
-        return (ops, h), dh
-
-    def _observable(self, h):
-        """(ops, weights) of the dense observable ``h``, decomposed once per run."""
-        terms = decompose(h).terms
-        return tuple(s.ops for s, _ in terms), np.array([c for _, c in terms], dtype=float)
+    def _frequencies(self, amps: np.ndarray, flips: tuple) -> np.ndarray:
+        """(R, 2^n) measured frequencies, row r of ``amps`` in the basis of the
+        flip pattern ``flips[r]``: every ensemble in one multinomial call."""
+        base, partner, sign = _flip_basis(flips, amps.shape[1].bit_length() - 1)
+        rows = np.arange(len(flips))[:, None]
+        p = (amps[rows, base] + sign * amps[rows, partner]) ** 2
+        return self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
 
     def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
         """Sampled <P> of each row of ``amps`` in its op string, rounded as
-        ``freqs @ signs`` over the strings' cached ``_measurement_plan``."""
-        changes, signs = _measurement_plan(ops, amps.shape[1].bit_length() - 1)
-        p = np.abs(_measurement_basis(amps, changes)) ** 2
-        freqs = self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
-        return np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
+        ``freqs @ row`` over the string's ``_string_row``; a string with an odd
+        number of Y reads 0 and is not measured."""
+        even = [r for r, o in enumerate(ops) if o.count("Y") % 2 == 0]
+        out = np.zeros(len(ops))
+        if even:
+            flips, rows = zip(*(_string_row(ops[r]) for r in even))
+            freqs = self._frequencies(amps[even], flips)
+            out[even] = np.matmul(freqs[:, None, :], np.array(rows)[:, :, None])[:, 0, 0]
+        return out
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
-        """sum_P c_P <P> over the (ops, weights) h, and over the weights dh (0.0
-        without dh) on h's strings from the same <P>, with <I> = 1 unmeasured;
-        every theta-gradient by the +-pi/2 shift rule, which is linear in the
-        observable, so one pair of states per angle serves every string.
+        """psi^T h psi and psi^T dh psi (0.0 without dh) from one ensemble per
+        flip pattern f of their nonzero entries, sum_f freqs_f . (sign h[base,
+        partner]) over ``_flip_basis``; every theta-gradient by the +-pi/2
+        shift rule, which is linear in the observable, as (1/2) sum_f (up_f -
+        down_f) . w_f.
 
-        One ``_shifted_ansatz`` batch on the register that theta's 2^n - 1
-        angles imply prepares every state and one ``_estimates`` call
-        measures the rows of ``_shift_plan``.  Each sum is ``math.fsum`` of
-        the products c <P> and c (up - down) / 2.
+        One ``_shifted_ansatz`` batch on the register of h, which theta's
+        2^n - 1 angles must fit, prepares every state, and one
+        ``_frequencies`` call measures each state in every pattern, state by
+        state.  Each sum is ``math.fsum`` of the products.
         """
-        ops, weights = h
-        n_qubits = len(theta).bit_length()
-        measured, order, rows = _shift_plan(ops, n_qubits)
-        values = self._estimates(_shifted_ansatz(theta, n_qubits)[order], rows)
-        expect = np.ones(len(ops))
-        expect[measured] = values[:len(measured)]
-        pairs = values[len(measured):].reshape(len(theta), len(measured), 2)
-        terms = weights[measured] * ((pairs[:, :, 0] - pairs[:, :, 1]) / 2)
-        return (math.fsum((weights * expect).tolist()),
-                0.0 if dh is None else math.fsum((dh * expect).tolist()),
-                np.array([math.fsum(row) for row in terms.tolist()]))
+        dim = h.shape[0]
+        n_qubits = dim.bit_length() - 1
+        states = _shifted_ansatz(theta, n_qubits)
+        rows, cols = np.nonzero(h if dh is None else (h != 0) | (dh != 0))
+        flips = tuple(np.flatnonzero(np.bincount(rows ^ cols, minlength=dim)).tolist())
+        base, partner, sign = _flip_basis(flips, n_qubits)
+        freqs = self._frequencies(np.repeat(states, len(flips), axis=0), flips * len(states))
+        freqs = freqs.reshape(len(states), len(flips), dim)
+
+        def total(w):
+            """sum_f freqs_f . w_f over the base state's ensembles."""
+            return math.fsum((freqs[0] * w).ravel().tolist())
+
+        weights = sign * h[base, partner]
+        shifts = ((freqs[1::2] - freqs[2::2]) / 2 * weights).reshape(len(theta), -1)
+        return (total(weights), 0.0 if dh is None else total(sign * dh[base, partner]),
+                np.array([math.fsum(row) for row in shifts.tolist()]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""
@@ -308,47 +315,40 @@ class SampledBackend:
         return fresh
 
 
-# cos = sin = 1/sqrt(2), the entries of H, so that the rotated amplitudes have
-# H's magnitudes bit for bit; cos(pi/4) is one ulp larger
-_R = 1 / math.sqrt(2)
-
-# measured Pauli -> (rotation generator, sin): Ry(-pi/2) for X, Rx(pi/2) for Y
-_BASIS_CHANGE = {"X": ("Y", -_R), "Y": ("X", _R)}
-
-
 @lru_cache(maxsize=64)
-def _measurement_plan(ops: tuple, n_qubits: int) -> tuple:
-    """Row r measured in the op string ``ops[r]``: per qubit q that some row
-    measures in X or Y, the columns q flips, those rows, and per row sin
-    times the ``_kicked`` factor of its rotation at the flipped columns; the
-    read-only (R, 2^n) sign rows, entry b of row r the product of (-1)^bit
-    over the non-identity qubits of ``ops[r]``, read off the action of its
-    Z-pattern."""
-    changes = []
-    for q in range(n_qubits):
-        rows = np.flatnonzero([o[q] in "XY" for o in ops])
-        if rows.size:
-            kicks = {}
-            for ch, (gen, s) in _BASIS_CHANGE.items():
-                flip, kick = _kicked("I" * q + gen + "I" * (n_qubits - q - 1))
-                kicks[ch] = s * kick[flip]
-            changes.append((flip, rows, np.array([kicks[ops[r][q]] for r in rows])))
-    signs = np.array([_string_action(o.replace("X", "Z").replace("Y", "Z"))[1].real
-                      for o in ops]).reshape(len(ops), 2 ** n_qubits)
-    signs.flags.writeable = False
-    return tuple(changes), signs
+def _flip_basis(flips: tuple, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base, partner, sign), each (len(flips), 2^n) and read-only: outcome o
+    of flip pattern f = flips[r] reads the pair (c, c ^ f), where c = base[r, o]
+    is o with f's top set bit t cleared and partner = c ^ f, with amplitude
+    (a[c] + sign a[c ^ f]) / sqrt(2), sign = -1 where o has bit t set.
 
-
-def _measurement_basis(amps: np.ndarray, changes: tuple) -> np.ndarray:
-    """A copy of the (R, 2^n) ``amps``, each row turned qubit by qubit as
-    ``_rotate`` would at c = ``_R``, but with (sin kick) x for sin (kick x):
-    kick is +-1 or -i, so the two differ at most in the sign of a zero and the
-    magnitudes are the same bit for bit; complex once a Y is measured."""
-    out = amps.astype(np.result_type(amps, *(kicks for _, _, kicks in changes)))
-    for flip, rows, kicks in changes:
-        sub = out[rows]
-        out[rows] = _R * sub + kicks * sub[:, flip]
+    That is the basis (|c> +- |c ^ f>)/sqrt(2) after a CNOT fan-out from t to
+    f's other bits and a Hadamard on t; a real symmetric H_f with entries
+    only at (c, c ^ f) has eigenvalue sign H[c, c ^ f] there.  Pattern 0 has
+    no top bit: each outcome is paired with itself, sign +1, so it reads
+    (2 a[o])^2, the computational basis up to normalization, and H's diagonal.
+    """
+    cols = np.arange(2 ** n_qubits)
+    flip = np.array(flips, dtype=np.intp).reshape(-1, 1)
+    top = np.array([1 << f.bit_length() >> 1 for f in flips], dtype=np.intp).reshape(-1, 1)
+    base = cols & ~top
+    out = base, base ^ flip, np.where(cols & top, -1.0, 1.0)
+    for arr in out:
+        arr.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=4096)
+def _string_row(ops: str) -> tuple[int, np.ndarray]:
+    """(f, row) of a string with an even number of Y, a real symmetric P: its
+    flip pattern and its eigenvalues +-1 in that pattern's basis,
+    sign P[base, partner] (``_flip_basis``); read-only."""
+    rows, phase = _string_action(ops)
+    flip = int(rows[0])
+    _, partner, sign = _flip_basis((flip,), len(ops))
+    row = sign[0] * phase.real[partner[0]]
+    row.flags.writeable = False
+    return flip, row
 
 
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
@@ -362,29 +362,13 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
     return backend.expectation(state, string)
 
 
-@lru_cache(maxsize=64)
-def _shift_plan(ops: tuple, n_qubits: int) -> tuple:
-    """(measured, order, rows) of a sampled step over the op strings ``ops``
-    on ``n_qubits``: the indices of the non-identity strings; the
-    ``_shifted_ansatz`` row each measured row reads (the base state in each
-    of them, then per angle and string up then down); and the op string
-    each is measured in."""
-    if any(len(o) != n_qubits for o in ops):
-        raise ConfigError(f"string widths {sorted(set(map(len, ops)))} != register width {n_qubits}")
-    measured = np.array([i for i, o in enumerate(ops) if set(o) != {"I"}], dtype=np.intp)
-    kept = tuple(ops[i] for i in measured)
-    order = np.array([0] * len(kept) + [r for k in range(1, 2 ** (n_qubits + 1) - 1, 2)
-                                        for _ in kept for r in (k, k + 1)], dtype=np.intp)
-    for arr in (measured, order):
-        arr.flags.writeable = False
-    return measured, order, kept + tuple(o for o in kept for _ in "ud") * (2 ** n_qubits - 1)
-
-
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
     """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2
     from one ``_estimates`` call on rows 1 + 2k and 2 + 2k of the
     ``_shifted_ansatz`` batch on the string's register, which must carry
-    ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws nothing.
+    ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws nothing,
+    and on the sampled backend for a string with an odd number of Y, which
+    draws nothing either.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.

@@ -69,7 +69,6 @@ from .rotations import (
 __all__ = [
     "EffectiveSolution",
     "ConvergenceRow",
-    "hf_beta",
     "solve_effective",
     "sweep_lambda",
     "sweep_vbar",
@@ -112,12 +111,6 @@ class ConvergenceRow:
     delta_e_naive: float
     delta_e_effective: float
     delta_e_projected: float
-
-
-def hf_beta(params: ModelParams) -> float:
-    """Mean-field stationary angle: arccos(1/vbar) past the vbar = 1 transition."""
-    v = params.vbar
-    return math.acos(1.0 / v) if v > 1.0 else 0.0
 
 
 @lru_cache(maxsize=None)

@@ -17,10 +17,14 @@ block-diagonal uniformly-controlled-Ry matrices, and their angles are read
 back off a real unit vector by inverting that tree from the leaves up; the
 simulator's one-row loop of Pauli rotations is rebuilt from bit arithmetic,
 for checks bit for bit.
-Measurement basis changes apply the textbook gates qubit by qubit, sampled
-estimates take one multinomial draw per measured row, and the sampled
-objective is evaluated in two such passes, the base state and then every
-shifted state prepared one at a time.  The per-entry loops that fill
+A flip pattern's measurement basis is built vector by vector from its
+rule, and checked against its circuit, a CNOT fan-out and a Hadamard, as
+kron-built gate matrices; its per-outcome weights are the eigenvalues of
+the pattern's part of H on those vectors, with the closed-form per-shot
+variance of the estimator and the per-string variance it replaces beside
+them.  Sampled estimates take one multinomial draw per measured row, and
+the sampled objective is evaluated in two such passes, the base state and
+then every shifted state prepared one at a time.  The per-entry loops that fill
 H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
 weights, are the closed forms the band table replaced, kept here as its
 oracles.  The band table is also built as the dense stack of five
@@ -28,7 +32,8 @@ cutoff x cutoff matrices that its compact form replaced, and its terms are
 summed by Python's ``sum``; lowest eigenpairs come from
 ``scipy.linalg.eigh``, the paths the compact contraction and the solver's
 direct LAPACK call replaced.  Slope roots come from ``scipy.optimize.brentq``,
-which the solver's in-module Brent search ports.
+which the solver's in-module Brent search ports.  The mean-field angle
+arccos(1/vbar) lives here too, since only the tests use it.
 """
 
 import math
@@ -302,10 +307,6 @@ def loop_decompose(matrix):
     return out
 
 
-S_GATE = np.diag([1.0, 1.0j])
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-
-
 def ry_gate(theta):
     return np.array([[math.cos(theta / 2), -math.sin(theta / 2)],
                      [math.sin(theta / 2), math.cos(theta / 2)]])
@@ -399,82 +400,160 @@ def oracle_tree_angles(v):
     return np.array(theta)
 
 
-def oracle_measurement_basis(psi, ops):
-    """Amplitudes after the textbook basis change, H on X qubits and S^dag
-    then H on Y qubits, gate by gate from qubit 0 (the most significant bit)
-    on; returns (amplitudes, probabilities).
-
-    Each 2x2 gate g maps the amplitude pair (lo, hi) that its qubit splits to
-    (g00 lo + g01 hi, g10 lo + g11 hi): two rounded products and one sum per
-    amplitude.  A dense kron-built matrix product rounds differently, and a
-    one-ulp change of a probability moves multinomial draws (a conditional
-    probability of exactly 1/2 flips which side numpy draws), so the sampled
-    oracles need this gate-by-gate rounding.
-    """
-    change = {"X": HADAMARD, "Y": HADAMARD @ S_GATE.conj()}
-    n = len(ops)
-    amps = np.asarray(psi)
-    for q, ch in enumerate(ops):
-        if ch in change:
-            g = change[ch]
-            pair = amps.reshape(2 ** q, 2, 2 ** (n - q - 1))
-            lo, hi = pair[:, 0], pair[:, 1]
-            amps = np.stack([g[0, 0] * lo + g[0, 1] * hi, g[1, 0] * lo + g[1, 1] * hi],
-                            axis=1).reshape(-1)
-    p = np.abs(amps) ** 2
-    return amps, p / p.sum()
+def flip_basis_vectors(flip, n_qubits):
+    """(2^n, 2^n) matrix whose column o is the unnormalized basis vector that
+    outcome o of flip pattern ``flip`` reads: e_o for pattern 0; otherwise,
+    with t the top set bit of the pattern and c = o with bit t cleared,
+    e_c + e_(c ^ flip) when o has bit t clear and e_c - e_(c ^ flip) when it
+    is set.  Entries are 0 and +-1, so products with it are exact."""
+    dim = 2 ** n_qubits
+    if flip == 0:
+        return np.eye(dim)
+    t = 1 << (flip.bit_length() - 1)
+    vectors = np.zeros((dim, dim))
+    for o in range(dim):
+        c = o & ~t
+        vectors[c, o] = 1.0
+        vectors[c ^ flip, o] = -1.0 if o & t else 1.0
+    return vectors
 
 
-def oracle_sign_vector(ops):
-    """Entry b is the product of (-1)^bit over the string's non-identity
-    positions (ops[0] on the most significant bit of b)."""
-    n = len(ops)
-    mask = int("".join("0" if ch == "I" else "1" for ch in ops), 2)
-    return np.array([(-1.0) ** bin(b & mask).count("1") for b in range(2 ** n)])
+def fanout_hadamard_matrix(flip, n_qubits):
+    """The measurement circuit of flip pattern ``flip`` as one matrix: CNOTs
+    from its top set bit t to each of its other bits, then the unnormalized
+    Hadamard [[1, 1], [1, -1]] on t, each gate a kron-built matrix (qubit 0
+    the most significant bit); the identity for pattern 0."""
+    dim = 2 ** n_qubits
+    out = np.eye(dim)
+    if flip == 0:
+        return out
+    t = 1 << (flip.bit_length() - 1)
+    index = np.arange(dim)
+    for q in (1 << b for b in range(n_qubits)):
+        if q != t and flip & q:
+            cnot = np.zeros((dim, dim))
+            cnot[np.where(index & t, index ^ q, index), index] = 1.0
+            out = cnot @ out
+    tq = n_qubits - t.bit_length()
+    hadamard = np.kron(np.kron(np.eye(2 ** tq), [[1.0, 1.0], [1.0, -1.0]]),
+                       np.eye(2 ** (n_qubits - tq - 1)))
+    return hadamard @ out
+
+
+def pattern_part(matrix, flip):
+    """The entries (r, c) of ``matrix`` with r ^ c = flip, zero elsewhere."""
+    index = np.arange(len(matrix))
+    return np.where((index[:, None] ^ index) == flip, matrix, 0.0)
+
+
+def live_patterns(*matrices):
+    """The flip patterns r ^ c of the nonzero entries of any of ``matrices``, ascending."""
+    index = np.arange(len(matrices[0]))
+    live = np.logical_or.reduce([np.asarray(m) != 0 for m in matrices])
+    return sorted(set((index[:, None] ^ index)[live].tolist()))
+
+
+def flip_probabilities(psi, flip):
+    """Outcome probabilities of measuring ``psi`` in flip pattern ``flip``:
+    the squared projections on ``flip_basis_vectors``, normalized."""
+    p = (flip_basis_vectors(flip, len(psi).bit_length() - 1).T @ psi) ** 2
+    return p / p.sum()
+
+
+def flip_weights(matrix, flip):
+    """Per-outcome value of the pattern part H_f of ``matrix`` in pattern
+    ``flip``: v_o^T H_f v_o / v_o^T v_o, the eigenvalue of the real symmetric
+    H_f on outcome o's basis vector (exact: the entries of v are 0 and +-1)."""
+    vectors = flip_basis_vectors(flip, len(matrix).bit_length() - 1)
+    return (np.diag(vectors.T @ pattern_part(matrix, flip) @ vectors)
+            / np.diag(vectors.T @ vectors))
+
+
+def pattern_moments(psi, matrix):
+    """(mean, per-shot variance) of the flip-pattern estimator of psi^T H psi
+    with one ensemble per live pattern f: sum_f w_f . p_f and the closed form
+    sum_f [w_f^2 . p_f - (w_f . p_f)^2]."""
+    mean = variance = 0.0
+    for flip in live_patterns(matrix):
+        p, w = flip_probabilities(psi, flip), flip_weights(matrix, flip)
+        mean += w @ p
+        variance += (w * w) @ p - (w @ p) ** 2
+    return mean, variance
+
+
+def per_string_variance(psi, matrix):
+    """Per-shot variance of the per-string estimator of psi^T H psi, one
+    ensemble per non-identity Pauli string: sum_P c_P^2 (1 - <P>^2)."""
+    total = 0.0
+    for ops, c in loop_decompose(matrix):
+        if set(ops) != {"I"}:
+            x = float(np.real(psi @ pauli_kron(ops) @ psi))
+            total += c * c * (1 - x * x)
+    return total
+
+
+def oracle_string_row(ops):
+    """(flip, row) of a string with an even number of Y: its X/Y positions as
+    a flip pattern, and its +-1 eigenvalues on that pattern's basis vectors."""
+    flip = int("".join("1" if ch in "XY" else "0" for ch in ops), 2)
+    return flip, np.rint(flip_weights(pauli_kron(ops).real, flip))
+
+
+def oracle_flip_frequencies(amps, flips, shots, rng):
+    """Row r of ``amps`` measured in pattern ``flips[r]``: one
+    ``rng.multinomial`` ensemble per row in row order, as frequencies."""
+    return np.array([rng.multinomial(shots, flip_probabilities(a, f)) / shots
+                     for a, f in zip(amps, flips)])
 
 
 def oracle_sampled_estimates(amps, ops_list, shots, rng):
     """Sampled <P> of each row of ``amps`` in its string, one row at a time in
-    row order: the kron-built basis change, one ``rng.multinomial`` ensemble,
-    and its frequencies contracted with the string's sign vector."""
+    row order: a string with an odd number of Y reads 0 and draws nothing;
+    any other draws one ensemble in its flip pattern, contracted with its row."""
     out = []
     for psi, ops in zip(amps, ops_list):
-        _, probs = oracle_measurement_basis(psi, ops)
-        out.append(float(rng.multinomial(shots, probs) / shots @ oracle_sign_vector(ops)))
+        if ops.count("Y") % 2:
+            out.append(0.0)
+        else:
+            flip, row = oracle_string_row(ops)
+            out.append(float(oracle_flip_frequencies([psi], [flip], shots, rng)[0] @ row))
     return np.array(out)
 
 
-def two_pass_sampled_cost(theta, terms, dterms, shots, rng):
-    """(E, G_beta, G_theta) of the sampled objective over the (ops, c) ``terms``
-    (G_beta over ``dterms``, the same strings in the same order, or 0.0 for
-    None), drawn row by row from ``rng`` in two passes.
+def two_pass_sampled_cost(theta, h, dh, shots, rng):
+    """(E, G_beta, G_theta) of the sampled objective on the dense h (G_beta on
+    dh, or 0.0 for None), drawn ensemble by ensemble from ``rng`` in two passes
+    over the live patterns of h and dh.
 
-    The first pass measures ``row_ansatz_state(theta)`` in each non-identity
-    string, in term order; <I> is 1.  The second prepares, per angle k, the
-    states at theta + pi/2 e_k and theta - pi/2 e_k one at a time and
-    measures, per string, up then down.  Sums are ``math.fsum`` of c <P> and
-    of c (up - down) / 2.
+    The first pass measures ``row_ansatz_state(theta)`` in each pattern.  The
+    second prepares, per angle k, the states at theta + pi/2 e_k and then
+    theta - pi/2 e_k one at a time, and measures each in every pattern.
+    Sums are ``math.fsum`` of freq * w and of (up - down) / 2 * w.
     """
     theta = np.asarray(theta, dtype=float)
-    n = len(terms[0][0])
-    measured = [(ops, c) for ops, c in terms if set(ops) != {"I"}]
-    strings = [ops for ops, _ in measured]
-    psi = row_ansatz_state(theta, n)
-    base = iter(oracle_sampled_estimates([psi] * len(strings), strings, shots, rng).tolist())
-    expect = [1.0 if set(ops) == {"I"} else next(base) for ops, _ in terms]
-    energy = math.fsum(c * x for (_, c), x in zip(terms, expect))
-    g_beta = 0.0 if dterms is None else math.fsum(c * x for (_, c), x in zip(dterms, expect))
-    rows = []
+    n = len(h).bit_length() - 1
+    flips = live_patterns(h, h if dh is None else dh)
+    weights = [flip_weights(h, f) for f in flips]
+
+    def measure(psi):
+        return oracle_flip_frequencies([psi] * len(flips), flips, shots, rng)
+
+    base = measure(row_ansatz_state(theta, n))
+    energy = math.fsum((base * weights).ravel().tolist())
+    g_beta = 0.0 if dh is None else math.fsum(
+        (base * [flip_weights(dh, f) for f in flips]).ravel().tolist())
+    grad = []
     for k in range(len(theta)):
         up, dn = theta.copy(), theta.copy()
         up[k], dn[k] = theta[k] + math.pi / 2, theta[k] - math.pi / 2
-        pair = [row_ansatz_state(t, n) for t in (up, dn)]
-        rows += pair * len(strings)
-    values = oracle_sampled_estimates(rows, [ops for ops in strings for _ in "ud"] * len(theta),
-                                      shots, rng).reshape(len(theta), len(strings), 2)
-    grad = np.array([math.fsum(c * ((u - d) / 2) for (_, c), (u, d) in zip(measured, row))
-                     for row in values.tolist()])
-    return energy, g_beta, grad
+        u, d = (measure(row_ansatz_state(t, n)) for t in (up, dn))
+        grad.append(math.fsum(((u - d) / 2 * weights).ravel().tolist()))
+    return energy, g_beta, np.array(grad)
+
+
+def hf_beta(vbar):
+    """Mean-field stationary angle: arccos(1/vbar) past the vbar = 1 transition."""
+    return math.acos(1.0 / vbar) if vbar > 1.0 else 0.0
 
 
 def golden_section(f, lo, hi, tol=1e-12):

@@ -20,7 +20,11 @@ from hlvqe.driver import (
     summarize,
 )
 from hlvqe.errors import ConfigError, NumericalError
-from hlvqe.model import ModelParams, build_effective_hamiltonian
+from hlvqe.model import (
+    ModelParams,
+    build_effective_hamiltonian,
+    build_effective_hamiltonian_dbeta,
+)
 from hlvqe.pauli import (
     PauliDecomposition,
     PauliString,
@@ -39,8 +43,11 @@ from hlvqe.qsim import (
 from hlvqe.solver import solve_effective
 from oracles import (
     coeffs_1q,
-    oracle_sampled_estimates,
+    flip_probabilities,
+    oracle_flip_frequencies,
     oracle_tree_angles,
+    pattern_moments,
+    per_string_variance,
     two_pass_sampled_cost,
 )
 
@@ -50,21 +57,31 @@ ONE_STEP = HlvqeOptions(max_iterations=1)
 
 
 class RowByRowBackend(SampledBackend):
-    """The sampled backend with its batched pass replaced by the row-by-row
-    oracle: one basis change, multinomial draw and contraction per row."""
+    """The sampled backend with its batched draw replaced by the row-by-row
+    oracle: one flip-pattern basis and multinomial draw per row."""
 
-    def _estimates(self, amps, ops):
-        return oracle_sampled_estimates(amps, list(ops), self.shots, self._rng)
+    def _frequencies(self, amps, flips):
+        return oracle_flip_frequencies(amps, flips, self.shots, self._rng)
+
+
+class ExactBackend(SampledBackend):
+    """The sampled backend reading every ensemble's exact probabilities, from
+    the oracle's explicit basis vectors, in place of measured frequencies."""
+
+    def _frequencies(self, amps, flips):
+        return np.array([flip_probabilities(a, f) for a, f in zip(amps, flips)])
 
 
 class CountingGenerator:
-    """A generator wrapper that counts multinomial calls."""
+    """A generator wrapper that counts multinomial calls and keeps the shape
+    of their probability arrays."""
 
     def __init__(self, rng):
-        self.rng, self.calls = rng, 0
+        self.rng, self.calls, self.shapes = rng, 0, []
 
     def multinomial(self, n, pvals):
         self.calls += 1
+        self.shapes.append(np.shape(pvals))
         return self.rng.multinomial(n, pvals)
 
 
@@ -114,60 +131,47 @@ class TestCostAndGrads:
                 Em, _, _ = cost_and_grads(P30, 4, beta, dn, ANALYTIC)
                 assert g_theta[i] == pytest.approx((Ep - Em) / (2 * step), abs=1e-6)
 
-    @pytest.mark.parametrize("lam", [2, 4])
-    def test_sampled_draws_match_per_string_order(self, lam):
-        # reference order: h strings, then the dh strings not in h, then per
-        # angle and per string one parameter_shift_grad (its own +-pi/2 pair);
-        # sharing the shifted preparations must not move a single draw
-        beta, theta = 0.7, np.linspace(0.3, -0.4, lam - 1)
+    @pytest.mark.parametrize("lam", [2, 4, 8, 16])
+    def test_exact_frequencies_give_the_analytic_cost(self, lam):
+        # the flip-pattern estimator is exact in expectation: with each
+        # ensemble's exact probabilities in place of frequencies, E, G_beta
+        # and every G_theta equal the adjoint sweep's, on H(beta) with
+        # dH/dbeta and on the dense excited matrix
+        rng = np.random.default_rng(lam)
+        nq = lam.bit_length() - 1
+        for beta in (0.0, 0.7, 1.3):
+            theta = rng.uniform(-math.pi, math.pi, lam - 1)
+            h = build_effective_hamiltonian(P30, beta, lam)
+            shifted = excited_hamiltonian(
+                h, prepare_ansatz(rng.uniform(-math.pi, math.pi, lam - 1), nq), 10.0)
+            for args in ((h, build_effective_hamiltonian_dbeta(P30, beta, lam)), (shifted,)):
+                energy, g_beta, grad = ExactBackend(10, 1)._cost(theta, *args)
+                want = ANALYTIC._cost(theta, *args)
+                assert abs(energy - want[0]) <= 1e-12 and abs(g_beta - want[1]) <= 1e-12
+                assert np.abs(grad - want[2]).max() <= 1e-12
 
-        def reference(backend):
-            h, dh = hamiltonian_decomposition(P30, beta, lam)
-            state = prepare_ansatz(theta, h.n_qubits)
-            expect = {}
-            for string, _ in h.terms + dh.terms:
-                if string.ops not in expect:
-                    expect[string.ops] = (1.0 if string.is_identity else
-                                          measure_pauli(state, string, backend).value)
-            energy = math.fsum(c * expect[s.ops] for s, c in h.terms)
-            g_beta = math.fsum(c * expect[s.ops] for s, c in dh.terms)
-            g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend)
-                                 for s, c in h.terms if not s.is_identity)
-                       for i in range(lam - 1)]
-            return energy, g_beta, g_theta
+    @pytest.mark.parametrize("n, lam", [(30, 4), (30, 16), (64, 32), (64, 64)])
+    def test_sampled_step_measures_two_n_patterns(self, n, lam):
+        # H(beta) couples |dn| <= 2, so its entries and dH/dbeta's take 2n
+        # flip patterns on n qubits (66 Pauli strings at cutoff 16); each of
+        # the 2^(n+1) - 1 prepared states is measured once per pattern, at
+        # beta = 0 too, where the |dn| = 1 band of H(beta) vanishes
+        nq = lam.bit_length() - 1
+        for beta in (0.0, 0.6):
+            backend = SampledBackend(1000, 3)
+            backend._rng = counting = CountingGenerator(backend._rng)
+            cost_and_grads(ModelParams.create(n, 1.0, vbar=2.0), lam, beta,
+                           np.full(lam - 1, 0.1), backend)
+            assert counting.shapes == [((2 * lam - 1) * 2 * nq, lam)]
 
-        for seed in (0, 17):
-            E, g_beta, g_theta = cost_and_grads(P30, lam, beta, theta,
-                                                SampledBackend(2000, seed))
-            want = reference(SampledBackend(2000, seed))
-            assert (E, g_beta, g_theta.tolist()) == want
-
-    @pytest.mark.parametrize("lam", [2, 4])
-    def test_excited_sampled_draws_match_per_string_order(self, lam):
-        # a sampled excited phase draws from SeedSequence(seed, spawn_key=(1,)):
-        # per-string measure_pauli on the shifted Hamiltonian, then per angle
-        # and per string one parameter_shift_grad
-        nq, seed, beta0, mu0 = lam.bit_length() - 1, 23, 0.9, 10.0
-        ground = prepare_ansatz(np.linspace(1.1, -0.3, lam - 1), nq)
-        opts = HlvqeOptions(init_theta=0.2, max_iterations=1,
-                            backend=SampledBackend(2000, seed))
-        trace, shifted = excited_state_run(P30, lam, mu0, opts, ground_state=ground,
-                                           beta0=beta0)
-
-        want = excited_hamiltonian(build_effective_hamiltonian(P30, beta0, lam), ground, mu0)
-        assert shifted.tobytes() == want.tobytes()
-        terms = decompose(want).terms
-        backend = SampledBackend(2000, seed)
-        backend._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        theta = np.full(lam - 1, 0.2)
-        state = prepare_ansatz(theta, nq)
-        energy = math.fsum(c * measure_pauli(state, s, backend).value
-                           for s, c in terms)
-        g_theta = [math.fsum(c * parameter_shift_grad(theta, i, s, backend)
-                             for s, c in terms if not s.is_identity)
-                   for i in range(lam - 1)]
-        rec = trace[0]
-        assert (rec.energy, rec.grad_beta, rec.grad_theta.tolist()) == (energy, 0.0, g_theta)
+    def test_excited_step_measures_every_pattern(self):
+        # the rank-one shift fills the excited matrix, so all 2^n patterns are live
+        backend = SampledBackend(1000, 3)
+        backend._rng = counting = CountingGenerator(backend._rng)
+        shifted = excited_hamiltonian(build_effective_hamiltonian(P30, 0.9, 8),
+                                      prepare_ansatz(np.full(7, 0.4), 3), 10.0)
+        backend._cost(np.full(7, 0.2), shifted)
+        assert counting.shapes == [(15 * 8, 8)]
 
     @pytest.mark.parametrize("lam", [2, 4, 8])
     def test_excited_analytic_objective_matches_per_string_shift_rule(self, lam):
@@ -228,7 +232,7 @@ class TestCostAndGrads:
         # cutoff 4 is a 2-qubit register: its strings are not measured on 1
         # or 3 qubits
         for backend in (ANALYTIC, SampledBackend(100, 1)):
-            with pytest.raises(ConfigError, match="needs 3 angles|register width"):
+            with pytest.raises(ConfigError, match="needs 3 angles"):
                 cost_and_grads(P30, 4, 0.5, np.zeros(n_angles), backend)
 
     def test_non_power_of_two_cutoff(self):
@@ -271,16 +275,14 @@ class TestCostAndGrads:
         # the base-state pass then the shifted-state pass, every state
         # prepared and every ensemble drawn one row at a time (oracles)
         theta = np.linspace(0.9, -0.6, lam - 1)
+        h = build_effective_hamiltonian(P30, 0.7, lam)
+        dh = build_effective_hamiltonian_dbeta(P30, 0.7, lam)
         for seed in (3, 31, 2024):
             backend = SampledBackend(100_000, seed)
-            h, dh = backend._hamiltonian(P30, 0.7, lam)
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             for d in (dh, None):
                 energy, g_beta, grad = backend._cost(theta, h, d)
-                ops, weights = h
-                want = two_pass_sampled_cost(
-                    theta, list(zip(ops, weights.tolist())),
-                    None if d is None else list(zip(ops, d.tolist())), 100_000, rng)
+                want = two_pass_sampled_cost(theta, h, d, 100_000, rng)
                 assert (energy, g_beta) == want[:2]
                 assert grad.tobytes() == want[2].tobytes()
                 assert backend._rng.bit_generator.state == rng.bit_generator.state
@@ -298,16 +300,12 @@ class TestCostAndGrads:
         theta, phi = np.array(data.draw(angles)), np.array(data.draw(angles))
         backend = SampledBackend(100_000, seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        (ops, weights), dweights = backend._hamiltonian(P30, beta, lam)
-        shifted = excited_hamiltonian(build_effective_hamiltonian(P30, beta, lam),
-                                      prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
-        cases = [((ops, weights), dweights, list(zip(ops, weights.tolist())),
-                  list(zip(ops, dweights.tolist()))),
-                 (backend._observable(shifted), None,
-                  [(s.ops, c) for s, c in decompose(shifted).terms], None)]
-        for observable, d, terms, dterms in cases:
+        h = build_effective_hamiltonian(P30, beta, lam)
+        shifted = excited_hamiltonian(h, prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
+        for observable, d in ((h, build_effective_hamiltonian_dbeta(P30, beta, lam)),
+                              (shifted, None)):
             energy, g_beta, grad = backend._cost(theta, observable, d)
-            want = two_pass_sampled_cost(theta, terms, dterms, 100_000, rng)
+            want = two_pass_sampled_cost(theta, observable, d, 100_000, rng)
             assert (energy, g_beta) == want[:2]
             assert grad.tobytes() == want[2].tobytes()
             assert backend._rng.bit_generator.state == rng.bit_generator.state
@@ -315,33 +313,38 @@ class TestCostAndGrads:
     @pytest.mark.parametrize("nq", [1, 2, 3])
     @pytest.mark.parametrize("weights", [[], [1.5], [1.5, -0.25]],
                              ids=["empty", "identity", "identity-twice"])
-    def test_constant_observable_draws_nothing(self, nq, weights):
-        # <I> = 1 is not measured: the energy is the constant, every gradient
-        # is zero and the generator is left where it was
+    def test_constant_observable_draws_one_ensemble_per_state(self, nq, weights):
+        # c I has one live pattern, 0: each prepared state draws one
+        # computational-basis ensemble, whose frequencies sum to 1 up to
+        # rounding, so the energy is c and every gradient 0 to rounding; the
+        # zero matrix has no live pattern: its one call has no row and leaves
+        # the generator where it was
         backend = SampledBackend(1000, 5)
         before = backend._rng.bit_generator.state
+        backend._rng = counting = CountingGenerator(backend._rng)
         decomp = PauliDecomposition(nq, tuple((PauliString("I" * nq), c) for c in weights))
         theta = np.linspace(0.4, -0.7, 2 ** nq - 1)
-        energy, g_beta, grad = backend._cost(theta, backend._observable(reassemble(decomp)))
-        assert energy == math.fsum(weights)
+        energy, g_beta, grad = backend._cost(theta, reassemble(decomp))
+        c = math.fsum(weights)
+        assert abs(energy - c) <= 4e-16 * abs(c)
         assert g_beta == 0.0
-        assert grad.tolist() == [0.0] * (2 ** nq - 1)
-        assert backend._rng.bit_generator.state == before
+        assert np.abs(grad).max() <= 4e-16 * abs(c)
+        assert counting.shapes == [((2 ** (nq + 1) - 1) * bool(weights), 2 ** nq)]
+        assert (counting.rng.bit_generator.state == before) == (not weights)
 
     def test_warm_sampled_step_misses_no_plan_and_hashes_no_string(self, monkeypatch):
-        # the step's rows are op strings (str, whose hash is cached), so a warm
-        # cutoff-4 step finds both cached plans and hashes no PauliString
+        # the step's rows are flip patterns (tuples of int), so a warm cutoff-4
+        # step at another beta finds its cached bases and hashes no PauliString
         theta = np.linspace(0.9, -0.6, 3)
         backend = SampledBackend(100_000, 3)
         cost_and_grads(P30, 4, 0.7, theta, backend)
-        plans = (qsim._shift_plan, qsim._measurement_plan)
-        misses = [plan.cache_info().misses for plan in plans]
+        misses = qsim._flip_basis.cache_info().misses
         calls = []
         original = PauliString.__hash__
         monkeypatch.setattr(PauliString, "__hash__",
                             lambda self: calls.append(self.ops) or original(self))
         cost_and_grads(P30, 4, 0.3, theta + 0.1, backend)
-        assert [plan.cache_info().misses for plan in plans] == misses
+        assert qsim._flip_basis.cache_info().misses == misses
         assert calls == []
         hash(PauliString("ZZ"))
         assert calls == ["ZZ"]  # the counter sees every hash
@@ -368,8 +371,7 @@ class TestCostAndGrads:
         def forbidden(*args, **kwargs):
             raise AssertionError("analytic objective took the per-string path")
 
-        for name in ("_shift_plan", "_shifted_ansatz", "measure_pauli", "_hamiltonian_weights",
-                     "decompose"):
+        for name in ("_flip_basis", "_string_row", "_shifted_ansatz", "measure_pauli"):
             monkeypatch.setattr(qsim, name, forbidden)
         for name in ("hamiltonian_decomposition", "decompose", "reassemble"):
             monkeypatch.setattr(pauli, name, forbidden)
@@ -381,6 +383,49 @@ class TestCostAndGrads:
         trace, _ = excited_state_run(P30, 8, 10.0, opts, beta0=0.8,
                                      ground_state=prepare_ansatz(np.full(7, 0.3), 3))
         assert len(trace) == 10
+
+
+class TestPatternEstimator:
+    """The flip-pattern estimator's error bars: its closed-form per-shot
+    variance (oracles) covers the sampled energies and beta-gradients, and
+    it is smaller than the per-string estimator's on the effective optimum."""
+
+    SEEDS = range(400)  # fixed before looking
+    SHOTS = 1000
+
+    @pytest.mark.parametrize("lam", [4, 8])
+    @pytest.mark.parametrize("kind", ["ground", "excited"])
+    def test_two_sigma_coverage(self, lam, kind):
+        # z = (estimate - exact) / sqrt(variance / shots) over 400 seeds: the
+        # share of |z| < 2 lies within 3 binomial sd of 95.45 %
+        nq = lam.bit_length() - 1
+        theta = np.linspace(0.9, -0.6, lam - 1)
+        psi = prepare_ansatz(theta, nq).amplitudes
+        h = build_effective_hamiltonian(P30, 0.7, lam)
+        if kind == "ground":
+            args = (h, build_effective_hamiltonian_dbeta(P30, 0.7, lam))
+        else:
+            args = (excited_hamiltonian(h, prepare_ansatz(np.full(lam - 1, 1.2), nq), 10.0),)
+        moments = [pattern_moments(psi, m) for m in args]
+        z = np.array([[(got - mean) / math.sqrt(var / self.SHOTS) for got, (mean, var)
+                       in zip(SampledBackend(self.SHOTS, seed)._cost(theta, *args), moments)]
+                      for seed in self.SEEDS])
+        p0 = math.erf(2 / math.sqrt(2))
+        bound = 3 * math.sqrt(p0 * (1 - p0) / len(self.SEEDS))
+        for share in (np.abs(z) < 2).mean(axis=0):
+            assert abs(share - p0) <= bound, share
+
+    def test_variance_below_per_string(self):
+        # per-shot variance at the effective optimum, N=30, vbar 2, cutoffs
+        # 4 / 8 / 16: 1.53 / 2.69 / 8.87 by flip pattern against 2.22 /
+        # 11.1 / 33.0 by Pauli string
+        for lam, (pattern, string) in zip((4, 8, 16), ((1.53, 2.22), (2.69, 11.1), (8.87, 33.0))):
+            sol = solve_effective(P30, lam)
+            psi, h = sol.state.amplitudes, build_effective_hamiltonian(P30, sol.beta_opt, lam)
+            mean, var = pattern_moments(psi, h)
+            assert abs(mean - sol.energy) <= 1e-12
+            assert var == pytest.approx(pattern, abs=0.005)
+            assert per_string_variance(psi, h) == pytest.approx(string, rel=0.005)
 
 
 class TestRun:

@@ -26,7 +26,7 @@ from hlvqe.model import (
     _trig,
     exact_ground_state,
 )
-from hlvqe.pauli import _band_weights, _hamiltonian_weights, decompose
+from hlvqe.pauli import _band_weights, decompose, hamiltonian_decomposition
 from oracles import (
     dense_bands,
     golden_section,
@@ -308,8 +308,8 @@ class TestCompactBandTable:
             assert set(ops) == set().union(*parts)
             W_ref = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
             assert W.tobytes() == W_ref.tobytes()
-            for got, fk in zip(_hamiltonian_weights(p, beta, width)[1:], f):
-                want = sum_combine(fk, W_ref)
+            for decomp, fk in zip(hamiltonian_decomposition(p, beta, width), f):
+                got, want = np.array([c for _, c in decomp.terms]), sum_combine(fk, W_ref)
                 assert got.tobytes() == want.tobytes()
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 

@@ -25,8 +25,15 @@ from hlvqe.pauli import (
     hamiltonian_decomposition,
     reassemble,
 )
-from hlvqe.qsim import AnalyticBackend, StateVector, _measurement_basis, _measurement_plan
-from oracles import coeffs_1q, coeffs_2q, dense_bands, loop_decompose, pauli_kron
+from hlvqe.qsim import AnalyticBackend, SampledBackend, StateVector, _string_row
+from oracles import (
+    coeffs_1q,
+    coeffs_2q,
+    dense_bands,
+    loop_decompose,
+    oracle_string_row,
+    pauli_kron,
+)
 
 
 class TestDecompose:
@@ -322,9 +329,9 @@ class TestHamiltonianDecomposition:
 
 
 def sign_row(ops):
-    """The row ``qsim._measurement_plan`` contracts frequencies measured in
-    ``ops`` with."""
-    return _measurement_plan((ops,), len(ops))[1][0]
+    """The row ``qsim._string_row`` contracts frequencies measured in the
+    flip pattern of ``ops`` with."""
+    return _string_row(ops)[1]
 
 
 def ansatz_amplitudes(t0, t1, t2):
@@ -338,8 +345,8 @@ def ansatz_amplitudes(t0, t1, t2):
 
 
 class TestExpectationFromProbs:
-    """Measured probabilities contracted with the sign rows of
-    ``qsim._measurement_plan``, the only place those rows are built."""
+    """Measured probabilities contracted with the rows of
+    ``qsim._string_row``, the only place those rows are built."""
 
     def test_zz_on_basis_state(self):
         probs = np.array([1.0, 0.0, 0.0, 0.0])
@@ -352,26 +359,37 @@ class TestExpectationFromProbs:
 
     def test_xx_after_hadamard_rotation(self):
         # oracle: the closed-form two-qubit expectation <X(x)X> = sin t0 sin t2,
-        # after the textbook H (x) H and after the plan's own basis change
+        # after the textbook H (x) H against the Z(x)Z row, and from the
+        # probabilities the sampled backend draws in XX's flip pattern
+        # against its own row
+        class Capture:
+            def multinomial(self, n, pvals):
+                self.pvals = pvals
+                return np.zeros(pvals.shape, dtype=np.int64)
+
         t0, t1, t2 = 0.3, 0.2, 0.1
         amps = ansatz_amplitudes(t0, t1, t2)
         Hd = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        changes, signs = _measurement_plan(("XX",), 2)
-        for rotated in (np.kron(Hd, Hd) @ amps, _measurement_basis(amps[None], changes)[0]):
-            got = np.abs(rotated) ** 2 @ signs[0]
+        backend = SampledBackend(1000, 1)
+        backend._rng = capture = Capture()
+        flip, row = _string_row("XX")
+        backend._frequencies(amps[None], (flip,))
+        for got in (np.abs(np.kron(Hd, Hd) @ amps) ** 2 @ sign_row("ZZ"), capture.pvals[0] @ row):
             assert got == pytest.approx(math.sin(t0) * math.sin(t2), abs=1e-12)
 
     def test_sign_vectors(self):
         assert sign_row("ZZ").tolist() == [1, -1, -1, 1]
         assert sign_row("ZI").tolist() == [1, 1, -1, -1]
         assert sign_row("IZ").tolist() == [1, -1, 1, -1]
-        for nq in (1, 2, 3):
-            ops_list = [ops for ops in all_strings() if len(ops) == nq]
-            _, signs = _measurement_plan(tuple(ops_list), nq)
-            # one C-contiguous float64 row per string, in order: BLAS sums
-            # freqs @ signs in another order on a strided operand
-            assert signs.dtype == np.float64 and signs.flags.c_contiguous
-            assert not signs.flags.writeable
-            for ops, got in zip(ops_list, signs, strict=True):
-                zs = ops.replace("X", "Z").replace("Y", "Z")
-                assert np.array_equal(got, np.diag(pauli_kron(zs)).real), ops
+        for ops in all_strings():
+            if ops.count("Y") % 2:
+                continue
+            flip, got = _string_row(ops)
+            # one C-contiguous float64 row per string: BLAS sums freqs @ row
+            # in another order on a strided operand
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            want_flip, want = oracle_string_row(ops)
+            assert flip == want_flip and np.array_equal(got, want), ops
+            if flip == 0:
+                assert np.array_equal(got, np.diag(pauli_kron(ops)).real), ops

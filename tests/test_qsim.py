@@ -3,11 +3,11 @@ sweep, sampling.
 
 Oracles (``tests/oracles.py``): the ansatz as one block-diagonal
 uniformly-controlled-Ry matrix per target qubit, its inverse that reads the
-angles off a real vector, and the measurement basis change as textbook H
-and H S^dag gates, all independent of the simulator's Pauli-rotation kernel.  The
-per-string path (sum_P c_P <P> and the shift rule) is the adjoint sweep's
-oracle, and one multinomial draw per measured row is the batched sampled
-pass's oracle.
+angles off a real vector, and each flip pattern's measurement basis built
+vector by vector and as a CNOT fan-out and a Hadamard, all independent of
+the simulator's kernels.  The per-string path (sum_P c_P <P> and the shift
+rule) is the adjoint sweep's oracle, and one multinomial draw per measured
+row is the batched sampled pass's oracle.
 """
 
 import itertools
@@ -26,8 +26,6 @@ from hlvqe.qsim import (
     SampledBackend,
     StateVector,
     _generators,
-    _measurement_basis,
-    _measurement_plan,
     _shifted_ansatz,
     measure_pauli,
     parameter_shift_grad,
@@ -35,8 +33,10 @@ from hlvqe.qsim import (
 )
 from oracles import (
     coeffs_2q,
+    fanout_hadamard_matrix,
+    flip_basis_vectors,
+    flip_probabilities,
     oracle_ansatz_state,
-    oracle_measurement_basis,
     oracle_sampled_estimates,
     oracle_tree_angles,
     pauli_kron,
@@ -288,16 +288,29 @@ class TestMeasurePauli:
         assert vals1 == vals2
 
     def test_basis_change_matches_hadamard_oracle_exactly(self):
-        # the sampled draws depend on these probabilities; the magnitudes
-        # before normalization pin cos = sin to H's 1/sqrt(2), not cos(pi/4)
-        vacuum = prepare_ansatz(np.zeros(3), 2)
-        for ops in map("".join, itertools.product("IXYZ", repeat=2)):
-            changes, _ = _measurement_plan((ops,), 2)
-            got = _measurement_basis(vacuum.amplitudes[None], changes)[0]
-            amps, probs = oracle_measurement_basis(vacuum.amplitudes, ops)
-            assert np.abs(got).tolist() == np.abs(amps).tolist(), ops
-            p = np.abs(got) ** 2
-            assert (p / p.sum()).tolist() == probs.tolist(), ops
+        # each flip pattern's basis vectors are the rows of its circuit, a
+        # CNOT fan-out from the top bit and a Hadamard there; the sampled
+        # draws depend on the probabilities handed to the generator, which
+        # equal the oracle's squared projections bit for bit
+        class Capture:
+            def multinomial(self, n, pvals):
+                self.pvals = pvals
+                return np.zeros(pvals.shape, dtype=np.int64)
+
+        rng = np.random.default_rng(6)
+        for nq in (1, 2, 3):
+            flips = tuple(range(2 ** nq))
+            for f in flips:
+                assert np.array_equal(flip_basis_vectors(f, nq).T, fanout_hadamard_matrix(f, nq))
+            backend = SampledBackend(1000, 1)
+            backend._rng = capture = Capture()
+            states = [prepare_ansatz(np.zeros(2 ** nq - 1), nq).amplitudes,
+                      *(prepare_ansatz(t, nq).amplitudes
+                        for t in rng.uniform(-math.pi, math.pi, (3, 2 ** nq - 1)))]
+            for psi in states:
+                backend._frequencies(np.tile(psi, (len(flips), 1)), flips)
+                for f, got in zip(flips, capture.pvals):
+                    assert got.tolist() == flip_probabilities(psi, f).tolist(), (nq, f)
 
     def test_width_mismatch(self):
         # measure_pauli and both expectations give the same error; an identity
@@ -357,15 +370,16 @@ class TestParameterShift:
                     parameter_shift_grad([0.2, bad, 0.8], 0, PauliString(ops), backend)
 
     def test_sampled_stream(self):
-        # a non-identity string advances the stream by one two-row draw (the
-        # up then the down state, as two row-by-row draws); the identity
-        # draws nothing, but a wrong angle count still raises
+        # a non-identity string with an even number of Y advances the stream
+        # by one two-row draw in its flip pattern (the up then the down state,
+        # as two row-by-row draws); the identity and an odd-Y string draw
+        # nothing, but a wrong angle count still raises
         theta = np.array([0.2, 0.5, 0.8])
         backend = SampledBackend(10_000, 4)
         rng = np.random.default_rng(np.random.SeedSequence(4))
-        for i, ops in itertools.product(range(3), ("XZ", "YY", "II", "ZI")):
+        for i, ops in itertools.product(range(3), ("XZ", "YY", "II", "ZI", "XY")):
             got = parameter_shift_grad(theta, i, PauliString(ops), backend)
-            if ops == "II":
+            if ops in ("II", "XY"):
                 assert got == 0.0
             else:
                 up, dn = theta.copy(), theta.copy()
@@ -465,7 +479,7 @@ class TestAdjointSweep:
 
 
 class TestBatchedEstimates:
-    """SampledBackend._estimates, every row's basis change, draw and
+    """SampledBackend._estimates, every row's flip-pattern basis, draw and
     contraction in one pass, against the row-by-row oracle; and the two numpy
     behaviours that make the pass draw exactly what the row loop draws."""
 
@@ -491,11 +505,41 @@ class TestBatchedEstimates:
 
     def test_one_row_is_the_public_measurement(self):
         st = prepare_ansatz([0.8, 0.2, -0.4], 2)
-        for ops in ("XY", "ZI", "YY"):
+        for ops in ("XX", "ZI", "YY", "XZ"):
             est = measure_pauli(st, PauliString(ops), SampledBackend(1000, 9))
             want = oracle_sampled_estimates(st.amplitudes[None], [ops], 1000,
                                             np.random.default_rng(np.random.SeedSequence(9)))
             assert est.value == want[0] and est.shots == 1000
+            assert est.std_error == math.sqrt((1 - est.value ** 2) / 1000)
+
+    def test_odd_y_string_reads_zero_and_draws_nothing(self):
+        # P is imaginary with an odd number of Y, so <P> = 0 exactly on a real
+        # state: no ensemble, no shots, no error bar, and no gradient
+        theta = np.array([0.8, 0.2, -0.4, 1.1, -0.9, 0.3, 0.6])
+        st = prepare_ansatz(theta, 3)
+        backend = SampledBackend(1000, 9)
+        before = backend._rng.bit_generator.state
+        for ops in map("".join, itertools.product("IXYZ", repeat=3)):
+            if ops.count("Y") % 2:
+                string = PauliString(ops)
+                assert measure_pauli(st, string, backend) == qsim.ExpectationEstimate(0.0, 0.0, 0)
+                assert AnalyticBackend().expectation(st, string).value == 0.0
+                assert parameter_shift_grad(theta, 2, string, backend) == 0.0
+        assert backend._rng.bit_generator.state == before
+
+    def test_even_y_strings_exact_in_expectation(self, monkeypatch):
+        # with each ensemble's exact probabilities in place of frequencies,
+        # every even-Y string on 1-3 qubits reads the analytic <P>
+        monkeypatch.setattr(SampledBackend, "_frequencies", lambda self, amps, flips: np.array(
+            [flip_probabilities(a, f) for a, f in zip(amps, flips)]))
+        rng = np.random.default_rng(12)
+        for nq in (1, 2, 3):
+            st = prepare_ansatz(rng.uniform(-math.pi, math.pi, 2 ** nq - 1), nq)
+            for ops in map("".join, itertools.product("IXYZ", repeat=nq)):
+                if ops.count("Y") % 2 == 0:
+                    got = SampledBackend(10, 1).expectation(st, PauliString(ops)).value
+                    want = AnalyticBackend().expectation(st, PauliString(ops)).value
+                    assert abs(got - want) <= 1e-12, ops
 
     def test_analytic_rows_match_dense_oracle(self, monkeypatch):
         # AnalyticBackend._estimates is its only <P> path: quadratic forms from

@@ -29,7 +29,6 @@ from hlvqe.solver import (
     _candidate_betas,
     _ground_pair,
     _spectral_delta,
-    hf_beta,
     solve_effective,
     sweep_lambda,
     sweep_vbar,
@@ -38,6 +37,7 @@ from oracles import (
     brentq_candidate_betas,
     dense_bands,
     eigh_ground_pair,
+    hf_beta,
     mp_beta0_gaps,
     scan_minimum,
     sum_combine,
@@ -47,16 +47,17 @@ P30 = ModelParams.create(30, 1.0, vbar=2.0)
 
 
 class TestHfBeta:
+    """The mean-field angle, a test-side reference (oracles.hf_beta)."""
+
     def test_vbar_two(self):
-        assert hf_beta(P30) == pytest.approx(math.pi / 3, abs=1e-12)
+        assert hf_beta(P30.vbar) == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_symmetric_phase(self):
-        assert hf_beta(ModelParams.create(30, 1.0, vbar=0.5)) == 0.0
+        assert hf_beta(0.5) == 0.0
 
     def test_vbar_near_transition(self):
-        p = ModelParams.create(30, 1.0, vbar=1.2)
-        assert hf_beta(p) == pytest.approx(math.acos(1 / 1.2), abs=1e-12)
-        assert hf_beta(p) == pytest.approx(0.5857, abs=2e-4)
+        assert hf_beta(1.2) == pytest.approx(math.acos(1 / 1.2), abs=1e-12)
+        assert hf_beta(1.2) == pytest.approx(0.5857, abs=2e-4)
 
 
 class TestGroundPair:
