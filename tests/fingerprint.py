@@ -88,8 +88,6 @@ def _feed(h, obj) -> None:
         h.update(b"l%d" % len(obj))
         for item in obj:
             _feed(h, item)
-    elif isinstance(obj, dict):
-        _feed(h, sorted(obj.items()))
     else:
         raise TypeError(f"cannot fingerprint {type(obj).__name__}")
 
