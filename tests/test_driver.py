@@ -311,14 +311,27 @@ class TestCostAndGrads:
             assert backend._rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("nq", [1, 2, 3])
-    @pytest.mark.parametrize("weights", [[], [1.5], [1.5, -0.25]],
-                             ids=["empty", "identity", "identity-twice"])
+    @pytest.mark.parametrize("weights", [[], [1.5, -1.5]], ids=["empty", "identity-twice"])
+    def test_constant_observable_draws_nothing(self, nq, weights):
+        # the zero matrix, from no term or from identity terms that cancel, has
+        # no live pattern: the energy is 0, every gradient is zero and the
+        # generator is left where it was
+        backend = SampledBackend(1000, 5)
+        before = backend._rng.bit_generator.state
+        decomp = PauliDecomposition(nq, tuple((PauliString("I" * nq), c) for c in weights))
+        theta = np.linspace(0.4, -0.7, 2 ** nq - 1)
+        energy, g_beta, grad = backend._cost(theta, reassemble(decomp))
+        assert energy == math.fsum(weights)
+        assert g_beta == 0.0
+        assert grad.tolist() == [0.0] * (2 ** nq - 1)
+        assert backend._rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("nq", [1, 2, 3])
+    @pytest.mark.parametrize("weights", [[1.5], [1.5, -0.25]], ids=["identity", "identity-twice"])
     def test_constant_observable_draws_one_ensemble_per_state(self, nq, weights):
-        # c I has one live pattern, 0: each prepared state draws one
+        # c I != 0 has one live pattern, 0: each prepared state draws one
         # computational-basis ensemble, whose frequencies sum to 1 up to
-        # rounding, so the energy is c and every gradient 0 to rounding; the
-        # zero matrix has no live pattern: its one call has no row and leaves
-        # the generator where it was
+        # rounding, so the energy is c and every gradient 0 to rounding
         backend = SampledBackend(1000, 5)
         before = backend._rng.bit_generator.state
         backend._rng = counting = CountingGenerator(backend._rng)
@@ -329,8 +342,8 @@ class TestCostAndGrads:
         assert abs(energy - c) <= 4e-16 * abs(c)
         assert g_beta == 0.0
         assert np.abs(grad).max() <= 4e-16 * abs(c)
-        assert counting.shapes == [((2 ** (nq + 1) - 1) * bool(weights), 2 ** nq)]
-        assert (counting.rng.bit_generator.state == before) == (not weights)
+        assert counting.shapes == [(2 ** (nq + 1) - 1, 2 ** nq)]
+        assert counting.rng.bit_generator.state != before
 
     def test_warm_sampled_step_misses_no_plan_and_hashes_no_string(self, monkeypatch):
         # the step's rows are flip patterns (tuples of int), so a warm cutoff-4
