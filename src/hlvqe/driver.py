@@ -145,7 +145,8 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
     with the final record marked converged (the update direction is
     undefined at an exact stationary point).  A non-finite energy or gradient
     norm raises NumericalError: the normalized step would divide by an
-    infinite norm and freeze every angle.
+    infinite norm and freeze every angle.  So does a step that leaves beta,
+    2 beta or an angle non-finite: the descent diverged.
     """
     cutoff = _power_of_two("cutoff", cutoff)
     nq = cutoff.bit_length() - 1
@@ -179,6 +180,8 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
         else:
             beta -= eta * g_beta
             theta = theta - eta * g_theta
+        if not (math.isfinite(2 * beta) and all(map(math.isfinite, theta.tolist()))):
+            raise NumericalError(f"step {step}: the update left beta {beta} or theta non-finite")
     return trace
 
 

@@ -25,7 +25,7 @@ from closed forms in n rather than by numerically rotating operators, which
 avoids cancellation.  The band table (``_bands``) stores them compactly: the
 flat indices of the |dn| <= 2 entries of a cutoff x cutoff matrix and the
 (5, nnz) values of the M[k] there.  A build is one contraction f . table
-(``_combine``) scattered into a zero matrix; dH/dbeta is f'(beta) times the
+scattered into a zero matrix (``_build``); dH/dbeta is f'(beta) times the
 same table.  No entry has more than two nonzero terms, so the contraction
 rounds each entry once, in any summation order, and never gives -0.0.  This
 is the only place the formula for H(beta) is written down.  The
@@ -102,39 +102,35 @@ def _trig(beta: float) -> np.ndarray:
     sin, sin^2, sin cos); the one place beta enters H(beta), so a non-finite
     or non-real beta stops here (a complex one too: NumPy's complex scalars
     are ``complex``, which ``math.isfinite`` would take at its real part with
-    only a warning)."""
+    only a warning), and so does a finite beta whose 2 beta, the argument of
+    f', overflows (doubled as a Python float, which does not warn)."""
     try:
-        finite = not isinstance(beta, complex) and math.isfinite(beta)
+        finite = not isinstance(beta, complex) and math.isfinite(2.0 * math.fabs(beta))
     except TypeError:
         finite = False
     if not finite:
-        raise ConfigError(f"beta must be finite and real, got {beta!r}")
+        raise ConfigError(f"beta must be finite and real, with 2 beta finite, got {beta!r}")
     s, c = math.sin(beta), math.cos(beta)
     return np.array(((1.0, c, s, s * s, s * c),
                      (0.0, -s, c, math.sin(2 * beta), math.cos(2 * beta))))
 
 
-def _combine(f: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_k f[..., k] * table[k] for f of shape (5,) or (2, 5), from +0.0.
-    Every product rounds once and no column of ``table`` has more than two
-    nonzero entries, so the sum is the same in any order and no entry is -0.0."""
-    return np.add.reduce(np.multiply(f[..., None], table), axis=-2, initial=0.0)
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)
 def _bands(params: ModelParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """(idx, vals): the row-major flat indices of the |dn| <= 2 entries of a
     cutoff x cutoff matrix, and the (5, len(idx)) values there of the five
     fixed matrices M[k] of H(beta) = sum_k f_k(beta) M[k] over the rotated
     states n < cutoff (f as in ``_trig``); cached per (params, cutoff),
-    read-only.
+    read-only, and keyed by type, so that a float cutoff equal to a cached
+    integer one is still rejected.  A model whose entries overflow is a
+    ConfigError.
 
     M[1] (cos) is the diagonal eps (n - N/2); M[2] (sin) and M[4] (sin cos)
     fill |dn| = 1; M[0] (1) fills |dn| = 2; M[3] (sin^2) fills the diagonal
     and |dn| = 2, from 1 + cos^2 = 2 - sin^2 on that band.
     """
     N = params.n_particles
-    if not 1 <= cutoff <= N + 1:
+    if not 1 <= _integer("cutoff", cutoff) <= N + 1:
         raise ConfigError(f"cutoff must lie in [1, {N + 1}], got {cutoff}")
     eps, V = params.epsilon, params.coupling
     n = np.arange(cutoff, dtype=float)
@@ -148,25 +144,32 @@ def _bands(params: ModelParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = rows[keep], cols[keep]
     lower, dn = np.minimum(rows, cols), np.abs(cols - rows)
     vals = np.zeros((5, len(rows)))
-    for m, d, band in ((1, 0, eps * (n - N / 2)),
-                       (3, 0, -(V / 4) * (N * N + 6 * n * n - 6 * n * N - N)),
-                       (2, 1, 0.5 * r1 * eps),
-                       (4, 1, -0.5 * r1 * V * (N - 2 * k - 1)),
-                       (0, 2, -(V / 2) * r1[:-1] * r2b),
-                       (3, 2, (V / 4) * r1[:-1] * r2b)):
-        on = dn == d
-        vals[m, on] = band[lower[on]]
+    # an overflowing entry is reported once, below, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, d, band in ((1, 0, eps * (n - N / 2)),
+                           (3, 0, -(V / 4) * (N * N + 6 * n * n - 6 * n * N - N)),
+                           (2, 1, 0.5 * r1 * eps),
+                           (4, 1, -0.5 * r1 * V * (N - 2 * k - 1)),
+                           (0, 2, -(V / 2) * r1[:-1] * r2b),
+                           (3, 2, (V / 4) * r1[:-1] * r2b)):
+            on = dn == d
+            vals[m, on] = band[lower[on]]
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"H(beta) has a non-finite entry at epsilon {eps!r}, V {V!r}")
     idx = rows * cutoff + cols
     for arr in (idx, vals):
         arr.flags.writeable = False
     return idx, vals
 
 
-def _dense(values: np.ndarray, idx: np.ndarray, cutoff: int) -> np.ndarray:
-    """The cutoff x cutoff matrix holding ``values`` at the flat indices
-    ``idx`` of a band table and +0.0 elsewhere."""
+def _build(params: ModelParams, f: np.ndarray, cutoff: int) -> np.ndarray:
+    """The cutoff x cutoff matrix sum_k f[k] M[k] over the band table, from
+    +0.0, and +0.0 off its band.  Every product rounds once and no entry has
+    more than two nonzero terms, so the sum is the same in any order and no
+    entry is -0.0."""
+    idx, vals = _bands(params, cutoff)
     out = np.zeros(cutoff * cutoff)
-    out[idx] = values
+    out[idx] = np.add.reduce(np.multiply(f[:, None], vals), axis=0, initial=0.0)
     return out.reshape(cutoff, cutoff)
 
 
@@ -176,16 +179,12 @@ def build_effective_hamiltonian(params: ModelParams, beta: float, cutoff: int) -
     Five-band structure: diagonal, |dn| = 1 (vanishing at beta = 0) and |dn| = 2.
     At beta = 0 this is the upper-left block of the full Hamiltonian.
     """
-    f = _trig(beta)[0]
-    idx, vals = _bands(params, cutoff)
-    return _dense(_combine(f, vals), idx, cutoff)
+    return _build(params, _trig(beta)[0], cutoff)
 
 
 def build_effective_hamiltonian_dbeta(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:
     """Entrywise analytic d/dbeta of build_effective_hamiltonian."""
-    df = _trig(beta)[1]
-    idx, vals = _bands(params, cutoff)
-    return _dense(_combine(df, vals), idx, cutoff)
+    return _build(params, _trig(beta)[1], cutoff)
 
 
 @lru_cache(maxsize=4)

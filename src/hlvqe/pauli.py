@@ -7,16 +7,14 @@ basis index.  A string has one nonzero per column, P |c> = phase[c] |c ^ flip>
 rather than through a dense matrix, and ``decompose`` evaluates only the
 strings whose flip pattern meets a nonzero entry.  No objective goes through
 a Pauli form: both backends take the dense matrices, and ``qsim`` reads the
-same rule for its gates and its public per-string measurements.
+same rule for its gates and for the real matrix of each string it measures.
 With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
 two-qubit register), basis indices equal excitation orders directly.
 
-H(beta) is sum_k f_k(beta) M[k] over the five fixed band matrices of
-``model._bands``, so its Pauli form at any power-of-two cutoff is f(beta)
-times the trace decompositions of the M[k], taken once per (params, cutoff)
-and merged onto one sorted string set; dH/dbeta is f'(beta) times the same
-table.  Coefficients are real for the real symmetric input.  The one- and
-two-qubit closed forms are kept in the test suite as the oracle of this path.
+The Pauli form of H(beta) is ``decompose(build_effective_hamiltonian(...))``;
+nothing in the package calls it.  Coefficients are real for real symmetric
+input.  The one- and two-qubit closed forms of H(beta) are kept in the test
+suite as its oracle.
 """
 
 from __future__ import annotations
@@ -27,15 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, _finite, _power_of_two
-from .model import ModelParams, _bands, _combine, _dense, _trig
+from .errors import ConfigError, _finite
 
 __all__ = [
     "PauliString",
     "PauliDecomposition",
     "decompose",
     "reassemble",
-    "hamiltonian_decomposition",
 ]
 
 # coefficients below this size are dropped from decompositions
@@ -76,9 +72,6 @@ class PauliDecomposition:
             if len(string) != self.n_qubits:
                 raise ConfigError(
                     f"string {string} has width {len(string)}, expected {self.n_qubits}")
-
-    def as_dict(self) -> dict:
-        return {s.ops: c for s, c in self.terms}
 
 
 @lru_cache(maxsize=4096)
@@ -159,33 +152,3 @@ def reassemble(decomp: PauliDecomposition) -> np.ndarray:
     if any(string.ops.count("Y") % 2 for string, _ in decomp.terms):
         return out
     return out.real
-
-
-@lru_cache(maxsize=4)
-def _band_weights(params: ModelParams, cutoff: int) -> tuple[tuple, np.ndarray]:
-    """(ops, W): the op strings that survive in any band matrix M[k] of
-    H(beta) = sum_k f_k(beta) M[k] (``model._bands``), in ``decompose``'s
-    order, and the Pauli weights W[k] of each M[k] on them; cached per
-    (params, cutoff), read-only.  Each row of the compact band table is
-    scattered into a dense matrix once here, for ``decompose``."""
-    idx, vals = _bands(params, cutoff)
-    parts = [decompose(_dense(row, idx, cutoff)).as_dict() for row in vals]
-    # I < X < Y < Z in ASCII, so sorted order is itertools.product("IXYZ") order
-    ops = tuple(sorted(set().union(*parts)))
-    W = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
-    W.flags.writeable = False
-    return ops, W
-
-
-def hamiltonian_decomposition(params: ModelParams, beta: float,
-                              cutoff: int) -> tuple[PauliDecomposition, PauliDecomposition]:
-    """Pauli form of H(beta) and of dH/dbeta for a power-of-two cutoff: the
-    band table's cached decomposition (``_band_weights``) weighted by f(beta)
-    and f'(beta), from one ``_combine`` of the (2, 5) ``_trig`` rows, both on
-    the same op strings at every beta (a weight may be exactly 0, as the
-    X-carrying ones are at beta = 0)."""
-    cutoff = _power_of_two("cutoff", cutoff)
-    ops, W = _band_weights(params, cutoff)
-    strings = tuple(map(PauliString, ops))
-    return tuple(PauliDecomposition(len(ops[0]), tuple(zip(strings, w.tolist())))
-                 for w in _combine(_trig(beta), W))

@@ -14,12 +14,14 @@ before it.  Each string has a single Y, so the state stays float64.  On 1 and
 exp(-i theta/2 Z_0 X_1) into exp(+i theta/2 Z_0 Y_1); wider Z^s Y_t rotations
 are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
-Measurement lives in this module alone, on plain op strings (``str``):
-``PauliString`` appears only in the public ``expectation``, ``measure_pauli``
-and ``parameter_shift_grad``.  Each backend takes every <P> through its
-``_estimates(amps, ops)``, one value per row of ``amps`` measured in its op
-string, and its ``expectation`` is the one-row call.  The analytic rows are
-exact quadratic forms from the string's action.
+Measurement lives in this module alone.  Each backend has one primitive
+that takes the rows of a state batch and a dense real symmetric observable
+h: ``AnalyticBackend._expectations`` gives a . (h a) per row, and
+``SampledBackend._measure`` measures every row in each flip pattern of h.
+The objective and the public per-string calls go through it, a
+``PauliString`` P as the real part of its matrix (``_observable``): P itself
+with an even number of Y, and the zero matrix with an odd number, which
+reads 0 on a real state, as <P> does, and draws nothing.
 
 Backends: both take the objective psi^T H psi and its gradients from dense
 real matrices, H(beta) and dH/dbeta or an excited observable, each its own
@@ -37,12 +39,9 @@ string (the extended Bell measurement of Kondo et al., Quantum 6, 688
 states) measured in every pattern of the nonzero entries of H and dH/dbeta,
 every ensemble drawn in one multinomial call on a ``SeedSequence(seed)``
 generator, as one call per row in row order would; its sums are
-``math.fsum`` over numpy products.  A single string is measured the same
-way, in the basis of its flip pattern against its real +-1 row; a string
-with an odd number of Y reads 0 on a real state and draws nothing.  Each
-backend also gives the amplitude magnitudes a run records (exact, or the
-square roots of one ensemble) and the backend a run draws from (itself, or
-a copy on its own stream).
+``math.fsum`` over numpy products.  Each backend also gives the amplitude
+magnitudes a run records (exact, or the square roots of one ensemble) and
+the backend a run draws from (itself, or a copy on its own stream).
 """
 
 from __future__ import annotations
@@ -92,6 +91,18 @@ class StateVector:
         if len(string) != self.n_qubits:
             raise ConfigError(f"string width {len(string)} != state width {self.n_qubits}")
         return string.ops
+
+
+@lru_cache(maxsize=4096)
+def _observable(ops: str) -> np.ndarray:
+    """The real part of the matrix of a Pauli string, read-only: the string
+    itself with an even number of Y, and the zero matrix with an odd number,
+    whose P is imaginary and so has <P> = 0 on a real state."""
+    rows, phase = _string_action(ops)
+    out = np.zeros((len(rows), len(rows)))
+    out[rows, np.arange(len(rows))] = phase.real
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -190,15 +201,13 @@ class AnalyticBackend:
     """Exact expectation values; std_error is zero and shots do not apply."""
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
-        """Exact <P> of ``state``: the one-row ``_estimates`` call."""
-        return ExpectationEstimate(
-            float(self._estimates(state.amplitudes[None], (state._ops_of(string),))[0]), 0.0, 0)
+        """Exact <P> of ``state``: the one-row ``_expectations`` call."""
+        h = _observable(state._ops_of(string))
+        return ExpectationEstimate(self._expectations(state.amplitudes[None], h)[0], 0.0, 0)
 
-    def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
-        """Exact <P> of each row a of ``amps`` in its op string,
-        sum_c conj(a[rows[c]]) phase[c] a[c] from the string's action."""
-        return np.array([np.vdot(a[rows], phase * a).real
-                         for a, (rows, phase) in zip(amps, map(_string_action, ops))])
+    def _expectations(self, amps: np.ndarray, h: np.ndarray) -> list:
+        """Exact a . (h a) of each row a of ``amps``, as ``_cost`` takes its energy."""
+        return [float(a @ (h @ a)) for a in amps]
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one
@@ -243,14 +252,19 @@ class SampledBackend:
         return counts / self.shots
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
-        ops = state._ops_of(string)
-        if ops.count("Y") % 2:
-            # an odd number of Y makes P imaginary, so <P> = 0 on a real state
-            return ExpectationEstimate(0.0, 0.0, 0)
-        val = float(self._estimates(state.amplitudes[None], (ops,))[0])
+        """<P> of ``state`` from one ensemble in the string's flip pattern,
+        or from none for the zero matrix of a string with an odd number of Y."""
+        freqs, w, _ = self._measure(state.amplitudes[None], _observable(state._ops_of(string)))
+        val = _total(freqs[0], w)
+        shots = self.shots * freqs.shape[1]
         # each shot reads an eigenvalue +-1 of P, so the sample variance is 1 - mean^2
-        std = math.sqrt(max(0.0, 1.0 - val * val) / self.shots)
-        return ExpectationEstimate(val, std, self.shots)
+        std = math.sqrt(max(0.0, 1.0 - val * val) / shots) if shots else 0.0
+        return ExpectationEstimate(val, std, shots)
+
+    def _expectations(self, amps: np.ndarray, h: np.ndarray) -> list:
+        """Sampled a . (h a) of each row a of ``amps``, one ``_measure`` call."""
+        freqs, w, _ = self._measure(amps, h)
+        return [_total(f, w) for f in freqs]
 
     def _frequencies(self, amps: np.ndarray, flips: tuple) -> np.ndarray:
         """(R, 2^n) measured frequencies, row r of ``amps`` in the basis of the
@@ -260,46 +274,35 @@ class SampledBackend:
         p = (amps[rows, base] + sign * amps[rows, partner]) ** 2
         return self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
 
-    def _estimates(self, amps: np.ndarray, ops: tuple) -> np.ndarray:
-        """Sampled <P> of each row of ``amps`` in its op string, rounded as
-        ``freqs @ row`` over the string's ``_string_row``; a string with an odd
-        number of Y reads 0 and is not measured."""
-        even = [r for r, o in enumerate(ops) if o.count("Y") % 2 == 0]
-        out = np.zeros(len(ops))
-        if even:
-            flips, rows = zip(*(_string_row(ops[r]) for r in even))
-            freqs = self._frequencies(amps[even], flips)
-            out[even] = np.matmul(freqs[:, None, :], np.array(rows)[:, :, None])[:, 0, 0]
-        return out
-
-    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
-        """psi^T h psi and psi^T dh psi (0.0 without dh) from one ensemble per
-        flip pattern f of their nonzero entries, sum_f freqs_f . (sign h[base,
-        partner]) over ``_flip_basis``; every theta-gradient by the +-pi/2
-        shift rule, which is linear in the observable, as (1/2) sum_f (up_f -
-        down_f) . w_f.
-
-        One ``_shifted_ansatz`` batch on the register of h, which theta's
-        2^n - 1 angles must fit, prepares every state, and one
-        ``_frequencies`` call measures each state in every pattern, state by
-        state.  Each sum is ``math.fsum`` of the products.
-        """
-        dim = h.shape[0]
-        n_qubits = dim.bit_length() - 1
-        states = _shifted_ansatz(theta, n_qubits)
+    def _measure(self, amps: np.ndarray, h, dh=None) -> tuple:
+        """(freqs, w, dw): every row of ``amps`` measured in each flip pattern
+        f of the nonzero entries of h and dh, as (rows, patterns, 2^n)
+        frequencies from one ``_frequencies`` call, row by row; and the
+        eigenvalues sign h[base, partner] of h and of dh (None without dh) on
+        each pattern's outcomes (``_flip_basis``).  With no nonzero entry
+        there is no pattern: nothing is drawn and every sum over them is 0."""
+        dim = amps.shape[1]
         rows, cols = np.nonzero(h if dh is None else (h != 0) | (dh != 0))
         flips = tuple(np.flatnonzero(np.bincount(rows ^ cols, minlength=dim)).tolist())
-        base, partner, sign = _flip_basis(flips, n_qubits)
-        freqs = self._frequencies(np.repeat(states, len(flips), axis=0), flips * len(states))
-        freqs = freqs.reshape(len(states), len(flips), dim)
+        base, partner, sign = _flip_basis(flips, dim.bit_length() - 1)
+        freqs = self._frequencies(np.repeat(amps, len(flips), axis=0), flips * len(amps))
+        return (freqs.reshape(len(amps), len(flips), dim), sign * h[base, partner],
+                None if dh is None else sign * dh[base, partner])
 
-        def total(w):
-            """sum_f freqs_f . w_f over the base state's ensembles."""
-            return math.fsum((freqs[0] * w).ravel().tolist())
+    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
+        """psi^T h psi and psi^T dh psi (0.0 without dh) as sum_f freqs_f . w_f
+        over the patterns f of one ``_measure`` of h and dh; every
+        theta-gradient by the +-pi/2 shift rule, which is linear in the
+        observable, as (1/2) sum_f (up_f - down_f) . w_f.
 
-        weights = sign * h[base, partner]
-        shifts = ((freqs[1::2] - freqs[2::2]) / 2 * weights).reshape(len(theta), -1)
-        return (total(weights), 0.0 if dh is None else total(sign * dh[base, partner]),
+        One ``_shifted_ansatz`` batch on the register of h, which theta's
+        2^n - 1 angles must fit, prepares every state.  Each sum is
+        ``math.fsum`` of the products.
+        """
+        states = _shifted_ansatz(theta, h.shape[0].bit_length() - 1)
+        freqs, w, dw = self._measure(states, h, dh)
+        shifts = ((freqs[1::2] - freqs[2::2]) / 2 * w).reshape(len(theta), -1)
+        return (_total(freqs[0], w), 0.0 if dh is None else _total(freqs[0], dw),
                 np.array([math.fsum(row) for row in shifts.tolist()]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
@@ -338,17 +341,9 @@ def _flip_basis(flips: tuple, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np
     return out
 
 
-@lru_cache(maxsize=4096)
-def _string_row(ops: str) -> tuple[int, np.ndarray]:
-    """(f, row) of a string with an even number of Y, a real symmetric P: its
-    flip pattern and its eigenvalues +-1 in that pattern's basis,
-    sign P[base, partner] (``_flip_basis``); read-only."""
-    rows, phase = _string_action(ops)
-    flip = int(rows[0])
-    _, partner, sign = _flip_basis((flip,), len(ops))
-    row = sign[0] * phase.real[partner[0]]
-    row.flags.writeable = False
-    return flip, row
+def _total(freqs: np.ndarray, w: np.ndarray) -> float:
+    """sum_f freqs_f . w_f over one state's ensembles, as ``math.fsum``."""
+    return math.fsum((freqs * w).ravel().tolist())
 
 
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
@@ -364,11 +359,10 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
     """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2
-    from one ``_estimates`` call on rows 1 + 2k and 2 + 2k of the
+    from one ``_expectations`` call on rows 1 + 2k and 2 + 2k of the
     ``_shifted_ansatz`` batch on the string's register, which must carry
-    ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws nothing,
-    and on the sampled backend for a string with an odd number of Y, which
-    draws nothing either.
+    ``theta``'s 2^n - 1 angles, in the string's ``_observable``; 0.0 for the
+    identity, which draws nothing.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.
@@ -380,5 +374,5 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> flo
     amps = _shifted_ansatz(theta, len(string))
     if string.is_identity:
         return 0.0
-    up, down = backend._estimates(amps[1 + 2 * index:3 + 2 * index], (string.ops,) * 2)
-    return float((up - down) / 2)
+    up, down = backend._expectations(amps[1 + 2 * index:3 + 2 * index], _observable(string.ops))
+    return (up - down) / 2

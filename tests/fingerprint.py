@@ -9,7 +9,7 @@ changes with any bit of any output and with nothing else.  The families:
 - ``wigner_d``: d^J(beta) at 2J = 1, 30 and 96;
 - ``solver``: ``solve_effective`` at three models, ``sweep_lambda`` at N = 64
   and ``sweep_vbar`` at N = 30;
-- ``pauli``: ``hamiltonian_decomposition`` at cutoffs 2, 4 and 8, and
+- ``pauli``: ``decompose`` of H(beta = 0.7) at cutoffs 2, 4 and 8, and
   ``decompose``/``reassemble`` of a random symmetric matrix;
 - ``analytic_run``/``sampled_run``: plain and normalized ``run`` traces at
   cutoffs 2, 4 and 8;
@@ -52,8 +52,8 @@ import scipy
 
 from hlvqe import cli
 from hlvqe.driver import HlvqeOptions, excited_state_run, run
-from hlvqe.model import ModelParams, exact_ground_state
-from hlvqe.pauli import PauliString, decompose, hamiltonian_decomposition, reassemble
+from hlvqe.model import ModelParams, build_effective_hamiltonian, exact_ground_state
+from hlvqe.pauli import PauliString, decompose, reassemble
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
@@ -117,7 +117,7 @@ def _pauli():
     rng = np.random.default_rng(26)
     a = rng.standard_normal((8, 8))
     decomp = decompose(a + a.T)
-    return [[hamiltonian_decomposition(P30, 0.7, cutoff) for cutoff in (2, 4, 8)],
+    return [[decompose(build_effective_hamiltonian(P30, 0.7, cutoff)) for cutoff in (2, 4, 8)],
             decomp, reassemble(decomp)]
 
 

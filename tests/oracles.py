@@ -509,14 +509,16 @@ def oracle_flip_frequencies(amps, flips, shots, rng):
 def oracle_sampled_estimates(amps, ops_list, shots, rng):
     """Sampled <P> of each row of ``amps`` in its string, one row at a time in
     row order: a string with an odd number of Y reads 0 and draws nothing;
-    any other draws one ensemble in its flip pattern, contracted with its row."""
+    any other draws one ensemble in its flip pattern, contracted with its row
+    as the correctly rounded ``math.fsum``."""
     out = []
     for psi, ops in zip(amps, ops_list):
         if ops.count("Y") % 2:
             out.append(0.0)
         else:
             flip, row = oracle_string_row(ops)
-            out.append(float(oracle_flip_frequencies([psi], [flip], shots, rng)[0] @ row))
+            freqs = oracle_flip_frequencies([psi], [flip], shots, rng)[0]
+            out.append(math.fsum((freqs * row).tolist()))
     return np.array(out)
 
 

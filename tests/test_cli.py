@@ -296,6 +296,29 @@ class TestTasks:
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, code, err", [
+        # 2 beta0 overflowed in f'(beta): a raw "math domain error", exit 1
+        (["hlvqe", "--n", "30", "--vbar", "2", "--lambda", "2", "--beta0", "1e308"],
+         2, "config error: beta must be finite"),
+        (["excited", "--n", "30", "--vbar", "2", "--lambda", "2", "--mu0", "10",
+          "--beta0", "1e308"], 2, "config error: beta must be finite"),
+        # the first step overflowed beta: reported as bad input, exit 2
+        (["hlvqe", "--n", "30", "--vbar", "2", "--lambda", "2", "--eta", "1e308"],
+         3, "numerical failure: step 1: the update left beta inf"),
+        # entries of H overflowed: "array must not contain infs or NaNs"
+        # from the chain solver (exit 1), or dsyevr finding no eigenpair (exit 3)
+        (["exact", "--n", "30", "--vbar", "1e308"], 2, "config error: H(beta) has a non-finite"),
+        (["hlvqe", "--n", "30", "--vbar", "1e308", "--lambda", "2"],
+         2, "config error: H(beta) has a non-finite"),
+        (["effective", "--n", "30", "--vbar", "1e308", "--lambda", "4"],
+         2, "config error: H(beta) has a non-finite"),
+    ], ids=["hlvqe-beta0", "excited-beta0", "hlvqe-eta", "exact-vbar", "hlvqe-vbar",
+            "effective-vbar"])
+    def test_overflow_exit_code_and_no_file(self, argv, code, err, tmp_path, capsys):
+        assert main(argv + ["--iters", "2", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_exit_code(self):
         assert main(["exact", "--n", "30"]) == 2
 

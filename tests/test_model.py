@@ -26,7 +26,6 @@ from hlvqe.model import (
     _trig,
     exact_ground_state,
 )
-from hlvqe.pauli import _band_weights, decompose, hamiltonian_decomposition
 from oracles import (
     dense_bands,
     golden_section,
@@ -206,14 +205,30 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ConfigError):
             build_effective_hamiltonian(p, 0.3, 8)
 
+    @pytest.mark.parametrize("args", [(30, 1.0, 1e308 / 29), (30, 1e308, 0.0)],
+                             ids=["coupling", "epsilon"])
+    def test_overflowing_model_rejected(self, args):
+        # vbar = 1e308 overflowed band entries with a RuntimeWarning, then
+        # the chain solver raised "array must not contain infs or NaNs" and
+        # dsyevr found no eigenpair of H(beta)
+        p = ModelParams(*args)
+        for call in (lambda: build_effective_hamiltonian(p, 0.3, 4),
+                     lambda: build_effective_hamiltonian_dbeta(p, 0.3, 4),
+                     lambda: exact_ground_state(p)):
+            with pytest.raises(ConfigError, match="H\\(beta\\) has a non-finite entry"):
+                call()
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, np.float64(math.nan),
                                       "0.5", None, 0.5 + 0j, np.array([0.5]),
-                                      np.complex128(0.5), np.complex128(0.5 + 0.3j)],
+                                      np.complex128(0.5), np.complex128(0.5 + 0.3j),
+                                      1e308, -np.float64(1e308)],
                              ids=["nan", "inf", "-inf", "numpy-nan", "str", "none",
-                                  "complex", "array", "numpy-complex", "numpy-complex-imag"])
+                                  "complex", "array", "numpy-complex", "numpy-complex-imag",
+                                  "overflowing-2beta", "numpy-overflowing-2beta"])
     def test_non_finite_beta_rejected(self, beta):
-        # NaN gave a NaN matrix silently, +-inf a "math domain error", and a
-        # string, None, complex or 1-D array beta a TypeError
+        # NaN gave a NaN matrix silently, +-inf and a beta whose 2 beta
+        # overflows a "math domain error", and a string, None, complex or
+        # 1-D array beta a TypeError
         p = ModelParams.create(6, 1.0, vbar=2.0)
         for build in (build_effective_hamiltonian, build_effective_hamiltonian_dbeta):
             with pytest.raises(ConfigError, match="beta must be finite"):
@@ -301,40 +316,15 @@ class TestCompactBandTable:
             got, want = build(p, beta, cutoff), sum_combine(fk, dense)
             assert got.tobytes() == want.tobytes(), build.__name__
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        width = min(16, 1 << (cutoff.bit_length() - 1))
-        if width >= 2:
-            ops, W = _band_weights(p, width)
-            parts = [decompose(m).as_dict() for m in dense_bands(p, width)]
-            assert set(ops) == set().union(*parts)
-            W_ref = np.array([[d.get(s, 0.0) for s in ops] for d in parts])
-            assert W.tobytes() == W_ref.tobytes()
-            for decomp, fk in zip(hamiltonian_decomposition(p, beta, width), f):
-                got, want = np.array([c for _, c in decomp.terms]), sum_combine(fk, W_ref)
-                assert got.tobytes() == want.tobytes()
-                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_at_most_two_nonzero_terms_per_column(self):
-        # the order-free contraction rests on this: no band entry and no
-        # Pauli string carries more than two of the five M[k]
+        # the order-free contraction rests on this: no band entry carries
+        # more than two of the five M[k]
         for n in range(2, 257):
             p = ModelParams.create(n, 1.0, vbar=2.0)
             for cutoff in (1 << j for j in range((n + 1).bit_length())):
-                idx, vals = _bands(p, cutoff)
+                _, vals = _bands(p, cutoff)
                 assert np.count_nonzero(vals, axis=0).max() <= 2, (n, cutoff)
-                # a string's weight on M[k] sums M[k] over the entries
-                # (r, r ^ flip) it touches, so at most two M[k] nonzero on any
-                # flip pattern bounds every column of W at this cutoff
-                rows, cols = np.divmod(idx, cutoff)
-                touched = np.zeros((5, cutoff), dtype=bool)
-                for m in range(5):
-                    touched[m, (rows ^ cols)[vals[m] != 0]] = True
-                assert touched.sum(axis=0).max() <= 2, (n, cutoff)
-        for n in (3, 7, 31, 64, 256):
-            p = ModelParams.create(n, 1.0, vbar=2.0)
-            for cutoff in (2, 4, 8, 16, 32):
-                if cutoff <= n + 1:
-                    _, W = _band_weights(p, cutoff)
-                    assert np.count_nonzero(W, axis=0).max() <= 2, (n, cutoff)
 
     def test_large_n_builds_no_dense_table(self):
         # the parity chains read the compact table: at N = 1024 the dense

@@ -1,6 +1,7 @@
-"""Pauli decomposition: round trips, the band-table decomposition of H(beta)
-against the hand-projected one- and two-qubit closed forms (oracles.py), and
-the sign rows that measured probabilities are contracted with."""
+"""Pauli decomposition: round trips, the decomposition of H(beta) against
+the hand-projected one- and two-qubit closed forms and the per-string loop
+(oracles.py), and the sign rows that the sampled backend contracts measured
+probabilities with."""
 
 import itertools
 import math
@@ -17,15 +18,8 @@ from hlvqe.model import (
     build_effective_hamiltonian,
     build_effective_hamiltonian_dbeta,
 )
-from hlvqe.pauli import (
-    PauliDecomposition,
-    PauliString,
-    _band_weights,
-    decompose,
-    hamiltonian_decomposition,
-    reassemble,
-)
-from hlvqe.qsim import AnalyticBackend, SampledBackend, StateVector, _string_row
+from hlvqe.pauli import PauliDecomposition, PauliString, decompose, reassemble
+from hlvqe.qsim import AnalyticBackend, SampledBackend, StateVector, _observable
 from oracles import (
     coeffs_1q,
     coeffs_2q,
@@ -36,14 +30,18 @@ from oracles import (
 )
 
 
+def as_dict(decomp):
+    """The terms of ``decomp`` keyed by Pauli label."""
+    return {s.ops: c for s, c in decomp.terms}
+
+
 class TestDecompose:
     def test_identity_2x2(self):
-        d = decompose(np.eye(2))
-        assert d.as_dict() == {"I": 1.0}
+        assert as_dict(decompose(np.eye(2))) == {"I": 1.0}
 
     def test_diagonal_2x2(self):
         a, b = 3.0, -1.0
-        d = decompose(np.diag([a, b])).as_dict()
+        d = as_dict(decompose(np.diag([a, b])))
         assert d == pytest.approx({"I": (a + b) / 2, "Z": (a - b) / 2})
 
     def test_round_trip_random_symmetric(self):
@@ -160,7 +158,7 @@ class TestStringActionAgainstKron:
 
     def test_decompose_recovers_kron_matrix(self):
         for ops in all_strings():
-            assert decompose(pauli_kron(ops)).as_dict() == {ops: 1.0}, ops
+            assert as_dict(decompose(pauli_kron(ops))) == {ops: 1.0}, ops
 
     def test_analytic_expectation(self):
         rng = np.random.default_rng(13)
@@ -174,10 +172,16 @@ class TestStringActionAgainstKron:
             assert abs(got - want) < 1e-13, ops
 
 
+def pauli_form(params, beta, cutoff):
+    """(h, dh): the decompositions of H(beta) and dH/dbeta."""
+    return (decompose(build_effective_hamiltonian(params, beta, cutoff)),
+            decompose(build_effective_hamiltonian_dbeta(params, beta, cutoff)))
+
+
 def weights(params, beta, cutoff):
-    """(h, dh) of hamiltonian_decomposition as dicts keyed by Pauli label."""
-    h, dh = hamiltonian_decomposition(params, beta, cutoff)
-    return h.as_dict(), dh.as_dict()
+    """(h, dh) of ``pauli_form`` as dicts keyed by Pauli label; a string
+    whose weight is below ``pauli.PRUNE_TOL`` is absent."""
+    return tuple(map(as_dict, pauli_form(params, beta, cutoff)))
 
 
 def assert_fd_derivatives(params, cutoff, betas, step=1e-6):
@@ -186,7 +190,7 @@ def assert_fd_derivatives(params, cutoff, betas, step=1e-6):
         hp, _ = weights(params, beta + step, cutoff)
         hm, _ = weights(params, beta - step, cutoff)
         for k in dh:
-            fd = (hp[k] - hm[k]) / (2 * step)
+            fd = (hp.get(k, 0.0) - hm.get(k, 0.0)) / (2 * step)
             assert dh[k] == pytest.approx(fd, rel=1e-6, abs=1e-9), (beta, k)
 
 
@@ -209,7 +213,7 @@ class TestClosedForm1Q:
     def test_beta_zero(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
         h, _ = weights(p, 0.0, 2)
-        assert h["X"] == 0.0
+        assert "X" not in h
         assert h["Z"] == pytest.approx(-0.5)
         assert h["I"] == pytest.approx(-29 / 2)
 
@@ -220,7 +224,7 @@ class TestClosedForm1Q:
         for vbar, N in ((2.0, 30), (1.5, 12), (3.0, 50)):
             p = ModelParams.create(N, 1.0, vbar=vbar)
             h, _ = weights(p, math.acos(1 / vbar), 2)
-            assert abs(h["X"]) < 1e-12
+            assert abs(h.get("X", 0.0)) < 1e-12
 
     def test_derivatives_match_finite_differences(self):
         assert_fd_derivatives(ModelParams.create(30, 1.0, vbar=2.0), 2, (0.1, 0.7, 1.3))
@@ -231,22 +235,21 @@ class TestClosedForm2Q:
         p = ModelParams.create(30, 1.0, vbar=2.0)
         for beta in np.linspace(0, math.pi, 13):
             h, dh = weights(p, float(beta), 4)
-            assert h["YY"] == h["XX"]
-            assert dh["YY"] == dh["XX"]
+            assert h.get("YY") == h.get("XX")
+            assert dh.get("YY") == dh.get("XX")
 
     def test_beta_zero(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
         h, _ = weights(p, 0.0, 4)
-        assert h["ZZ"] == 0.0
+        assert "ZZ" not in h and "XX" not in h
         assert h["ZI"] == pytest.approx(-1.0)
-        assert h["XX"] == 0.0
 
     def test_matches_generic_decomposition(self):
         assert_matches_oracle(coeffs_2q, 4, 3, seed=32)
 
     def test_reference_ground_energy_from_reassembly(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        h, _ = hamiltonian_decomposition(p, 1.0162245, 4)
+        h, _ = pauli_form(p, 1.0162245, 4)
         w = eigh(reassemble(h), eigvals_only=True)
         assert w[0] == pytest.approx(-18.900130, abs=1e-5)
 
@@ -256,61 +259,49 @@ class TestClosedForm2Q:
     def test_small_n_rejected(self):
         # two qubits need five basis states: cutoff 4 > N + 1 at N = 2
         with pytest.raises(ConfigError, match="cutoff must lie") as info:
-            hamiltonian_decomposition(ModelParams(2, 1.0, 0.5), 0.3, 4)
+            pauli_form(ModelParams(2, 1.0, 0.5), 0.3, 4)
         assert info.traceback[-1].name == "_bands"
 
 
 class TestHamiltonianDecomposition:
+    """``decompose`` of H(beta) and dH/dbeta, the Pauli form the package no
+    longer builds for itself."""
+
     def test_generic_matches_matrix_n3q(self):
+        # bit for bit the per-string loop, and back to the matrices
         p = ModelParams.create(20, 1.0, vbar=2.0)
-        h, dh = hamiltonian_decomposition(p, 0.6, 8)
-        assert np.abs(reassemble(h) - build_effective_hamiltonian(p, 0.6, 8)).max() < 1e-10
-        assert np.abs(reassemble(dh)
-                      - build_effective_hamiltonian_dbeta(p, 0.6, 8)).max() < 1e-10
+        for build, decomp in zip((build_effective_hamiltonian, build_effective_hamiltonian_dbeta),
+                                 pauli_form(p, 0.6, 8)):
+            matrix = build(p, 0.6, 8)
+            assert [(s.ops, w) for s, w in decomp.terms] == loop_decompose(matrix)
+            assert np.abs(reassemble(decomp) - matrix).max() < 1e-10
 
     def test_closed_form_used_for_small_registers(self):
-        # one band-table path at every cutoff; at cutoffs 2 and 4 it keeps
-        # exactly the closed form's strings, in its label order
+        # at cutoffs 2 and 4 it keeps exactly the closed form's strings, in
+        # its label order, with weights within 3.6e-15 of it at beta = 0.7
         p = ModelParams.create(30, 1.0, vbar=2.0)
         for cutoff, oracle in ((2, coeffs_1q), (4, coeffs_2q)):
-            h, dh = hamiltonian_decomposition(p, 0.5, cutoff)
-            want, dwant = oracle(p, 0.5)
-            assert [s.ops for s, _ in h.terms] == sorted(want), cutoff
-            assert h.as_dict() == pytest.approx(want, abs=1e-12), cutoff
-            assert dh.as_dict() == pytest.approx(dwant, abs=1e-12), cutoff
+            for beta, tol in ((0.5, 1e-12), (0.7, 3.6e-15)):
+                for got, want in zip(pauli_form(p, beta, cutoff), oracle(p, beta)):
+                    assert [s.ops for s, _ in got.terms] == sorted(want), cutoff
+                    assert as_dict(got) == pytest.approx(want, abs=tol), (cutoff, beta)
 
-    def test_fixed_term_set(self):
-        # the strings come from the band table, so no weight that vanishes at
-        # one angle (the X-carrying ones at beta = 0) drops a term
+    def test_zero_weight_strings_pruned_at_beta_zero(self):
+        # the closed forms carry every string at every beta; decompose keeps
+        # only the nonzero ones: at beta = 0 it drops the X-carrying strings
+        # of H (and ZZ on two qubits) and the I/Z strings of dH/dbeta
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        for cutoff in (2, 4, 8, 16):
-            tuples = []
-            for beta in (0.0, 0.7):
-                h, dh = hamiltonian_decomposition(p, beta, cutoff)
-                strings = tuple(s for s, _ in h.terms)
-                assert tuple(s for s, _ in dh.terms) == strings, (cutoff, beta)
-                tuples.append(strings)
-            assert tuples[0] == tuples[1], cutoff
+        for cutoff, oracle in ((2, coeffs_1q), (4, coeffs_2q)):
+            for got, want in zip(pauli_form(p, 0.0, cutoff), oracle(p, 0.0)):
+                kept = sorted(k for k, w in want.items() if w != 0.0)
+                assert kept != sorted(want), cutoff
+                assert [s.ops for s, _ in got.terms] == kept, cutoff
+                assert as_dict(got) == pytest.approx({k: want[k] for k in kept}, abs=1e-12)
 
     def test_non_power_of_two_rejected(self):
         p = ModelParams.create(30, 1.0, vbar=2.0)
-        with pytest.raises(ConfigError):
-            hamiltonian_decomposition(p, 0.5, 3)
-
-    def test_band_weights_equal_five_decomposition_merge(self):
-        # every string of any band matrix's decomposition, ordered by its
-        # base-4 index (I, X, Y, Z = 0 .. 3, first character most
-        # significant), with each band's weight there or 0.0
-        index = str.maketrans("IXYZ", "0123")
-        for n in [*range(2, 34), 63, 64, 127, 128, 256]:
-            p = ModelParams.create(n, 1.0, vbar=2.0)
-            for cutoff in (1 << j for j in range(1, (n + 1).bit_length())):
-                parts = [decompose(m).as_dict() for m in dense_bands(p, cutoff)]
-                want = sorted(set().union(*parts), key=lambda s: int(s.translate(index), 4))
-                ops, W = _band_weights(p, cutoff)
-                assert ops == tuple(want), (n, cutoff)
-                W_ref = np.array([[d.get(s, 0.0) for s in want] for d in parts])
-                assert W.tobytes() == W_ref.tobytes(), (n, cutoff)
+        with pytest.raises(ConfigError, match="not a power of two"):
+            pauli_form(p, 0.5, 3)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, "0.5", None, 0.5 + 0j, np.array([0.5]),
                                       np.complex128(0.5), np.complex128(0.5 + 0.3j)],
@@ -318,20 +309,37 @@ class TestHamiltonianDecomposition:
                                   "numpy-complex", "numpy-complex-imag"])
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(ConfigError, match="beta must be finite"):
-            hamiltonian_decomposition(ModelParams.create(30, 1.0, vbar=2.0), beta, 4)
+            pauli_form(ModelParams.create(30, 1.0, vbar=2.0), beta, 4)
 
     def test_cutoff_must_be_integral(self):
+        # 4.0 is rejected even with the integer cutoff 4 cached, as
+        # the band table's cache tells the two apart
         p = ModelParams.create(30, 1.0, vbar=2.0)
+        pauli_form(p, 0.5, 4)
         with pytest.raises(ConfigError, match="cutoff must be an integer"):
-            hamiltonian_decomposition(p, 0.5, 4.0)
-        assert (hamiltonian_decomposition(p, 0.5, np.int64(4))
-                == hamiltonian_decomposition(p, 0.5, 4))
+            pauli_form(p, 0.5, 4.0)
+        assert pauli_form(p, 0.5, np.int64(4)) == pauli_form(p, 0.5, 4)
+
+
+def measured_rows(ops):
+    """(flips, rows): the flip patterns ``SampledBackend._measure`` draws the
+    real matrix of ``ops`` in, and the row it contracts each pattern's
+    frequencies with."""
+    backend = SampledBackend(1, 0)
+    flips = []
+
+    def frequencies(amps, patterns):
+        flips.extend(patterns)
+        return np.zeros((len(patterns), amps.shape[1]))
+
+    backend._frequencies = frequencies
+    _, w, _ = backend._measure(np.eye(2 ** len(ops))[:1], _observable(ops))
+    return flips, w
 
 
 def sign_row(ops):
-    """The row ``qsim._string_row`` contracts frequencies measured in the
-    flip pattern of ``ops`` with."""
-    return _string_row(ops)[1]
+    """The one row of a string with an even number of Y."""
+    return measured_rows(ops)[1][0]
 
 
 def ansatz_amplitudes(t0, t1, t2):
@@ -345,8 +353,8 @@ def ansatz_amplitudes(t0, t1, t2):
 
 
 class TestExpectationFromProbs:
-    """Measured probabilities contracted with the rows of
-    ``qsim._string_row``, the only place those rows are built."""
+    """Measured probabilities contracted with the sign rows that
+    ``SampledBackend._measure`` gives a string's real matrix."""
 
     def test_zz_on_basis_state(self):
         probs = np.array([1.0, 0.0, 0.0, 0.0])
@@ -372,9 +380,8 @@ class TestExpectationFromProbs:
         Hd = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         backend = SampledBackend(1000, 1)
         backend._rng = capture = Capture()
-        flip, row = _string_row("XX")
-        backend._frequencies(amps[None], (flip,))
-        for got in (np.abs(np.kron(Hd, Hd) @ amps) ** 2 @ sign_row("ZZ"), capture.pvals[0] @ row):
+        _, w, _ = backend._measure(amps[None], _observable("XX"))
+        for got in (np.abs(np.kron(Hd, Hd) @ amps) ** 2 @ sign_row("ZZ"), capture.pvals[0] @ w[0]):
             assert got == pytest.approx(math.sin(t0) * math.sin(t2), abs=1e-12)
 
     def test_sign_vectors(self):
@@ -382,14 +389,12 @@ class TestExpectationFromProbs:
         assert sign_row("ZI").tolist() == [1, 1, -1, -1]
         assert sign_row("IZ").tolist() == [1, -1, 1, -1]
         for ops in all_strings():
+            flips, rows = measured_rows(ops)
             if ops.count("Y") % 2:
+                # the zero matrix: measured in no pattern
+                assert flips == [] and rows.shape == (0, 2 ** len(ops)), ops
                 continue
-            flip, got = _string_row(ops)
-            # one C-contiguous float64 row per string: BLAS sums freqs @ row
-            # in another order on a strided operand
-            assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert not got.flags.writeable
             want_flip, want = oracle_string_row(ops)
-            assert flip == want_flip and np.array_equal(got, want), ops
-            if flip == 0:
-                assert np.array_equal(got, np.diag(pauli_kron(ops)).real), ops
+            assert flips == [want_flip] and np.array_equal(rows, [want]), ops
+            if want_flip == 0:
+                assert np.array_equal(rows[0], np.diag(pauli_kron(ops)).real), ops

@@ -26,6 +26,7 @@ from hlvqe.qsim import (
     SampledBackend,
     StateVector,
     _generators,
+    _observable,
     _shifted_ansatz,
     measure_pauli,
     parameter_shift_grad,
@@ -465,43 +466,76 @@ class TestAdjointSweep:
         for got, decomp in ((energy, terms), (g_beta, decompose(dh).terms)):
             want = math.fsum(c * measure_pauli(state, s, backend).value for s, c in decomp)
             assert abs(got - want) <= 1e-12
-        # the per-string rule: per angle, every non-identity string measured
-        # at theta + pi/2 e_k then theta - pi/2 e_k in one two-block call
-        ops = tuple(s.ops for s, _ in terms if not s.is_identity)
-        weights = [c for s, c in terms if not s.is_identity]
+        # the per-string rule: every non-identity string measured on the
+        # whole shifted batch, then per angle k its rows theta + pi/2 e_k
+        # and theta - pi/2 e_k
+        strings = [(s.ops, c) for s, c in terms if not s.is_identity]
         shifted = _shifted_ansatz(theta, nq)
-        want = []
-        for k in range(len(theta)):
-            rows = np.repeat(shifted[1 + 2 * k:3 + 2 * k], len(ops), axis=0)
-            up, down = backend._estimates(rows, ops * 2).reshape(2, len(ops))
-            want.append(math.fsum(c * ((u - d) / 2) for c, u, d in zip(weights, up, down)))
+        values = [(backend._expectations(shifted, _observable(ops)), c) for ops, c in strings]
+        want = [math.fsum(c * ((v[1 + 2 * k] - v[2 + 2 * k]) / 2) for v, c in values)
+                for k in range(len(theta))]
         assert np.abs(grad - want).max() <= 1e-12
 
 
 class TestBatchedEstimates:
-    """SampledBackend._estimates, every row's flip-pattern basis, draw and
-    contraction in one pass, against the row-by-row oracle; and the two numpy
-    behaviours that make the pass draw exactly what the row loop draws."""
+    """A string's real matrix measured through each backend's primitive: the
+    sampled rows of a batch, each in the string's flip pattern, against the
+    row-by-row oracle; the public per-string calls against the dense and
+    per-string oracles; and the numpy behaviour that makes the batch draw
+    exactly what the row loop draws."""
 
     @settings(max_examples=40)
     @example(nq=6, n_rows=100, shots=100_000, seed=0)
     @given(nq=strategies.integers(1, 6), n_rows=strategies.integers(1, 100),
            shots=strategies.integers(1, 10 ** 6), seed=strategies.integers(0, 2 ** 32 - 1))
     def test_matches_row_by_row_oracle(self, nq, n_rows, shots, seed):
+        # a few strings in turn, each measured on every row in one call
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal((n_rows, 2 ** nq))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        # non-identity strings from a small pool, so that rows repeat strings
-        pool = ["".join(rng.choice(list("IXYZ"), nq)) for _ in range(8)]
-        pool = [ops for ops in pool if set(ops) != {"I"}] or ["Y" * nq]
-        ops_list = [pool[i] for i in rng.integers(len(pool), size=n_rows)]
-
         backend = SampledBackend(shots, seed)
-        got = backend._estimates(amps, tuple(ops_list))
         oracle_rng = np.random.default_rng(np.random.SeedSequence(seed))
-        want = oracle_sampled_estimates(amps, ops_list, shots, oracle_rng)
-        assert got.tolist() == want.tolist()
+        for ops in ("".join(rng.choice(list("IXYZ"), nq)) for _ in range(3)):
+            got = backend._expectations(amps, _observable(ops))
+            want = oracle_sampled_estimates(amps, [ops] * n_rows, shots, oracle_rng)
+            assert got == want.tolist(), ops
         assert backend._rng.random() == oracle_rng.random()
+
+    @settings(max_examples=30)
+    @example(nq=4, k=14, shots=100_000, seed=0)
+    @given(nq=strategies.integers(1, 4), k=strategies.integers(0, 14),
+           shots=strategies.integers(1, 10 ** 6), seed=strategies.integers(0, 2 ** 32 - 1))
+    def test_every_string_matches_per_string_oracles(self, nq, k, shots, seed):
+        # every string on a random real state, bit for bit: the analytic <P>
+        # against the dense kron matrix (both contract a signed permutation
+        # of the state with it); the sampled expectation and shift gradient
+        # against one oracle draw per measured row, value and stream; an odd
+        # number of Y reads exactly 0.0 and draws nothing on both backends
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-math.pi, math.pi, 2 ** nq - 1)
+        k %= len(theta)
+        psi = prepare_ansatz(theta, nq)
+        up, dn = theta.copy(), theta.copy()
+        up[k], dn[k] = theta[k] + math.pi / 2, theta[k] - math.pi / 2
+        shifted = [row_ansatz_state(t, nq) for t in (up, dn)]
+        backend = SampledBackend(shots, seed)
+        oracle_rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for ops in map("".join, itertools.product("IXYZ", repeat=nq)):
+            string = PauliString(ops)
+            exact = AnalyticBackend().expectation(psi, string).value
+            dense = psi.amplitudes @ pauli_kron(ops).real @ psi.amplitudes
+            assert exact == dense, ops
+            est = backend.expectation(psi, string)
+            (want,) = oracle_sampled_estimates([psi.amplitudes], [ops], shots, oracle_rng)
+            assert est.value == want, ops
+            grad = parameter_shift_grad(theta, k, string, backend)
+            if not string.is_identity:
+                u, d = oracle_sampled_estimates(shifted, [ops] * 2, shots, oracle_rng)
+                assert grad == (u - d) / 2, ops
+            assert backend._rng.bit_generator.state == oracle_rng.bit_generator.state, ops
+            if ops.count("Y") % 2:
+                assert exact == est.value == grad == 0.0, ops
+                assert (est.std_error, est.shots) == (0.0, 0), ops
 
     def test_one_row_is_the_public_measurement(self):
         st = prepare_ansatz([0.8, 0.2, -0.4], 2)
@@ -542,20 +576,21 @@ class TestBatchedEstimates:
                     assert abs(got - want) <= 1e-12, ops
 
     def test_analytic_rows_match_dense_oracle(self, monkeypatch):
-        # AnalyticBackend._estimates is its only <P> path: quadratic forms from
-        # the string action, with no StateVector (so no norm check) per row;
-        # expectation is its one-row call, bit for bit
+        # AnalyticBackend._expectations is its only <P> path: quadratic forms
+        # with the string's real matrix, with no StateVector (so no norm
+        # check) per row; expectation is its one-row call, bit for bit
         rng = np.random.default_rng(4)
         amps = rng.standard_normal((30, 8))
-        ops_list = ["".join(rng.choice(list("IXYZ"), 3)) for _ in range(30)]
+        ops_list = ["".join(rng.choice(list("IXYZ"), 3)) for _ in range(8)]
         states = [prepare_ansatz(t, 3) for t in rng.uniform(-2, 2, (4, 7))]
         singles = [AnalyticBackend().expectation(st, PauliString(ops)).value
                    for st in states for ops in ops_list[:4]]
         monkeypatch.setattr(qsim, "StateVector", None)
-        got = AnalyticBackend()._estimates(amps, tuple(ops_list))
-        want = [a @ pauli_kron(ops) @ a for a, ops in zip(amps, ops_list)]
-        assert np.abs(got - np.real(want)).max() <= 1e-12
-        assert singles == [AnalyticBackend()._estimates(st.amplitudes[None], (ops,))[0]
+        for ops in ops_list:
+            got = AnalyticBackend()._expectations(amps, _observable(ops))
+            want = [a @ pauli_kron(ops) @ a for a in amps]
+            assert np.abs(np.array(got) - np.real(want)).max() <= 1e-12, ops
+        assert singles == [AnalyticBackend()._expectations(st.amplitudes[None], _observable(ops))[0]
                            for st in states for ops in ops_list[:4]]
 
     def test_two_dimensional_multinomial_draws_like_sequential_calls(self):
@@ -568,16 +603,6 @@ class TestBatchedEstimates:
             want = np.array([rows.multinomial(100_000, p) for p in pvals])
             assert got.tolist() == want.tolist()
             assert batched.random() == rows.random()
-
-    def test_batched_matmul_sums_like_per_row_dot(self):
-        # np.matmul on (R, 1, k) x (R, k, 1) rounds each row as freqs @ signs
-        # does; einsum and (f * S).sum(1) do not from 4 and 8 entries on
-        rng = np.random.default_rng(11)
-        for k in range(2, 65):
-            freqs = rng.multinomial(100_000, np.full(k, 1 / k), size=40) / 100_000
-            signs = rng.choice([-1.0, 1.0], size=(40, k))
-            got = np.matmul(freqs[:, None, :], signs[:, :, None])[:, 0, 0]
-            assert got.tolist() == [float(f @ s) for f, s in zip(freqs, signs)], k
 
 
 class TestSampleCounts:

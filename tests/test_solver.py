@@ -13,9 +13,7 @@ from hlvqe import solver
 from hlvqe.errors import ConfigError, NumericalError
 from hlvqe.model import (
     ModelParams,
-    _bands,
-    _combine,
-    _dense,
+    _build,
     _parity_chains,
     _trig,
     build_effective_hamiltonian,
@@ -69,9 +67,8 @@ class TestGroundPair:
         # moving a bit, zero signs included
         cutoff = data.draw(st.integers(1, n + 1), label="cutoff")
         p = ModelParams.create(n, 1.0, vbar=vbar)
-        idx, vals = _bands(p, cutoff)
         for f in _trig(beta):
-            got = _dense(_combine(f, vals), idx, cutoff)
+            got = _build(p, f, cutoff)
             want = sum_combine(f, dense_bands(p, cutoff))
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
