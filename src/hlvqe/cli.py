@@ -125,10 +125,16 @@ class RunConfig:
     values: dict
 
     def model_params(self) -> ModelParams:
-        if self.values["n"] is None:
+        """The model of --n, --eps and exactly one of --v and --vbar; the
+        sweep-vbar grid sets each coupling itself, so that verb reads
+        neither and its template, of which it reads N and eps, takes vbar 1."""
+        values = self.values
+        if values["n"] is None:
             raise ConfigError("particle number --n is required")
-        return ModelParams.create(self.values["n"], self.values["eps"],
-                                  coupling=self.values["v"], vbar=self.values["vbar"])
+        if self.task == "sweep-vbar":
+            return ModelParams.create(values["n"], values["eps"], vbar=1.0)
+        return ModelParams.create(values["n"], values["eps"],
+                                  coupling=values["v"], vbar=values["vbar"])
 
     def echo(self) -> dict:
         return {"task": self.task, **self.values}

@@ -160,7 +160,8 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
     trace = []
     for step in range(1, opts.max_iterations + 1):
         energy, g_beta, g_theta = objective(beta, theta)
-        g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
+        with np.errstate(over="ignore"):  # an infinite norm raises just below
+            g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
         if not math.isfinite(energy) or not math.isfinite(g_norm):
             raise NumericalError(f"step {step}: energy {energy}, gradient norm {g_norm}")
 

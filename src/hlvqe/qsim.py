@@ -14,14 +14,13 @@ before it.  Each string has a single Y, so the state stays float64.  On 1 and
 exp(-i theta/2 Z_0 X_1) into exp(+i theta/2 Z_0 Y_1); wider Z^s Y_t rotations
 are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
-Measurement lives in this module alone.  Each backend has one primitive
-that takes the rows of a state batch and a dense real symmetric observable
-h: ``AnalyticBackend._expectations`` gives a . (h a) per row, and
-``SampledBackend._measure`` measures every row in each flip pattern of h.
-The objective and the public per-string calls go through it, a
-``PauliString`` P as the real part of its matrix (``_observable``): P itself
-with an even number of Y, and the zero matrix with an odd number, which
-reads 0 on a real state, as <P> does, and draws nothing.
+Measurement lives in this module alone.  Each backend has one public
+``expectation(state, string)``, a . (h a) exactly or sampled, on the real
+part of the string's matrix (``_observable``): P itself with an even number
+of Y, and the zero matrix with an odd number, which reads 0 on a real state,
+as <P> does, and draws nothing.  ``SampledBackend._measure`` is the one place
+anything is drawn for an objective or a string; ``parameter_shift_grad``
+measures its two shifted states through ``expectation``.
 
 Backends: both take the objective psi^T H psi and its gradients from dense
 real matrices, H(beta) and dH/dbeta or an excited observable, each its own
@@ -38,10 +37,11 @@ string (the extended Bell measurement of Kondo et al., Quantum 6, 688
 ``_shifted_ansatz`` batch (the base state, then per angle the +-pi/2 shifted
 states) measured in every pattern of the nonzero entries of H and dH/dbeta,
 every ensemble drawn in one multinomial call on a ``SeedSequence(seed)``
-generator, as one call per row in row order would; its sums are
-``math.fsum`` over numpy products.  Each backend also gives the amplitude
-magnitudes a run records (exact, or the square roots of one ensemble) and
-the backend a run draws from (itself, or a copy on its own stream).
+generator, as one call per (state, pattern) in that order would; its sums
+are ``math.fsum`` over numpy products, and one past the float range is a
+NumericalError.  Each backend also gives the amplitude magnitudes a run
+records (exact, or the square roots of one ensemble) and the backend a run
+draws from (itself, or a copy on its own stream).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, _integer, _unit_amplitudes
+from .errors import ConfigError, NumericalError, _integer, _unit_amplitudes
 from .pauli import PauliString, _string_action
 
 __all__ = [
@@ -201,13 +201,9 @@ class AnalyticBackend:
     """Exact expectation values; std_error is zero and shots do not apply."""
 
     def expectation(self, state: StateVector, string: PauliString) -> ExpectationEstimate:
-        """Exact <P> of ``state``: the one-row ``_expectations`` call."""
-        h = _observable(state._ops_of(string))
-        return ExpectationEstimate(self._expectations(state.amplitudes[None], h)[0], 0.0, 0)
-
-    def _expectations(self, amps: np.ndarray, h: np.ndarray) -> list:
-        """Exact a . (h a) of each row a of ``amps``, as ``_cost`` takes its energy."""
-        return [float(a @ (h @ a)) for a in amps]
+        """Exact <P> of ``state`` as a . (h a), as ``_cost`` takes its energy."""
+        a, h = state.amplitudes, _observable(state._ops_of(string))
+        return ExpectationEstimate(float(a @ (h @ a)), 0.0, 0)
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one
@@ -255,39 +251,28 @@ class SampledBackend:
         """<P> of ``state`` from one ensemble in the string's flip pattern,
         or from none for the zero matrix of a string with an odd number of Y."""
         freqs, w, _ = self._measure(state.amplitudes[None], _observable(state._ops_of(string)))
-        val = _total(freqs[0], w)
+        val = _total(freqs[0] * w)
         shots = self.shots * freqs.shape[1]
         # each shot reads an eigenvalue +-1 of P, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / shots) if shots else 0.0
         return ExpectationEstimate(val, std, shots)
 
-    def _expectations(self, amps: np.ndarray, h: np.ndarray) -> list:
-        """Sampled a . (h a) of each row a of ``amps``, one ``_measure`` call."""
-        freqs, w, _ = self._measure(amps, h)
-        return [_total(f, w) for f in freqs]
-
-    def _frequencies(self, amps: np.ndarray, flips: tuple) -> np.ndarray:
-        """(R, 2^n) measured frequencies, row r of ``amps`` in the basis of the
-        flip pattern ``flips[r]``: every ensemble in one multinomial call."""
-        base, partner, sign = _flip_basis(flips, amps.shape[1].bit_length() - 1)
-        rows = np.arange(len(flips))[:, None]
-        p = (amps[rows, base] + sign * amps[rows, partner]) ** 2
-        return self._rng.multinomial(self.shots, p / p.sum(axis=1, keepdims=True)) / self.shots
-
     def _measure(self, amps: np.ndarray, h, dh=None) -> tuple:
         """(freqs, w, dw): every row of ``amps`` measured in each flip pattern
         f of the nonzero entries of h and dh, as (rows, patterns, 2^n)
-        frequencies from one ``_frequencies`` call, row by row; and the
-        eigenvalues sign h[base, partner] of h and of dh (None without dh) on
-        each pattern's outcomes (``_flip_basis``).  With no nonzero entry
-        there is no pattern: nothing is drawn and every sum over them is 0."""
+        frequencies from one multinomial call, which draws as one call per
+        (row, pattern) in that order would; and the eigenvalues
+        sign h[base, partner] of h and of dh (None without dh) on each
+        pattern's outcomes (``_flip_basis``).  With no nonzero entry there is
+        no pattern: nothing is drawn and every sum over them is 0."""
         dim = amps.shape[1]
         rows, cols = np.nonzero(h if dh is None else (h != 0) | (dh != 0))
         flips = tuple(np.flatnonzero(np.bincount(rows ^ cols, minlength=dim)).tolist())
         base, partner, sign = _flip_basis(flips, dim.bit_length() - 1)
-        freqs = self._frequencies(np.repeat(amps, len(flips), axis=0), flips * len(amps))
-        return (freqs.reshape(len(amps), len(flips), dim), sign * h[base, partner],
-                None if dh is None else sign * dh[base, partner])
+        # take keeps p in C order (amps[:, base] need not), so a row sums as it would alone
+        p = (amps.take(base, axis=1) + sign * amps.take(partner, axis=1)) ** 2
+        freqs = self._rng.multinomial(self.shots, p / p.sum(axis=2, keepdims=True)) / self.shots
+        return freqs, sign * h[base, partner], None if dh is None else sign * dh[base, partner]
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
         """psi^T h psi and psi^T dh psi (0.0 without dh) as sum_f freqs_f . w_f
@@ -301,9 +286,9 @@ class SampledBackend:
         """
         states = _shifted_ansatz(theta, h.shape[0].bit_length() - 1)
         freqs, w, dw = self._measure(states, h, dh)
-        shifts = ((freqs[1::2] - freqs[2::2]) / 2 * w).reshape(len(theta), -1)
-        return (_total(freqs[0], w), 0.0 if dh is None else _total(freqs[0], dw),
-                np.array([math.fsum(row) for row in shifts.tolist()]))
+        shifts = (freqs[1::2] - freqs[2::2]) / 2 * w
+        return (_total(freqs[0] * w), 0.0 if dh is None else _total(freqs[0] * dw),
+                np.array([_total(row) for row in shifts]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""
@@ -341,9 +326,13 @@ def _flip_basis(flips: tuple, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np
     return out
 
 
-def _total(freqs: np.ndarray, w: np.ndarray) -> float:
-    """sum_f freqs_f . w_f over one state's ensembles, as ``math.fsum``."""
-    return math.fsum((freqs * w).ravel().tolist())
+def _total(terms: np.ndarray) -> float:
+    """``math.fsum`` of every entry of ``terms``.  They are finite, so only a
+    sum past the float range stops it: that is a NumericalError."""
+    try:
+        return math.fsum(terms.ravel().tolist())
+    except OverflowError as exc:
+        raise NumericalError(f"a sampled sum overflows the float range ({exc})") from exc
 
 
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
@@ -359,10 +348,9 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
     """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2
-    from one ``_expectations`` call on rows 1 + 2k and 2 + 2k of the
+    from ``backend.expectation`` on rows 1 + 2k and then 2 + 2k of the
     ``_shifted_ansatz`` batch on the string's register, which must carry
-    ``theta``'s 2^n - 1 angles, in the string's ``_observable``; 0.0 for the
-    identity, which draws nothing.
+    ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws nothing.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.
@@ -374,5 +362,6 @@ def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> flo
     amps = _shifted_ansatz(theta, len(string))
     if string.is_identity:
         return 0.0
-    up, down = backend._expectations(amps[1 + 2 * index:3 + 2 * index], _observable(string.ops))
+    up, down = (backend.expectation(StateVector(len(string), row), string).value
+                for row in amps[1 + 2 * index:3 + 2 * index])
     return (up - down) / 2

@@ -24,10 +24,12 @@ the pattern's part of H on those vectors, with the closed-form per-shot
 variance of the estimator and the per-string variance it replaces beside
 them.  Sampled estimates take one multinomial draw per measured row, and
 the sampled objective is evaluated in two such passes, the base state and
-then every shifted state prepared one at a time.  The per-entry loops that fill
-H(beta) and dH/dbeta, and the hand-projected one- and two-qubit Pauli
-weights, are the closed forms the band table replaced, kept here as its
-oracles.  The band table is also built as the dense stack of five
+then every shifted state prepared one at a time.  A sampled backend's
+generator is the one thing a test substitutes: by one that draws row by
+row, one that returns the exact counts, or one that counts its calls.  The
+per-entry loops that fill H(beta) and dH/dbeta, and the hand-projected one-
+and two-qubit Pauli weights, are the closed forms the band table replaced,
+kept here as its oracles.  The band table is also built as the dense stack of five
 cutoff x cutoff matrices that its compact form replaced, and its terms are
 summed by Python's ``sum``; lowest eigenpairs come from
 ``scipy.linalg.eigh``, the paths the compact contraction and the solver's
@@ -504,6 +506,40 @@ def oracle_flip_frequencies(amps, flips, shots, rng):
     ``rng.multinomial`` ensemble per row in row order, as frequencies."""
     return np.array([rng.multinomial(shots, flip_probabilities(a, f)) / shots
                      for a, f in zip(amps, flips)])
+
+
+class RowByRowGenerator:
+    """Wraps a numpy generator: a multinomial call on (..., k) probabilities
+    draws one ensemble per length-k row, in C order, each its own 1-D call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def multinomial(self, n, pvals):
+        rows = np.reshape(pvals, (-1, np.shape(pvals)[-1]))
+        return np.array([self.rng.multinomial(n, p) for p in rows]).reshape(np.shape(pvals))
+
+
+class ExactGenerator:
+    """Draws the exact counts n * pvals, so measured frequencies are the
+    probabilities themselves (to rounding)."""
+
+    def multinomial(self, n, pvals):
+        return n * np.asarray(pvals)
+
+
+class CountingGenerator:
+    """Wraps a generator: counts multinomial calls and keeps each call's
+    probabilities (``pvals``) and their shape (``shapes``)."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.shapes, self.pvals = rng, 0, [], []
+
+    def multinomial(self, n, pvals):
+        self.calls += 1
+        self.shapes.append(np.shape(pvals))
+        self.pvals.append(pvals)
+        return self.rng.multinomial(n, pvals)
 
 
 def oracle_sampled_estimates(amps, ops_list, shots, rng):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,159 @@ import pytest
 import hlvqe
 from hlvqe.cli import _KEYS, main, parse_config
 from hlvqe.errors import ConfigError
+
+
+# overflowing inputs: (argv, exit code, start of the stderr line); each runs
+# with --iters 2
+OVERFLOWS = [
+    # 2 beta0 overflowed in f'(beta): a raw "math domain error", exit 1
+    (["hlvqe", "--n", "30", "--vbar", "2", "--lambda", "2", "--beta0", "1e308"],
+     2, "config error: beta must be finite"),
+    (["excited", "--n", "30", "--vbar", "2", "--lambda", "2", "--mu0", "10",
+      "--beta0", "1e308"], 2, "config error: beta must be finite"),
+    # the first step overflowed beta: reported as bad input, exit 2
+    (["hlvqe", "--n", "30", "--vbar", "2", "--lambda", "2", "--eta", "1e308"],
+     3, "numerical failure: step 1: the update left beta inf"),
+    # entries of H overflowed: "array must not contain infs or NaNs"
+    # from the chain solver (exit 1), or dsyevr finding no eigenpair (exit 3)
+    (["exact", "--n", "30", "--vbar", "1e308"], 2, "config error: H(beta) has a non-finite"),
+    (["hlvqe", "--n", "30", "--vbar", "1e308", "--lambda", "2"],
+     2, "config error: H(beta) has a non-finite"),
+    (["effective", "--n", "30", "--vbar", "1e308", "--lambda", "4"],
+     2, "config error: H(beta) has a non-finite"),
+    # the sampled objective's fsum overflowed: a raw OverflowError, exit 1
+    (["hlvqe", "--n", "30", "--eps", "1.15e307", "--vbar", "2", "--lambda", "4",
+      "--backend", "sampled"], 3, "numerical failure: a sampled sum overflows"),
+    # g_theta . g_theta overflowed, and numpy's matmul warning with its
+    # source line reached stderr before the message
+    (["excited", "--n", "30", "--vbar", "2", "--lambda", "2", "--mu0", "1e308"],
+     3, "numerical failure: step 1: energy"),
+    (["hlvqe", "--n", "30", "--eps", "1e300", "--vbar", "2", "--lambda", "4"],
+     3, "numerical failure: step 1: energy"),
+    (["hlvqe", "--n", "30", "--eps", "1e300", "--vbar", "2", "--lambda", "4",
+      "--backend", "sampled"], 3, "numerical failure: step 1: energy"),
+]
+OVERFLOW_IDS = ["hlvqe-beta0", "excited-beta0", "hlvqe-eta", "exact-vbar", "hlvqe-vbar",
+                "effective-vbar", "sampled-eps-fsum", "excited-mu0", "hlvqe-eps",
+                "sampled-eps"]
+
+# flags whose values cannot be read; each runs with --n 30 --vbar 2.0
+UNREADABLE_FLAGS = [
+    ["hlvqe", "--lambda", "2", "--window", "x..y"],
+    ["sweep-lambda", "--lambdas", "2,x"],
+    ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
+    ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
+    ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", str(10 ** 23)],
+    ["hlvqe", "--lambda", "2", "--backend", "analytic", "--shots", str(10 ** 23)],
+    ["exact", "--n", "thirty"],
+    ["hlvqe", "--lambda", "2", "--eta", "nan"],
+    ["excited", "--lambda", "2", "--mu0", "nan"],
+    ["exact", "--vbar", "nan"],
+    ["effective", "--lambda", "2", "--vbar", "inf"],
+    ["hlvqe", "--lambda", "2", "--beta0", "inf"],
+    ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
+    ["exact", "--seed", "-1"],
+    ["sweep-lambda", "--lambdas", ","],
+    ["sweep-vbar", "--lambda", "3", "--vbar-grid", ""],
+    ["hlvqe", "--lambda", "2", "--iters", "80", "--window", "75..85"],
+]
+UNREADABLE_FLAG_IDS = ["window", "lambdas", "vbar-grid", "zero-shots", "oversized-shots",
+                       "oversized-shots-analytic", "n", "eta-nan", "mu0-nan", "vbar-nan",
+                       "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed",
+                       "empty-lambdas", "empty-vbar-grid", "window-outside-iters"]
+
+# config-file entries that cannot be read, each over a valid hlvqe config
+UNREADABLE_ENTRIES = [{"n": "thirty"}, {"eta": [0.1]}, {"lambdas": [2, "x"]}, {"window": [70]},
+                      {"iters": 80.5}, {"backend": "sampled "}, {"plot_data": "false"},
+                      {"out": 5}, {"eta": math.inf}, {"iters": math.inf}, {"lambdas": []},
+                      {"vbar_grid": []}, {"vbar": True}, {"iters": True},
+                      {"vbar": True, "iters": True}, {"lambdas": [2, True]}]
+UNREADABLE_ENTRY_IDS = ["n", "eta", "lambdas", "window", "iters", "backend", "plot_data", "out",
+                        "eta-inf", "iters-inf", "empty-lambdas", "empty-vbar-grid", "vbar-bool",
+                        "iters-bool", "vbar-iters-bool", "lambdas-bool"]
+
+
+def flag_argv(flags):
+    return flags[:1] + ["--n", "30", "--vbar", "2.0"] + flags[1:]
+
+
+def file_argv(entry, out):
+    """An hlvqe call whose config file, written to ``out``, holds ``entry``."""
+    f = out / "cfg.json"
+    f.write_text(json.dumps({"n": 30, "vbar": 2.0, "lambda": 2, "out": str(out), **entry}))
+    return ["hlvqe", "--config", str(f)]
+
+
+def blocked_argv(tmp, sub):
+    """An exact call whose --out is the regular file ``tmp``/blocker, or ``sub``
+    under it."""
+    blocker = tmp / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker if sub is None else blocker / sub
+    return ["exact", "--n", "4", "--vbar", "2", "--out", str(out)]
+
+
+def no_space_argv(tmp, monkeypatch, stage):
+    """An exact call into ``tmp`` whose temporary file cannot be made
+    (``stage`` "mkstemp") or written ("write"), as on a full disk."""
+    def no_space(*args, **kwargs):
+        if stage == "write":
+            os.close(args[0])
+        raise OSError(28, "No space left on device")
+
+    if stage == "mkstemp":
+        monkeypatch.setattr(tempfile, "mkstemp", no_space)
+    else:
+        monkeypatch.setattr(os, "fdopen", no_space)
+    return ["exact", "--n", "4", "--vbar", "2", "--out", str(tmp)]
+
+
+def failing_calls():
+    """Every ``main`` call of this file that exits 2 or 3 (the excited mu0
+    overflow as its OVERFLOWS case), as params (make, code):
+    make(tmp_path, monkeypatch) prepares the call and returns its argv."""
+    def plain(argv):
+        return lambda tmp, mp: argv + ["--out", str(tmp)]
+
+    calls = [pytest.param(plain(["exact", "--n", "30", "--v", "0.1", "--vbar", "2.0"]), 2,
+                          id="both-v-and-vbar"),
+             pytest.param(plain(["exact", "--n", "30"]), 2, id="neither-v-nor-vbar"),
+             pytest.param(plain(["effective", "--n", "30", "--vbar", "2.0"]), 2,
+                          id="missing-lambda")]
+    calls += [pytest.param(plain(argv + ["--iters", "2"]), code, id=f"overflow-{name}")
+              for (argv, code, _), name in zip(OVERFLOWS, OVERFLOW_IDS)]
+    calls += [pytest.param(plain(flag_argv(flags)), 2, id=f"flag-{name}")
+              for flags, name in zip(UNREADABLE_FLAGS, UNREADABLE_FLAG_IDS)]
+    calls += [pytest.param(lambda tmp, mp, entry=entry: file_argv(entry, tmp), 2,
+                           id=f"file-{name}")
+              for entry, name in zip(UNREADABLE_ENTRIES, UNREADABLE_ENTRY_IDS)]
+    calls += [pytest.param(lambda tmp, mp, sub=sub: blocked_argv(tmp, sub), 2, id=f"out-{name}")
+              for sub, name in ((None, "file"), ("sub", "under-file"),
+                                ("sub/deeper", "deep-under-file"))]
+    calls += [pytest.param(lambda tmp, mp, stage=stage: no_space_argv(tmp, mp, stage), 3,
+                           id=f"no-space-{stage}") for stage in ("mkstemp", "write")]
+    return calls
+
+
+def tree(path):
+    """Every path under ``path``, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in path.rglob("*")}
+
+
+@pytest.mark.parametrize("make, code", failing_calls())
+def test_every_failure_prints_one_stderr_line_and_writes_nothing(make, code, tmp_path,
+                                                                 monkeypatch, capsys):
+    # pyproject turns warnings into errors, which hides one that a shell would
+    # print before the message; here each is shown as in a shell, and kept
+    argv = make(tmp_path, monkeypatch)
+    before = tree(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
+    assert tree(tmp_path) == before
 
 
 class TestParseConfig:
@@ -252,17 +406,26 @@ class TestTasks:
         assert (tmp_path / f"{name}_long.csv").read_text().splitlines() == want
         assert len(want) > 1
 
+    def test_sweep_vbar_reads_no_coupling(self, tmp_path):
+        # each grid point sets the coupling, so the verb runs without --v or
+        # --vbar (it exited 2) and writes the body it writes with either
+        bodies = []
+        for flags in ([], ["--vbar", "2"], ["--v", "0.1"]):
+            out = tmp_path / str(len(bodies))
+            assert main(["sweep-vbar", "--n", "30", "--lambda", "4", "--vbar-grid", "0.5,1.0",
+                         "--out", str(out), *flags]) == 0
+            bodies.append([line for line in (out / "sweep_vbar.csv").read_text().splitlines()
+                           if not line.startswith("#")])
+        assert bodies[0] == bodies[1] == bodies[2] and len(bodies[0]) == 3
+
     @pytest.mark.parametrize("sub", [None, "sub", "sub/deeper"],
                              ids=["file", "under-file", "deep-under-file"])
     def test_out_that_cannot_be_a_directory_exits_2(self, sub, tmp_path, capsys):
         # an --out that is, or lies under, a regular file is a config error,
         # not a traceback, and the file is left as it was
-        blocker = tmp_path / "blocker"
-        blocker.write_text("kept\n")
-        out = blocker if sub is None else blocker / sub
-        assert main(["exact", "--n", "4", "--vbar", "2", "--out", str(out)]) == 2
+        assert main(blocked_argv(tmp_path, sub)) == 2
         assert capsys.readouterr().err.startswith("config error: ")
-        assert blocker.read_text() == "kept\n"
+        assert (tmp_path / "blocker").read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
     @pytest.mark.parametrize("stage", ["mkstemp", "write"])
@@ -270,16 +433,7 @@ class TestTasks:
                                                      monkeypatch):
         # a temporary file that cannot be made or written once the directory
         # exists is reported, not raised, and nothing is left behind
-        def no_space(*args, **kwargs):
-            if stage == "write":
-                os.close(args[0])
-            raise OSError(28, "No space left on device")
-
-        if stage == "mkstemp":
-            monkeypatch.setattr(tempfile, "mkstemp", no_space)
-        else:
-            monkeypatch.setattr(os, "fdopen", no_space)
-        assert main(["exact", "--n", "4", "--vbar", "2", "--out", str(tmp_path)]) == 3
+        assert main(no_space_argv(tmp_path, monkeypatch, stage)) == 3
         err = capsys.readouterr().err
         assert "failed writing" in err
         # an I/O fault is not labelled numerical
@@ -288,32 +442,18 @@ class TestTasks:
 
     def test_overflowing_excited_descent_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # g_theta . g_theta overflows at mu0 = 1e308: the normalized step
-        # divided by the infinite norm, froze every angle and exited 0
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # divided by the infinite norm, froze every angle and exited 0; and
+        # numpy's matmul warning is not given
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["excited", "--n", "30", "--vbar", "2", "--lambda", "2",
                          "--mu0", "1e308", "--iters", "3", "--out", str(tmp_path)])
+        assert caught == []
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, code, err", [
-        # 2 beta0 overflowed in f'(beta): a raw "math domain error", exit 1
-        (["hlvqe", "--n", "30", "--vbar", "2", "--lambda", "2", "--beta0", "1e308"],
-         2, "config error: beta must be finite"),
-        (["excited", "--n", "30", "--vbar", "2", "--lambda", "2", "--mu0", "10",
-          "--beta0", "1e308"], 2, "config error: beta must be finite"),
-        # the first step overflowed beta: reported as bad input, exit 2
-        (["hlvqe", "--n", "30", "--vbar", "2", "--lambda", "2", "--eta", "1e308"],
-         3, "numerical failure: step 1: the update left beta inf"),
-        # entries of H overflowed: "array must not contain infs or NaNs"
-        # from the chain solver (exit 1), or dsyevr finding no eigenpair (exit 3)
-        (["exact", "--n", "30", "--vbar", "1e308"], 2, "config error: H(beta) has a non-finite"),
-        (["hlvqe", "--n", "30", "--vbar", "1e308", "--lambda", "2"],
-         2, "config error: H(beta) has a non-finite"),
-        (["effective", "--n", "30", "--vbar", "1e308", "--lambda", "4"],
-         2, "config error: H(beta) has a non-finite"),
-    ], ids=["hlvqe-beta0", "excited-beta0", "hlvqe-eta", "exact-vbar", "hlvqe-vbar",
-            "effective-vbar"])
+    @pytest.mark.parametrize("argv, code, err", OVERFLOWS, ids=OVERFLOW_IDS)
     def test_overflow_exit_code_and_no_file(self, argv, code, err, tmp_path, capsys):
         assert main(argv + ["--iters", "2", "--out", str(tmp_path)]) == code
         assert capsys.readouterr().err.startswith(err)
@@ -325,53 +465,16 @@ class TestTasks:
     def test_missing_required_task_option(self):
         assert main(["effective", "--n", "30", "--vbar", "2.0"]) == 2
 
-    @pytest.mark.parametrize("flags", [
-        ["hlvqe", "--lambda", "2", "--window", "x..y"],
-        ["sweep-lambda", "--lambdas", "2,x"],
-        ["sweep-vbar", "--lambda", "3", "--vbar-grid", "1,y"],
-        ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", "0"],
-        ["hlvqe", "--lambda", "2", "--backend", "sampled", "--shots", str(10 ** 23)],
-        ["hlvqe", "--lambda", "2", "--backend", "analytic", "--shots", str(10 ** 23)],
-        ["exact", "--n", "thirty"],
-        ["hlvqe", "--lambda", "2", "--eta", "nan"],
-        ["excited", "--lambda", "2", "--mu0", "nan"],
-        ["exact", "--vbar", "nan"],
-        ["effective", "--lambda", "2", "--vbar", "inf"],
-        ["hlvqe", "--lambda", "2", "--beta0", "inf"],
-        ["hlvqe", "--lambda", "2", "--backend", "sampled", "--seed", "-1"],
-        ["exact", "--seed", "-1"],
-        ["sweep-lambda", "--lambdas", ","],
-        ["sweep-vbar", "--lambda", "3", "--vbar-grid", ""],
-        ["hlvqe", "--lambda", "2", "--iters", "80", "--window", "75..85"],
-    ], ids=["window", "lambdas", "vbar-grid", "zero-shots", "oversized-shots",
-            "oversized-shots-analytic", "n",
-            "eta-nan", "mu0-nan",
-            "vbar-nan", "vbar-inf", "beta0-inf", "negative-seed", "exact-negative-seed",
-            "empty-lambdas", "empty-vbar-grid", "window-outside-iters"])
+    @pytest.mark.parametrize("flags", UNREADABLE_FLAGS, ids=UNREADABLE_FLAG_IDS)
     def test_unreadable_flag_values_exit_2(self, flags, tmp_path, capsys):
-        argv = flags[:1] + ["--n", "30", "--vbar", "2.0", "--out", str(tmp_path)] + flags[1:]
-        assert main(argv) == 2
+        assert main(flag_argv(flags) + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("entry", [{"n": "thirty"}, {"eta": [0.1]},
-                                       {"lambdas": [2, "x"]}, {"window": [70]},
-                                       {"iters": 80.5}, {"backend": "sampled "},
-                                       {"plot_data": "false"}, {"out": 5},
-                                       {"eta": math.inf}, {"iters": math.inf},
-                                       {"lambdas": []}, {"vbar_grid": []},
-                                       {"vbar": True}, {"iters": True},
-                                       {"vbar": True, "iters": True}, {"lambdas": [2, True]}],
-                             ids=["n", "eta", "lambdas", "window", "iters", "backend",
-                                  "plot_data", "out", "eta-inf", "iters-inf",
-                                  "empty-lambdas", "empty-vbar-grid", "vbar-bool", "iters-bool",
-                                  "vbar-iters-bool", "lambdas-bool"])
+    @pytest.mark.parametrize("entry", UNREADABLE_ENTRIES, ids=UNREADABLE_ENTRY_IDS)
     def test_unreadable_file_values_exit_2(self, entry, tmp_path):
         # the output directory comes from the file, so the "out" entry replaces it
-        f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"n": 30, "vbar": 2.0, "lambda": 2,
-                                 "out": str(tmp_path), **entry}))
-        assert main(["hlvqe", "--config", str(f)]) == 2
+        assert main(file_argv(entry, tmp_path)) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

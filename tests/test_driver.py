@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -41,9 +42,10 @@ from hlvqe.qsim import (
 )
 from hlvqe.solver import solve_effective
 from oracles import (
+    CountingGenerator,
+    ExactGenerator,
+    RowByRowGenerator,
     coeffs_1q,
-    flip_probabilities,
-    oracle_flip_frequencies,
     oracle_tree_angles,
     pattern_moments,
     per_string_variance,
@@ -56,32 +58,13 @@ ONE_STEP = HlvqeOptions(max_iterations=1)
 
 
 class RowByRowBackend(SampledBackend):
-    """The sampled backend with its batched draw replaced by the row-by-row
-    oracle: one flip-pattern basis and multinomial draw per row."""
+    """The sampled backend whose runs draw from the row-by-row oracle: one
+    multinomial call per (state, pattern) ensemble in their batch order."""
 
-    def _frequencies(self, amps, flips):
-        return oracle_flip_frequencies(amps, flips, self.shots, self._rng)
-
-
-class ExactBackend(SampledBackend):
-    """The sampled backend reading every ensemble's exact probabilities, from
-    the oracle's explicit basis vectors, in place of measured frequencies."""
-
-    def _frequencies(self, amps, flips):
-        return np.array([flip_probabilities(a, f) for a, f in zip(amps, flips)])
-
-
-class CountingGenerator:
-    """A generator wrapper that counts multinomial calls and keeps the shape
-    of their probability arrays."""
-
-    def __init__(self, rng):
-        self.rng, self.calls, self.shapes = rng, 0, []
-
-    def multinomial(self, n, pvals):
-        self.calls += 1
-        self.shapes.append(np.shape(pvals))
-        return self.rng.multinomial(n, pvals)
+    def _run_copy(self, spawn_key=()):
+        fresh = super()._run_copy(spawn_key)
+        fresh._rng = RowByRowGenerator(fresh._rng)
+        return fresh
 
 
 def trace_bytes(trace):
@@ -132,10 +115,10 @@ class TestCostAndGrads:
 
     @pytest.mark.parametrize("lam", [2, 4, 8, 16])
     def test_exact_frequencies_give_the_analytic_cost(self, lam):
-        # the flip-pattern estimator is exact in expectation: with each
-        # ensemble's exact probabilities in place of frequencies, E, G_beta
-        # and every G_theta equal the adjoint sweep's, on H(beta) with
-        # dH/dbeta and on the dense excited matrix
+        # the flip-pattern estimator is exact in expectation: with a generator
+        # that returns each ensemble's exact counts, E, G_beta and every
+        # G_theta equal the adjoint sweep's, on H(beta) with dH/dbeta and on
+        # the dense excited matrix
         rng = np.random.default_rng(lam)
         nq = lam.bit_length() - 1
         for beta in (0.0, 0.7, 1.3):
@@ -144,7 +127,9 @@ class TestCostAndGrads:
             shifted = excited_hamiltonian(
                 h, prepare_ansatz(rng.uniform(-math.pi, math.pi, lam - 1), nq), 10.0)
             for args in ((h, build_effective_hamiltonian_dbeta(P30, beta, lam)), (shifted,)):
-                energy, g_beta, grad = ExactBackend(10, 1)._cost(theta, *args)
+                backend = SampledBackend(10, 1)
+                backend._rng = ExactGenerator()
+                energy, g_beta, grad = backend._cost(theta, *args)
                 want = ANALYTIC._cost(theta, *args)
                 assert abs(energy - want[0]) <= 1e-12 and abs(g_beta - want[1]) <= 1e-12
                 assert np.abs(grad - want[2]).max() <= 1e-12
@@ -154,14 +139,15 @@ class TestCostAndGrads:
         # H(beta) couples |dn| <= 2, so its entries and dH/dbeta's take 2n
         # flip patterns on n qubits (66 Pauli strings at cutoff 16); each of
         # the 2^(n+1) - 1 prepared states is measured once per pattern, at
-        # beta = 0 too, where the |dn| = 1 band of H(beta) vanishes
+        # beta = 0 too, where the |dn| = 1 band of H(beta) vanishes: one
+        # (states, patterns, outcomes) multinomial call
         nq = lam.bit_length() - 1
         for beta in (0.0, 0.6):
             backend = SampledBackend(1000, 3)
             backend._rng = counting = CountingGenerator(backend._rng)
             cost_and_grads(ModelParams.create(n, 1.0, vbar=2.0), lam, beta,
                            np.full(lam - 1, 0.1), backend)
-            assert counting.shapes == [((2 * lam - 1) * 2 * nq, lam)]
+            assert counting.shapes == [(2 * lam - 1, 2 * nq, lam)]
 
     def test_excited_step_measures_every_pattern(self):
         # the rank-one shift fills the excited matrix, so all 2^n patterns are live
@@ -170,7 +156,7 @@ class TestCostAndGrads:
         shifted = excited_hamiltonian(build_effective_hamiltonian(P30, 0.9, 8),
                                       prepare_ansatz(np.full(7, 0.4), 3), 10.0)
         backend._cost(np.full(7, 0.2), shifted)
-        assert counting.shapes == [(15 * 8, 8)]
+        assert counting.shapes == [(15, 8, 8)]
 
     @pytest.mark.parametrize("lam", [2, 4, 8])
     def test_excited_analytic_objective_matches_per_string_shift_rule(self, lam):
@@ -341,8 +327,15 @@ class TestCostAndGrads:
         assert abs(energy - c) <= 4e-16 * abs(c)
         assert g_beta == 0.0
         assert np.abs(grad).max() <= 4e-16 * abs(c)
-        assert counting.shapes == [(2 ** (nq + 1) - 1, 2 ** nq)]
+        assert counting.shapes == [(2 ** (nq + 1) - 1, 1, 2 ** nq)]
         assert counting.rng.bit_generator.state != before
+
+    def test_sampled_sum_past_the_float_range_is_numerical(self):
+        # at eps = 1.15e307 every product freq * w is finite, but their fsum
+        # overflows: that was a raw OverflowError from math.fsum
+        params = ModelParams.create(30, 1.15e307, vbar=2.0)
+        with pytest.raises(NumericalError, match="overflows the float range"):
+            cost_and_grads(params, 4, 0.2, np.full(3, 0.1), SampledBackend(100_000, 1))
 
     def test_warm_sampled_step_misses_no_plan_and_hashes_no_string(self, monkeypatch):
         # the step's rows are flip patterns (tuples of int), so a warm cutoff-4
@@ -736,11 +729,14 @@ class TestExcitedStates:
     def test_overflowing_gradient_norm_raises(self, update):
         # g_theta . g_theta overflows at mu0 = 1e308: the normalized step
         # divided by the infinite norm and froze every angle, the plain step
-        # ran on to energies of +-8e291
+        # ran on to energies of +-8e291; the overflow is raised, and numpy's
+        # matmul warning, which reached stderr first, is not given
         opts = HlvqeOptions(update=update, max_iterations=3)
-        with pytest.raises(NumericalError, match="gradient norm inf"):
-            with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="gradient norm inf"):
                 excited_state_run(P30, 2, 1e308, opts)
+        assert caught == []
 
     def test_excited_run_marks_stationary_point_converged(self):
         # at theta = 0 the one-qubit shifted Hamiltonian (g = |1>) has zero

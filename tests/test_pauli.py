@@ -21,9 +21,12 @@ from hlvqe.model import (
 from hlvqe.pauli import PauliDecomposition, PauliString, decompose, reassemble
 from hlvqe.qsim import AnalyticBackend, SampledBackend, StateVector, _observable
 from oracles import (
+    CountingGenerator,
+    ExactGenerator,
     coeffs_1q,
     coeffs_2q,
     dense_bands,
+    flip_probabilities,
     loop_decompose,
     oracle_string_row,
     pauli_kron,
@@ -321,20 +324,21 @@ class TestHamiltonianDecomposition:
         assert pauli_form(p, 0.5, np.int64(4)) == pauli_form(p, 0.5, 4)
 
 
+def probe_state(n_qubits):
+    """A fixed random real unit vector, whose outcome probabilities differ
+    from one flip pattern to the next."""
+    psi = np.random.default_rng(n_qubits).standard_normal(2 ** n_qubits)
+    return psi / np.linalg.norm(psi)
+
+
 def measured_rows(ops):
-    """(flips, rows): the flip patterns ``SampledBackend._measure`` draws the
-    real matrix of ``ops`` in, and the row it contracts each pattern's
-    frequencies with."""
+    """(pvals, rows): per flip pattern that ``SampledBackend._measure`` draws
+    the real matrix of ``ops`` in, the probabilities it hands the generator
+    for ``probe_state``, and the row it contracts the frequencies with."""
     backend = SampledBackend(1, 0)
-    flips = []
-
-    def frequencies(amps, patterns):
-        flips.extend(patterns)
-        return np.zeros((len(patterns), amps.shape[1]))
-
-    backend._frequencies = frequencies
-    _, w, _ = backend._measure(np.eye(2 ** len(ops))[:1], _observable(ops))
-    return flips, w
+    backend._rng = capture = CountingGenerator(ExactGenerator())
+    _, w, _ = backend._measure(probe_state(len(ops))[None], _observable(ops))
+    return capture.pvals[0][0], w
 
 
 def sign_row(ops):
@@ -370,18 +374,14 @@ class TestExpectationFromProbs:
         # after the textbook H (x) H against the Z(x)Z row, and from the
         # probabilities the sampled backend draws in XX's flip pattern
         # against its own row
-        class Capture:
-            def multinomial(self, n, pvals):
-                self.pvals = pvals
-                return np.zeros(pvals.shape, dtype=np.int64)
-
         t0, t1, t2 = 0.3, 0.2, 0.1
         amps = ansatz_amplitudes(t0, t1, t2)
         Hd = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         backend = SampledBackend(1000, 1)
-        backend._rng = capture = Capture()
+        backend._rng = capture = CountingGenerator(ExactGenerator())
         _, w, _ = backend._measure(amps[None], _observable("XX"))
-        for got in (np.abs(np.kron(Hd, Hd) @ amps) ** 2 @ sign_row("ZZ"), capture.pvals[0] @ w[0]):
+        for got in (np.abs(np.kron(Hd, Hd) @ amps) ** 2 @ sign_row("ZZ"),
+                    capture.pvals[0][0, 0] @ w[0]):
             assert got == pytest.approx(math.sin(t0) * math.sin(t2), abs=1e-12)
 
     def test_sign_vectors(self):
@@ -389,12 +389,14 @@ class TestExpectationFromProbs:
         assert sign_row("ZI").tolist() == [1, 1, -1, -1]
         assert sign_row("IZ").tolist() == [1, -1, 1, -1]
         for ops in all_strings():
-            flips, rows = measured_rows(ops)
+            pvals, rows = measured_rows(ops)
             if ops.count("Y") % 2:
                 # the zero matrix: measured in no pattern
-                assert flips == [] and rows.shape == (0, 2 ** len(ops)), ops
+                assert pvals.shape == rows.shape == (0, 2 ** len(ops)), ops
                 continue
             want_flip, want = oracle_string_row(ops)
-            assert flips == [want_flip] and np.array_equal(rows, [want]), ops
+            # one pattern, the string's own: its probabilities, bit for bit
+            probs = flip_probabilities(probe_state(len(ops)), want_flip)
+            assert pvals.tolist() == [probs.tolist()] and np.array_equal(rows, [want]), ops
             if want_flip == 0:
                 assert np.array_equal(rows[0], np.diag(pauli_kron(ops)).real), ops

@@ -7,7 +7,8 @@ angles off a real vector, and each flip pattern's measurement basis built
 vector by vector and as a CNOT fan-out and a Hadamard, all independent of
 the simulator's kernels.  The per-string path (sum_P c_P <P> and the shift
 rule) is the adjoint sweep's oracle, and one multinomial draw per measured
-row is the batched sampled pass's oracle.
+row is the batched sampled pass's oracle.  The sampled backend's generator
+is the only part of it a test replaces.
 """
 
 import itertools
@@ -33,6 +34,8 @@ from hlvqe.qsim import (
     prepare_ansatz,
 )
 from oracles import (
+    CountingGenerator,
+    ExactGenerator,
     coeffs_2q,
     fanout_hadamard_matrix,
     flip_basis_vectors,
@@ -292,25 +295,23 @@ class TestMeasurePauli:
         # each flip pattern's basis vectors are the rows of its circuit, a
         # CNOT fan-out from the top bit and a Hadamard there; the sampled
         # draws depend on the probabilities handed to the generator, which
-        # equal the oracle's squared projections bit for bit
-        class Capture:
-            def multinomial(self, n, pvals):
-                self.pvals = pvals
-                return np.zeros(pvals.shape, dtype=np.int64)
-
+        # equal the oracle's squared projections bit for bit, for every
+        # state of a batch in every pattern of a dense observable
         rng = np.random.default_rng(6)
-        for nq in (1, 2, 3):
-            flips = tuple(range(2 ** nq))
+        for nq in (1, 2, 3, 4):
+            flips = range(2 ** nq)
             for f in flips:
                 assert np.array_equal(flip_basis_vectors(f, nq).T, fanout_hadamard_matrix(f, nq))
             backend = SampledBackend(1000, 1)
-            backend._rng = capture = Capture()
-            states = [prepare_ansatz(np.zeros(2 ** nq - 1), nq).amplitudes,
-                      *(prepare_ansatz(t, nq).amplitudes
-                        for t in rng.uniform(-math.pi, math.pi, (3, 2 ** nq - 1)))]
-            for psi in states:
-                backend._frequencies(np.tile(psi, (len(flips), 1)), flips)
-                for f, got in zip(flips, capture.pvals):
+            backend._rng = capture = CountingGenerator(ExactGenerator())
+            states = np.array([prepare_ansatz(np.zeros(2 ** nq - 1), nq).amplitudes,
+                               *(prepare_ansatz(t, nq).amplitudes
+                                 for t in rng.uniform(-math.pi, math.pi, (8, 2 ** nq - 1)))])
+            backend._measure(states, np.ones((2 ** nq, 2 ** nq)))
+            (pvals,) = capture.pvals
+            assert pvals.shape == (len(states), 2 ** nq, 2 ** nq)
+            for psi, per_pattern in zip(states, pvals):
+                for f, got in zip(flips, per_pattern):
                     assert got.tolist() == flip_probabilities(psi, f).tolist(), (nq, f)
 
     def test_width_mismatch(self):
@@ -393,6 +394,32 @@ class TestParameterShift:
             parameter_shift_grad(theta[:2], 0, PauliString("II"), backend)
         assert backend._rng.bit_generator.state == rng.bit_generator.state
 
+    @given(nq=strategies.integers(1, 3), shots=strategies.integers(1, 10 ** 6),
+           seed=strategies.integers(0, 2 ** 32 - 1), data=strategies.data())
+    def test_is_two_public_expectations(self, nq, shots, seed, data):
+        # bit for bit, on both backends and every 1-3-qubit string: the shift
+        # rule is (<P>(up) - <P>(down)) / 2 from ``expectation`` on the two
+        # prepared shifted states, and a sampled backend's stream moves as
+        # those two calls move it; the identity reads 0.0 and draws nothing
+        theta = np.array(data.draw(strategies.lists(
+            strategies.floats(-math.pi, math.pi), min_size=2 ** nq - 1, max_size=2 ** nq - 1)))
+        k = data.draw(strategies.integers(0, 2 ** nq - 2))
+        up, dn = theta.copy(), theta.copy()
+        up[k], dn[k] = theta[k] + math.pi / 2, theta[k] - math.pi / 2
+        states = [prepare_ansatz(t, nq) for t in (up, dn)]
+        for make in (AnalyticBackend, lambda: SampledBackend(shots, seed)):
+            backend, oracle = make(), make()
+            for ops in map("".join, itertools.product("IXYZ", repeat=nq)):
+                string = PauliString(ops)
+                got = parameter_shift_grad(theta, k, string, backend)
+                if string.is_identity:
+                    assert got == 0.0
+                else:
+                    u, d = (oracle.expectation(st, string).value for st in states)
+                    assert got == (u - d) / 2, ops
+                if isinstance(backend, SampledBackend):
+                    assert backend._rng.bit_generator.state == oracle._rng.bit_generator.state
+
     def test_one_qubit_x_derivative(self):
         g = parameter_shift_grad([0.3], 0, PauliString("X"), AnalyticBackend())
         assert g == pytest.approx(math.cos(0.3), abs=1e-12)
@@ -466,20 +493,20 @@ class TestAdjointSweep:
         for got, decomp in ((energy, terms), (g_beta, decompose(dh).terms)):
             want = math.fsum(c * measure_pauli(state, s, backend).value for s, c in decomp)
             assert abs(got - want) <= 1e-12
-        # the per-string rule: every non-identity string measured on the
-        # whole shifted batch, then per angle k its rows theta + pi/2 e_k
-        # and theta - pi/2 e_k
-        strings = [(s.ops, c) for s, c in terms if not s.is_identity]
-        shifted = _shifted_ansatz(theta, nq)
-        values = [(backend._expectations(shifted, _observable(ops)), c) for ops, c in strings]
+        # the per-string rule: every non-identity string measured on each
+        # state of the shifted batch, then per angle k its rows
+        # theta + pi/2 e_k and theta - pi/2 e_k
+        shifted = [StateVector(nq, row) for row in _shifted_ansatz(theta, nq)]
+        values = [([backend.expectation(st, s).value for st in shifted], c)
+                  for s, c in terms if not s.is_identity]
         want = [math.fsum(c * ((v[1 + 2 * k] - v[2 + 2 * k]) / 2) for v, c in values)
                 for k in range(len(theta))]
         assert np.abs(grad - want).max() <= 1e-12
 
 
 class TestBatchedEstimates:
-    """A string's real matrix measured through each backend's primitive: the
-    sampled rows of a batch, each in the string's flip pattern, against the
+    """A string's real matrix measured by each backend: the sampled rows of a
+    ``_measure`` batch, each in the string's flip pattern, against the
     row-by-row oracle; the public per-string calls against the dense and
     per-string oracles; and the numpy behaviour that makes the batch draw
     exactly what the row loop draws."""
@@ -489,14 +516,16 @@ class TestBatchedEstimates:
     @given(nq=strategies.integers(1, 6), n_rows=strategies.integers(1, 100),
            shots=strategies.integers(1, 10 ** 6), seed=strategies.integers(0, 2 ** 32 - 1))
     def test_matches_row_by_row_oracle(self, nq, n_rows, shots, seed):
-        # a few strings in turn, each measured on every row in one call
+        # a few strings in turn, each measured on every row in one call and
+        # summed per row as the correctly rounded fsum
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal((n_rows, 2 ** nq))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         backend = SampledBackend(shots, seed)
         oracle_rng = np.random.default_rng(np.random.SeedSequence(seed))
         for ops in ("".join(rng.choice(list("IXYZ"), nq)) for _ in range(3)):
-            got = backend._expectations(amps, _observable(ops))
+            freqs, w, _ = backend._measure(amps, _observable(ops))
+            got = [math.fsum((f * w).ravel().tolist()) for f in freqs]
             want = oracle_sampled_estimates(amps, [ops] * n_rows, shots, oracle_rng)
             assert got == want.tolist(), ops
         assert backend._rng.random() == oracle_rng.random()
@@ -561,37 +590,31 @@ class TestBatchedEstimates:
                 assert parameter_shift_grad(theta, 2, string, backend) == 0.0
         assert backend._rng.bit_generator.state == before
 
-    def test_even_y_strings_exact_in_expectation(self, monkeypatch):
-        # with each ensemble's exact probabilities in place of frequencies,
-        # every even-Y string on 1-3 qubits reads the analytic <P>
-        monkeypatch.setattr(SampledBackend, "_frequencies", lambda self, amps, flips: np.array(
-            [flip_probabilities(a, f) for a, f in zip(amps, flips)]))
+    def test_even_y_strings_exact_in_expectation(self):
+        # with a generator that returns each ensemble's exact counts, every
+        # even-Y string on 1-3 qubits reads the analytic <P>
         rng = np.random.default_rng(12)
+        backend = SampledBackend(10, 1)
+        backend._rng = ExactGenerator()
         for nq in (1, 2, 3):
             st = prepare_ansatz(rng.uniform(-math.pi, math.pi, 2 ** nq - 1), nq)
             for ops in map("".join, itertools.product("IXYZ", repeat=nq)):
                 if ops.count("Y") % 2 == 0:
-                    got = SampledBackend(10, 1).expectation(st, PauliString(ops)).value
+                    got = backend.expectation(st, PauliString(ops)).value
                     want = AnalyticBackend().expectation(st, PauliString(ops)).value
                     assert abs(got - want) <= 1e-12, ops
 
-    def test_analytic_rows_match_dense_oracle(self, monkeypatch):
-        # AnalyticBackend._expectations is its only <P> path: quadratic forms
-        # with the string's real matrix, with no StateVector (so no norm
-        # check) per row; expectation is its one-row call, bit for bit
+    def test_analytic_rows_match_dense_oracle(self):
+        # the analytic <P> of each row of a random batch is the quadratic form
+        # with the string's dense kron matrix
         rng = np.random.default_rng(4)
         amps = rng.standard_normal((30, 8))
-        ops_list = ["".join(rng.choice(list("IXYZ"), 3)) for _ in range(8)]
-        states = [prepare_ansatz(t, 3) for t in rng.uniform(-2, 2, (4, 7))]
-        singles = [AnalyticBackend().expectation(st, PauliString(ops)).value
-                   for st in states for ops in ops_list[:4]]
-        monkeypatch.setattr(qsim, "StateVector", None)
-        for ops in ops_list:
-            got = AnalyticBackend()._expectations(amps, _observable(ops))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        for ops in ("".join(rng.choice(list("IXYZ"), 3)) for _ in range(8)):
+            got = [AnalyticBackend().expectation(StateVector(3, a), PauliString(ops)).value
+                   for a in amps]
             want = [a @ pauli_kron(ops) @ a for a in amps]
             assert np.abs(np.array(got) - np.real(want)).max() <= 1e-12, ops
-        assert singles == [AnalyticBackend()._expectations(st.amplitudes[None], _observable(ops))[0]
-                           for st in states for ops in ops_list[:4]]
 
     def test_two_dimensional_multinomial_draws_like_sequential_calls(self):
         # the batched pass rests on this: one call on (R, k) pvals gives the
@@ -603,6 +626,18 @@ class TestBatchedEstimates:
             want = np.array([rows.multinomial(100_000, p) for p in pvals])
             assert got.tolist() == want.tolist()
             assert batched.random() == rows.random()
+
+    def test_three_dimensional_multinomial_draws_like_sequential_calls(self):
+        # ``_measure``'s one call on (R, F, k) pvals gives the counts, and
+        # leaves the stream where, R * F calls in C order would
+        for k in (2, 4, 8, 64):
+            pvals = np.random.default_rng(k).dirichlet(np.ones(k), size=(7, 5))
+            batched, rows = np.random.default_rng(7), np.random.default_rng(7)
+            got = batched.multinomial(100_000, pvals)
+            want = [[rows.multinomial(100_000, p) for p in per_row] for per_row in pvals]
+            assert got.shape == (7, 5, k)
+            assert got.tolist() == np.array(want).tolist()
+            assert batched.bit_generator.state == rows.bit_generator.state
 
 
 class TestSampleCounts:
