@@ -140,8 +140,16 @@ class RunConfig:
         return {"task": self.task, **self.values}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (an unknown flag or verb, a missing
+    value) are ConfigErrors, which ``main`` prints as one line and exits 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def parse_config(argv) -> RunConfig:
-    parser = argparse.ArgumentParser(prog="hlvqe", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="hlvqe", description=__doc__.split("\n")[0])
     parser.add_argument("task", choices=_TASKS)
     parser.add_argument("--config")
     for key in _KEYS:

@@ -41,7 +41,7 @@ from .model import (
     build_effective_hamiltonian_dbeta,
     exact_ground_state,
 )
-from .qsim import AnalyticBackend, StateVector, prepare_ansatz
+from .qsim import AnalyticBackend, SampledBackend, StateVector, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
 __all__ = [
@@ -93,6 +93,9 @@ class HlvqeOptions:
                     f"summary window {self.summary_window} outside [1, {self.max_iterations}]")
         if self.update not in ("normalized", "plain"):
             raise ConfigError(f"update must be 'normalized' or 'plain', got {self.update!r}")
+        if not isinstance(self.backend, (AnalyticBackend, SampledBackend)):
+            raise ConfigError(f"backend must be an AnalyticBackend or SampledBackend, "
+                              f"got {self.backend!r}")
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 String convention: a Pauli string is written most-significant qubit first,
 so string[0] acts on the qubit carrying the most significant bit of the
-basis index.  A string has one nonzero per column, P |c> = phase[c] |c ^ flip>
+basis index.  A string has one nonzero per column, P |c> = i^{n_Y} sign[c]
+|c ^ flip>, with n_Y its number of Y and sign[c] = +-1 real
 (``_string_action``); decomposition and reassembly go through that rule
-rather than through a dense matrix, and ``decompose`` evaluates only the
-strings whose flip pattern meets a nonzero entry.  No objective goes through
-a Pauli form: both backends take the dense matrices, and ``qsim`` reads the
-same rule for its gates and for the real matrix of each string it measures.
-With the state-to-qubit mapping index = n (so |01> is the 1p-1h state of a
-two-qubit register), basis indices equal excitation orders directly.
+rather than through a dense matrix, and are the only places its complex
+phase is formed.  No objective goes through a Pauli form: both backends
+take the dense matrices, and ``qsim`` reads the same real rule for its
+gates and measures each string as the real part of its ``reassemble``d
+matrix.  With the state-to-qubit mapping index = n (so |01> is the 1p-1h
+state of a two-qubit register), basis indices equal excitation orders
+directly.
 
 The Pauli form of H(beta) is ``decompose(build_effective_hamiltonian(...))``;
 nothing in the package calls it.  Coefficients are real for real symmetric
@@ -76,39 +78,39 @@ class PauliDecomposition:
 
 @lru_cache(maxsize=4096)
 def _string_action(ops: str) -> tuple[np.ndarray, np.ndarray]:
-    """Column action of a Pauli string: P |c> = phase[c] |rows[c]>, with
-    rows = c ^ flip and flip the X/Y positions of the string.  Cached per
+    """Real column action of a Pauli string: P |c> = i^{n_Y} sign[c] |rows[c]>,
+    with rows = c ^ flip, flip the X/Y positions of the string, and sign the
+    float64 +-1 product of (1 - 2 bit) over its Y and Z qubits.  Cached per
     string; the arrays are read-only."""
     nq = len(ops)
-    dim = 2 ** nq
-    cols = np.arange(dim)
+    cols = np.arange(2 ** nq)
     flip = 0
-    phase = np.ones(dim, dtype=complex)
+    sign = np.ones(2 ** nq)
     for q, ch in enumerate(ops):
         bit = (cols >> (nq - 1 - q)) & 1
         if ch in ("X", "Y"):
             flip |= 1 << (nq - 1 - q)
-        if ch == "Y":
-            phase = phase * (1j * (1.0 - 2.0 * bit))
-        elif ch == "Z":
-            phase = phase * (1.0 - 2.0 * bit)
+        if ch in ("Y", "Z"):
+            sign = sign * (1.0 - 2.0 * bit)
     rows = cols ^ flip
     rows.flags.writeable = False
-    phase.flags.writeable = False
-    return rows, phase
+    sign.flags.writeable = False
+    return rows, sign
+
+
+def _phase(ops: str, sign: np.ndarray) -> np.ndarray:
+    """The complex phase i^{n_Y} sign of the string ``ops`` with signs ``sign``."""
+    return sign * (1 + 0j, 1j, -1 + 0j, -1j)[ops.count("Y") % 4]
 
 
 def decompose(matrix: np.ndarray) -> PauliDecomposition:
     """Trace-projection decomposition of a Hermitian power-of-two matrix.
 
-    Coefficients are <P, H> / 2^n_qubits, evaluated per string through its
-    one-nonzero-per-column action; they are real for Hermitian input, and a
-    complex one is rejected, as is a non-finite entry.  Strings whose
+    Coefficients are <P, H> / 2^n_qubits, evaluated for every string through
+    its one-nonzero-per-column action; they are real for Hermitian input, and
+    a complex one is rejected, as is a non-finite entry.  Strings whose
     coefficient falls below PRUNE_TOL are dropped, so real symmetric input
-    keeps no odd-Y string.  Terms come in ``itertools.product("IXYZ")``
-    order; a string whose flip pattern (its X/Y positions) meets only zero
-    entries has a coefficient of exactly 0 and is skipped unevaluated, so a
-    matrix banded to |r - c| <= 2 costs 2n of the 2^n patterns.
+    keeps no odd-Y string.  Terms come in ``itertools.product("IXYZ")`` order.
     """
     matrix = np.asarray(matrix)
     dim = matrix.shape[0]
@@ -120,16 +122,9 @@ def decompose(matrix: np.ndarray) -> PauliDecomposition:
     scale = max(1.0, float(np.abs(matrix).max()))
     cols = np.arange(dim)
     terms = []
-    # the flip patterns r ^ c of the nonzero entries, and each string's own,
-    # its X/Y positions, in the order the strings are made
-    live = set(np.bitwise_xor(*np.nonzero(matrix)).tolist())
-    bits = [(0, 1 << q, 1 << q, 0) for q in reversed(range(n_qubits))]
-    flips = map(sum, itertools.product(*bits))
-    for ops, flip in zip(map("".join, itertools.product("IXYZ", repeat=n_qubits)), flips):
-        if flip not in live:
-            continue
-        rows, phase = _string_action(ops)
-        coeff = (phase.conj() * matrix[rows, cols]).sum() / dim
+    for ops in map("".join, itertools.product("IXYZ", repeat=n_qubits)):
+        rows, sign = _string_action(ops)
+        coeff = (_phase(ops, sign).conj() * matrix[rows, cols]).sum() / dim
         if abs(coeff.imag) > 1e-12 * scale:
             raise ConfigError("matrix is not Hermitian: complex Pauli weight")
         if abs(coeff.real) > PRUNE_TOL:
@@ -147,8 +142,8 @@ def reassemble(decomp: PauliDecomposition) -> np.ndarray:
     cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in decomp.terms:
-        rows, phase = _string_action(string.ops)
-        out[rows, cols] += coeff * phase
+        rows, sign = _string_action(string.ops)
+        out[rows, cols] += coeff * _phase(string.ops, sign)
     if any(string.ops.count("Y") % 2 for string, _ in decomp.terms):
         return out
     return out.real

@@ -1,10 +1,12 @@
 """Minimal statevector simulator for the ansatz circuits.
 
 Every gate is a Pauli rotation exp(-i phi P), applied as (cos phi - i sin phi P)
-through the string's one-nonzero-per-column action (``pauli._string_action``);
-nothing else changes amplitudes.  Qubit q carries bit (index >> (n-1-q)) & 1 of
-the basis index, i.e. qubit 0 is the most significant bit, matching the Pauli
-string convention of the pauli module.
+through the string's real one-nonzero-per-column action, P |c> = i^{n_Y}
+sign[c] |rows[c]> (``pauli._string_action``): every generator has one Y, so
+-i P is the real sign-weighted permutation; nothing else changes amplitudes.
+Qubit q carries bit (index >> (n-1-q)) & 1 of the basis index, i.e. qubit 0
+is the most significant bit, matching the Pauli string convention of the
+pauli module.
 
 Ansatz, at every register width: the uniformly-controlled-Ry tree of
 Mottonen, Vartiainen, Bergholm & Salomaa, QIC 5, 467 (2005), one rotation of
@@ -16,11 +18,12 @@ are multi-qubit Pauli rotations, which need a CNOT ladder on hardware.
 
 Measurement lives in this module alone.  Each backend has one public
 ``expectation(state, string)``, a . (h a) exactly or sampled, on the real
-part of the string's matrix (``_observable``): P itself with an even number
-of Y, and the zero matrix with an odd number, which reads 0 on a real state,
-as <P> does, and draws nothing.  ``SampledBackend._measure`` is the one place
-anything is drawn for an objective or a string; ``parameter_shift_grad``
-measures its two shifted states through ``expectation``.
+part of the string's ``reassemble``d matrix (``_observable``): P itself with
+an even number of Y, and the zero matrix with an odd number, which reads 0 on
+a real state, as <P> does, and draws nothing.  ``SampledBackend._measure`` is
+the one place anything is drawn for an objective or a string;
+``parameter_shift_grad`` measures its two shifted states through
+``expectation``.
 
 Backends: both take the objective psi^T H psi and its gradients from dense
 real matrices, H(beta) and dH/dbeta or an excited observable, each its own
@@ -55,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalError, _integer, _unit_amplitudes
-from .pauli import PauliString, _string_action
+from .pauli import PauliDecomposition, PauliString, _string_action, reassemble
 
 __all__ = [
     "StateVector",
@@ -95,31 +98,20 @@ class StateVector:
 
 @lru_cache(maxsize=4096)
 def _observable(ops: str) -> np.ndarray:
-    """The real part of the matrix of a Pauli string, read-only: the string
-    itself with an even number of Y, and the zero matrix with an odd number,
-    whose P is imaginary and so has <P> = 0 on a real state."""
-    rows, phase = _string_action(ops)
-    out = np.zeros((len(rows), len(rows)))
-    out[rows, np.arange(len(rows))] = phase.real
+    """The real part of the ``reassemble``d matrix of a Pauli string, a
+    C-contiguous read-only copy: the string itself with an even number of Y,
+    and the zero matrix with an odd number, whose P is imaginary and so has
+    <P> = 0 on a real state."""
+    out = reassemble(PauliDecomposition(len(ops), ((PauliString(ops), 1.0),))).real.copy()
     out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=4096)
-def _kicked(ops: str) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, kick) with -i P amps = (kick * amps)[rows] for a string with one
-    Y, as every ansatz generator has: its phase is +-i, so kick = -i phase =
-    phase.imag is real and keeps real amplitudes real; cached and read-only."""
-    rows, phase = _string_action(ops)
-    kick = phase.imag.copy()
-    kick.flags.writeable = False
-    return rows, kick
-
-
 def _rotate(amps: np.ndarray, ops: str, c: float, s: float) -> np.ndarray:
-    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi)."""
-    rows, kick = _kicked(ops)
-    return c * amps + s * (kick * amps)[rows]
+    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi),
+    for a string with one Y, whose -i P amps is (sign * amps)[rows]."""
+    rows, sign = _string_action(ops)
+    return c * amps + s * (sign * amps)[rows]
 
 
 @lru_cache(maxsize=16)
@@ -185,8 +177,8 @@ def _shifted_ansatz(theta, n_qubits: int) -> np.ndarray:
     amps = np.zeros((width, 2 ** n_qubits))
     amps[:, 0] = 1.0
     for (ops, _), c, s in zip(gens, np.array(cos)[:, :, None], np.array(sin)[:, :, None]):
-        rows, kick = _kicked(ops)
-        amps = c * amps + s * (kick * amps)[:, rows]
+        rows, sign = _string_action(ops)
+        amps = c * amps + s * (sign * amps)[:, rows]
     return amps
 
 

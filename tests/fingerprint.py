@@ -17,6 +17,10 @@ changes with any bit of any output and with nothing else.  The families:
   matrices at cutoffs 2 and 4;
 - ``analytic_strings``/``sampled_strings``: ``measure_pauli`` and
   ``parameter_shift_grad`` (every angle) on every 1-3-qubit string;
+- ``sampled_pvals``: every probability array a sampled ``cost_and_grads``
+  hands its generator, at cutoffs 4, 8 and 16, beta 0 and 0.7, on generic
+  and on sparse angles, so a change in their rounding shows even where the
+  draws it gives happen to agree;
 - ``analytic_csv``/``sampled_csv``: the CSV bodies of every verb, the
   timestamp and config lines left out (the config names the output
   directory).
@@ -51,7 +55,7 @@ import numpy as np
 import scipy
 
 from hlvqe import cli
-from hlvqe.driver import HlvqeOptions, excited_state_run, run
+from hlvqe.driver import HlvqeOptions, cost_and_grads, excited_state_run, run
 from hlvqe.model import ModelParams, build_effective_hamiltonian, exact_ground_state
 from hlvqe.pauli import PauliString, decompose, reassemble
 from hlvqe.qsim import (
@@ -63,6 +67,7 @@ from hlvqe.qsim import (
 )
 from hlvqe.rotations import wigner_d_matrix
 from hlvqe.solver import solve_effective, sweep_lambda, sweep_vbar
+from oracles import CountingGenerator
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "FINGERPRINT.json")
 P30 = ModelParams.create(30, 1.0, vbar=2.0)
@@ -156,6 +161,22 @@ def _strings(backend):
     return out
 
 
+def _pvals():
+    """The ``pvals`` of every multinomial call of one sampled ``cost_and_grads``
+    per (cutoff, beta, theta): generic angles, and the same with most of them
+    set to 0, drawn from one fixed generator."""
+    rng = np.random.default_rng(66)
+    out = []
+    for cutoff, beta in itertools.product((4, 8, 16), (0.0, 0.7)):
+        generic = rng.uniform(-math.pi, math.pi, cutoff - 1)
+        for theta in (generic, np.where(rng.random(cutoff - 1) < 0.7, 0.0, generic)):
+            backend = SampledBackend(1000, 5)
+            backend._rng = CountingGenerator(backend._rng)
+            cost_and_grads(P30, cutoff, beta, theta, backend)
+            out.append(backend._rng.pvals)
+    return out
+
+
 VERBS = [
     ["exact", "--n", "30", "--vbar", "2"],
     ["effective", "--n", "30", "--vbar", "2", "--lambda", "4"],
@@ -196,6 +217,7 @@ FAMILIES = {
     "sampled_excited": lambda: _excited(_sampled(7)),
     "analytic_strings": lambda: _strings(AnalyticBackend()),
     "sampled_strings": lambda: _strings(_sampled(11)),
+    "sampled_pvals": _pvals,
     "analytic_csv": lambda: _csv(False),
     "sampled_csv": lambda: _csv(True),
 }

@@ -11,8 +11,8 @@ floor come from mpmath at 40 digits, single d^J entries from Wigner's sum at
 80 digits, and small Bures distances from 50-digit overlaps; the whole d^J
 matrix is also rebuilt by the rotations module's factorisation with its
 entries picked by ``np.choose``, the selection its parity mask replaced.
-Pauli weights come from the per-string loop over all 4^n strings that the
-decomposition's flip-pattern skip replaced.  Ansatz states are built from
+Pauli weights come from a per-string loop over all 4^n strings that builds
+each string's complex phase qubit by qubit.  Ansatz states are built from
 block-diagonal uniformly-controlled-Ry matrices, and their angles are read
 back off a real unit vector by inverting that tree from the leaves up; the
 simulator's one-row loop of Pauli rotations is rebuilt from bit arithmetic,
@@ -281,10 +281,9 @@ def pauli_kron(ops):
 def loop_decompose(matrix):
     """(ops, coefficient) pairs of the trace projection <P, H> / 2^n of every
     Pauli string whose real part exceeds 1e-14, walking all 4^n strings in
-    the order the prefix loop builds them (last character fastest): the
-    per-string path that the flip-pattern skip replaced, with each string's
-    column action, P |c> = phase[c] |c ^ flip>, rebuilt in the same float
-    operations."""
+    the order the prefix loop builds them (last character fastest), with each
+    string's column action, P |c> = phase[c] |c ^ flip>, rebuilt as one
+    complex phase per qubit."""
     dim = len(matrix)
     nq = dim.bit_length() - 1
     strings = [""]

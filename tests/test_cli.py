@@ -125,6 +125,14 @@ def no_space_argv(tmp, monkeypatch, stage):
     return ["exact", "--n", "4", "--vbar", "2", "--out", str(tmp)]
 
 
+# calls that argparse rejects, with the id of each
+PARSER_ERRORS = [(["exact", "--n", "30", "--vbar", "2", "--lamda", "4"], "misspelt-flag"),
+                 (["bogus", "--n", "30"], "unknown-verb"),
+                 ([], "no-verb"),
+                 (["exact", "--n"], "flag-without-value"),
+                 (["exact", "--n", "30", "--vbar", "2", "--plot-data", "yes"], "value-for-switch")]
+
+
 def failing_calls():
     """Every ``main`` call of this file that exits 2 or 3 (the excited mu0
     overflow as its OVERFLOWS case), as params (make, code):
@@ -137,6 +145,8 @@ def failing_calls():
              pytest.param(plain(["exact", "--n", "30"]), 2, id="neither-v-nor-vbar"),
              pytest.param(plain(["effective", "--n", "30", "--vbar", "2.0"]), 2,
                           id="missing-lambda")]
+    calls += [pytest.param(plain(argv), 2, id=f"parser-{name}")
+              for argv, name in PARSER_ERRORS]
     calls += [pytest.param(plain(argv + ["--iters", "2"]), code, id=f"overflow-{name}")
               for (argv, code, _), name in zip(OVERFLOWS, OVERFLOW_IDS)]
     calls += [pytest.param(plain(flag_argv(flags)), 2, id=f"flag-{name}")
@@ -231,13 +241,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(["hlvqe", "--config", str(f)])
 
-    @pytest.mark.parametrize("argv, code", [(["bogus", "--n", "30"], 2), ([], 2),
-                                            (["sweep-lambda", "--help"], 0)],
+    @pytest.mark.parametrize("argv, error, match",
+                             [(["bogus", "--n", "30"], ConfigError, "invalid choice: 'bogus'"),
+                              ([], ConfigError, "required: task"),
+                              (["sweep-lambda", "--help"], SystemExit, "^0$")],
                              ids=["unknown-verb", "no-verb", "verb-help"])
-    def test_verb_is_checked_by_the_parser(self, argv, code, capsys):
-        with pytest.raises(SystemExit) as info:
+    def test_verb_is_checked_by_the_parser(self, argv, error, match, capsys):
+        # a parser error is a ConfigError; only --help leaves, by SystemExit(0)
+        with pytest.raises(error, match=match):
             parse_config(argv)
-        assert info.value.code == code
 
     def test_window_parsing(self):
         cfg = parse_config(["hlvqe", "--n", "30", "--vbar", "2.0",

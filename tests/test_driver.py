@@ -578,6 +578,17 @@ class TestRun:
         with pytest.raises(ConfigError):
             HlvqeOptions(**bad)
 
+    @pytest.mark.parametrize("backend", ["analytic", None, 3, AnalyticBackend],
+                             ids=["name", "none", "int", "class"])
+    def test_backend_must_be_a_backend_instance(self, backend):
+        # a backend name used to construct and then fail inside run
+        with pytest.raises(ConfigError, match="backend"):
+            HlvqeOptions(backend=backend)
+
+    def test_backend_subclass_accepted(self):
+        opts = HlvqeOptions(max_iterations=2, backend=RowByRowBackend(1000, 3))
+        assert len(run(P30, 2, opts)) == 2
+
     def test_numpy_integer_iterations_accepted(self):
         opts = HlvqeOptions(max_iterations=np.int64(3))
         assert len(run(P30, 2, opts)) == 3

@@ -1,7 +1,7 @@
-"""Pauli decomposition: round trips, the decomposition of H(beta) against
-the hand-projected one- and two-qubit closed forms and the per-string loop
-(oracles.py), and the sign rows that the sampled backend contracts measured
-probabilities with."""
+"""Pauli decomposition: each string's real action against its kron product,
+round trips, the decomposition of H(beta) against the hand-projected one-
+and two-qubit closed forms and the per-string loop (oracles.py), and the
+sign rows that the sampled backend contracts measured probabilities with."""
 
 import itertools
 import math
@@ -36,6 +36,20 @@ from oracles import (
 def as_dict(decomp):
     """The terms of ``decomp`` keyed by Pauli label."""
     return {s.ops: c for s, c in decomp.terms}
+
+
+class TestStringAction:
+    @pytest.mark.parametrize("nq", [1, 2, 3, 4])
+    def test_real_signs_rebuild_the_kron_matrix(self, nq):
+        # P |c> = i^{n_Y} sign[c] |rows[c]>, with sign a read-only float64 +-1
+        cols = np.arange(2 ** nq)
+        for ops in map("".join, itertools.product("IXYZ", repeat=nq)):
+            rows, sign = pauli._string_action(ops)
+            assert sign.dtype == np.float64 and np.array_equal(np.abs(sign), np.ones(2 ** nq))
+            assert not rows.flags.writeable and not sign.flags.writeable
+            dense = np.zeros((2 ** nq, 2 ** nq), dtype=complex)
+            dense[rows, cols] = 1j ** ops.count("Y") * sign
+            assert np.array_equal(dense, pauli_kron(ops)), ops
 
 
 class TestDecompose:
@@ -82,22 +96,6 @@ class TestDecompose:
             H = build_effective_hamiltonian(p, 0.9, lam)
             n_terms = len(decompose(H).terms)
             assert n_terms <= 4 * lam * lam, (nq, n_terms)
-
-    @pytest.mark.parametrize("nq", [5, 6, 7])
-    def test_banded_matrix_evaluates_live_flip_patterns_only(self, nq, monkeypatch):
-        # a matrix banded to |r - c| <= 2 meets 2n of the 2^n flip patterns,
-        # each carried by 2^n strings; the other strings are never evaluated
-        calls = []
-
-        def counting(ops, action=pauli._string_action):
-            calls.append(ops)
-            return action(ops)
-
-        monkeypatch.setattr(pauli, "_string_action", counting)
-        lam = 2 ** nq
-        H = build_effective_hamiltonian(ModelParams.create(2 * lam, 1.0, vbar=2.0), 0.9, lam)
-        decompose(H)
-        assert len(calls) <= 2 * nq * lam, (nq, len(calls))
 
     @given(nq=st.integers(1, 5), kind=st.sampled_from(["real", "complex", "banded"]),
            dead=st.floats(0.0, 1.0), sparse=st.floats(0.0, 1.0),

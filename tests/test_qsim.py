@@ -167,6 +167,26 @@ class TestPrepareAnsatz:
         assert np.abs(got - v).max() <= 1e-13
 
 
+class TestRealGates:
+    @pytest.mark.parametrize("nq", [1, 2, 3, 4])
+    def test_rotation_by_minus_i_p_is_the_kron_product(self, nq):
+        # every generator has one Y, so -i P is real: the kron product's
+        # imaginary part is exactly zero and its real part is _rotate's
+        a = np.random.default_rng(nq).standard_normal(2 ** nq)
+        for ops, _ in _generators(nq):
+            kicked = -1j * pauli_kron(ops) @ a
+            assert not kicked.imag.any(), ops
+            assert np.array_equal(qsim._rotate(a, ops, 0.0, 1.0), kicked.real), ops
+
+    @pytest.mark.parametrize("nq", [1, 2, 3])
+    def test_observable_is_the_real_part_of_the_kron_product(self, nq):
+        # bit for bit once the kron product's signed zeros are made +0.0
+        for ops in map("".join, itertools.product("IXYZ", repeat=nq)):
+            h = _observable(ops)
+            assert h.dtype == np.float64 and h.flags.c_contiguous and not h.flags.writeable
+            assert h.tobytes() == np.ascontiguousarray(pauli_kron(ops).real + 0.0).tobytes(), ops
+
+
 class TestStateVector:
     @pytest.mark.parametrize("n_qubits, amps, match", [
         (True, [1.0, 0.0], "n_qubits must be an integer"),
