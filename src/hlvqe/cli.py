@@ -190,9 +190,10 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in its directory: a
-    directory that cannot be made is a ConfigError, any other OSError an
-    HlvqeError, and no temporary file is left behind."""
+    """Write ``text`` to ``path`` through a temporary file in its directory,
+    given the mode 0o666 less the umask, as any new file gets (``mkstemp``
+    makes it 0o600): a directory that cannot be made is a ConfigError, any
+    other OSError an HlvqeError, and no temporary file is left behind."""
     out_dir = os.path.dirname(path) or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -202,6 +203,9 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0o022)  # os.umask reads only by setting; restored at once
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

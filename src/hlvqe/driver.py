@@ -17,9 +17,11 @@ from the optimum; the convergence tolerances of the reference trajectories
 are only reachable in plain mode).
 
 Iteration records hold the parameters before the step-k update, the
-backend-evaluated energy, gradients, amplitude magnitudes (exact on the
-analytic backend; square roots of one measured computational-basis ensemble
-on the sampled backend) and the Bures distance to the exact ground state,
+backend-evaluated energy and gradients, and, of the state the objective
+measured them on (``cost_and_grads`` returns it, so each step prepares the
+ansatz once), the amplitude magnitudes (exact on the analytic backend;
+square roots of one measured computational-basis ensemble on the sampled
+backend) and the Bures distance to the exact ground state,
 which ``run`` computes once per run (NaN in excited-state traces), of the
 unprojected reconstructed state: a symmetry-broken optimum keeps it near
 0.77 (0.783 and 0.767 at the analytic cutoff-2 and cutoff-4 production
@@ -127,9 +129,10 @@ class RunSummary:
 
 
 def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
-                   backend) -> tuple[float, float, np.ndarray]:
+                   backend) -> tuple[float, float, np.ndarray, StateVector]:
     """Energy, beta-gradient and theta-gradients at one parameter point, which
-    the backend evaluates on the dense H(beta) and dH/dbeta."""
+    the backend evaluates on the dense H(beta) and dH/dbeta, and the ansatz
+    state it measured them on."""
     cutoff = _power_of_two("cutoff", cutoff)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return backend._cost(theta, build_effective_hamiltonian(params, beta, cutoff),
@@ -140,19 +143,20 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
              fidelity=None) -> list[IterationRecord]:
     """The descent loop of both runs.
 
-    ``objective(beta, theta)`` gives (E, G_beta, G_theta); an objective with
-    no beta dependence returns G_beta = 0 and so keeps beta fixed; the
-    recorded amplitudes draw from the same ``backend`` as the objective.
-    ``fidelity(beta, state)`` gives the recorded Bures distance (NaN when
-    absent).  In normalized mode a gradient norm below 1e-14 ends the run
-    with the final record marked converged (the update direction is
-    undefined at an exact stationary point).  A non-finite energy or gradient
-    norm raises NumericalError: the normalized step would divide by an
-    infinite norm and freeze every angle.  So does a step that leaves beta,
-    2 beta or an angle non-finite: the descent diverged.
+    ``objective(beta, theta)`` gives (E, G_beta, G_theta, state), the state
+    being the one it measured; an objective with no beta dependence returns
+    G_beta = 0 and so keeps beta fixed.  The recorded amplitudes are that
+    state's, drawn from the same ``backend`` as the objective, and
+    ``fidelity(beta, state)`` gives its recorded Bures distance (NaN when
+    absent), so each step prepares the ansatz once.  In normalized mode a
+    gradient norm below 1e-14 ends the run with the final record marked
+    converged (the update direction is undefined at an exact stationary
+    point).  A non-finite energy or gradient norm raises NumericalError: the
+    normalized step would divide by an infinite norm and freeze every angle.
+    So does a step that leaves beta, 2 beta or an angle non-finite: the
+    descent diverged.
     """
     cutoff = _power_of_two("cutoff", cutoff)
-    nq = cutoff.bit_length() - 1
     eta = opts.learning_rate
     theta = np.atleast_1d(np.asarray(opts.init_theta, dtype=float))
     if theta.size == 1 and cutoff > 2:
@@ -162,19 +166,16 @@ def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
 
     trace = []
     for step in range(1, opts.max_iterations + 1):
-        energy, g_beta, g_theta = objective(beta, theta)
+        energy, g_beta, g_theta, state = objective(beta, theta)
         with np.errstate(over="ignore"):  # an infinite norm raises just below
             g_norm = math.sqrt(g_beta * g_beta + float(g_theta @ g_theta))
         if not math.isfinite(energy) or not math.isfinite(g_norm):
             raise NumericalError(f"step {step}: energy {energy}, gradient norm {g_norm}")
 
-        state = prepare_ansatz(theta, nq)
-        amps = backend._magnitudes(state)
         bures = float("nan") if fidelity is None else fidelity(beta, state)
-
         converged = opts.update == "normalized" and g_norm < 1e-14
-        trace.append(IterationRecord(step, beta, theta.copy(), energy, g_beta,
-                                     g_theta.copy(), g_norm, amps, bures, converged))
+        trace.append(IterationRecord(step, beta, theta.copy(), energy, g_beta, g_theta.copy(),
+                                     g_norm, backend._magnitudes(state), bures, converged))
         if converged:
             break
 
@@ -197,8 +198,7 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
     SeedSequence(seed) stream.
     """
     backend = opts.backend._run_copy()
-    _, ex_amps = exact_ground_state(params)
-    exact = FullState(params.n_particles, ex_amps)
+    exact = FullState(params.n_particles, exact_ground_state(params)[1])
 
     def fidelity(beta, state):
         signed = state.amplitudes

@@ -42,9 +42,13 @@ states) measured in every pattern of the nonzero entries of H and dH/dbeta,
 every ensemble drawn in one multinomial call on a ``SeedSequence(seed)``
 generator, as one call per (state, pattern) in that order would; its sums
 are ``math.fsum`` over numpy products, and one past the float range is a
-NumericalError.  Each backend also gives the amplitude magnitudes a run
-records (exact, or the square roots of one ensemble) and the backend a run
-draws from (itself, or a copy on its own stream).
+NumericalError.  Each ``_cost`` returns, after E, dE/dbeta and the
+theta-gradients, the state it measured them on: the ``prepare_ansatz``
+state, or row 0 of the sampled batch, which equals it bit for bit, so a
+descent step prepares nothing else.  Each backend also gives the amplitude
+magnitudes a run records of that state (exact, or the square roots of one
+ensemble) and the backend a run draws from (itself, or a copy on its own
+stream).
 """
 
 from __future__ import annotations
@@ -96,12 +100,12 @@ class StateVector:
         return string.ops
 
 
-@lru_cache(maxsize=4096)
 def _observable(ops: str) -> np.ndarray:
     """The real part of the ``reassemble``d matrix of a Pauli string, a
     C-contiguous read-only copy: the string itself with an even number of Y,
     and the zero matrix with an odd number, whose P is imaginary and so has
-    <P> = 0 on a real state."""
+    <P> = 0 on a real state.  Built per call and not cached: at 8 qubits each
+    is a 512 KiB dense matrix."""
     out = reassemble(PauliDecomposition(len(ops), ((PauliString(ops), 1.0),))).real.copy()
     out.flags.writeable = False
     return out
@@ -197,12 +201,14 @@ class AnalyticBackend:
         a, h = state.amplitudes, _observable(state._ops_of(string))
         return ExpectationEstimate(float(a @ (h @ a)), 0.0, 0)
 
-    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
-        """psi^T h psi, psi^T dh psi (0.0 without dh) and every theta-gradient in one
-        reverse sweep, O(angles 2^n) (Jones & Gacon, arXiv:2009.02823): with phi the
-        state after gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k
-        lam.(-i P_k)phi, real as P_k has one Y; both are then un-rotated through gate k."""
-        psi = prepare_ansatz(theta, h.shape[0].bit_length() - 1).amplitudes
+    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray, StateVector]:
+        """psi^T h psi, psi^T dh psi (0.0 without dh), every theta-gradient in one
+        reverse sweep, O(angles 2^n) (Jones & Gacon, arXiv:2009.02823), and the
+        ``prepare_ansatz`` state psi they were taken on: with phi the state after
+        gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k lam.(-i P_k)phi,
+        real as P_k has one Y; both are then un-rotated through gate k."""
+        state = prepare_ansatz(theta, h.shape[0].bit_length() - 1)
+        psi = state.amplitudes
         phi, lam = psi, h @ psi
         energy = float(psi @ lam)
         grad = np.empty(len(theta))
@@ -210,7 +216,7 @@ class AnalyticBackend:
             grad[k] = sign * (lam @ _rotate(phi, ops, 0.0, 1.0))
             c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
             phi, lam = _rotate(phi, ops, c, s), _rotate(lam, ops, c, s)
-        return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad
+        return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad, state
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """The exact amplitude magnitudes."""
@@ -266,21 +272,23 @@ class SampledBackend:
         freqs = self._rng.multinomial(self.shots, p / p.sum(axis=2, keepdims=True)) / self.shots
         return freqs, sign * h[base, partner], None if dh is None else sign * dh[base, partner]
 
-    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray]:
+    def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray, StateVector]:
         """psi^T h psi and psi^T dh psi (0.0 without dh) as sum_f freqs_f . w_f
         over the patterns f of one ``_measure`` of h and dh; every
         theta-gradient by the +-pi/2 shift rule, which is linear in the
-        observable, as (1/2) sum_f (up_f - down_f) . w_f.
+        observable, as (1/2) sum_f (up_f - down_f) . w_f; and the state psi.
 
         One ``_shifted_ansatz`` batch on the register of h, which theta's
-        2^n - 1 angles must fit, prepares every state.  Each sum is
-        ``math.fsum`` of the products.
+        2^n - 1 angles must fit, prepares every state; its row 0, psi, is the
+        ``prepare_ansatz`` state bit for bit.  Each sum is ``math.fsum`` of
+        the products.
         """
         states = _shifted_ansatz(theta, h.shape[0].bit_length() - 1)
         freqs, w, dw = self._measure(states, h, dh)
         shifts = (freqs[1::2] - freqs[2::2]) / 2 * w
         return (_total(freqs[0] * w), 0.0 if dh is None else _total(freqs[0] * dw),
-                np.array([_total(row) for row in shifts]))
+                np.array([_total(row) for row in shifts]),
+                StateVector(len(theta).bit_length(), states[0]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -181,6 +182,24 @@ def test_every_failure_prints_one_stderr_line_and_writes_nothing(make, code, tmp
     assert [str(w.message) for w in caught] == []
     assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
     assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_reports_take_the_mode_the_umask_gives_a_new_file(umask, tmp_path):
+    # mkstemp made every report 0o600, whatever the umask
+    old = os.umask(umask)
+    try:
+        (tmp_path / "touched").touch()
+        assert main(["exact", "--n", "4", "--vbar", "2", "--out", str(tmp_path / "out"),
+                     "--plot-data"]) == 0
+    finally:
+        os.umask(old)
+    want = (tmp_path / "touched").stat().st_mode
+    assert stat.S_IMODE(want) == 0o666 & ~umask
+    reports = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert reports == ["exact.csv", "exact_long.csv"]
+    for name in reports:
+        assert (tmp_path / "out" / name).stat().st_mode == want, name
 
 
 class TestParseConfig:

@@ -74,12 +74,12 @@ def trace_bytes(trace):
 class TestCostAndGrads:
     def test_theta_zero_gives_top_left_element(self):
         for lam, beta in ((2, 0.4), (4, 0.9), (8, 0.3)):
-            E, _, _ = cost_and_grads(P30, lam, beta, np.zeros(lam - 1), ANALYTIC)
+            E, _, _, _ = cost_and_grads(P30, lam, beta, np.zeros(lam - 1), ANALYTIC)
             H = build_effective_hamiltonian(P30, beta, lam)
             assert E == pytest.approx(H[0, 0], abs=1e-10)
 
     def test_mean_field_point(self):
-        E, g_beta, g_theta = cost_and_grads(P30, 2, math.pi / 3, [0.0], ANALYTIC)
+        E, g_beta, g_theta, _ = cost_and_grads(P30, 2, math.pi / 3, [0.0], ANALYTIC)
         assert E == pytest.approx(-18.75, abs=1e-12)
         assert np.abs(g_theta).max() < 1e-12
 
@@ -88,7 +88,7 @@ class TestCostAndGrads:
         for lam in (2, 4, 8):
             beta = float(rng.uniform(0, 1.4))
             theta = rng.uniform(-1, 1, size=lam - 1)
-            E, _, _ = cost_and_grads(P30, lam, beta, theta, ANALYTIC)
+            E, _, _, _ = cost_and_grads(P30, lam, beta, theta, ANALYTIC)
             psi = prepare_ansatz(theta, lam.bit_length() - 1).real_amplitudes()
             H = build_effective_hamiltonian(P30, beta, lam)
             assert E == pytest.approx(psi @ H @ psi, abs=1e-10)
@@ -99,18 +99,18 @@ class TestCostAndGrads:
         for _ in range(5):
             beta = float(rng.uniform(0.1, 1.3))
             theta = rng.uniform(-1, 1, size=3)
-            E, g_beta, g_theta = cost_and_grads(P30, 4, beta, theta, ANALYTIC)
+            E, g_beta, g_theta, _ = cost_and_grads(P30, 4, beta, theta, ANALYTIC)
 
-            Ep, _, _ = cost_and_grads(P30, 4, beta + step, theta, ANALYTIC)
-            Em, _, _ = cost_and_grads(P30, 4, beta - step, theta, ANALYTIC)
+            Ep, _, _, _ = cost_and_grads(P30, 4, beta + step, theta, ANALYTIC)
+            Em, _, _, _ = cost_and_grads(P30, 4, beta - step, theta, ANALYTIC)
             assert g_beta == pytest.approx((Ep - Em) / (2 * step), abs=1e-6)
 
             for i in range(3):
                 up, dn = theta.copy(), theta.copy()
                 up[i] += step
                 dn[i] -= step
-                Ep, _, _ = cost_and_grads(P30, 4, beta, up, ANALYTIC)
-                Em, _, _ = cost_and_grads(P30, 4, beta, dn, ANALYTIC)
+                Ep, _, _, _ = cost_and_grads(P30, 4, beta, up, ANALYTIC)
+                Em, _, _, _ = cost_and_grads(P30, 4, beta, dn, ANALYTIC)
                 assert g_theta[i] == pytest.approx((Ep - Em) / (2 * step), abs=1e-6)
 
     @pytest.mark.parametrize("lam", [2, 4, 8, 16])
@@ -129,7 +129,7 @@ class TestCostAndGrads:
             for args in ((h, build_effective_hamiltonian_dbeta(P30, beta, lam)), (shifted,)):
                 backend = SampledBackend(10, 1)
                 backend._rng = ExactGenerator()
-                energy, g_beta, grad = backend._cost(theta, *args)
+                energy, g_beta, grad, _ = backend._cost(theta, *args)
                 want = ANALYTIC._cost(theta, *args)
                 assert abs(energy - want[0]) <= 1e-12 and abs(g_beta - want[1]) <= 1e-12
                 assert np.abs(grad - want[2]).max() <= 1e-12
@@ -186,7 +186,7 @@ class TestCostAndGrads:
         sol = solve_effective(P30, 8)
 
         def energy(theta):
-            e, _, g_theta = cost_and_grads(P30, 8, sol.beta_opt, theta, ANALYTIC)
+            e, _, g_theta, _ = cost_and_grads(P30, 8, sol.beta_opt, theta, ANALYTIC)
             return e, g_theta
 
         res = minimize(energy, np.full(7, 0.1), jac=True, method="L-BFGS-B",
@@ -266,7 +266,7 @@ class TestCostAndGrads:
             backend = SampledBackend(100_000, seed)
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             for d in (dh, None):
-                energy, g_beta, grad = backend._cost(theta, h, d)
+                energy, g_beta, grad, _ = backend._cost(theta, h, d)
                 want = two_pass_sampled_cost(theta, h, d, 100_000, rng)
                 assert (energy, g_beta) == want[:2]
                 assert grad.tobytes() == want[2].tobytes()
@@ -289,7 +289,7 @@ class TestCostAndGrads:
         shifted = excited_hamiltonian(h, prepare_ansatz(phi, lam.bit_length() - 1), 10.0)
         for observable, d in ((h, build_effective_hamiltonian_dbeta(P30, beta, lam)),
                               (shifted, None)):
-            energy, g_beta, grad = backend._cost(theta, observable, d)
+            energy, g_beta, grad, _ = backend._cost(theta, observable, d)
             want = two_pass_sampled_cost(theta, observable, d, 100_000, rng)
             assert (energy, g_beta) == want[:2]
             assert grad.tobytes() == want[2].tobytes()
@@ -305,7 +305,7 @@ class TestCostAndGrads:
         before = backend._rng.bit_generator.state
         decomp = PauliDecomposition(nq, tuple((PauliString("I" * nq), c) for c in weights))
         theta = np.linspace(0.4, -0.7, 2 ** nq - 1)
-        energy, g_beta, grad = backend._cost(theta, reassemble(decomp))
+        energy, g_beta, grad, _ = backend._cost(theta, reassemble(decomp))
         assert energy == math.fsum(weights)
         assert g_beta == 0.0
         assert grad.tolist() == [0.0] * (2 ** nq - 1)
@@ -322,7 +322,7 @@ class TestCostAndGrads:
         backend._rng = counting = CountingGenerator(backend._rng)
         decomp = PauliDecomposition(nq, tuple((PauliString("I" * nq), c) for c in weights))
         theta = np.linspace(0.4, -0.7, 2 ** nq - 1)
-        energy, g_beta, grad = backend._cost(theta, reassemble(decomp))
+        energy, g_beta, grad, _ = backend._cost(theta, reassemble(decomp))
         c = math.fsum(weights)
         assert abs(energy - c) <= 4e-16 * abs(c)
         assert g_beta == 0.0
@@ -365,7 +365,7 @@ class TestCostAndGrads:
         v = sol.state.amplitudes
         theta = oracle_tree_angles(v)
         assert np.abs(prepare_ansatz(theta, lam.bit_length() - 1).amplitudes - v).max() <= 1e-13
-        E, g_beta, g_theta = cost_and_grads(params, lam, sol.beta_opt, theta, ANALYTIC)
+        E, g_beta, g_theta, _ = cost_and_grads(params, lam, sol.beta_opt, theta, ANALYTIC)
         assert abs(E - sol.energy) <= 1e-12
         assert abs(g_beta) < 1e-11 and np.abs(g_theta).max() < 1e-11
 
@@ -531,7 +531,7 @@ class TestRun:
         beta, theta = 0.7, np.array([0.3, -0.2, 0.5])
         h = decompose(build_effective_hamiltonian(P30, beta, 4))
         state = prepare_ansatz(theta, 2)
-        E, g_beta, _ = cost_and_grads(P30, 4, beta, theta, ANALYTIC)
+        E, g_beta, _, _ = cost_and_grads(P30, 4, beta, theta, ANALYTIC)
         for string, coeff in h.terms:
             val = measure_pauli(state, string, ANALYTIC).value
             scaled = E + 2.0 * coeff * val  # tripling the term adds 2 c <P>
@@ -592,6 +592,58 @@ class TestRun:
     def test_numpy_integer_iterations_accepted(self):
         opts = HlvqeOptions(max_iterations=np.int64(3))
         assert len(run(P30, 2, opts)) == 3
+
+
+class TestOnePreparationPerStep:
+    """Each descent step prepares the ansatz once, inside the objective, and
+    records the magnitudes and the fidelity of the state it returns."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Call counts of every preparation path and of ``cost_and_grads``."""
+        calls = {"prepare_ansatz": 0, "_shifted_ansatz": 0, "cost_and_grads": 0}
+
+        def wrap(name, fn):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counting
+
+        prepare = wrap("prepare_ansatz", qsim.prepare_ansatz)
+        monkeypatch.setattr(qsim, "prepare_ansatz", prepare)
+        monkeypatch.setattr(driver, "prepare_ansatz", prepare)
+        monkeypatch.setattr(qsim, "_shifted_ansatz", wrap("_shifted_ansatz", qsim._shifted_ansatz))
+        monkeypatch.setattr(driver, "cost_and_grads", wrap("cost_and_grads", cost_and_grads))
+        return calls
+
+    BACKENDS = [pytest.param(AnalyticBackend(), (80, 0), id="analytic"),
+                pytest.param(SampledBackend(100_000, 5), (0, 80), id="sampled")]
+
+    @pytest.mark.parametrize("backend, prepared", BACKENDS)
+    def test_ground_run(self, backend, prepared, monkeypatch):
+        calls = self.counted(monkeypatch)
+        assert len(run(P30, 4, HlvqeOptions(backend=backend))) == 80
+        assert calls == {"prepare_ansatz": prepared[0], "_shifted_ansatz": prepared[1],
+                         "cost_and_grads": 80}
+
+    @pytest.mark.parametrize("backend, prepared", BACKENDS)
+    def test_excited_run(self, backend, prepared, monkeypatch):
+        ground = prepare_ansatz(np.full(3, 0.4), 2)
+        calls = self.counted(monkeypatch)
+        trace, _ = excited_state_run(P30, 4, 10.0, HlvqeOptions(backend=backend),
+                                     ground_state=ground, beta0=0.9)
+        assert len(trace) == 80
+        assert calls == {"prepare_ansatz": prepared[0], "_shifted_ansatz": prepared[1],
+                         "cost_and_grads": 0}
+
+    @pytest.mark.parametrize("lam", [2, 4, 8])
+    def test_objective_returns_the_prepared_state(self, lam):
+        theta = np.linspace(0.9, -0.6, lam - 1)
+        want = prepare_ansatz(theta, lam.bit_length() - 1)
+        for backend in (ANALYTIC, SampledBackend(1000, 3)):
+            state = cost_and_grads(P30, lam, 0.7, theta, backend)[3]
+            assert isinstance(state, StateVector) and state.n_qubits == want.n_qubits
+            assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 class TestSummarize:

@@ -13,6 +13,7 @@ is the only part of it a test replaces.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,25 @@ class TestRealGates:
             h = _observable(ops)
             assert h.dtype == np.float64 and h.flags.c_contiguous and not h.flags.writeable
             assert h.tobytes() == np.ascontiguousarray(pauli_kron(ops).real + 0.0).tobytes(), ops
+
+    def test_measured_strings_leave_no_matrix_behind(self):
+        # each 8-qubit observable is a 512 KiB dense matrix: a cache of them
+        # held 100.9 MiB after 200 distinct strings, and at a 4096-entry bound
+        # would hold 2 GiB
+        rng = np.random.default_rng(8)
+        strings = set()
+        while len(strings) < 200:
+            strings.add("".join(rng.choice(list("IXYZ"), 8)))
+        state = prepare_ansatz(rng.uniform(-math.pi, math.pi, 255), 8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for ops in sorted(strings):
+                measure_pauli(state, PauliString(ops), AnalyticBackend())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2 ** 20
 
 
 class TestStateVector:
@@ -506,7 +526,7 @@ class TestAdjointSweep:
         h, dh = ((a + a.T) / 2 for a in rng.standard_normal((2, 2 ** nq, 2 ** nq)))
         theta = rng.uniform(-math.pi, math.pi, size=2 ** nq - 1)
         backend = AnalyticBackend()
-        energy, g_beta, grad = backend._cost(theta, h, dh)
+        energy, g_beta, grad, _ = backend._cost(theta, h, dh)
 
         state = prepare_ansatz(theta, nq)
         terms = decompose(h).terms
