@@ -43,7 +43,7 @@ from .model import (
     build_effective_hamiltonian_dbeta,
     exact_ground_state,
 )
-from .qsim import AnalyticBackend, SampledBackend, StateVector, prepare_ansatz
+from .qsim import AnalyticBackend, StateVector, _backend, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
 __all__ = [
@@ -95,9 +95,7 @@ class HlvqeOptions:
                     f"summary window {self.summary_window} outside [1, {self.max_iterations}]")
         if self.update not in ("normalized", "plain"):
             raise ConfigError(f"update must be 'normalized' or 'plain', got {self.update!r}")
-        if not isinstance(self.backend, (AnalyticBackend, SampledBackend)):
-            raise ConfigError(f"backend must be an AnalyticBackend or SampledBackend, "
-                              f"got {self.backend!r}")
+        _backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -134,9 +132,8 @@ def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
     the backend evaluates on the dense H(beta) and dH/dbeta, and the ansatz
     state it measured them on."""
     cutoff = _power_of_two("cutoff", cutoff)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return backend._cost(theta, build_effective_hamiltonian(params, beta, cutoff),
-                         build_effective_hamiltonian_dbeta(params, beta, cutoff))
+    return _backend(backend)._cost(theta, build_effective_hamiltonian(params, beta, cutoff),
+                                   build_effective_hamiltonian_dbeta(params, beta, cutoff))
 
 
 def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,

@@ -5,6 +5,28 @@ The checks are ``_integer`` (an integral number, NumPy integers too),
 real number or array of them) and ``_unit_amplitudes`` (the one check of
 every state type: a real unit vector of the size its integer field implies).
 None of them takes a boolean for a number.
+
+Every public input passes through one reader, each rejecting booleans,
+strings, complex and object values with a ConfigError:
+
+- counts, sizes, seeds and windows (``n_particles``, ``max_iterations``,
+  ``shots``, ``seed``, ``index``, ``n_qubits``, summary windows, the
+  solver's cutoffs): ``_integer``; a cutoff that sets a register width
+  (``cost_and_grads``, the runs): ``_power_of_two``;
+- model and run numbers (``epsilon``, ``coupling``, ``vbar`` and its grid,
+  ``learning_rate``, ``init_beta``, ``init_theta``, ``mu0``, ``beta0``,
+  ``wigner_d_matrix``'s j and beta, ``excited_hamiltonian``'s h, Pauli
+  coefficients): ``_finite``;
+- amplitudes of ``StateVector``, ``EffectiveState`` and ``FullState``:
+  ``_unit_amplitudes``;
+- the beta of H(beta) and dH/dbeta: ``model._trig``, by ``isinstance`` and
+  ``math`` calls, as it runs once per build;
+- ansatz angles theta, at every ``qsim`` entry and ``cost_and_grads``:
+  ``qsim._angles``;
+- a backend, at ``measure_pauli``, ``parameter_shift_grad``,
+  ``cost_and_grads`` and ``HlvqeOptions``: ``qsim._backend``;
+- the matrix of ``pauli.decompose``: its own dtype and finiteness check,
+  which takes complex Hermitian input.
 """
 
 import operator

@@ -100,12 +100,14 @@ def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
 def _trig(beta: float) -> np.ndarray:
     """The (2, 5) rows f(beta) and f'(beta) of the band table, f = (1, cos,
     sin, sin^2, sin cos); the one place beta enters H(beta), so a non-finite
-    or non-real beta stops here (a complex one too: NumPy's complex scalars
-    are ``complex``, which ``math.isfinite`` would take at its real part with
-    only a warning), and so does a finite beta whose 2 beta, the argument of
-    f', overflows (doubled as a Python float, which does not warn)."""
+    or non-real beta stops here (a boolean, which ``math.fabs`` would read as
+    0 or 1, and a complex one: NumPy's complex scalars are ``complex``, which
+    ``math.isfinite`` would take at its real part with only a warning), and
+    so does a finite beta whose 2 beta, the argument of f', overflows
+    (doubled as a Python float, which does not warn)."""
     try:
-        finite = not isinstance(beta, complex) and math.isfinite(2.0 * math.fabs(beta))
+        finite = (not isinstance(beta, (bool, np.bool_, complex))
+                  and math.isfinite(2.0 * math.fabs(beta)))
     except TypeError:
         finite = False
     if not finite:

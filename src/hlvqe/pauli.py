@@ -108,16 +108,17 @@ def decompose(matrix: np.ndarray) -> PauliDecomposition:
 
     Coefficients are <P, H> / 2^n_qubits, evaluated for every string through
     its one-nonzero-per-column action; they are real for Hermitian input, and
-    a complex one is rejected, as is a non-finite entry.  Strings whose
-    coefficient falls below PRUNE_TOL are dropped, so real symmetric input
-    keeps no odd-Y string.  Terms come in ``itertools.product("IXYZ")`` order.
+    a complex one is rejected, as is a non-finite or non-numeric entry
+    (booleans, strings and objects).  Strings whose coefficient falls below
+    PRUNE_TOL are dropped, so real symmetric input keeps no odd-Y string.
+    Terms come in ``itertools.product("IXYZ")`` order.
     """
     matrix = np.asarray(matrix)
-    dim = matrix.shape[0]
+    dim = matrix.shape[0] if matrix.ndim else 0
     if matrix.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise ConfigError(f"matrix dimension {matrix.shape} is not a power of two")
-    if not np.isfinite(matrix).all():
-        raise ConfigError("matrix has a non-finite entry")
+    if matrix.dtype.kind not in "iufc" or not np.isfinite(matrix).all():
+        raise ConfigError(f"matrix has a non-finite or non-numeric entry ({matrix.dtype})")
     n_qubits = dim.bit_length() - 1
     scale = max(1.0, float(np.abs(matrix).max()))
     cols = np.arange(dim)

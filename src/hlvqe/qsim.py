@@ -21,9 +21,12 @@ Measurement lives in this module alone.  Each backend has one public
 part of the string's ``reassemble``d matrix (``_observable``): P itself with
 an even number of Y, and the zero matrix with an odd number, which reads 0 on
 a real state, as <P> does, and draws nothing.  ``SampledBackend._measure`` is
-the one place anything is drawn for an objective or a string;
-``parameter_shift_grad`` measures its two shifted states through
-``expectation``.
+the one place anything is drawn for an objective or a string.
+``parameter_shift_grad``, the per-string reference for both objectives'
+theta-gradients, is built from public calls alone: two ``prepare_ansatz``
+states, at theta + pi/2 e_k and then theta - pi/2 e_k, each through
+``measure_pauli``.  A caller's theta is read in one place, ``_angles``, and a
+backend by one check, ``_backend``, at every public entry.
 
 Backends: both take the objective psi^T H psi and its gradients from dense
 real matrices, H(beta) and dH/dbeta or an excited observable, each its own
@@ -38,9 +41,10 @@ serve an n-qubit H(beta) where a Pauli decomposition needs one basis per
 string (the extended Bell measurement of Kondo et al., Quantum 6, 688
 (2022)), and no state leaves real arithmetic.  Its step is one
 ``_shifted_ansatz`` batch (the base state, then per angle the +-pi/2 shifted
-states) measured in every pattern of the nonzero entries of H and dH/dbeta,
-every ensemble drawn in one multinomial call on a ``SeedSequence(seed)``
-generator, as one call per (state, pattern) in that order would; its sums
+states; the batch serves this objective alone) measured in every pattern of
+the nonzero entries of H and dH/dbeta, every ensemble drawn in one
+multinomial call on a ``SeedSequence(seed)`` generator, as one call per
+(state, pattern) in that order would; its sums
 are ``math.fsum`` over numpy products, and one past the float range is a
 NumericalError.  Each ``_cost`` returns, after E, dE/dbeta and the
 theta-gradients, the state it measured them on: the ``prepare_ansatz``
@@ -135,14 +139,16 @@ def _generators(n_qubits: int) -> tuple:
 
 def _angles(theta, n_qubits: int) -> tuple[list, int]:
     """(theta as a list of floats, n_qubits) if theta has the 2^n - 1 finite
-    angles of the ``n_qubits`` ansatz, else a ConfigError."""
+    real angles of the ``n_qubits`` ansatz (integers too; booleans, strings,
+    complex and object values not), else a ConfigError.  The one place a
+    caller's theta is read."""
     n_qubits = _integer("n_qubits", n_qubits)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    arr = np.array(theta, ndmin=1, copy=None)
     want = 2 ** n_qubits - 1
-    if theta.shape != (want,):
-        raise ConfigError(
-            f"{n_qubits}-qubit ansatz needs {want} angles, got shape {theta.shape}")
-    theta = theta.tolist()
+    if arr.dtype.kind not in "iuf" or arr.shape != (want,):
+        raise ConfigError(f"{n_qubits}-qubit ansatz needs {want} angles, "
+                          f"got {arr.dtype} of shape {arr.shape}")
+    theta = arr.astype(float, copy=False).tolist()
     # per angle, as a sum of large finite angles can overflow to inf
     if not all(map(math.isfinite, theta)):
         raise ConfigError(f"ansatz angles must be finite, got {theta}")
@@ -207,12 +213,13 @@ class AnalyticBackend:
         ``prepare_ansatz`` state psi they were taken on: with phi the state after
         gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k lam.(-i P_k)phi,
         real as P_k has one Y; both are then un-rotated through gate k."""
-        state = prepare_ansatz(theta, h.shape[0].bit_length() - 1)
+        theta, n_qubits = _angles(theta, h.shape[0].bit_length() - 1)
+        state = prepare_ansatz(theta, n_qubits)
         psi = state.amplitudes
         phi, lam = psi, h @ psi
         energy = float(psi @ lam)
         grad = np.empty(len(theta))
-        for k, (ops, sign) in reversed(list(enumerate(_generators(len(theta).bit_length())))):
+        for k, (ops, sign) in reversed(list(enumerate(_generators(n_qubits)))):
             grad[k] = sign * (lam @ _rotate(phi, ops, 0.0, 1.0))
             c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
             phi, lam = _rotate(phi, ops, c, s), _rotate(lam, ops, c, s)
@@ -283,12 +290,13 @@ class SampledBackend:
         ``prepare_ansatz`` state bit for bit.  Each sum is ``math.fsum`` of
         the products.
         """
-        states = _shifted_ansatz(theta, h.shape[0].bit_length() - 1)
+        n_qubits = h.shape[0].bit_length() - 1
+        states = _shifted_ansatz(theta, n_qubits)
         freqs, w, dw = self._measure(states, h, dh)
         shifts = (freqs[1::2] - freqs[2::2]) / 2 * w
         return (_total(freqs[0] * w), 0.0 if dh is None else _total(freqs[0] * dw),
                 np.array([_total(row) for row in shifts]),
-                StateVector(len(theta).bit_length(), states[0]))
+                StateVector(n_qubits, states[0]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""
@@ -335,11 +343,21 @@ def _total(terms: np.ndarray) -> float:
         raise NumericalError(f"a sampled sum overflows the float range ({exc})") from exc
 
 
+def _backend(backend):
+    """``backend`` if it is an AnalyticBackend or SampledBackend instance
+    (subclasses too), else a ConfigError: the one backend check of every
+    public entry."""
+    if not isinstance(backend, (AnalyticBackend, SampledBackend)):
+        raise ConfigError(f"backend must be an AnalyticBackend or SampledBackend, got {backend!r}")
+    return backend
+
+
 def measure_pauli(state: StateVector, string: PauliString, backend) -> ExpectationEstimate:
     """Expectation of a Pauli string on the given backend.
 
     Identity strings are exact (value 1) on either backend and draw no shots.
     """
+    _backend(backend)
     state._ops_of(string)
     if string.is_identity:
         return ExpectationEstimate(1.0, 0.0, 0)
@@ -347,21 +365,20 @@ def measure_pauli(state: StateVector, string: PauliString, backend) -> Expectati
 
 
 def parameter_shift_grad(theta, index: int, string: PauliString, backend) -> float:
-    """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2
-    from ``backend.expectation`` on rows 1 + 2k and then 2 + 2k of the
-    ``_shifted_ansatz`` batch on the string's register, which must carry
-    ``theta``'s 2^n - 1 angles; 0.0 for the identity, which draws nothing.
+    """d<P>/d(theta_index) = (<P>(theta + pi/2 e_k) - <P>(theta - pi/2 e_k)) / 2:
+    two ``prepare_ansatz`` states on the string's register, which must carry
+    ``theta``'s 2^n - 1 angles, each through ``measure_pauli``, the up state
+    first; so 0.0 for the identity, which draws nothing.
 
     Exact for the analytic backend: every ansatz angle sits in a single gate
     whose generator has eigenvalues +-1/2.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta, n_qubits = _angles(theta, len(string))
     index = _integer("index", index)
     if not 0 <= index < len(theta):
         raise ConfigError(f"angle index {index} out of range for {len(theta)} angles")
-    amps = _shifted_ansatz(theta, len(string))
-    if string.is_identity:
-        return 0.0
-    up, down = (backend.expectation(StateVector(len(string), row), string).value
-                for row in amps[1 + 2 * index:3 + 2 * index])
+    shifted = np.array([theta, theta])
+    shifted[:, index] += (math.pi / 2, -math.pi / 2)
+    up, down = (measure_pauli(prepare_ansatz(row, n_qubits), string, backend).value
+                for row in shifted)
     return (up - down) / 2

@@ -74,6 +74,11 @@ class TestDecompose:
         with pytest.raises(ConfigError):
             decompose(np.eye(3))
 
+    def test_scalar_rejected(self):
+        # a 0-d input escaped as a raw IndexError
+        with pytest.raises(ConfigError, match="not a power of two"):
+            decompose(np.float64(1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
     def test_non_finite_entries_rejected(self, bad):
         # an all-NaN or all-inf matrix decomposed to zero terms
