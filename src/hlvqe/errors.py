@@ -4,7 +4,10 @@ The checks are ``_integer`` (an integral number, NumPy integers too),
 ``_power_of_two`` (an integral power of two >= 2), ``_finite`` (a finite
 real number or array of them) and ``_unit_amplitudes`` (the one check of
 every state type: a real unit vector of the size its integer field implies).
-None of them takes a boolean for a number.
+None of them takes a boolean for a number.  ``_real`` is the array rule that
+``_finite`` and ``qsim._angles`` share: real numbers, not booleans, strings,
+complex or object values, nor a ragged sequence or one holding a boolean,
+which NumPy would read as 0 or 1 beside floats.
 
 Every public input passes through one reader, each rejecting booleans,
 strings, complex and object values with a ConfigError:
@@ -71,11 +74,29 @@ def _power_of_two(name: str, value) -> int:
     return value
 
 
+def _holds_boolean(value) -> bool:
+    """Whether ``value`` is a list or tuple with a boolean in it, at any depth,
+    which NumPy reads as 0 or 1 beside other numbers."""
+    return isinstance(value, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) or _holds_boolean(v) for v in value)
+
+
+def _real(value, ndmin: int = 0):
+    """``value`` as an array of at least ``ndmin`` dimensions if it holds real
+    numbers (integers too), else None: booleans, strings, complex and object
+    values, ragged sequences and sequences holding a boolean are not."""
+    try:
+        arr = np.array(value, ndmin=ndmin)
+    except ValueError:
+        return None
+    return None if arr.dtype.kind not in "iuf" or _holds_boolean(value) else arr
+
+
 def _finite(name: str, value):
-    """``value`` if it is a finite real number or an array of them (integers
-    too, booleans not), else a ConfigError."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    """``value`` if it is a finite real number or an array of them (by
+    ``_real``), else a ConfigError."""
+    arr = _real(value)
+    if arr is None or not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite and real, got {value!r}")
     return value
 

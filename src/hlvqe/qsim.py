@@ -65,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _integer, _unit_amplitudes
+from .errors import ConfigError, NumericalError, _integer, _real, _unit_amplitudes
 from .pauli import PauliDecomposition, PauliString, _string_action, reassemble
 
 __all__ = [
@@ -139,15 +139,14 @@ def _generators(n_qubits: int) -> tuple:
 
 def _angles(theta, n_qubits: int) -> tuple[list, int]:
     """(theta as a list of floats, n_qubits) if theta has the 2^n - 1 finite
-    real angles of the ``n_qubits`` ansatz (integers too; booleans, strings,
-    complex and object values not), else a ConfigError.  The one place a
-    caller's theta is read."""
+    real angles of the ``n_qubits`` ansatz (by ``errors._real``: integers too;
+    booleans, strings, complex and object values not), else a ConfigError.
+    The one place a caller's theta is read."""
     n_qubits = _integer("n_qubits", n_qubits)
-    arr = np.array(theta, ndmin=1, copy=None)
+    arr = _real(theta, ndmin=1)
     want = 2 ** n_qubits - 1
-    if arr.dtype.kind not in "iuf" or arr.shape != (want,):
-        raise ConfigError(f"{n_qubits}-qubit ansatz needs {want} angles, "
-                          f"got {arr.dtype} of shape {arr.shape}")
+    if arr is None or arr.shape != (want,):
+        raise ConfigError(f"{n_qubits}-qubit ansatz needs {want} angles, got {theta!r}")
     theta = arr.astype(float, copy=False).tolist()
     # per angle, as a sum of large finite angles can overflow to inf
     if not all(map(math.isfinite, theta)):
@@ -159,7 +158,11 @@ def prepare_ansatz(theta, n_qubits: int) -> StateVector:
     """Real-amplitude ansatz state on |0...0>: one rotation exp(-i sign theta_k/2 P_k)
     per angle over ``_generators``' 2^n - 1 strings, so the state is float64,
     the +-pi/2 shift rule is exact, and every real unit vector is reachable."""
-    theta, n_qubits = _angles(theta, n_qubits)
+    return _prepare(*_angles(theta, n_qubits))
+
+
+def _prepare(theta: list, n_qubits: int) -> StateVector:
+    """``prepare_ansatz`` of angles ``_angles`` has already read."""
     amps = np.zeros(2 ** n_qubits)
     amps[0] = 1.0
     for (ops, sign), th in zip(_generators(n_qubits), theta):
@@ -214,7 +217,7 @@ class AnalyticBackend:
         gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k lam.(-i P_k)phi,
         real as P_k has one Y; both are then un-rotated through gate k."""
         theta, n_qubits = _angles(theta, h.shape[0].bit_length() - 1)
-        state = prepare_ansatz(theta, n_qubits)
+        state = _prepare(theta, n_qubits)
         psi = state.amplitudes
         phi, lam = psi, h @ psi
         energy = float(psi @ lam)

@@ -30,6 +30,9 @@ STATE = prepare_ansatz([0.3], 1)
 NUMBERS = [True, np.True_, "0.3", "abc", 0.3 + 0j]
 BOOLEANS = NUMBERS[:2]
 BACKENDS = ["analytic", None]
+# three angles each: a boolean among floats, which NumPy would read as 1.0,
+# and a ragged list, which NumPy cannot read as an array
+SEQUENCES = [[True, 0.1, 0.2], (0.1, np.True_, 0.2), [[0.1], [0.2, 0.3]]]
 
 
 def _rows(name, call, values):
@@ -47,6 +50,12 @@ ROWS = [
     *_rows("cost_and_grads-backend", lambda v: cost_and_grads(P, 2, 0.2, [0.1], v), BACKENDS),
     *_rows("parameter_shift_grad-theta",
            lambda v: parameter_shift_grad(v, 0, PauliString("Z"), AnalyticBackend()), NUMBERS),
+    *_rows("prepare_ansatz-sequence", lambda v: prepare_ansatz(v, 2), SEQUENCES),
+    *_rows("cost_and_grads-theta-sequence",
+           lambda v: cost_and_grads(P, 4, 0.2, v, AnalyticBackend()), SEQUENCES),
+    *_rows("parameter_shift_grad-theta-sequence",
+           lambda v: parameter_shift_grad(v, 0, PauliString("ZZ"), AnalyticBackend()), SEQUENCES),
+    *_rows("HlvqeOptions-init_theta-sequence", lambda v: HlvqeOptions(init_theta=v), SEQUENCES),
     *_rows("parameter_shift_grad-backend",
            lambda v: parameter_shift_grad([0.1], 0, PauliString("Z"), v), BACKENDS),
     *_rows("measure_pauli-Z", lambda v: measure_pauli(STATE, PauliString("Z"), v), BACKENDS),

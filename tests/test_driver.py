@@ -600,8 +600,10 @@ class TestOnePreparationPerStep:
 
     @staticmethod
     def counted(monkeypatch):
-        """Call counts of every preparation path and of ``cost_and_grads``."""
-        calls = {"prepare_ansatz": 0, "_shifted_ansatz": 0, "cost_and_grads": 0}
+        """Call counts of both preparation paths (``_prepare``, which
+        ``prepare_ansatz`` and the analytic objective call, and the sampled
+        objective's ``_shifted_ansatz``) and of ``cost_and_grads``."""
+        calls = {"_prepare": 0, "_shifted_ansatz": 0, "cost_and_grads": 0}
 
         def wrap(name, fn):
             def counting(*args, **kwargs):
@@ -609,9 +611,7 @@ class TestOnePreparationPerStep:
                 return fn(*args, **kwargs)
             return counting
 
-        prepare = wrap("prepare_ansatz", qsim.prepare_ansatz)
-        monkeypatch.setattr(qsim, "prepare_ansatz", prepare)
-        monkeypatch.setattr(driver, "prepare_ansatz", prepare)
+        monkeypatch.setattr(qsim, "_prepare", wrap("_prepare", qsim._prepare))
         monkeypatch.setattr(qsim, "_shifted_ansatz", wrap("_shifted_ansatz", qsim._shifted_ansatz))
         monkeypatch.setattr(driver, "cost_and_grads", wrap("cost_and_grads", cost_and_grads))
         return calls
@@ -623,7 +623,7 @@ class TestOnePreparationPerStep:
     def test_ground_run(self, backend, prepared, monkeypatch):
         calls = self.counted(monkeypatch)
         assert len(run(P30, 4, HlvqeOptions(backend=backend))) == 80
-        assert calls == {"prepare_ansatz": prepared[0], "_shifted_ansatz": prepared[1],
+        assert calls == {"_prepare": prepared[0], "_shifted_ansatz": prepared[1],
                          "cost_and_grads": 80}
 
     @pytest.mark.parametrize("backend, prepared", BACKENDS)
@@ -633,7 +633,7 @@ class TestOnePreparationPerStep:
         trace, _ = excited_state_run(P30, 4, 10.0, HlvqeOptions(backend=backend),
                                      ground_state=ground, beta0=0.9)
         assert len(trace) == 80
-        assert calls == {"prepare_ansatz": prepared[0], "_shifted_ansatz": prepared[1],
+        assert calls == {"_prepare": prepared[0], "_shifted_ansatz": prepared[1],
                          "cost_and_grads": 0}
 
     @pytest.mark.parametrize("lam", [2, 4, 8])
