@@ -5,7 +5,8 @@ The checks are ``_integer`` (an integral number, NumPy integers too),
 real number or array of them) and ``_unit_amplitudes`` (the one check of
 every state type: a real unit vector of the size its integer field implies).
 None of them takes a boolean for a number.  ``_real`` is the array rule that
-``_finite`` and ``qsim._angles`` share: real numbers, not booleans, strings,
+``_finite``, ``qsim._angles`` and ``_unit_amplitudes`` (for amplitudes that
+are not already an array) share: real numbers, not booleans, strings,
 complex or object values, nor a ragged sequence or one holding a boolean,
 which NumPy would read as 0 or 1 beside floats.
 
@@ -104,11 +105,17 @@ def _finite(name: str, value):
 def _unit_amplitudes(state, name: str, size) -> None:
     """Store ``state.amplitudes`` as a float array; a ConfigError unless the
     state's field ``name`` is an integer n and the amplitudes are real
-    numbers (booleans not), of shape (size(n),) and unit-norm to 1e-12."""
+    numbers (booleans not), of shape (size(n),) and unit-norm to 1e-12.  An
+    array is checked by its dtype and kept without a copy; anything else is
+    read by ``_real``, so a ragged sequence or one holding a boolean is
+    rejected too."""
     size = size(_integer(name, getattr(state, name)))
-    amps = np.asarray(state.amplitudes)
-    if amps.dtype.kind not in "iuf":
-        raise ConfigError(f"{type(state).__name__} amplitudes must be real, got dtype {amps.dtype}")
+    amps = state.amplitudes
+    if not isinstance(amps, np.ndarray):
+        amps = _real(amps)
+    if amps is None or amps.dtype.kind not in "iuf":
+        raise ConfigError(f"{type(state).__name__} amplitudes must be real numbers, not "
+                          "booleans, strings, complex or object values, nor a ragged sequence")
     amps = amps.astype(float, copy=False)
     object.__setattr__(state, "amplitudes", amps)
     if amps.shape != (size,):

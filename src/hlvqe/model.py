@@ -24,12 +24,14 @@ sin cos) and five fixed band matrices M[k], built once per (params, cutoff)
 from closed forms in n rather than by numerically rotating operators, which
 avoids cancellation.  The band table (``_bands``) stores them compactly: the
 flat indices of the |dn| <= 2 entries of a cutoff x cutoff matrix and the
-(5, nnz) values of the M[k] there.  A build is one contraction f . table
-scattered into a zero matrix (``_build``); dH/dbeta is f'(beta) times the
-same table.  No entry has more than two nonzero terms, so the contraction
-rounds each entry once, in any summation order, and never gives -0.0.  This
-is the only place the formula for H(beta) is written down.  The
-rotated-operator construction, the per-entry builders and the dense band
+(5, nnz) values of the M[k] there.  One kernel, ``_band_values``, contracts
+trig rows with the table: f . table gives the band of H(beta), f'(beta) .
+table that of dH/dbeta, and a stack of rows, such as the solver's whole beta
+grid, gives a stack of bands in one call.  A build (``_build``) scatters one
+row's band into a zero matrix.  No entry has more than two nonzero terms, so
+the contraction rounds each entry once, in any summation order, and never
+gives -0.0.  This is the only place the formula for H(beta) is written down.
+The rotated-operator construction, the per-entry builders and the dense band
 stack are kept in the test suite as independent oracles.
 
 At beta = 0 the full Hamiltonian splits into an even-n and an odd-n
@@ -164,14 +166,29 @@ def _bands(params: ModelParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, vals
 
 
+def _band_values(f: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The (..., nnz) entries of sum_k f[..., k] M[k] on the band, for trig
+    rows f of shape (..., 5) and the (5, nnz) values ``vals`` of the band
+    table, summed in k order from +0.0.  Every product rounds once and no
+    entry has more than two nonzero terms, so the sum is the same in any
+    order and no entry is -0.0.  One row, or one (f, f') pair, is one product
+    reduced over k; a larger stack is summed one term at a time, so that no
+    product five times the size of the result is made.  The caller looks the
+    table up, so a build does so once."""
+    if f.ndim <= 2:
+        return np.add.reduce(np.multiply(f[..., None], vals), axis=-2, initial=0.0)
+    out = np.zeros((*f.shape[:-1], vals.shape[1]))
+    for k, term in enumerate(vals):
+        out += f[..., k, None] * term
+    return out
+
+
 def _build(params: ModelParams, f: np.ndarray, cutoff: int) -> np.ndarray:
-    """The cutoff x cutoff matrix sum_k f[k] M[k] over the band table, from
-    +0.0, and +0.0 off its band.  Every product rounds once and no entry has
-    more than two nonzero terms, so the sum is the same in any order and no
-    entry is -0.0."""
+    """The cutoff x cutoff matrix sum_k f[k] M[k]: ``_band_values`` scattered
+    into a zero matrix, so +0.0 off the band."""
     idx, vals = _bands(params, cutoff)
     out = np.zeros(cutoff * cutoff)
-    out[idx] = np.add.reduce(np.multiply(f[:, None], vals), axis=0, initial=0.0)
+    out[idx] = _band_values(f, vals)
     return out.reshape(cutoff, cutoff)
 
 

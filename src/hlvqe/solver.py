@@ -16,14 +16,21 @@ resolves minima whose ~N-sized eigenvalues agree to rounding.
 
 Inner loop: each slope is one ``dsyevr`` call (LAPACK's MRRR driver) for the
 lowest eigenpair of the dense truncated matrix, with its workspace queried
-once per size, and one quadratic form in dH/dbeta.  Every beta is solved at
-most once: each slope is kept by beta next to its eigenpair.  The root
-search's first two evaluations, which land on the bracketing grid points,
-read them back, and so does ``solve_effective`` for every candidate, beta = 0
-and each root (the search returns a beta it has evaluated).  The root search
-runs to its full tolerance even where g is at its rounding level: on the flat
-plateaus where the noise-driven roots sit, the delta_e of a candidate depends
-on where in that noise band beta lands.
+once per size, and one quadratic form in dH/dbeta.  The trig rows of the 64
+grid points are made once, at import, and each cutoff takes the band values
+of H and dH/dbeta at every grid point from one ``model._band_values`` call; a
+root-search point takes its pair of rows from ``model._trig`` through the
+same kernel.  Each beta writes its two bands into one (2, cutoff, cutoff)
+buffer, zeroed once per cutoff, so the H handed to ``_ground_pair`` is a view
+that the next beta overwrites; ``dsyevr`` copies it, and the slope is read
+before the next write.  Every beta is solved at most once: each slope is kept
+by beta next to its eigenpair.  The root search's first two evaluations,
+which land on the bracketing grid points, read them back, and so does
+``solve_effective`` for every candidate, beta = 0 and each root (the search
+returns a beta it has evaluated).  The root search runs to its full tolerance
+even where g is at its rounding level: on the flat plateaus where the
+noise-driven roots sit, the delta_e of a candidate depends on where in that
+noise band beta lands.
 
 Energies of full-space states are taken in the eigenbasis of the full
 Hamiltonian, which at beta = 0 couples n only to n +- 2 and so splits into an
@@ -51,13 +58,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .errors import ConfigError, NumericalError, _finite, _integer
-from .model import (
-    ModelParams,
-    build_effective_hamiltonian,
-    build_effective_hamiltonian_dbeta,
-    exact_ground_state,
-    _parity_chains,
-)
+from .model import ModelParams, exact_ground_state, _band_values, _bands, _parity_chains, _trig
 from .rotations import (
     EffectiveState,
     FullState,
@@ -75,8 +76,12 @@ __all__ = [
 ]
 
 
-# slope scan: grid over [0, pi/2], one root per negative-to-non-negative step
+# slope scan: grid over [0, pi/2], one root per negative-to-non-negative step;
+# _GRID_TRIG holds the (64, 2, 5) trig rows f and f' of the grid points
 _GRID_POINTS = 64
+_GRID = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
+_GRID_TRIG = np.array([_trig(b) for b in _GRID])
+_GRID_TRIG.flags.writeable = False
 # root search: stop once the bracket is below (_XTOL + _RTOL |beta|) / 2 wide
 # (brentq's tolerances as the solver has always passed them), and give up
 # after _MAXITER steps
@@ -193,21 +198,27 @@ def _candidate_betas(params: ModelParams, cutoff: int) -> list[tuple[float, floa
     the slope per grid interval in which it rises through zero, ascending.
     The slope at beta = 0 is exactly 0 by parity, so it is not evaluated there
     and no root is sought next to it."""
+    idx, vals = _bands(params, cutoff)  # checks the cutoff before anything is allocated
+    at = np.concatenate((idx, idx + cutoff * cutoff))  # the band of H, then of dH/dbeta
+    # per grid point, the band values of H and then of dH/dbeta, as one row
+    grid = _band_values(_GRID_TRIG, vals).reshape(_GRID_POINTS, -1)
+    pair = np.zeros((2, cutoff, cutoff))  # H and dH/dbeta of the beta being solved
+    flat = pair.reshape(-1)  # a view, as pair is contiguous
+    H, dH = pair
     solved = {}  # beta -> (g(beta), eigenvalue, eigenvector); the search starts on grid points
 
-    def g(b):
-        """Hellmann-Feynman d(lowest eigenvalue)/d(beta), solved once per beta."""
+    def g(b, band=None):
+        """Hellmann-Feynman d(lowest eigenvalue)/d(beta), solved once per beta;
+        ``band`` is the grid's row for b, and a root-search point makes its own."""
         if b not in solved:
-            w, v0 = _ground_pair(build_effective_hamiltonian(params, b, cutoff))
-            slope = 0.0 if b == 0.0 else float(
-                v0 @ build_effective_hamiltonian_dbeta(params, b, cutoff) @ v0)
-            solved[b] = (slope, w, v0)
+            flat[at] = _band_values(_trig(b), vals).reshape(-1) if band is None else band
+            w, v0 = _ground_pair(H)
+            solved[b] = (0.0 if b == 0.0 else float(v0 @ dH @ v0), w, v0)
         return solved[b][0]
 
-    grid = np.linspace(0.0, math.pi / 2, _GRID_POINTS)
     roots = [0.0]
-    for lo, hi in zip(grid, grid[1:]):
-        if g(lo) < 0.0 <= g(hi):
+    for lo, hi, lo_band, hi_band in zip(_GRID, _GRID[1:], grid, grid[1:]):
+        if g(lo, lo_band) < 0.0 <= g(hi, hi_band):
             roots.append(_brent(g, lo, hi))
     # the grid scan solved beta = 0, and _brent returns a beta it has evaluated
     return [(b, *solved[b][1:]) for b in roots]

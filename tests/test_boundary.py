@@ -19,11 +19,12 @@ from hlvqe.pauli import PauliString, decompose
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
+    StateVector,
     measure_pauli,
     parameter_shift_grad,
     prepare_ansatz,
 )
-from hlvqe.rotations import wigner_d_matrix
+from hlvqe.rotations import EffectiveState, FullState, wigner_d_matrix
 
 P = ModelParams.create(30, 1.0, vbar=2.0)
 STATE = prepare_ansatz([0.3], 1)
@@ -33,6 +34,9 @@ BACKENDS = ["analytic", None]
 # three angles each: a boolean among floats, which NumPy would read as 1.0,
 # and a ragged list, which NumPy cannot read as an array
 SEQUENCES = [[True, 0.1, 0.2], (0.1, np.True_, 0.2), [[0.1], [0.2, 0.3]]]
+# the same three shapes as two amplitudes, which a boolean read as 1.0 would
+# make a unit vector of the right size
+AMPLITUDES = [[True, 0.0], (np.True_, 0.0), [[1.0, 0.0], [0.0]]]
 
 
 def _rows(name, call, values):
@@ -56,6 +60,10 @@ ROWS = [
     *_rows("parameter_shift_grad-theta-sequence",
            lambda v: parameter_shift_grad(v, 0, PauliString("ZZ"), AnalyticBackend()), SEQUENCES),
     *_rows("HlvqeOptions-init_theta-sequence", lambda v: HlvqeOptions(init_theta=v), SEQUENCES),
+    # amplitudes through errors._unit_amplitudes
+    *_rows("StateVector-amplitudes", lambda v: StateVector(1, v), AMPLITUDES),
+    *_rows("EffectiveState-amplitudes", lambda v: EffectiveState(2, 0.0, v), AMPLITUDES),
+    *_rows("FullState-amplitudes", lambda v: FullState(1, v), AMPLITUDES),
     *_rows("parameter_shift_grad-backend",
            lambda v: parameter_shift_grad([0.1], 0, PauliString("Z"), v), BACKENDS),
     *_rows("measure_pauli-Z", lambda v: measure_pauli(STATE, PauliString("Z"), v), BACKENDS),

@@ -13,6 +13,8 @@ from hlvqe import solver
 from hlvqe.errors import ConfigError, NumericalError
 from hlvqe.model import (
     ModelParams,
+    _band_values,
+    _bands,
     _build,
     _parity_chains,
     _trig,
@@ -76,6 +78,25 @@ class TestGroundPair:
         (w, v), (w_ref, v_ref) = _ground_pair(H), eigh_ground_pair(H)
         assert w.hex() == w_ref.hex()
         assert v.tobytes() == v_ref.tobytes()
+
+    @given(n=st.integers(2, 256), vbar=st.floats(0.3, 3.5), data=st.data())
+    def test_grid_stack_bitwise_equal_to_per_row_build(self, n, vbar, data):
+        # the scan's one kernel call per cutoff sums the (64, 2, 5) grid table
+        # term by term, and a root-search point's (f, f') pair is one product
+        # reduced over k; both give the band of each row's _build to the bit,
+        # zero signs included, from beta = 0 to beta = pi/2
+        cutoff = data.draw(st.integers(1, n + 1), label="cutoff")
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        table = solver._GRID_TRIG
+        assert table.shape == (64, 2, 5)
+        assert np.array_equal(table[[0, -1]], [_trig(0.0), _trig(math.pi / 2)])
+        idx, vals = _bands(p, cutoff)
+        stack = _band_values(table, vals)
+        want = np.array([[_build(p, f, cutoff).ravel()[idx] for f in rows] for rows in table])
+        pairs = np.array([_band_values(rows, vals) for rows in table])
+        for got in (stack, pairs):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_nan_entry_raises(self):
         # dsyevr reports a NaN matrix by finding no eigenpair, with info 0
@@ -168,6 +189,9 @@ class TestBrent:
     @pytest.mark.parametrize("n, vbar, cutoffs", [
         (64, 1.5, range(2, 45)), (64, 2.3, range(2, 45)), (64, 3.0, range(2, 45)),
         (256, 2.0, (8, 44, 46, 130)),
+        # the scan's ends: one state, and rows whose slope at the last grid
+        # point but one is below zero, so that the scan solves beta = pi/2
+        (64, 3.0, (1, 64, 65)), (64, 10.0, (32,)), (30, 2.0, (1, 31)),
     ])
     def test_solver_bitwise_equal_to_brentq_oracle(self, n, vbar, cutoffs, monkeypatch):
         # the port changes no matrix the eigensolver sees, nor their order,
