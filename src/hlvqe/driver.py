@@ -36,13 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _finite, _integer, _power_of_two
-from .model import (
-    ModelParams,
-    build_effective_hamiltonian,
-    build_effective_hamiltonian_dbeta,
-    exact_ground_state,
-)
+from .errors import (ConfigError, NumericalError, _finite, _finite_array, _integer,
+                     _power_of_two)
+from .model import ModelParams, _build, _trig, build_effective_hamiltonian, exact_ground_state
 from .qsim import AnalyticBackend, StateVector, _backend, prepare_ansatz
 from .rotations import EffectiveState, FullState, bures_distance, reconstruct_full
 
@@ -85,7 +81,7 @@ class HlvqeOptions:
         if not _finite("learning_rate", self.learning_rate) > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         _finite("init_beta", self.init_beta)
-        _finite("init_theta", self.init_theta)
+        _finite_array("init_theta", self.init_theta)
         if _integer("max_iterations", self.max_iterations) < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.summary_window is not None:
@@ -130,10 +126,12 @@ def cost_and_grads(params: ModelParams, cutoff: int, beta: float, theta,
                    backend) -> tuple[float, float, np.ndarray, StateVector]:
     """Energy, beta-gradient and theta-gradients at one parameter point, which
     the backend evaluates on the dense H(beta) and dH/dbeta, and the ansatz
-    state it measured them on."""
+    state it measured them on.  Both matrices come from one ``model._build``
+    of the ``_trig(beta)`` pair: one band contraction scattered into one
+    (2, cutoff, cutoff) array, bit for bit the public builders' two."""
     cutoff = _power_of_two("cutoff", cutoff)
-    return _backend(backend)._cost(theta, build_effective_hamiltonian(params, beta, cutoff),
-                                   build_effective_hamiltonian_dbeta(params, beta, cutoff))
+    h, dh = _build(params, _trig(beta), cutoff)
+    return _backend(backend)._cost(theta, h, dh)
 
 
 def _descend(cutoff: int, opts: HlvqeOptions, backend, beta: float, objective,
@@ -199,7 +197,7 @@ def run(params: ModelParams, cutoff: int, opts: HlvqeOptions) -> list[IterationR
 
     def fidelity(beta, state):
         signed = state.amplitudes
-        eff = EffectiveState(cutoff, beta, signed / np.linalg.norm(signed))
+        eff = EffectiveState(cutoff, beta, signed / math.sqrt(signed.dot(signed)))
         return bures_distance(reconstruct_full(eff, params), exact)
 
     return _descend(cutoff, opts, backend, float(opts.init_beta),
@@ -242,7 +240,7 @@ def excited_hamiltonian(h, ground: StateVector, mu0: float) -> np.ndarray:
     The result is exactly symmetric, as the analytic theta-gradient needs."""
     if not _finite("mu0", mu0) > 0:
         raise ConfigError(f"mu0 must be > 0, got {mu0}")
-    h = np.asarray(_finite("h", h))
+    h = np.asarray(_finite_array("h", h))
     dim = 2 ** ground.n_qubits
     if h.shape != (dim, dim):
         raise ConfigError(f"h has shape {h.shape}, not the {ground.n_qubits}-qubit ({dim}, {dim})")

@@ -27,12 +27,14 @@ flat indices of the |dn| <= 2 entries of a cutoff x cutoff matrix and the
 (5, nnz) values of the M[k] there.  One kernel, ``_band_values``, contracts
 trig rows with the table: f . table gives the band of H(beta), f'(beta) .
 table that of dH/dbeta, and a stack of rows, such as the solver's whole beta
-grid, gives a stack of bands in one call.  A build (``_build``) scatters one
-row's band into a zero matrix.  No entry has more than two nonzero terms, so
-the contraction rounds each entry once, in any summation order, and never
-gives -0.0.  This is the only place the formula for H(beta) is written down.
-The rotated-operator construction, the per-entry builders and the dense band
-stack are kept in the test suite as independent oracles.
+grid, gives a stack of bands in one call.  A build (``_build``) scatters the
+bands of a stack of rows into zero matrices: one row gives H(beta) or
+dH/dbeta, and the ``_trig(beta)`` pair gives both, as a descent step needs.
+No entry has more than two nonzero terms, so the contraction rounds each
+entry once, in any summation order, and never gives -0.0.  This is the only
+place the formula for H(beta) is written down.  The rotated-operator
+construction, the per-entry builders and the dense band stack are kept in
+the test suite as independent oracles.
 
 At beta = 0 the full Hamiltonian splits into an even-n and an odd-n
 tridiagonal chain.  Both are diagonalised once per params
@@ -184,12 +186,16 @@ def _band_values(f: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _build(params: ModelParams, f: np.ndarray, cutoff: int) -> np.ndarray:
-    """The cutoff x cutoff matrix sum_k f[k] M[k]: ``_band_values`` scattered
-    into a zero matrix, so +0.0 off the band."""
+    """The (..., cutoff, cutoff) matrices sum_k f[..., k] M[k] for a stack of
+    trig rows f of shape (..., 5): one ``_band_values`` call scattered into
+    zero matrices, so +0.0 off the band.  One row of ``_trig(beta)`` gives
+    H(beta) or dH/dbeta; the whole (2, 5) pair gives both as one (2, cutoff,
+    cutoff) array, each bit for bit its one-row build."""
     idx, vals = _bands(params, cutoff)
-    out = np.zeros(cutoff * cutoff)
-    out[idx] = _band_values(f, vals)
-    return out.reshape(cutoff, cutoff)
+    stack = f.shape[:-1]
+    out = np.zeros(stack + (cutoff * cutoff,))
+    out[..., idx] = _band_values(f, vals)
+    return out.reshape(stack + (cutoff, cutoff))
 
 
 def build_effective_hamiltonian(params: ModelParams, beta: float, cutoff: int) -> np.ndarray:

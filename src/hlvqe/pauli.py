@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, _finite
+from .errors import ConfigError, _finite_array
 
 __all__ = [
     "PauliString",
@@ -69,7 +69,7 @@ class PauliDecomposition:
     terms: tuple  # of (PauliString, float)
 
     def __post_init__(self):
-        _finite("Pauli coefficients", [coeff for _, coeff in self.terms])
+        _finite_array("Pauli coefficients", [coeff for _, coeff in self.terms])
         for string, _ in self.terms:
             if len(string) != self.n_qubits:
                 raise ConfigError(

@@ -79,8 +79,9 @@ def wigner_d_matrix(j: float, beta: float) -> np.ndarray:
     if abs(2 * j - two_j) > 1e-12 or j < 0:
         raise ConfigError(f"j must be a non-negative half-integer, got {j}")
     w, v, even, sign = _d_parts(two_j)
-    cos_part = (v * np.cos(beta * w)) @ v.T
-    sin_part = (v * np.sin(beta * w)) @ v.T
+    beta_w = beta * w
+    cos_part = (v * np.cos(beta_w)) @ v.T
+    sin_part = (v * np.sin(beta_w)) @ v.T
     d = np.where(even, cos_part, sin_part)
     d *= sign
     return d
@@ -120,7 +121,7 @@ def reconstruct_full(state: EffectiveState, params: ModelParams) -> FullState:
         raise ConfigError(f"state cutoff {state.cutoff} exceeds dimension {N + 1}")
     d = wigner_d_matrix(N / 2, state.beta)
     full = d[:, :state.cutoff] @ state.amplitudes
-    return FullState(N, full / np.linalg.norm(full))
+    return FullState(N, full / math.sqrt(full.dot(full)))
 
 
 def project_parity(state: FullState) -> FullState:

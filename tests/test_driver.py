@@ -11,7 +11,7 @@ from hypothesis import given, strategies
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
-from hlvqe import driver, pauli, qsim
+from hlvqe import driver, model, pauli, qsim
 from hlvqe.driver import (
     HlvqeOptions,
     cost_and_grads,
@@ -368,6 +368,38 @@ class TestCostAndGrads:
         E, g_beta, g_theta, _ = cost_and_grads(params, lam, sol.beta_opt, theta, ANALYTIC)
         assert abs(E - sol.energy) <= 1e-12
         assert abs(g_beta) < 1e-11 and np.abs(g_theta).max() < 1e-11
+
+    @pytest.mark.parametrize("backend", [ANALYTIC, SampledBackend(1000, 3)],
+                             ids=["analytic", "sampled"])
+    def test_one_trig_pair_and_one_band_contraction(self, backend, monkeypatch):
+        # H(beta) and dH/dbeta come from one _trig(beta) and one
+        # _band_values call, and equal the public builders bit for bit
+        calls = {"_trig": 0, "_band_values": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        seen = []
+
+        def record(self, theta, h, dh):
+            seen.append((h, dh))
+            return 0.0, 0.0, np.zeros(3), None
+
+        monkeypatch.setattr(type(backend), "_cost", record)
+        for name in calls:
+            wrapped = counting(name, getattr(model, name))
+            for module in (model, driver):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        cost_and_grads(P30, 4, 0.7, [0.1, 0.2, 0.3], backend)
+        assert calls == {"_trig": 1, "_band_values": 1}
+        monkeypatch.undo()
+        (h, dh), = seen
+        assert h.tobytes() == build_effective_hamiltonian(P30, 0.7, 4).tobytes()
+        assert dh.tobytes() == build_effective_hamiltonian_dbeta(P30, 0.7, 4).tobytes()
 
     def test_analytic_objectives_take_no_per_string_path(self, monkeypatch):
         # ground and excited analytic evaluations use dense matrices and the

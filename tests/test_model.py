@@ -22,6 +22,7 @@ from hlvqe.model import (
     build_effective_hamiltonian_dbeta,
     build_full_hamiltonian,
     _bands,
+    _build,
     _parity_chains,
     _trig,
     exact_ground_state,
@@ -314,6 +315,26 @@ class TestCompactBandTable:
         dense = dense_bands(p, cutoff)
         for build, fk in zip((build_effective_hamiltonian, build_effective_hamiltonian_dbeta), f):
             got, want = build(p, beta, cutoff), sum_combine(fk, dense)
+            assert got.tobytes() == want.tobytes(), build.__name__
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @given(nc=st.integers(2, 256).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
+           vbar=st.one_of(st.just(0.0), st.floats(0.0, 3.5)),
+           beta=st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2]),
+                          st.floats(-20.0, 20.0)))
+    @example(nc=(64, 65), vbar=0.0, beta=-0.0)
+    @example(nc=(30, 4), vbar=2.0, beta=0.8)
+    def test_paired_build_equals_public_builders(self, nc, vbar, beta):
+        # cost_and_grads builds H(beta) and dH/dbeta as one (2, cutoff,
+        # cutoff) array from the _trig pair: each is the public build
+        n, cutoff = nc
+        p = ModelParams.create(n, 1.0, vbar=vbar)
+        pair = _build(p, _trig(beta), cutoff)
+        assert pair.shape == (2, cutoff, cutoff)
+        for got, build in zip(pair, (build_effective_hamiltonian,
+                                     build_effective_hamiltonian_dbeta)):
+            want = build(p, beta, cutoff)
             assert got.tobytes() == want.tobytes(), build.__name__
             assert np.array_equal(np.signbit(got), np.signbit(want))
 

@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from hlvqe import qsim
@@ -219,6 +220,32 @@ class TestStateVector:
         # types share one check, errors._unit_amplitudes
         with pytest.raises(ConfigError, match=match):
             StateVector(n_qubits, amps)
+
+    # a sum of squares past the float range warns in the dot, as it did in
+    # np.linalg.norm, and reads inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @given(arrays(np.float64, strategies.integers(1, 64),
+                  elements=strategies.one_of(
+                      strategies.floats(allow_nan=False, allow_infinity=False),
+                      strategies.sampled_from([1e300, -1e200, 5e-324, -2.2e-308, 1e-160]))))
+    @example(np.array([1e200, 0.0]))
+    @example(np.array([5e-324, 5e-324]))
+    @example(np.array([1e154, 1e154, 3.0]))
+    def test_norm_is_numpys(self, x):
+        # the norm every state check and renormalisation takes: for a
+        # contiguous real 1-d array, as every renormalised state is, it is
+        # what np.linalg.norm computes, bit for bit, overflow to inf and
+        # underflow to 0 included (np.linalg.norm copies a strided array
+        # first, so there the two may differ in the last bit)
+        got, want = math.sqrt(x.dot(x)), np.linalg.norm(x)
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("amps", [[math.nan, 0.0], [0.6, 0.6], [1e200, 0.0]],
+                             ids=["nan", "not-unit", "overflow"])
+    def test_non_unit_norm_rejected(self, amps):
+        with pytest.raises(ConfigError, match="unit-norm"):
+            StateVector(1, amps)
 
 
 class TestShiftedBatch:
