@@ -29,7 +29,7 @@ strings, complex and object values with a ConfigError:
   (``cost_and_grads``, the runs): ``_power_of_two``;
 - model and run numbers (``epsilon``, ``coupling``, ``vbar`` and each entry
   of its grid, ``learning_rate``, ``init_beta``, ``mu0``, ``beta0``,
-  ``wigner_d_matrix``'s j and beta): ``_finite``;
+  ``wigner_d_matrix``'s j and beta, ``EffectiveState``'s beta): ``_finite``;
 - numbers that may be arrays (``init_theta``, one angle or all of them,
   ``excited_hamiltonian``'s h, Pauli coefficients): ``_finite_array``;
 - amplitudes of ``StateVector``, ``EffectiveState`` and ``FullState``:

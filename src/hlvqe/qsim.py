@@ -4,9 +4,11 @@ Every gate is a Pauli rotation exp(-i phi P), applied as (cos phi - i sin phi P)
 through the string's real one-nonzero-per-column action, P |c> = i^{n_Y}
 sign[c] |rows[c]> (``pauli._string_action``): every generator has one Y, so
 -i P is the real sign-weighted permutation; nothing else changes amplitudes.
-Qubit q carries bit (index >> (n-1-q)) & 1 of the basis index, i.e. qubit 0
-is the most significant bit, matching the Pauli string convention of the
-pauli module.
+Each register width has one gate plan, ``_gates``: that action and the sign
+of each angle's string, in gate order, which every preparation and the
+adjoint sweep read.  Qubit q carries bit (index >> (n-1-q)) & 1 of the basis
+index, i.e. qubit 0 is the most significant bit, matching the Pauli string
+convention of the pauli module.
 
 Ansatz, at every register width: the uniformly-controlled-Ry tree of
 Mottonen, Vartiainen, Bergholm & Salomaa, QIC 5, 467 (2005), one rotation of
@@ -31,7 +33,10 @@ backend by one check, ``_backend``, at every public entry.
 Backends: both take the objective psi^T H psi and its gradients from dense
 real matrices, H(beta) and dH/dbeta or an excited observable, each its own
 way.  ``AnalyticBackend`` contracts them with the state and takes every
-theta-gradient from one adjoint sweep.  ``SampledBackend(shots, seed)``
+theta-gradient from one adjoint sweep, which turns the state and h psi
+together as one stacked (phi, lam) pair, once per gate; it gathers the
+turned pair with ``take``, which keeps each row C-ordered, so each dot sums
+as it would on a vector of its own.  ``SampledBackend(shots, seed)``
 measures them by flip pattern: H_f, the entries (c, c ^ f) of H, is diagonal
 in the basis (|c> +- |c ^ f>)/sqrt(2) that a CNOT fan-out from f's top set
 bit t and a Hadamard on t turn into computational-basis outcomes, with the
@@ -115,13 +120,6 @@ def _observable(ops: str) -> np.ndarray:
     return out
 
 
-def _rotate(amps: np.ndarray, ops: str, c: float, s: float) -> np.ndarray:
-    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi),
-    for a string with one Y, whose -i P amps is (sign * amps)[rows]."""
-    rows, sign = _string_action(ops)
-    return c * amps + s * (sign * amps)[rows]
-
-
 @lru_cache(maxsize=16)
 def _generators(n_qubits: int) -> tuple:
     """(string, sign) per ansatz angle in gate order: angle k is the rotation
@@ -135,6 +133,15 @@ def _generators(n_qubits: int) -> tuple:
     return tuple((prefix + "Y" + "I" * (n_qubits - t - 1), -1.0 if "Z" in prefix else 1.0)
                  for t in range(n_qubits)
                  for prefix in map("".join, itertools.product("ZI", repeat=t)))
+
+
+@lru_cache(maxsize=16)
+def _gates(n_qubits: int) -> tuple:
+    """(rows, signs, sign) per ansatz angle in gate order, the one gate plan of
+    a register width: ``_string_action`` of each ``_generators`` string and
+    its sign, so gate k turns a by cos(theta_k/2) a + sign sin(theta_k/2)
+    (signs * a)[rows], as (signs * a)[rows] is -i P_k a."""
+    return tuple((*_string_action(ops), sign) for ops, sign in _generators(n_qubits))
 
 
 def _angles(theta, n_qubits: int) -> tuple[list, int]:
@@ -165,8 +172,9 @@ def _prepare(theta: list, n_qubits: int) -> StateVector:
     """``prepare_ansatz`` of angles ``_angles`` has already read."""
     amps = np.zeros(2 ** n_qubits)
     amps[0] = 1.0
-    for (ops, sign), th in zip(_generators(n_qubits), theta):
-        amps = _rotate(amps, ops, math.cos(th / 2), sign * math.sin(th / 2))
+    for (rows, signs, sign), th in zip(_gates(n_qubits), theta):
+        c, s = math.cos(th / 2), sign * math.sin(th / 2)
+        amps = c * amps + s * (signs * amps)[rows]
     return StateVector(n_qubits, amps)
 
 
@@ -180,18 +188,17 @@ def _shifted_ansatz(theta, n_qubits: int) -> np.ndarray:
     operations of ``prepare_ansatz``'s loop and equals its state bit for bit.
     """
     th, n_qubits = _angles(theta, n_qubits)
-    gens = _generators(n_qubits)
+    gates = _gates(n_qubits)
     width = 1 + 2 * len(th)
     cos = [[math.cos(t / 2)] * width for t in th]
-    sin = [[sign * math.sin(t / 2)] * width for (_, sign), t in zip(gens, th)]
+    sin = [[sign * math.sin(t / 2)] * width for (_, _, sign), t in zip(gates, th)]
     for k, t in enumerate(th):
         for row, u in ((1 + 2 * k, t + math.pi / 2), (2 + 2 * k, t - math.pi / 2)):
-            cos[k][row], sin[k][row] = math.cos(u / 2), gens[k][1] * math.sin(u / 2)
+            cos[k][row], sin[k][row] = math.cos(u / 2), gates[k][2] * math.sin(u / 2)
     amps = np.zeros((width, 2 ** n_qubits))
     amps[:, 0] = 1.0
-    for (ops, _), c, s in zip(gens, np.array(cos)[:, :, None], np.array(sin)[:, :, None]):
-        rows, sign = _string_action(ops)
-        amps = c * amps + s * (sign * amps)[:, rows]
+    for (rows, signs, _), c, s in zip(gates, np.array(cos)[:, :, None], np.array(sin)[:, :, None]):
+        amps = c * amps + s * (signs * amps)[:, rows]
     return amps
 
 
@@ -215,17 +222,25 @@ class AnalyticBackend:
         reverse sweep, O(angles 2^n) (Jones & Gacon, arXiv:2009.02823), and the
         ``prepare_ansatz`` state psi they were taken on: with phi the state after
         gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k lam.(-i P_k)phi,
-        real as P_k has one Y; both are then un-rotated through gate k."""
+        real as P_k has one Y.
+
+        phi and lam are the two rows of one stacked pair, which each gate of
+        ``_gates`` turns once, last gate first: turned = -i P_k pair gives g_k
+        from its phi row, then pair is un-rotated through gate k by c pair +
+        s turned.  ``take`` builds turned in C order, where ``pair[:, rows]``
+        need not, so turned's phi row is contiguous and the gradient's dot
+        sums as it would on a vector of its own."""
         theta, n_qubits = _angles(theta, h.shape[0].bit_length() - 1)
         state = _prepare(theta, n_qubits)
         psi = state.amplitudes
-        phi, lam = psi, h @ psi
-        energy = float(psi @ lam)
+        pair = np.stack((psi, h @ psi))
+        energy = float(psi @ pair[1])
         grad = np.empty(len(theta))
-        for k, (ops, sign) in reversed(list(enumerate(_generators(n_qubits)))):
-            grad[k] = sign * (lam @ _rotate(phi, ops, 0.0, 1.0))
+        for k, (rows, signs, sign) in reversed(list(enumerate(_gates(n_qubits)))):
+            turned = (signs * pair).take(rows, axis=1)
+            grad[k] = sign * (pair[1] @ turned[0])
             c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
-            phi, lam = _rotate(phi, ops, c, s), _rotate(lam, ops, c, s)
+            pair = c * pair + s * turned
         return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad, state
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:

@@ -28,7 +28,9 @@ against 80-digit arithmetic at 2J = 96 and 200 agree to ~3e-15.
 
 ``EffectiveState`` and ``FullState`` are checked as ``qsim.StateVector`` is, by
 ``errors._unit_amplitudes``: real amplitudes, as many as an integer field
-implies, unit-norm to 1e-12.
+implies, unit-norm to 1e-12.  An ``EffectiveState``'s beta is read by
+``errors._finite`` when it is made, so a bad one fails there rather than in
+a later ``reconstruct_full``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ class EffectiveState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _finite("beta", self.beta)
         _unit_amplitudes(self, "cutoff", lambda n: n)
 
 

@@ -73,6 +73,10 @@ ROWS = [
     *_rows("StateVector-amplitudes", lambda v: StateVector(1, v), AMPLITUDES),
     *_rows("EffectiveState-amplitudes", lambda v: EffectiveState(2, 0.0, v), AMPLITUDES),
     *_rows("FullState-amplitudes", lambda v: FullState(1, v), AMPLITUDES),
+    # beta through errors._finite when the state is made, not first in a
+    # later reconstruct_full
+    *_rows("EffectiveState-beta", lambda v: EffectiveState(2, v, [1.0, 0.0]),
+           ["x", [0.1], np.array([0.1]), True, math.nan, math.inf]),
     *_rows("parameter_shift_grad-backend",
            lambda v: parameter_shift_grad([0.1], 0, PauliString("Z"), v), BACKENDS),
     *_rows("measure_pauli-Z", lambda v: measure_pauli(STATE, PauliString("Z"), v), BACKENDS),

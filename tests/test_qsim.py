@@ -9,6 +9,11 @@ the simulator's kernels.  The per-string path (sum_P c_P <P> and the shift
 rule) is the adjoint sweep's oracle, and one multinomial draw per measured
 row is the batched sampled pass's oracle.  The sampled backend's generator
 is the only part of it a test replaces.
+
+Kept here, as they call into the package: ``rotate``, the one-vector gate
+kernel the simulator applied before its per-width gate plan, and
+``two_vector_cost``, the adjoint sweep that turned phi and lam by separate
+``rotate`` calls; the plan's kernels must equal them bit for bit.
 """
 
 import itertools
@@ -23,7 +28,7 @@ from scipy.optimize import minimize
 
 from hlvqe import qsim
 from hlvqe.errors import ConfigError
-from hlvqe.pauli import PauliString, decompose
+from hlvqe.pauli import PauliString, _string_action, decompose
 from hlvqe.qsim import (
     AnalyticBackend,
     SampledBackend,
@@ -50,6 +55,44 @@ from oracles import (
 )
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
+# ansatz angles, with the values where signed zeros and exact cos/sin can show
+ANGLES = strategies.one_of(
+    strategies.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi]),
+    strategies.floats(-2 * math.pi, 2 * math.pi))
+ANSATZ_CASES = strategies.integers(1, 4).flatmap(lambda nq: strategies.tuples(
+    strategies.just(nq), strategies.lists(ANGLES, min_size=2 ** nq - 1, max_size=2 ** nq - 1)))
+
+
+def rotate(amps, ops, c, s):
+    """(c - i s P) amps, i.e. exp(-i phi P) amps for c = cos(phi), s = sin(phi),
+    for a string with one Y, whose -i P amps is (sign * amps)[rows]."""
+    rows, sign = _string_action(ops)
+    return c * amps + s * (sign * amps)[rows]
+
+
+def rotate_loop(theta, n_qubits):
+    """The ansatz state by one ``rotate`` per angle."""
+    amps = np.zeros(2 ** n_qubits)
+    amps[0] = 1.0
+    for (ops, sign), th in zip(_generators(n_qubits), theta):
+        amps = rotate(amps, ops, math.cos(th / 2), sign * math.sin(th / 2))
+    return amps
+
+
+def two_vector_cost(theta, h, dh=None):
+    """The analytic objective's reverse sweep with phi and lam as two vectors:
+    each un-rotated by its own ``rotate`` call per gate, and -i P phi formed
+    by a third, with c = 0 and s = 1, for the gradient."""
+    n_qubits = h.shape[0].bit_length() - 1
+    psi = rotate_loop(theta, n_qubits)
+    phi, lam = psi, h @ psi
+    energy = float(psi @ lam)
+    grad = np.empty(len(theta))
+    for k, (ops, sign) in reversed(list(enumerate(_generators(n_qubits)))):
+        grad[k] = sign * (lam @ rotate(phi, ops, 0.0, 1.0))
+        c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
+        phi, lam = rotate(phi, ops, c, s), rotate(lam, ops, c, s)
+    return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad, psi
 
 
 def closed_form_two_qubit(t0, t1, t2):
@@ -173,12 +216,12 @@ class TestRealGates:
     @pytest.mark.parametrize("nq", [1, 2, 3, 4])
     def test_rotation_by_minus_i_p_is_the_kron_product(self, nq):
         # every generator has one Y, so -i P is real: the kron product's
-        # imaginary part is exactly zero and its real part is _rotate's
+        # imaginary part is exactly zero and its real part is rotate's
         a = np.random.default_rng(nq).standard_normal(2 ** nq)
         for ops, _ in _generators(nq):
             kicked = -1j * pauli_kron(ops) @ a
             assert not kicked.imag.any(), ops
-            assert np.array_equal(qsim._rotate(a, ops, 0.0, 1.0), kicked.real), ops
+            assert np.array_equal(rotate(a, ops, 0.0, 1.0), kicked.real), ops
 
     @pytest.mark.parametrize("nq", [1, 2, 3])
     def test_observable_is_the_real_part_of_the_kron_product(self, nq):
@@ -250,13 +293,13 @@ class TestStateVector:
 
 class TestShiftedBatch:
     """``_shifted_ansatz``, the base state and every +-pi/2-shifted state in one
-    batch, against the one-row loop: ``prepare_ansatz`` and its bit-arithmetic
-    rebuild in the oracles."""
+    batch, against the one-row loops: ``prepare_ansatz``, the ``rotate`` loop
+    it replaced and its bit-arithmetic rebuild in the oracles."""
 
-    @given(strategies.integers(1, 4).flatmap(lambda nq: strategies.tuples(
-        strategies.just(nq),
-        strategies.lists(strategies.floats(-math.pi, math.pi),
-                         min_size=2 ** nq - 1, max_size=2 ** nq - 1))))
+    @given(ANSATZ_CASES)
+    @example((1, [-0.0]))
+    @example((2, [math.pi, -math.pi, 2 * math.pi]))
+    @example((3, [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, math.pi / 2, -0.0]))
     def test_rows_equal_one_row_preparations(self, case):
         nq, t = case
         theta = np.array(t)
@@ -270,6 +313,7 @@ class TestShiftedBatch:
         assert got.shape == (len(rows), 2 ** nq)
         for amps, row in zip(got, rows):
             assert amps.tobytes() == prepare_ansatz(row, nq).amplitudes.tobytes()
+            assert amps.tobytes() == rotate_loop(row.tolist(), nq).tobytes()
             assert amps.tobytes() == row_ansatz_state(row, nq).tobytes()
 
     def test_angle_count_checked(self):
@@ -569,6 +613,31 @@ class TestAdjointSweep:
         want = [math.fsum(c * ((v[1 + 2 * k] - v[2 + 2 * k]) / 2) for v, c in values)
                 for k in range(len(theta))]
         assert np.abs(grad - want).max() <= 1e-12
+
+    @given(case=ANSATZ_CASES, seed=strategies.integers(0, 2 ** 32 - 1),
+           sparse=strategies.booleans(), with_dh=strategies.booleans())
+    @example(case=(1, [0.0]), seed=0, sparse=False, with_dh=False)
+    @example(case=(1, [-0.0]), seed=1, sparse=True, with_dh=True)
+    @example(case=(2, [math.pi, -math.pi, 2 * math.pi]), seed=2, sparse=False, with_dh=True)
+    @example(case=(3, [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, math.pi / 2, -0.0]),
+             seed=3, sparse=True, with_dh=False)
+    @example(case=(4, [2 * math.pi, -0.0, math.pi] * 5), seed=4, sparse=False, with_dh=True)
+    def test_stacked_pair_equals_two_vector_sweep(self, case, seed, sparse, with_dh):
+        # one (phi, lam) turn per gate against two rotate calls and a third
+        # for -i P phi: the same float operations, so every output bit for bit
+        nq, theta = case
+        rng = np.random.default_rng(seed)
+        h, dh = ((a + a.T) / 2 for a in rng.standard_normal((2, 2 ** nq, 2 ** nq)))
+        if sparse:
+            upper = np.triu(rng.random((2 ** nq, 2 ** nq)) < 0.5)
+            zero = upper | upper.T
+            h[zero] = dh[zero] = 0.0
+        dh = dh if with_dh else None
+        energy, slope, grad, state = AnalyticBackend()._cost(theta, h, dh)
+        want = two_vector_cost(theta, h, dh)
+        assert [x.hex() for x in (energy, slope, *grad.tolist())] == \
+            [x.hex() for x in (want[0], want[1], *want[2].tolist())]
+        assert state.amplitudes.tobytes() == want[3].tobytes()
 
 
 class TestBatchedEstimates:
