@@ -4,9 +4,13 @@ The checks are ``_integer`` (an integral number, NumPy integers too),
 ``_power_of_two`` (an integral power of two >= 2), ``_finite`` (one finite
 real number), ``_finite_array`` (a finite real number or array of them) and
 ``_unit_amplitudes`` (the one check of every state type: a real unit vector
-of the size its integer field implies, its norm taken as sqrt(a . a), which
-is what ``np.linalg.norm`` computes for a contiguous real 1-d array; a
-strided one can differ in the last bit, far inside the 1e-12 tolerance).
+of the size its integer field implies, its norm taken as sqrt(a . a) by
+``np.vdot``, which is what ``np.linalg.norm`` computes for a contiguous real
+1-d array but, unlike it, warns of no overflow, so a sum of squares past
+the float range reads inf and fails the check as a ConfigError; a strided
+array can differ in the last bit, far inside the 1e-12 tolerance).  An exact
+float64 ndarray, as every prepared state is, is kept as it is, with no
+dtype conversion to make.
 None of them takes a boolean for a number.  ``_real`` is the array rule that both finite
 readers, ``qsim._angles`` and ``_unit_amplitudes`` (for amplitudes that are
 not already an array) share: real numbers, not booleans, strings, complex or
@@ -133,19 +137,21 @@ def _unit_amplitudes(state, name: str, size) -> None:
     """Store ``state.amplitudes`` as a float array; a ConfigError unless the
     state's field ``name`` is an integer n and the amplitudes are real
     numbers (booleans not), of shape (size(n),) and unit-norm to 1e-12.  An
-    array is checked by its dtype and kept without a copy; anything else is
-    read by ``_real``, so a ragged sequence or one holding a boolean is
-    rejected too."""
+    array is checked by its dtype and kept without a copy (an exact float64
+    ndarray without even the ``astype``); anything else is read by
+    ``_real``, so a ragged sequence or one holding a boolean is rejected
+    too."""
     size = size(_integer(name, getattr(state, name)))
     amps = state.amplitudes
-    if not isinstance(amps, np.ndarray):
-        amps = _real(amps)
-    if amps is None or amps.dtype.kind not in "iuf":
-        raise ConfigError(f"{type(state).__name__} amplitudes must be real numbers, not "
-                          "booleans, strings, complex or object values, nor a ragged sequence")
-    amps = amps.astype(float, copy=False)
-    object.__setattr__(state, "amplitudes", amps)
+    if type(amps) is not np.ndarray or amps.dtype != float:
+        if not isinstance(amps, np.ndarray):
+            amps = _real(amps)
+        if amps is None or amps.dtype.kind not in "iuf":
+            raise ConfigError(f"{type(state).__name__} amplitudes must be real numbers, not "
+                              "booleans, strings, complex or object values, nor a ragged sequence")
+        amps = amps.astype(float, copy=False)
+        object.__setattr__(state, "amplitudes", amps)
     if amps.shape != (size,):
         raise ConfigError(f"{type(state).__name__} needs {size} amplitudes, got shape {amps.shape}")
-    if not abs(math.sqrt(amps.dot(amps)) - 1.0) <= 1e-12:
+    if not abs(math.sqrt(np.vdot(amps, amps)) - 1.0) <= 1e-12:
         raise ConfigError(f"{type(state).__name__} amplitudes must be unit-norm")

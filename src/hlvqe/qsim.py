@@ -34,27 +34,33 @@ Backends: both take the objective psi^T H psi and its gradients from dense
 real matrices, H(beta) and dH/dbeta or an excited observable, each its own
 way.  ``AnalyticBackend`` contracts them with the state and takes every
 theta-gradient from one adjoint sweep, which turns the state and h psi
-together as one stacked (phi, lam) pair, once per gate; it gathers the
-turned pair with ``take``, which keeps each row C-ordered, so each dot sums
-as it would on a vector of its own.  ``SampledBackend(shots, seed)``
-measures them by flip pattern: H_f, the entries (c, c ^ f) of H, is diagonal
-in the basis (|c> +- |c ^ f>)/sqrt(2) that a CNOT fan-out from f's top set
-bit t and a Hadamard on t turn into computational-basis outcomes, with the
-eigenvalues +-H[c, c ^ f] (``_flip_basis``; pattern 0 is the diagonal, read
-in the computational basis).  H couples only |dn| <= 2, so 2n patterns
-serve an n-qubit H(beta) where a Pauli decomposition needs one basis per
-string (the extended Bell measurement of Kondo et al., Quantum 6, 688
-(2022)), and no state leaves real arithmetic.  Its step is one
-``_shifted_ansatz`` batch (the base state, then per angle the +-pi/2 shifted
-states; the batch serves this objective alone) measured in every pattern of
-the nonzero entries of H and dH/dbeta, every ensemble drawn in one
-multinomial call on a ``SeedSequence(seed)`` generator, as one call per
-(state, pattern) in that order would; its sums
-are ``math.fsum`` over numpy products, and one past the float range is a
-NumericalError.  Each ``_cost`` returns, after E, dE/dbeta and the
-theta-gradients, the state it measured them on: the ``prepare_ansatz``
-state, or row 0 of the sampled batch, which equals it bit for bit, so a
-descent step prepares nothing else.  Each backend also gives the amplitude
+together as one (phi, lam) pair, once per gate, in the cached reverse order
+``_sweep``; it gathers the turned pair with ``take``, which keeps each row
+C-ordered, so each dot sums as it would on a vector of its own.  Every
+vector product is an ``ndarray.dot``, which sums as ``@`` does on
+contiguous vectors at less call overhead: a step's arrays have at most a
+few dozen entries, so that overhead, not arithmetic, is most of its cost.
+``SampledBackend(shots, seed)`` measures them by flip pattern: H_f, the
+entries (c, c ^ f) of H, is diagonal in the basis (|c> +- |c ^ f>)/sqrt(2)
+that a CNOT fan-out from f's top set bit t and a Hadamard on t turn into
+computational-basis outcomes, with the eigenvalues +-H[c, c ^ f]
+(``_flip_plan``; pattern 0 is the diagonal, read in the computational
+basis).  H couples only |dn| <= 2, so 2n patterns serve an n-qubit H(beta)
+where a Pauli decomposition needs one basis per string (the extended Bell
+measurement of Kondo et al., Quantum 6, 688 (2022)), and no state leaves
+real arithmetic.  Its step is one ``_shifted_ansatz`` batch (the base
+state, then per angle the +-pi/2 shifted states; the batch serves this
+objective alone) measured in every pattern of the nonzero entries of H and
+dH/dbeta, every ensemble drawn in one multinomial call on a
+``SeedSequence(seed)`` generator, as one call per (state, pattern) in that
+order would.  The patterns' bases and weight entries are one
+``_flip_plan``, cached on the bytes of the live-entry mask, so a step with
+the live entries of an earlier one scans no matrix.  Its sums are
+``math.fsum`` over numpy products, each row read by one ``tolist``, and one
+past the float range is a NumericalError.  Each ``_cost`` returns, after
+E, dE/dbeta and the theta-gradients, the state it measured them on: the
+``prepare_ansatz`` state, or row 0 of the sampled batch, which equals it
+bit for bit, so a descent step prepares nothing else.  Each backend also gives the amplitude
 magnitudes a run records of that state (exact, or the square roots of one
 ensemble) and the backend a run draws from (itself, or a copy on its own
 stream).
@@ -95,7 +101,7 @@ class StateVector:
         _unit_amplitudes(self, "n_qubits", lambda n: 2 ** n)
 
     def probabilities(self) -> np.ndarray:
-        p = np.abs(self.amplitudes) ** 2
+        p = np.square(self.amplitudes)
         return p / p.sum()
 
     def real_amplitudes(self) -> np.ndarray:
@@ -144,17 +150,28 @@ def _gates(n_qubits: int) -> tuple:
     return tuple((*_string_action(ops), sign) for ops, sign in _generators(n_qubits))
 
 
+@lru_cache(maxsize=16)
+def _sweep(n_qubits: int) -> tuple:
+    """(k, rows, signs, sign) per ``_gates`` entry k, last gate first: the
+    adjoint sweep's order."""
+    return tuple((k, *gate) for k, gate in reversed(tuple(enumerate(_gates(n_qubits)))))
+
+
 def _angles(theta, n_qubits: int) -> tuple[list, int]:
     """(theta as a list of floats, n_qubits) if theta has the 2^n - 1 finite
     real angles of the ``n_qubits`` ansatz (by ``errors._real``: integers too;
     booleans, strings, complex and object values not), else a ConfigError.
-    The one place a caller's theta is read."""
+    The one place a caller's theta is read.  An exact float64 ndarray of the
+    right shape, as a descent step passes, goes straight to ``tolist``,
+    which gives the list ``_real`` and ``astype`` would."""
     n_qubits = _integer("n_qubits", n_qubits)
-    arr = _real(theta, ndmin=1)
     want = 2 ** n_qubits - 1
-    if arr is None or arr.shape != (want,):
-        raise ConfigError(f"{n_qubits}-qubit ansatz needs {want} angles, got {theta!r}")
-    theta = arr.astype(float, copy=False).tolist()
+    if not (type(theta) is np.ndarray and theta.dtype == float and theta.shape == (want,)):
+        arr = _real(theta, ndmin=1)
+        if arr is None or arr.shape != (want,):
+            raise ConfigError(f"{n_qubits}-qubit ansatz needs {want} angles, got {theta!r}")
+        theta = arr.astype(float, copy=False)
+    theta = theta.tolist()
     # per angle, as a sum of large finite angles can overflow to inf
     if not all(map(math.isfinite, theta)):
         raise ConfigError(f"ansatz angles must be finite, got {theta}")
@@ -224,24 +241,29 @@ class AnalyticBackend:
         gate k and lam = U_{k+1}^T ... U_K^T h psi, g_k = sign_k lam.(-i P_k)phi,
         real as P_k has one Y.
 
-        phi and lam are the two rows of one stacked pair, which each gate of
-        ``_gates`` turns once, last gate first: turned = -i P_k pair gives g_k
-        from its phi row, then pair is un-rotated through gate k by c pair +
-        s turned.  ``take`` builds turned in C order, where ``pair[:, rows]``
-        need not, so turned's phi row is contiguous and the gradient's dot
-        sums as it would on a vector of its own."""
+        phi and lam are the two rows of one (2, 2^n) pair, psi and h psi written
+        into place, which each gate turns once in ``_sweep`` order:
+        turned = -i P_k pair gives g_k from its phi row, then pair is
+        un-rotated through gate k by c pair + s turned.  ``take`` builds
+        turned in C order, where ``pair[:, rows]`` need not, so turned's phi
+        row is contiguous and the gradient's dot sums as it would on a
+        vector of its own.  Vector products are ``ndarray.dot``, which sums
+        as ``@`` does on contiguous vectors; psi^T dh psi keeps ``psi @ dh``,
+        as ``dh.dot(psi)`` sums each entry in another order."""
         theta, n_qubits = _angles(theta, h.shape[0].bit_length() - 1)
         state = _prepare(theta, n_qubits)
         psi = state.amplitudes
-        pair = np.stack((psi, h @ psi))
-        energy = float(psi @ pair[1])
+        pair = np.empty((2, len(psi)))
+        pair[0] = psi
+        np.matmul(h, psi, out=pair[1])
+        energy = float(psi.dot(pair[1]))
         grad = np.empty(len(theta))
-        for k, (rows, signs, sign) in reversed(list(enumerate(_gates(n_qubits)))):
+        for k, rows, signs, sign in _sweep(n_qubits):
             turned = (signs * pair).take(rows, axis=1)
-            grad[k] = sign * (pair[1] @ turned[0])
+            grad[k] = sign * pair[1].dot(turned[0])
             c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
             pair = c * pair + s * turned
-        return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad, state
+        return energy, 0.0 if dh is None else float((psi @ dh).dot(psi)), grad, state
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """The exact amplitude magnitudes."""
@@ -274,7 +296,7 @@ class SampledBackend:
         """<P> of ``state`` from one ensemble in the string's flip pattern,
         or from none for the zero matrix of a string with an odd number of Y."""
         freqs, w, _ = self._measure(state.amplitudes[None], _observable(state._ops_of(string)))
-        val = _total(freqs[0] * w)
+        (val,) = _sums(freqs * w)
         shots = self.shots * freqs.shape[1]
         # each shot reads an eigenvalue +-1 of P, so the sample variance is 1 - mean^2
         std = math.sqrt(max(0.0, 1.0 - val * val) / shots) if shots else 0.0
@@ -286,16 +308,15 @@ class SampledBackend:
         frequencies from one multinomial call, which draws as one call per
         (row, pattern) in that order would; and the eigenvalues
         sign h[base, partner] of h and of dh (None without dh) on each
-        pattern's outcomes (``_flip_basis``).  With no nonzero entry there is
-        no pattern: nothing is drawn and every sum over them is 0."""
-        dim = amps.shape[1]
-        rows, cols = np.nonzero(h if dh is None else (h != 0) | (dh != 0))
-        flips = tuple(np.flatnonzero(np.bincount(rows ^ cols, minlength=dim)).tolist())
-        base, partner, sign = _flip_basis(flips, dim.bit_length() - 1)
+        pattern's outcomes, all from the ``_flip_plan`` of the live entries,
+        (h != 0) | (dh != 0).  With no nonzero entry there is no pattern:
+        nothing is drawn and every sum over them is 0."""
+        live = h.astype(bool) if dh is None else np.logical_or(h, dh)
+        base, partner, sign, entry = _flip_plan(live.tobytes(), len(h))
         # take keeps p in C order (amps[:, base] need not), so a row sums as it would alone
         p = (amps.take(base, axis=1) + sign * amps.take(partner, axis=1)) ** 2
         freqs = self._rng.multinomial(self.shots, p / p.sum(axis=2, keepdims=True)) / self.shots
-        return freqs, sign * h[base, partner], None if dh is None else sign * dh[base, partner]
+        return freqs, sign * h.take(entry), None if dh is None else sign * dh.take(entry)
 
     def _cost(self, theta: np.ndarray, h, dh=None) -> tuple[float, float, np.ndarray, StateVector]:
         """psi^T h psi and psi^T dh psi (0.0 without dh) as sum_f freqs_f . w_f
@@ -306,15 +327,14 @@ class SampledBackend:
         One ``_shifted_ansatz`` batch on the register of h, which theta's
         2^n - 1 angles must fit, prepares every state; its row 0, psi, is the
         ``prepare_ansatz`` state bit for bit.  Each sum is ``math.fsum`` of
-        the products.
+        the products (``_sums``).
         """
         n_qubits = h.shape[0].bit_length() - 1
         states = _shifted_ansatz(theta, n_qubits)
         freqs, w, dw = self._measure(states, h, dh)
         shifts = (freqs[1::2] - freqs[2::2]) / 2 * w
-        return (_total(freqs[0] * w), 0.0 if dh is None else _total(freqs[0] * dw),
-                np.array([_total(row) for row in shifts]),
-                StateVector(n_qubits, states[0]))
+        return (_sums(freqs[:1] * w)[0], 0.0 if dh is None else _sums(freqs[:1] * dw)[0],
+                np.array(_sums(shifts)), StateVector(n_qubits, states[0]))
 
     def _magnitudes(self, state: StateVector) -> np.ndarray:
         """Square roots of one measured computational-basis ensemble."""
@@ -330,33 +350,40 @@ class SampledBackend:
 
 
 @lru_cache(maxsize=64)
-def _flip_basis(flips: tuple, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(base, partner, sign), each (len(flips), 2^n) and read-only: outcome o
-    of flip pattern f = flips[r] reads the pair (c, c ^ f), where c = base[r, o]
-    is o with f's top set bit t cleared and partner = c ^ f, with amplitude
-    (a[c] + sign a[c ^ f]) / sqrt(2), sign = -1 where o has bit t set.
+def _flip_plan(live: bytes, dim: int) -> tuple[np.ndarray, ...]:
+    """(base, partner, sign, entry), each (patterns, dim) and read-only: the
+    measurement plan of the flip patterns f = r ^ c, ascending, of the
+    entries (r, c) that ``live``, the C-order bytes of a (dim, dim) boolean
+    mask, marks.  Outcome o of pattern f reads the pair (c, c ^ f), where
+    c = base[r, o] is o with f's top set bit t cleared and partner = c ^ f,
+    with amplitude (a[c] + sign a[c ^ f]) / sqrt(2), sign = -1 where o has
+    bit t set; entry = c dim + partner is the flat index of H[c, c ^ f].
 
     That is the basis (|c> +- |c ^ f>)/sqrt(2) after a CNOT fan-out from t to
     f's other bits and a Hadamard on t; a real symmetric H_f with entries
     only at (c, c ^ f) has eigenvalue sign H[c, c ^ f] there.  Pattern 0 has
     no top bit: each outcome is paired with itself, sign +1, so it reads
     (2 a[o])^2, the computational basis up to normalization, and H's diagonal.
+    Keyed on the mask itself, as an entry of H(beta) can vanish at one beta.
     """
-    cols = np.arange(2 ** n_qubits)
-    flip = np.array(flips, dtype=np.intp).reshape(-1, 1)
-    top = np.array([1 << f.bit_length() >> 1 for f in flips], dtype=np.intp).reshape(-1, 1)
-    base = cols & ~top
-    out = base, base ^ flip, np.where(cols & top, -1.0, 1.0)
+    rows, cols = np.nonzero(np.frombuffer(live, dtype=bool).reshape(dim, dim))
+    flips = np.flatnonzero(np.bincount(rows ^ cols, minlength=dim))
+    top = np.array([1 << f.bit_length() >> 1 for f in flips.tolist()], dtype=np.intp)[:, None]
+    index = np.arange(dim)
+    base = index & ~top
+    partner = base ^ flips[:, None]
+    out = base, partner, np.where(index & top, -1.0, 1.0), base * dim + partner
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _total(terms: np.ndarray) -> float:
-    """``math.fsum`` of every entry of ``terms``.  They are finite, so only a
-    sum past the float range stops it: that is a NumericalError."""
+def _sums(terms: np.ndarray) -> list:
+    """``math.fsum`` of each row of ``terms`` (every entry past axis 0), from
+    one ``tolist``.  They are finite, so only a sum past the float range
+    stops it: that is a NumericalError."""
     try:
-        return math.fsum(terms.ravel().tolist())
+        return [math.fsum(row) for row in terms.reshape(len(terms), -1).tolist()]
     except OverflowError as exc:
         raise NumericalError(f"a sampled sum overflows the float range ({exc})") from exc
 

@@ -22,9 +22,11 @@ rule, and checked against its circuit, a CNOT fan-out and a Hadamard, as
 kron-built gate matrices; its per-outcome weights are the eigenvalues of
 the pattern's part of H on those vectors, with the closed-form per-shot
 variance of the estimator and the per-string variance it replaces beside
-them.  Sampled estimates take one multinomial draw per measured row, and
-the sampled objective is evaluated in two such passes, the base state and
-then every shifted state prepared one at a time.  A sampled backend's
+them; the per-step scan of a matrix's live entries that the cached
+measurement plan replaced is kept too.  Sampled estimates take one
+multinomial draw per measured row, and the sampled objective is evaluated
+in two such passes, the base state and then every shifted state prepared
+one at a time.  A sampled backend's
 generator is the one thing a test substitutes: by one that draws row by
 row, one that returns the exact counts, or one that counts its calls.  The
 per-entry loops that fill H(beta) and dH/dbeta, and the hand-projected one-
@@ -452,6 +454,24 @@ def live_patterns(*matrices):
     index = np.arange(len(matrices[0]))
     live = np.logical_or.reduce([np.asarray(m) != 0 for m in matrices])
     return sorted(set((index[:, None] ^ index)[live].tolist()))
+
+
+def scan_flip_plan(h, dh=None):
+    """The flip-pattern plan as the sampled backend derived it at every step
+    before it cached one per live-entry mask: the patterns of the nonzero
+    entries of h and dh by ``np.nonzero`` and ``np.bincount``, their bases,
+    and the weights sign h[base, partner] by fancy index.  Returns (flips,
+    base, partner, sign, w, dw), dw None without dh."""
+    dim = len(h)
+    rows, cols = np.nonzero(h if dh is None else (h != 0) | (dh != 0))
+    flips = tuple(np.flatnonzero(np.bincount(rows ^ cols, minlength=dim)).tolist())
+    index = np.arange(dim)
+    flip = np.array(flips, dtype=np.intp).reshape(-1, 1)
+    top = np.array([1 << f.bit_length() >> 1 for f in flips], dtype=np.intp).reshape(-1, 1)
+    base = index & ~top
+    partner, sign = base ^ flip, np.where(index & top, -1.0, 1.0)
+    return (flips, base, partner, sign, sign * h[base, partner],
+            None if dh is None else sign * dh[base, partner])
 
 
 def flip_probabilities(psi, flip):

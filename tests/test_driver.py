@@ -338,18 +338,19 @@ class TestCostAndGrads:
             cost_and_grads(params, 4, 0.2, np.full(3, 0.1), SampledBackend(100_000, 1))
 
     def test_warm_sampled_step_misses_no_plan_and_hashes_no_string(self, monkeypatch):
-        # the step's rows are flip patterns (tuples of int), so a warm cutoff-4
-        # step at another beta finds its cached bases and hashes no PauliString
+        # the step's plan is keyed on the bytes of its live-entry mask, so a
+        # warm cutoff-4 step at another beta, with the same live entries,
+        # finds its cached plan and hashes no PauliString
         theta = np.linspace(0.9, -0.6, 3)
         backend = SampledBackend(100_000, 3)
         cost_and_grads(P30, 4, 0.7, theta, backend)
-        misses = qsim._flip_basis.cache_info().misses
+        misses = qsim._flip_plan.cache_info().misses
         calls = []
         original = PauliString.__hash__
         monkeypatch.setattr(PauliString, "__hash__",
                             lambda self: calls.append(self.ops) or original(self))
         cost_and_grads(P30, 4, 0.3, theta + 0.1, backend)
-        assert qsim._flip_basis.cache_info().misses == misses
+        assert qsim._flip_plan.cache_info().misses == misses
         assert calls == []
         hash(PauliString("ZZ"))
         assert calls == ["ZZ"]  # the counter sees every hash
@@ -408,7 +409,7 @@ class TestCostAndGrads:
         def forbidden(*args, **kwargs):
             raise AssertionError("analytic objective took the per-string path")
 
-        for name in ("_flip_basis", "_observable", "_shifted_ansatz", "measure_pauli"):
+        for name in ("_flip_plan", "_observable", "_shifted_ansatz", "measure_pauli"):
             monkeypatch.setattr(qsim, name, forbidden)
         for name in ("decompose", "reassemble"):
             monkeypatch.setattr(pauli, name, forbidden)

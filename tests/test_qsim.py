@@ -13,7 +13,10 @@ is the only part of it a test replaces.
 Kept here, as they call into the package: ``rotate``, the one-vector gate
 kernel the simulator applied before its per-width gate plan, and
 ``two_vector_cost``, the adjoint sweep that turned phi and lam by separate
-``rotate`` calls; the plan's kernels must equal them bit for bit.
+``rotate`` calls; the plan's kernels must equal them bit for bit.  So are
+``read_angles`` and ``read_amplitudes``, the theta reader and the state
+check as they read every input before their float64 fast paths, which
+must give the same list, the same stored bytes or the same error text.
 """
 
 import itertools
@@ -27,7 +30,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from hlvqe import qsim
-from hlvqe.errors import ConfigError
+from hlvqe.errors import ConfigError, _integer, _real
+from hlvqe.model import (ModelParams, build_effective_hamiltonian,
+                         build_effective_hamiltonian_dbeta)
 from hlvqe.pauli import PauliString, _string_action, decompose
 from hlvqe.qsim import (
     AnalyticBackend,
@@ -40,6 +45,7 @@ from hlvqe.qsim import (
     parameter_shift_grad,
     prepare_ansatz,
 )
+from hlvqe.rotations import EffectiveState, FullState
 from oracles import (
     CountingGenerator,
     ExactGenerator,
@@ -47,11 +53,13 @@ from oracles import (
     fanout_hadamard_matrix,
     flip_basis_vectors,
     flip_probabilities,
+    live_patterns,
     oracle_ansatz_state,
     oracle_sampled_estimates,
     oracle_tree_angles,
     pauli_kron,
     row_ansatz_state,
+    scan_flip_plan,
 )
 
 TWO_QUBIT_STRINGS = ["XX", "XZ", "XI", "YY", "ZX", "ZZ", "ZI", "IX", "IZ"]
@@ -93,6 +101,40 @@ def two_vector_cost(theta, h, dh=None):
         c, s = math.cos(theta[k] / 2), -sign * math.sin(theta[k] / 2)
         phi, lam = rotate(phi, ops, c, s), rotate(lam, ops, c, s)
     return energy, 0.0 if dh is None else float(psi @ dh @ psi), grad, psi
+
+
+def read_angles(theta, n_qubits):
+    """``qsim._angles`` with every input read by ``_real`` and ``astype``."""
+    n_qubits = _integer("n_qubits", n_qubits)
+    arr = _real(theta, ndmin=1)
+    want = 2 ** n_qubits - 1
+    if arr is None or arr.shape != (want,):
+        raise ConfigError(f"{n_qubits}-qubit ansatz needs {want} angles, got {theta!r}")
+    theta = arr.astype(float, copy=False).tolist()
+    if not all(map(math.isfinite, theta)):
+        raise ConfigError(f"ansatz angles must be finite, got {theta}")
+    return theta, n_qubits
+
+
+def read_amplitudes(kind, amps, size):
+    """The array ``errors._unit_amplitudes`` stores for a ``kind`` state of
+    ``size`` amplitudes, with every array converted by ``astype`` and the
+    norm taken by ``dot``, else its ConfigError."""
+    if not isinstance(amps, np.ndarray):
+        amps = _real(amps)
+    if amps is None or amps.dtype.kind not in "iuf":
+        raise ConfigError(f"{kind.__name__} amplitudes must be real numbers, not "
+                          "booleans, strings, complex or object values, nor a ragged sequence")
+    amps = amps.astype(float, copy=False)
+    if amps.shape != (size,):
+        raise ConfigError(f"{kind.__name__} needs {size} amplitudes, got shape {amps.shape}")
+    if not abs(math.sqrt(amps.dot(amps)) - 1.0) <= 1e-12:
+        raise ConfigError(f"{kind.__name__} amplitudes must be unit-norm")
+    return amps
+
+
+class Tagged(np.ndarray):
+    """An ndarray subclass, which the float64 fast paths do not take."""
 
 
 def closed_form_two_qubit(t0, t1, t2):
@@ -264,8 +306,8 @@ class TestStateVector:
         with pytest.raises(ConfigError, match=match):
             StateVector(n_qubits, amps)
 
-    # a sum of squares past the float range warns in the dot, as it did in
-    # np.linalg.norm, and reads inf
+    # a sum of squares past the float range reads inf; dot warns on it, as
+    # np.linalg.norm does, and vdot does not
     @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     @given(arrays(np.float64, strategies.integers(1, 64),
                   elements=strategies.one_of(
@@ -275,20 +317,76 @@ class TestStateVector:
     @example(np.array([5e-324, 5e-324]))
     @example(np.array([1e154, 1e154, 3.0]))
     def test_norm_is_numpys(self, x):
-        # the norm every state check and renormalisation takes: for a
-        # contiguous real 1-d array, as every renormalised state is, it is
-        # what np.linalg.norm computes, bit for bit, overflow to inf and
-        # underflow to 0 included (np.linalg.norm copies a strided array
-        # first, so there the two may differ in the last bit)
-        got, want = math.sqrt(x.dot(x)), np.linalg.norm(x)
-        assert np.float64(got).tobytes() == want.tobytes()
+        # the norms every state check (vdot) and renormalisation (dot) take:
+        # for a contiguous real 1-d array, as every prepared or renormalised
+        # state is, both are what np.linalg.norm computes, bit for bit,
+        # overflow to inf and underflow to 0 included (on a strided array
+        # the three may differ in the last bit)
+        want = np.linalg.norm(x)
+        for got in (math.sqrt(x.dot(x)), math.sqrt(np.vdot(x, x))):
+            assert np.float64(got).tobytes() == want.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     @pytest.mark.parametrize("amps", [[math.nan, 0.0], [0.6, 0.6], [1e200, 0.0]],
                              ids=["nan", "not-unit", "overflow"])
     def test_non_unit_norm_rejected(self, amps):
         with pytest.raises(ConfigError, match="unit-norm"):
             StateVector(1, amps)
+
+
+class TestFastPaths:
+    """The theta reader and the state check take an exact float64 ndarray of
+    the right shape without ``_real`` or ``astype``; every input, on either
+    path, reads as it did when all of them took the slow one."""
+
+    ANGLES = [
+        np.array([0.1, -0.0, 0.3]), np.array([0.1, 0.2, 0.3], dtype=np.float32),
+        np.array([1, -2, 3]), np.array([True, False, True]),
+        np.array([0.1, 0.2, 0.3]).view(Tagged), np.array([[0.1, 0.2, 0.3]]),
+        np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.1, math.nan, 0.3]),
+        np.array([0.1, 0.2, -math.inf]), np.array([0.1, 0.2, 0.3], dtype=">f8"),
+        np.arange(6.0)[::2], [0.1, -0.0, 0.3], [1, 2, 3], [0.1, math.nan, 0.3],
+        [True, 0.1, 0.2], [[0.1, 0.2, 0.3]], (0.1, 0.2), "abc"]
+
+    @pytest.mark.parametrize("theta", ANGLES, ids=range(len(ANGLES)))
+    def test_angles_read_as_the_slow_path(self, theta):
+        def read(fn):
+            try:
+                got, n = fn(theta, 2)
+            except ConfigError as exc:
+                return str(exc)
+            return [t.hex() for t in got], n
+
+        assert read(qsim._angles) == read(read_angles)
+
+    def test_angles_of_one_qubit_from_a_zero_d_array(self):
+        assert qsim._angles(np.array(0.5), 1) == read_angles(np.array(0.5), 1) == ([0.5], 1)
+
+    AMPLITUDES = [
+        np.array([0.5, 0.5, -0.5, 0.5]), np.array([0.5, 0.5, -0.5, 0.5], dtype=np.float32),
+        np.array([0, 1, 0, 0]), np.array([False, True, False, False]),
+        np.array([0.5, 0.5, -0.5, 0.5]).view(Tagged), np.array([[0.5, 0.5, -0.5, 0.5]]),
+        np.array([0.6, 0.8]), np.array([0.5, 0.5, math.nan, 0.5]),
+        np.array([0.5, math.inf, 0.5, 0.5]), np.array([0.5, 0.5, 0.5, 0.6]),
+        np.array([0.5, 0.5, -0.5, 0.5], dtype=">f8"), np.array([0.5, 0, 0.5, 0, -0.5, 0, 0.5])[::2],
+        [0.5, 0.5, -0.5, 0.5], [0, 0, 1, 0], [True, 0, 0, 0], [0.5, math.nan, 0.5, 0.5],
+        [[0.5, 0.5], [0.5, 0.5]], "abcd"]
+    STATES = [(StateVector, lambda a: StateVector(2, a)),
+              (EffectiveState, lambda a: EffectiveState(4, 0.1, a)),
+              (FullState, lambda a: FullState(3, a))]
+
+    @pytest.mark.parametrize("kind, make", STATES, ids=["StateVector", "EffectiveState",
+                                                        "FullState"])
+    @pytest.mark.parametrize("amps", AMPLITUDES, ids=range(len(AMPLITUDES)))
+    def test_states_store_what_the_slow_path_stores(self, kind, make, amps):
+        def stored(read):
+            try:
+                arr = read()
+            except ConfigError as exc:
+                return str(exc)
+            return type(arr), arr.dtype.str, arr.tobytes(), arr is amps
+
+        assert stored(lambda: make(amps).amplitudes) == \
+            stored(lambda: read_amplitudes(kind, amps, 4))
 
 
 class TestShiftedBatch:
@@ -774,6 +872,59 @@ class TestBatchedEstimates:
             assert got.shape == (7, 5, k)
             assert got.tolist() == np.array(want).tolist()
             assert batched.bit_generator.state == rows.bit_generator.state
+
+
+class TestFlipPlan:
+    """``_flip_plan``, the sampled measurement plan cached per live-entry mask,
+    against ``scan_flip_plan``, the per-step scan of H and dH/dbeta it
+    replaced: the same patterns, bases and weights bit for bit, and so the
+    same draws from equal seeds."""
+
+    @staticmethod
+    def check(h, dh, seed):
+        flips, base, partner, sign, w, dw = scan_flip_plan(h, dh)
+        assert list(flips) == live_patterns(h, *([] if dh is None else [dh]))
+        live = h != 0 if dh is None else (h != 0) | (dh != 0)
+        plan = qsim._flip_plan(live.tobytes(), len(h))
+        for got, want in zip(plan, (base, partner, sign, base * len(h) + partner)):
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal((5, len(h)))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        backend = SampledBackend(1000, seed)
+        oracle_rng = np.random.default_rng(np.random.SeedSequence(seed))
+        freqs, got_w, got_dw = backend._measure(amps, h, dh)
+        assert got_w.tobytes() == w.tobytes() and got_w.shape == w.shape
+        assert got_dw is dw is None or got_dw.tobytes() == dw.tobytes()
+        p = (amps.take(base, axis=1) + sign * amps.take(partner, axis=1)) ** 2
+        want = oracle_rng.multinomial(1000, p / p.sum(axis=2, keepdims=True)) / 1000
+        assert freqs.tobytes() == want.tobytes() and freqs.shape == want.shape
+        assert backend._rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(nq=strategies.integers(1, 4), seed=strategies.integers(0, 2 ** 32 - 1),
+           zeros=strategies.sampled_from([0.0, 0.3, 0.7, 1.0]), with_dh=strategies.booleans())
+    @example(nq=3, seed=0, zeros=1.0, with_dh=False)
+    @example(nq=3, seed=1, zeros=1.0, with_dh=True)
+    def test_plan_equals_the_scan(self, nq, seed, zeros, with_dh):
+        # symmetric h and dh, each with its own random symmetric zero mask
+        rng = np.random.default_rng(seed)
+        h, dh = ((a + a.T) / 2 for a in rng.standard_normal((2, 2 ** nq, 2 ** nq)))
+        for m in (h, dh):
+            upper = np.triu(rng.random(m.shape) < zeros)
+            m[upper | upper.T] = 0.0
+        self.check(h, dh if with_dh else None, seed)
+
+    @pytest.mark.parametrize("cutoff", [2, 4, 8, 16])
+    def test_plan_at_beta_zero_measures_the_slope_band(self, cutoff):
+        # at beta = 0 the |dn| = 1 band of H vanishes but dH/dbeta's does not,
+        # so the step's patterns are H's and the slope's together
+        params = ModelParams.create(30, 1.0, vbar=2.0)
+        h = build_effective_hamiltonian(params, 0.0, cutoff)
+        dh = build_effective_hamiltonian_dbeta(params, 0.0, cutoff)
+        assert not h.diagonal(1).any() and dh.diagonal(1).all()
+        self.check(h, dh, cutoff)
+        self.check(h, None, cutoff)
+        assert len(live_patterns(h, dh)) > len(live_patterns(h))
 
 
 class TestSampleCounts:
